@@ -786,6 +786,7 @@ func benchSyssim(seconds float64, seed int64, workers int) StudyEntry {
 			cfg := queuesim.DefaultConfig()
 			cfg.QPS = 70000 * float64(i%points+1) / points
 			cfg.Seconds = seconds
+			cfg.Warmup = seconds / 4
 			cfg.Seed = seed
 			cfg.RPU = modes[i/points].rpu
 			cfg.Split = modes[i/points].split

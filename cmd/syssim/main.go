@@ -33,7 +33,7 @@ func main() {
 	points := flag.Int("points", 12, "number of load points")
 	composePost := flag.Bool("composepost", false, "sweep the Figure 3 compose-post path instead of the User path")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
-	tail := flag.Bool("tail", false, "sweep the tail-at-scale engine (p50/p99/p999, overload policies) instead of the closure simulator")
+	tail := flag.Bool("tail", false, "sweep at data-center scale with p50/p99/p999 and overload-policy columns instead of the 1x Figure 22 table")
 	graphName := flag.String("graph", "", "tail mode: service graph to sweep — a bundled name (social|composepost|hotel|media|iot) or a GraphSpec .json file (implies -tail)")
 	legacy := flag.Bool("legacy", false, "tail mode: run the retired hand-coded social-network dispatch instead of the spec executor (byte-identity oracle)")
 	scale := flag.Float64("scale", 100, "tail mode: station-capacity multiplier (100 = the 100x Figure 22 analog)")
@@ -150,6 +150,7 @@ func main() {
 		cfg := queuesim.DefaultConfig()
 		cfg.QPS = qps[i%np]
 		cfg.Seconds = *seconds
+		cfg.Warmup = *seconds / 4
 		cfg.Seed = *seed
 		cfg.RPU = mode.rpu
 		cfg.Split = mode.split
@@ -165,9 +166,8 @@ func main() {
 			}
 		}
 		m := queuesim.Run(cfg)
-		measured := cfg.Seconds - cfg.Warmup
 		return fmt.Sprintf("  %8.0f %10.0f %10.2f %10.2f %8.2f %6.1f\n",
-			cfg.QPS, m.Throughput(measured), m.Latency.Percentile(99), m.Latency.Mean(),
+			cfg.QPS, m.Throughput(), m.Latency.Percentile(99), m.Latency.Mean(),
 			m.UserUtil, m.AvgBatchFill), nil
 	})
 	if err != nil {
@@ -308,6 +308,7 @@ func sweepComposePost(seconds float64, seed int64, qps []float64, parallel int) 
 		cfg := queuesim.DefaultComposePost()
 		cfg.QPS = qps[i%np]
 		cfg.Seconds = seconds
+		cfg.Warmup = seconds / 4
 		cfg.Seed = seed
 		cfg.RPU = modes[i/np].rpu
 		if obs.Enabled() {
@@ -320,9 +321,8 @@ func sweepComposePost(seconds float64, seed int64, qps []float64, parallel int) 
 			}
 		}
 		m := queuesim.RunComposePost(cfg)
-		measured := cfg.Seconds - cfg.Warmup
 		return fmt.Sprintf("  %8.0f %10.0f %10.2f %10.2f %8.2f\n",
-			cfg.QPS, m.Throughput(measured), m.Latency.Percentile(99), m.Latency.Mean(), m.UserUtil), nil
+			cfg.QPS, m.Throughput(), m.Latency.Percentile(99), m.Latency.Mean(), m.UserUtil), nil
 	})
 	if err != nil {
 		return err

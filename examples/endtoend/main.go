@@ -41,6 +41,7 @@ func main() {
 			cfg := simr.DefaultSystemConfig()
 			cfg.QPS = q
 			cfg.Seconds = *seconds
+			cfg.Warmup = *seconds / 4
 			cfg.RPU = m.rpu
 			cfg.Split = m.split
 			res := simr.RunSystem(cfg)

@@ -13,8 +13,8 @@ import (
 // the fix only the p99 heuristic ran, so a collapsed run whose few
 // completions were fast reported as keeping up.
 func TestSaturatedCompletionCriterion(t *testing.T) {
-	mk := func(completed int) *Metrics {
-		m := &Metrics{Offered: 1000, Measured: 1, Completed: completed,
+	mk := func(completed int) *TailMetrics {
+		m := &TailMetrics{Offered: 1000, Measured: 1, Completed: completed,
 			Latency: stats.NewSample(completed)}
 		for i := 0; i < completed; i++ {
 			m.Latency.Add(5) // fast: p99 well under 10x baseline
@@ -33,23 +33,47 @@ func TestSaturatedCompletionCriterion(t *testing.T) {
 }
 
 // TestBatcherRearmsPerBatch: the formation timeout belongs to each
-// batch, measured from its first element. Before the fix the timer
-// armed for batch N kept running after a size-triggered flush and
-// flushed batch N+1 early: with size 2 and timeout 10, elements at
-// t=0,1 flush at t=1, and an element at t=2 must launch at t=12 — the
-// stale timer fired it at t=10.
+// batch, measured from its first request. Before the fix the timer
+// armed for batch N kept running after a size-triggered launch and
+// flushed batch N+1 early: with size 2 and timeout 10, requests at
+// t=0,1 launch at t=1, and a request at t=2 must launch at t=12 — the
+// stale timer fired it at t=10. The size-triggered launch now cancels
+// its formation timer under either scheduler.
 func TestBatcherRearmsPerBatch(t *testing.T) {
-	sim := NewSim(1)
-	var launches []float64
-	b := &batcher[int]{sim: sim, size: 2, timeout: 10,
-		launch: func([]int) { launches = append(launches, sim.Now()) }}
-	sim.At(0, func() { b.add(1) })
-	sim.At(1, func() { b.add(2) })
-	sim.At(2, func() { b.add(3) })
-	sim.Run(100)
-	want := []float64{1, 12}
-	if len(launches) != len(want) || launches[0] != want[0] || launches[1] != want[1] {
-		t.Fatalf("launch times %v, want %v (stale formation timer fired early)", launches, want)
+	for _, sched := range schedulers {
+		c := DefaultConfig()
+		c.Seconds = 1
+		c.Warmup = 0
+		c.RPU = true
+		c.BatchSize = 2
+		c.BatchTimeout = 10
+		// Zero-time stages: a request's latency is exactly the wait for
+		// its batch to launch.
+		spec := &GraphSpec{Name: "batcher", Entry: "in",
+			Stations: []StationSpec{{Name: "in", Infinite: true}, {Name: "b", Infinite: true}},
+			Stages: []StageSpec{{Name: "in", Station: "in", Fixed: true,
+				Next: []EdgeSpec{{To: edgeDone}}}},
+			Batch: &BatchSpec{FormAfter: "in", Entry: "bb",
+				Stages: []BatchStageSpec{{Name: "bb", Station: "b", Fixed: true,
+					Next: []EdgeSpec{{To: edgeDone}}}}}}
+		e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec, Scheduler: sched})
+		if err != nil {
+			t.Fatalf("newTailEngine: %v", err)
+		}
+		for _, at := range []float64{0, 1, 2} {
+			e.sim.Run(at)
+			e.issue(-1)
+		}
+		e.sim.Run(100)
+		if e.m.Batches != 2 || e.m.Completed != 3 {
+			t.Fatalf("%v: %d batches, %d completed; want 2 and 3", sched, e.m.Batches, e.m.Completed)
+		}
+		if got := e.m.Latency.Percentile(100); got != 10 {
+			t.Fatalf("%v: last request waited %v ms for its batch, want 10 (stale formation timer fired early)", sched, got)
+		}
+		if e.sim.CancelledTimers() != 1 {
+			t.Fatalf("%v: %d timers cancelled, want the size-triggered launch's 1", sched, e.sim.CancelledTimers())
+		}
 	}
 }
 
@@ -85,7 +109,7 @@ func TestCensoringDrain(t *testing.T) {
 // divide-by-zero arrival storm pinned to t=0.
 func TestRunZeroQPS(t *testing.T) {
 	for _, qps := range []float64{0, -5} {
-		done := make(chan *Metrics, 1)
+		done := make(chan *TailMetrics, 1)
 		go func() {
 			cfg := DefaultConfig()
 			cfg.QPS = qps
@@ -230,6 +254,8 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		{"mmpp-zero-qps", func(c *TailConfig) { c.QPS = 0; c.Arrivals = ArrivalConfig{Process: ArrMMPP} }},
 		{"diurnal-zero-qps", func(c *TailConfig) { c.QPS = 0; c.Arrivals = ArrivalConfig{Process: ArrDiurnal} }},
 		{"zero-seconds", func(c *TailConfig) { c.Seconds = 0 }},
+		{"warmup-fills-run", func(c *TailConfig) { c.Warmup = c.Seconds }},
+		{"warmup-past-run", func(c *TailConfig) { c.Warmup = c.Seconds + 1 }},
 		{"legacy-with-graph", func(c *TailConfig) { c.Legacy = true; c.Graph = HotelGraph() }},
 	} {
 		cfg := tailBase()

@@ -12,10 +12,9 @@
 // heap's own growth.
 package queuesim
 
-// calEvent is the calendar queue's compact event: 32 bytes, no closure
-// pointer. evFunc closures are parked in the Sim's sidecar arena and
-// referenced through the a payload, so the hot typed-event path moves
-// less memory per touch than the heap's 40-byte boxed form.
+// calEvent is the scheduler's compact event, shared by the calendar
+// queue, the timer wheel's due list and the heap oracle: 32 bytes, no
+// pointers.
 type calEvent struct {
 	at   float64
 	seq  uint64

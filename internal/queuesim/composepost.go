@@ -1,7 +1,5 @@
 package queuesim
 
-import "simr/internal/stats"
-
 // ComposePostConfig parameterises the compose-post path of the
 // social-network graph (paper Figure 3): the request fans out from the
 // Post orchestrator to UniqueID, URL-Shorten, Text and UserTag in
@@ -59,137 +57,24 @@ func DefaultComposePost() ComposePostConfig {
 	}
 }
 
-// RunComposePost simulates the compose-post fan-out/join path and
-// returns latency metrics. In RPU mode the orchestrator tier batches
-// requests; the four nanoservice RPCs are issued per batch and the
-// batch joins when its slowest leg returns (the fan-out analogue of
-// reconvergence waiting — the motivation for batching the nanoservices
-// themselves, which the 5x-capacity tiers model).
-func RunComposePost(cfg ComposePostConfig) *Metrics {
-	sim := NewSim(cfg.Seed)
-	sim.Mon = cfg.Monitor
-	m := &Metrics{Offered: cfg.QPS, Latency: stats.NewSample(int(cfg.QPS * cfg.Seconds))}
+// RunComposePost simulates the compose-post fan-out/join path: the
+// ComposePostGraph spec on the engine at 1x scale. In RPU mode the
+// orchestrator tier batches requests; the four nanoservice RPCs are
+// issued per batch and the batch joins when its slowest leg returns
+// (the fan-out analogue of reconvergence waiting). A configuration
+// RunTail rejects yields the empty measurement, as in Run.
+func RunComposePost(cfg ComposePostConfig) *TailMetrics {
+	return runOrEmpty(cfg.tailConfig())
+}
 
-	lat := 1.0
-	capMul := 1
-	if cfg.RPU {
-		lat = 1.2
-		capMul = 5
+// tailConfig maps the compose-post scenario onto the engine's
+// configuration at 1x scale.
+func (cfg ComposePostConfig) tailConfig() TailConfig {
+	c := Config{
+		QPS: cfg.QPS, Seconds: cfg.Seconds, Warmup: cfg.Warmup, RPU: cfg.RPU,
+		BatchSize: cfg.BatchSize, BatchTimeout: cfg.BatchTimeout,
+		NetHop: cfg.NetHop, Cores: cfg.Cores, Drain: cfg.Drain,
+		Seed: cfg.Seed, Monitor: cfg.Monitor,
 	}
-	web := NewStation(sim, "web", cfg.Cores*capMul)
-	orchServers := cfg.Cores
-	if cfg.RPU {
-		orchServers = int(float64(cfg.Cores)*5*1.2/float64(cfg.BatchSize) + 0.999)
-	}
-	orch := NewStation(sim, "post-orch", orchServers)
-	uniq := NewStation(sim, "uniqueid", cfg.Cores/4*capMul)
-	urls := NewStation(sim, "urlshort", cfg.Cores/4*capMul)
-	text := NewStation(sim, "post-text", cfg.Cores/2*capMul)
-	tags := NewStation(sim, "usertag", cfg.Cores/4*capMul)
-	store := NewStation(sim, "storage", Inf)
-	cache := NewStation(sim, "memcached", cfg.Cores/4*capMul)
-
-	warmupMs := cfg.Warmup * 1000
-	endMs := cfg.Seconds * 1000
-	m.Measured = cfg.Seconds - cfg.Warmup
-	if m.Measured < 0 {
-		m.Measured = 0
-	}
-
-	// Completions count by arrival inside the measured window; the
-	// post-horizon drain un-censors the slowest in-flight requests (see
-	// the matching fix in Run).
-	finish := func(arrive float64) {
-		if arrive >= warmupMs && arrive <= endMs {
-			m.Completed++
-			m.Latency.Add(sim.Now() - arrive)
-		}
-	}
-
-	// fanout runs the four nanoservice legs and calls join when the
-	// slowest returns.
-	fanout := func(join func()) {
-		remaining := 4
-		leg := func(st *Station, demand float64) {
-			sim.At(cfg.NetHop, func() {
-				st.Submit(sim.Jitter(demand)*lat, func() {
-					sim.At(cfg.NetHop, func() {
-						remaining--
-						if remaining == 0 {
-							join()
-						}
-					})
-				})
-			})
-		}
-		leg(uniq, cfg.UniqueID)
-		leg(urls, cfg.URLShorten)
-		leg(text, cfg.TextDemand)
-		leg(tags, cfg.UserTag)
-	}
-
-	persist := func(done func()) {
-		store.Submit(cfg.StorageWrite, func() {
-			cache.Submit(sim.Jitter(cfg.CacheWrite)*lat, done)
-		})
-	}
-
-	cpuPath := func(arrive float64) {
-		web.Submit(sim.Jitter(cfg.WebDemand), func() {
-			sim.At(cfg.NetHop, func() {
-				orch.Submit(sim.Jitter(cfg.OrchDemand), func() {
-					fanout(func() {
-						persist(func() { finish(arrive) })
-					})
-				})
-			})
-		})
-	}
-
-	// RPU orchestrator batching; per-batch formation timer as in Run.
-	launch := func(b []float64) {
-		m.Batches++
-		m.AvgBatchFill += float64(len(b))
-		orch.Submit(sim.Jitter(cfg.OrchDemand)*lat, func() {
-			fanout(func() {
-				persist(func() {
-					for _, a := range b {
-						finish(a)
-					}
-				})
-			})
-		})
-	}
-	form := &batcher[float64]{sim: sim, size: cfg.BatchSize, timeout: cfg.BatchTimeout, launch: launch}
-	rpuPath := func(arrive float64) {
-		web.Submit(sim.Jitter(cfg.WebDemand)*lat, func() {
-			form.add(arrive)
-		})
-	}
-
-	if cfg.QPS > 0 {
-		interArrival := 1000 / cfg.QPS
-		var arrive func()
-		arrive = func() {
-			if sim.Now() >= endMs {
-				return
-			}
-			a := sim.Now()
-			if cfg.RPU {
-				rpuPath(a)
-			} else {
-				cpuPath(a)
-			}
-			sim.At(sim.Exp(interArrival), arrive)
-		}
-		sim.At(sim.Exp(interArrival), arrive)
-	}
-	sim.Run(endMs)
-	m.UserUtil = orch.Utilization()
-	sim.Run(endMs + drainMs(cfg.Drain))
-
-	if m.Batches > 0 {
-		m.AvgBatchFill /= float64(m.Batches)
-	}
-	return m
+	return TailConfig{Config: c, Scale: 1, Graph: ComposePostGraph(cfg)}
 }

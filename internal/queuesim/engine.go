@@ -1,6 +1,6 @@
-// The tail-at-scale engine: a declarative service graph run as a
-// pooled, allocation-free state machine instead of a closure graph, so
-// data-center populations (10⁶+ in-flight requests) are cheap. The
+// The engine: a declarative service graph run as a pooled,
+// allocation-free state machine, so data-center populations (10⁶+
+// in-flight requests) are as cheap as the 1x Figure 22 sweep. The
 // scenario comes from a compiled GraphSpec (graph.go) walked by the
 // generic executor (exec.go); TailConfig.Legacy instead routes the
 // retired hand-coded social-network dispatch (legacy.go), kept as the
@@ -37,7 +37,7 @@ import (
 	"simr/internal/stats"
 )
 
-// Typed event kinds (evFunc = 0 in sim.go is the closure kind).
+// Typed event kinds, dispatched through Sim.Handle.
 const (
 	ekArrival    uint8 = iota + 1 // next open-loop arrival; a = arrival generation
 	ekFlip                        // MMPP state flip
@@ -134,8 +134,8 @@ func (r *ring) grow() {
 	r.head = 0
 }
 
-// estation is a multi-server FIFO station over the arenas. Unlike the
-// closure-based Station it never allocates on the service path.
+// estation is a multi-server FIFO station over the arenas; it never
+// allocates on the service path.
 type estation struct {
 	q          ring
 	name       string
@@ -158,7 +158,7 @@ func (st *estation) account(now float64) {
 // and horizon; Scale multiplies every station's capacity so a
 // Scale=100 run is the 100x-machines analog. Batching is always at
 // the graph's batch-formation point (the paper's §VI-H logic-tier
-// placement for the bundled graphs); BatchAtWebTier is ignored here.
+// placement for the bundled graphs).
 type TailConfig struct {
 	Config
 	// Scale multiplies station capacities (number of machines); < 1 is
@@ -233,11 +233,12 @@ type TailMetrics struct {
 }
 
 // Saturated reports whether the system failed to keep up with offered
-// load, using the same tail blow-up heuristic as Metrics.Saturated:
-// p99 over 10x the unloaded latency, or completion under 95 % of
-// offered. Because the drain window lets a backlogged run finish every
-// request eventually, the latency criterion is what catches saturation
-// in runs without timeout policies.
+// load (tail blow-up heuristic: p99 over 10x the unloaded latency, or
+// completion under 95 % of offered). The completion criterion catches
+// the collapsed regime a fast surviving trickle would otherwise hide;
+// because the drain window lets a backlogged run finish every request
+// eventually, the latency criterion is what catches saturation in runs
+// without timeout policies.
 func (m *TailMetrics) Saturated(baselineP99 float64) bool {
 	if m.Latency.Len() == 0 {
 		return true
@@ -302,10 +303,11 @@ type engine struct {
 	inflightTS float64
 }
 
-// RunTail simulates one tail-at-scale load point. It returns an error
-// for a degenerate configuration (zero horizon, open loop without a
-// positive QPS, closed loop without users, RPU over a batchless
-// graph) or an invalid graph spec, instead of silently reporting an
+// RunTail simulates one load point. It returns an error for a
+// degenerate configuration (zero horizon, a warmup that leaves no
+// measured window, open loop without a positive QPS, closed loop
+// without users, RPU over a batchless graph, a station with no
+// servers) or an invalid graph spec, instead of silently reporting an
 // empty run as measured.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	e, err := newTailEngine(cfg)
@@ -321,6 +323,9 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	}
 	if cfg.Seconds <= 0 {
 		return nil, fmt.Errorf("queuesim: Seconds must be positive (got %v)", cfg.Seconds)
+	}
+	if cfg.Warmup >= cfg.Seconds {
+		return nil, fmt.Errorf("queuesim: Warmup %v s leaves no measured window in a %v s run", cfg.Warmup, cfg.Seconds)
 	}
 	if cfg.Arrivals.Process == ArrClosed {
 		if cfg.Arrivals.Users <= 0 {
@@ -347,7 +352,6 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	}
 
 	sim := NewSimSched(cfg.Seed, cfg.Scheduler)
-	sim.Mon = cfg.Monitor
 	e := &engine{cfg: cfg, pol: cfg.Policy, sim: sim, g: g, legacy: cfg.Legacy,
 		forming: -1, inflightTS: math.Inf(-1)}
 	e.endMs = cfg.Seconds * 1000
@@ -396,20 +400,17 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	}
 	e.m = &TailMetrics{Offered: cfg.QPS, Latency: stats.NewSample(est)}
 	e.m.Measured = cfg.Seconds - cfg.Warmup
-	if e.m.Measured < 0 {
-		e.m.Measured = 0
-	}
 	sim.Handle = e.handle
-	e.startArrivals()
 	return e, nil
 }
 
 func (e *engine) initStation(i int32, name string, servers int32, batched bool) {
 	e.sts[i] = estation{name: name, idx: i, servers: servers, batched: batched}
-	e.sts[i].probe = e.sim.Mon.station(name, int(servers))
+	e.sts[i].probe = e.cfg.Monitor.station(name, int(servers))
 }
 
 func (e *engine) run() *TailMetrics {
+	e.startArrivals()
 	// Utilisation is measured over the arrival window; the drain that
 	// follows collects in-flight completions without diluting it.
 	e.sim.Run(e.endMs)
@@ -894,8 +895,8 @@ func (e *engine) freeBatch(idx int32) {
 
 // joinBatch adds a formation-point request to the forming batch,
 // arming the formation timer when the batch is born — per batch, from
-// its first request, exactly the semantics the legacy batcher's
-// generation counter enforces.
+// its first request. A size-triggered launch cancels it (launchBatch),
+// so a stale timer can never flush the next batch early.
 func (e *engine) joinBatch(idx int32) {
 	if e.forming < 0 {
 		bi := e.allocBatch()

@@ -3,6 +3,7 @@ package queuesim
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -228,37 +229,100 @@ func TestBuiltinGraphsValidate(t *testing.T) {
 	}
 }
 
-// TestComposePostSpecMatchesClosure: the compose-post spec tracks the
-// closure-based RunComposePost within bands (different RNG draw
-// ordering, so no byte identity — the closure draws service jitter at
-// submit time, the arena engine at serve time).
-func TestComposePostSpecMatchesClosure(t *testing.T) {
-	for _, rpu := range []bool{false, true} {
-		ccfg := DefaultComposePost()
-		ccfg.QPS = 3000
-		ccfg.Seconds = 2
-		ccfg.Warmup = 0.5
-		ccfg.Drain = 5
-		ccfg.RPU = rpu
-		legacy := RunComposePost(ccfg)
+// fixedDemands marks every request and batch stage of g Fixed: no
+// jitter and no RPU latency multiplier, so a request that never queues
+// takes exactly the sum of its path's demands and hops.
+func fixedDemands(g *GraphSpec) *GraphSpec {
+	for i := range g.Stages {
+		g.Stages[i].Fixed = true
+	}
+	for i := range g.Batch.Stages {
+		g.Batch.Stages[i].Fixed = true
+	}
+	return g
+}
 
-		c := DefaultConfig()
-		c.QPS = ccfg.QPS
-		c.Seconds = ccfg.Seconds
-		c.Warmup = ccfg.Warmup
-		c.Drain = ccfg.Drain
-		c.Seed = ccfg.Seed
-		c.RPU = rpu
-		m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: ComposePostGraph(DefaultComposePost())})
+// closedFormModes are the Figure 22 systems with batches of one, so an
+// RPU request launches the moment it leaves the web tier and the batch
+// path adds no formation wait.
+var closedFormModes = []struct {
+	label      string
+	rpu, split bool
+}{{"cpu", false, false}, {"rpu-nosplit", true, false}, {"rpu-split", true, true}}
 
-		lt, tt := legacy.Throughput(legacy.Measured), m.Throughput()
-		if tt < 0.9*lt || tt > 1.1*lt {
-			t.Fatalf("rpu=%v: throughput diverged: closure %.0f/s spec %.0f/s", rpu, lt, tt)
+// checkClosedForm asserts that every latency sample equals want, up to
+// the rounding of event times accumulated on the simulated clock.
+func checkClosedForm(t *testing.T, m *TailMetrics, want float64, label string) {
+	t.Helper()
+	checkConservation(t, m, label)
+	lo, hi := m.Latency.Percentile(0), m.Latency.Percentile(100)
+	if math.Abs(lo-want) > 1e-9 || math.Abs(hi-want) > 1e-9 {
+		t.Fatalf("%s: latency spans [%.12f, %.12f] ms, closed form %.12f ms", label, lo, hi, want)
+	}
+}
+
+// TestSocialClosedForm: far under capacity with fixed demands, every
+// social-graph request takes exactly its path time — web, user phase 1,
+// mcrouter, memcached, user phase 2 and four hops, plus the storage
+// round trip on a miss — in every mode, split or not. With the default
+// jittered demands the CPU mean lands on the hit-rate-weighted path
+// time (3.035 ms at the defaults).
+func TestSocialClosedForm(t *testing.T) {
+	for _, mode := range closedFormModes {
+		for _, hitRate := range []float64{1, 0} {
+			c := DefaultConfig()
+			c.QPS = 500
+			c.Seconds = 2
+			c.Warmup = 0.5
+			c.HitRate = hitRate
+			c.RPU, c.Split = mode.rpu, mode.split
+			c.BatchSize = 1
+			m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: fixedDemands(SocialGraph(c))})
+			want := c.WebDemand + c.UserPhase1 + c.McRouterDemand + c.MemcachedDemand +
+				c.UserPhase2 + 4*c.NetHop
+			if hitRate == 0 {
+				want += c.StorageLatency
+			}
+			checkClosedForm(t, m, want, fmt.Sprintf("%s/hit=%v", mode.label, hitRate))
 		}
-		lp, tp := legacy.Latency.Percentile(99), m.Latency.Percentile(99)
-		if tp < 0.7*lp || tp > 1.4*lp {
-			t.Fatalf("rpu=%v: p99 diverged: closure %.2f ms spec %.2f ms", rpu, lp, tp)
+	}
+
+	c := DefaultConfig()
+	c.QPS = 500
+	hit := c.WebDemand + c.UserPhase1 + c.McRouterDemand + c.MemcachedDemand + c.UserPhase2 + 4*c.NetHop
+	want := hit + (1-c.HitRate)*c.StorageLatency
+	if mean := Run(c).Latency.Mean(); math.Abs(mean-want) > 0.01*want {
+		t.Fatalf("jittered CPU mean %.4f ms, want %.4f ms ±1%%", mean, want)
+	}
+}
+
+// TestComposePostClosedForm: far under capacity with fixed demands,
+// every compose-post request takes web, the hop to the orchestrator,
+// the orchestrator, the slowest fan-out leg (two hops around its
+// demand), the storage write and the cache write — the join waits for
+// the last leg and nothing else.
+func TestComposePostClosedForm(t *testing.T) {
+	for _, mode := range closedFormModes {
+		if mode.split {
+			continue // the compose-post path has no divergence to split
 		}
+		cfg := DefaultComposePost()
+		cfg.QPS = 500
+		cfg.Seconds = 2
+		cfg.Warmup = 0.5
+		cfg.RPU = mode.rpu
+		cfg.BatchSize = 1
+		tc := cfg.tailConfig()
+		tc.Graph = fixedDemands(tc.Graph)
+		slowest := math.Max(math.Max(cfg.UniqueID, cfg.URLShorten), math.Max(cfg.TextDemand, cfg.UserTag))
+		want := cfg.WebDemand + cfg.NetHop + cfg.OrchDemand + (cfg.NetHop + slowest + cfg.NetHop) +
+			cfg.StorageWrite + cfg.CacheWrite
+		if mode.rpu {
+			// A launched batch enters the orchestrator straight from
+			// formation (no entry hop), one hop short of the CPU path.
+			want -= cfg.NetHop
+		}
+		checkClosedForm(t, mustTail(t, tc), want, mode.label)
 	}
 }
 

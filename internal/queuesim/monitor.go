@@ -51,8 +51,7 @@ type Monitor struct {
 // stationProbe is one station's monitoring state. All methods are
 // no-ops on a nil receiver, keeping the unmonitored path free of
 // allocations and observable work. The probe holds no reference to the
-// station — callers pass the instantaneous state in — so the legacy
-// Station and the tail engine's arena-based stations share it.
+// station: the engine passes the instantaneous state in.
 type stationProbe struct {
 	mon     *Monitor
 	name    string
@@ -66,8 +65,8 @@ type stationProbe struct {
 }
 
 // station registers a new station with the monitor, returning nil on a
-// nil monitor. Called from NewStation / engine setup, which run before
-// the event loop starts, so it needs no locking.
+// nil monitor. Called from engine setup, which runs before the event
+// loop starts, so it needs no locking.
 func (m *Monitor) station(name string, servers int) *stationProbe {
 	if m == nil {
 		return nil

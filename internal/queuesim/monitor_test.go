@@ -11,7 +11,7 @@ import (
 
 // fingerprint renders every metric a study driver prints, so two runs
 // that differ anywhere in the stats render differently.
-func fingerprint(m *Metrics) string {
+func fingerprint(m *TailMetrics) string {
 	return fmt.Sprintf("%d %.6f %.6f %.6f %.6f %d %.6f %d",
 		m.Completed, m.Latency.Percentile(99), m.Latency.Percentile(50),
 		m.Latency.Mean(), m.UserUtil, m.Batches, m.AvgBatchFill, m.SplitBatches)
@@ -105,6 +105,7 @@ func TestMonitorTraceShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.QPS = 4000
 	cfg.Seconds = 1
+	cfg.Warmup = 0.25
 	cfg.Monitor = mon
 	Run(cfg)
 
@@ -134,7 +135,13 @@ func TestMonitorTraceShape(t *testing.T) {
 			if !ok {
 				t.Fatalf("counter event missing args: %v", e)
 			}
-			for _, k := range []string{"busy", "queue"} {
+			// Station tracks carry busy/queue; the engine's in-flight
+			// population track carries live/events_pending.
+			keys := []string{"busy", "queue"}
+			if e["name"] == "inflight" {
+				keys = []string{"live", "events_pending"}
+			}
+			for _, k := range keys {
 				if _, ok := args[k]; !ok {
 					t.Fatalf("counter args missing %q: %v", k, args)
 				}
@@ -146,17 +153,22 @@ func TestMonitorTraceShape(t *testing.T) {
 	}
 }
 
-// TestMonitorDisabledAllocs: the probe hooks on the unmonitored path
-// must be allocation-free.
+// TestMonitorDisabledAllocs: an unmonitored engine's stations carry
+// no probe, and the probe hooks on that path are allocation-free.
 func TestMonitorDisabledAllocs(t *testing.T) {
-	s := NewSim(1)
-	st := NewStation(s, "x", 1)
-	if st.probe != nil {
-		t.Fatal("station acquired a probe without a monitor")
+	e, err := newTailEngine(tailBase())
+	if err != nil {
+		t.Fatalf("newTailEngine: %v", err)
 	}
+	for i := range e.sts {
+		if e.sts[i].probe != nil {
+			t.Fatalf("station %q acquired a probe without a monitor", e.sts[i].name)
+		}
+	}
+	st := &e.sts[0]
 	n := testing.AllocsPerRun(200, func() {
-		st.probe.sample(s.Now(), len(st.queue), st.busy)
-		st.probe.observe(s.Now(), 1.5)
+		st.probe.sample(e.sim.Now(), st.q.n, int(st.busy))
+		st.probe.observe(e.sim.Now(), 1.5)
 	})
 	if n != 0 {
 		t.Fatalf("disabled probe hooks allocate %v allocs/op, want 0", n)

@@ -1,114 +1,181 @@
 package queuesim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// schedulers lists both event containers; the event-loop tests run
+// under each.
+var schedulers = []Scheduler{SchedHeap, SchedCalendar}
+
+// recordSim returns a Sim whose Handle records each dispatched event's
+// a payload, in dispatch order.
+func recordSim(sched Scheduler, order *[]int32) *Sim {
+	s := NewSimSched(1, sched)
+	s.Handle = func(kind uint8, a, b int32) { *order = append(*order, a) }
+	return s
+}
+
 func TestEventOrdering(t *testing.T) {
-	s := NewSim(1)
-	var order []int
-	s.At(5, func() { order = append(order, 2) })
-	s.At(1, func() { order = append(order, 1) })
-	s.At(9, func() { order = append(order, 3) })
-	s.Run(100)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order %v", order)
-	}
-	// The clock finishes at the horizon even though the heap drained at
-	// t=9, so rate denominators are horizon-independent of queue state.
-	if s.Now() != 100 {
-		t.Fatalf("clock %v, want 100", s.Now())
+	for _, sched := range schedulers {
+		var order []int32
+		s := recordSim(sched, &order)
+		s.AtEvent(5, 1, 2, 0)
+		s.AtEvent(1, 1, 1, 0)
+		s.AtTimer(9, 1, 3, 0)
+		s.Run(100)
+		if !reflect.DeepEqual(order, []int32{1, 2, 3}) {
+			t.Fatalf("%v: order %v", sched, order)
+		}
+		// The clock finishes at the horizon even though the queue drained
+		// at t=9, so rate denominators are independent of queue state.
+		if s.Now() != 100 {
+			t.Fatalf("%v: clock %v, want 100", sched, s.Now())
+		}
 	}
 }
 
 func TestEventTieBreakFIFO(t *testing.T) {
-	s := NewSim(1)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(3, func() { order = append(order, i) })
-	}
-	s.Run(100)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", order)
+	for _, sched := range schedulers {
+		var order []int32
+		s := recordSim(sched, &order)
+		for i := int32(0); i < 10; i++ {
+			// Timers and plain events share one (at, seq) order, so the
+			// calendar/wheel merge must not reorder the mix.
+			if i%3 == 0 {
+				s.AtTimer(3, 1, i, 0)
+			} else {
+				s.AtEvent(3, 1, i, 0)
+			}
+		}
+		s.Run(100)
+		for i, v := range order {
+			if v != int32(i) {
+				t.Fatalf("%v: same-time events reordered: %v", sched, order)
+			}
 		}
 	}
 }
 
 func TestRunStopsAtHorizon(t *testing.T) {
-	s := NewSim(1)
-	fired := false
-	s.At(50, func() { fired = true })
-	s.Run(10)
-	if fired {
-		t.Fatal("event past the horizon fired")
-	}
-	if s.Now() != 10 {
-		t.Fatalf("clock %v", s.Now())
+	for _, sched := range schedulers {
+		var order []int32
+		s := recordSim(sched, &order)
+		s.AtEvent(50, 1, 1, 0)
+		s.Run(10)
+		if len(order) != 0 {
+			t.Fatalf("%v: event past the horizon fired", sched)
+		}
+		if s.Now() != 10 {
+			t.Fatalf("%v: clock %v", sched, s.Now())
+		}
 	}
 }
 
+// TestRunKeepsFutureEvents: stopping on a beyond-horizon event must not
+// drop it — a later Run picks it up.
+func TestRunKeepsFutureEvents(t *testing.T) {
+	for _, sched := range schedulers {
+		var order []int32
+		s := recordSim(sched, &order)
+		s.AtEvent(80, 1, 1, 0)
+		s.AtTimer(90, 1, 2, 0)
+		s.Run(50)
+		if len(order) != 0 {
+			t.Fatalf("%v: events fired before their time", sched)
+		}
+		s.Run(100)
+		if !reflect.DeepEqual(order, []int32{1, 2}) {
+			t.Fatalf("%v: future events dropped by the earlier Run: %v", sched, order)
+		}
+	}
+}
+
+// stationEngine builds an engine over one station of the given server
+// count whose single stage takes exactly demand ms, with no arrival
+// process: tests issue requests by hand and drive e.sim directly.
+func stationEngine(t *testing.T, servers int, demand float64, sched Scheduler) *engine {
+	t.Helper()
+	c := DefaultConfig()
+	c.Cores = servers
+	c.Seconds = 1e3
+	c.Warmup = 0
+	spec := &GraphSpec{Name: "station", Entry: "serve",
+		Stations: []StationSpec{{Name: "t"}},
+		Stages: []StageSpec{{Name: "serve", Station: "t", DemandMs: demand, Fixed: true,
+			Next: []EdgeSpec{{To: edgeDone}}}}}
+	e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec, Scheduler: sched})
+	if err != nil {
+		t.Fatalf("newTailEngine: %v", err)
+	}
+	return e
+}
+
 func TestStationSerialisesBeyondServers(t *testing.T) {
-	s := NewSim(1)
-	st := NewStation(s, "t", 2)
-	var done []float64
-	for i := 0; i < 4; i++ {
-		st.Submit(10, func() { done = append(done, s.Now()) })
-	}
-	s.Run(1000)
-	if len(done) != 4 {
-		t.Fatalf("completed %d", len(done))
-	}
-	// 2 servers: first two at t=10, next two at t=20.
-	if done[0] != 10 || done[1] != 10 || done[2] != 20 || done[3] != 20 {
-		t.Fatalf("completion times %v", done)
+	for _, sched := range schedulers {
+		e := stationEngine(t, 2, 10, sched)
+		for i := 0; i < 4; i++ {
+			e.issue(-1)
+		}
+		// 2 servers: the first two complete at t=10, the next two at t=20.
+		e.sim.Run(15)
+		if e.m.Completed != 2 {
+			t.Fatalf("%v: %d completed by t=15, want 2", sched, e.m.Completed)
+		}
+		e.sim.Run(1000)
+		lat := e.m.Latency
+		if e.m.Completed != 4 || lat.Percentile(0) != 10 || lat.Percentile(100) != 20 || lat.Mean() != 15 {
+			t.Fatalf("%v: completed %d, latency min %v max %v mean %v; want 4 at 10,10,20,20",
+				sched, e.m.Completed, lat.Percentile(0), lat.Percentile(100), lat.Mean())
+		}
 	}
 }
 
 func TestStationUtilization(t *testing.T) {
-	s := NewSim(1)
-	st := NewStation(s, "t", 1)
-	st.Submit(50, nil)
-	s.Run(100)
-	u := st.Utilization()
-	if u < 0.45 || u > 0.55 {
-		t.Fatalf("utilization %v, want ~0.5", u)
+	for _, sched := range schedulers {
+		e := stationEngine(t, 1, 50, sched)
+		e.issue(-1)
+		e.sim.Run(100)
+		if u := e.stationUtil(0); u < 0.45 || u > 0.55 {
+			t.Fatalf("%v: utilization %v, want ~0.5", sched, u)
+		}
 	}
 }
 
 // TestUtilizationConsistentAcrossExitPaths is the regression test for
-// the Sim.Run clock bug: a run whose heap drains before the horizon
+// the Sim.Run clock bug: a run whose queue drains before the horizon
 // used to leave now at the last event's timestamp while a run stopped
-// by a future event set now = until, so Utilization() divided the same
+// by a future event set now = until, so utilisation divided the same
 // busy time by different denominators depending on how the run ended.
 func TestUtilizationConsistentAcrossExitPaths(t *testing.T) {
-	// Exit path 1: the heap drains (only event at t=50).
-	drained := NewSim(1)
-	sd := NewStation(drained, "t", 1)
-	sd.Submit(50, nil)
-	drained.Run(200)
-	if drained.Now() != 200 {
-		t.Fatalf("drained run clock %v, want 200 (old behaviour: 50)", drained.Now())
-	}
+	for _, sched := range schedulers {
+		// Exit path 1: the queue drains (only event at t=50).
+		drained := stationEngine(t, 1, 50, sched)
+		drained.issue(-1)
+		drained.sim.Run(200)
+		if drained.sim.Now() != 200 {
+			t.Fatalf("%v: drained run clock %v, want 200 (old behaviour: 50)", sched, drained.sim.Now())
+		}
 
-	// Exit path 2: stopped by an event beyond the horizon.
-	stopped := NewSim(1)
-	ss := NewStation(stopped, "t", 1)
-	ss.Submit(50, nil)
-	stopped.At(500, func() {})
-	stopped.Run(200)
-	if stopped.Now() != 200 {
-		t.Fatalf("stopped run clock %v, want 200", stopped.Now())
-	}
+		// Exit path 2: stopped by an event beyond the horizon (a kind
+		// the engine does not handle, so it is a no-op).
+		stopped := stationEngine(t, 1, 50, sched)
+		stopped.issue(-1)
+		stopped.sim.AtEvent(500, 0xFF, 0, 0)
+		stopped.sim.Run(200)
+		if stopped.sim.Now() != 200 {
+			t.Fatalf("%v: stopped run clock %v, want 200", sched, stopped.sim.Now())
+		}
 
-	ud, us := sd.Utilization(), ss.Utilization()
-	if ud != us {
-		t.Fatalf("utilization depends on exit path: drained %v vs stopped %v", ud, us)
-	}
-	if ud < 0.24 || ud > 0.26 {
-		t.Fatalf("utilization %v, want 50/200 = 0.25", ud)
+		ud, us := drained.stationUtil(0), stopped.stationUtil(0)
+		if ud != us {
+			t.Fatalf("%v: utilization depends on exit path: drained %v vs stopped %v", sched, ud, us)
+		}
+		if ud < 0.24 || ud > 0.26 {
+			t.Fatalf("%v: utilization %v, want 50/200 = 0.25", sched, ud)
+		}
 	}
 }
 
@@ -116,47 +183,31 @@ func TestUtilizationConsistentAcrossExitPaths(t *testing.T) {
 // stops must be credited for the busy time since its last state
 // change.
 func TestUtilizationSettlesBusyTail(t *testing.T) {
-	s := NewSim(1)
-	st := NewStation(s, "t", 1)
-	st.Submit(100, nil) // completion at t=100 is beyond the horizon
-	s.Run(50)
-	if u := st.Utilization(); u < 0.99 || u > 1.01 {
-		t.Fatalf("utilization %v, want 1.0 (busy tail not settled)", u)
-	}
-	// Settlement must not double-count once the event loop resumes.
-	s.Run(100)
-	if u := st.Utilization(); u < 0.99 || u > 1.01 {
-		t.Fatalf("utilization after resume %v, want 1.0", u)
-	}
-}
-
-// TestRunKeepsFutureEvents: stopping on a beyond-horizon event must not
-// drop it — a later Run picks it up.
-func TestRunKeepsFutureEvents(t *testing.T) {
-	s := NewSim(1)
-	fired := false
-	s.At(80, func() { fired = true })
-	s.Run(50)
-	if fired {
-		t.Fatal("event fired before its time")
-	}
-	s.Run(100)
-	if !fired {
-		t.Fatal("future event was dropped by the earlier Run")
-	}
-}
-
-// Property: every submitted work item completes exactly once.
-func TestQuickStationConservation(t *testing.T) {
-	f := func(demands []uint8, servers uint8) bool {
-		s := NewSim(2)
-		st := NewStation(s, "t", int(servers%8)+1)
-		completed := 0
-		for _, d := range demands {
-			st.Submit(float64(d%50)+1, func() { completed++ })
+	for _, sched := range schedulers {
+		e := stationEngine(t, 1, 100, sched)
+		e.issue(-1) // completion at t=100 is beyond the horizon
+		e.sim.Run(50)
+		if u := e.stationUtil(0); u < 0.99 || u > 1.01 {
+			t.Fatalf("%v: utilization %v, want 1.0 (busy tail not settled)", sched, u)
 		}
-		s.Run(1e9)
-		return completed == len(demands)
+		// Settlement must not double-count once the event loop resumes.
+		e.sim.Run(100)
+		if u := e.stationUtil(0); u < 0.99 || u > 1.01 {
+			t.Fatalf("%v: utilization after resume %v, want 1.0", sched, u)
+		}
+	}
+}
+
+// Property: every request issued to a station completes exactly once,
+// whatever the server count and backlog.
+func TestQuickStationConservation(t *testing.T) {
+	f := func(n, servers, demand uint8) bool {
+		e := stationEngine(t, int(servers%8)+1, float64(demand%50)+1, SchedCalendar)
+		for i := 0; i < int(n); i++ {
+			e.issue(-1)
+		}
+		e.sim.Run(1e9)
+		return e.m.Arrived == int(n) && e.m.Completed == int(n) && e.live == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -218,9 +269,8 @@ func TestRPUSplitSustainsHigherLoad(t *testing.T) {
 	if m.UserUtil > 0.99 {
 		t.Fatalf("RPU w/ split saturated at 45 kQPS (util %.2f)", m.UserUtil)
 	}
-	measured := cfg.Seconds - cfg.Warmup
-	if m.Throughput(measured) < 40000 {
-		t.Fatalf("throughput %v at 45 kQPS", m.Throughput(measured))
+	if m.Throughput() < 40000 {
+		t.Fatalf("throughput %v at 45 kQPS", m.Throughput())
 	}
 }
 
@@ -271,25 +321,51 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// webTierBatching is the §VI-H alternative placement as a spec: the
+// social graph with batches formed at a zero-demand ingress, before the
+// web tier, so each batch crosses web as one unit instead of every
+// request being acknowledged individually first.
+func webTierBatching(cfg Config) *GraphSpec {
+	g := SocialGraph(cfg)
+	g.Name = "social-webtier"
+	g.Entry = "ingress"
+	g.Stations = append(g.Stations, StationSpec{Name: "ingress", Infinite: true})
+	g.Stages = append(g.Stages, StageSpec{Name: "ingress", Station: "ingress", Fixed: true,
+		Next: []EdgeSpec{{To: "web"}}})
+	g.Batch.FormAfter = "ingress"
+	g.Batch.Entry = "bweb"
+	g.Batch.EntryHop = false
+	g.Batch.Stages = append([]BatchStageSpec{{Name: "bweb", Station: "web", DemandMs: cfg.WebDemand,
+		Next: []EdgeSpec{{To: "buser1", Hop: true}}}}, g.Batch.Stages...)
+	return g
+}
+
 func TestBatchTierPlacement(t *testing.T) {
-	// §VI-H: logic-tier batching (default) must behave like web-tier
-	// batching within noise, while acknowledging requests individually
-	// (more web-tier submissions).
+	// §VI-H: logic-tier batching (the default) must behave like web-tier
+	// batching within noise, while acknowledging requests individually.
 	base := DefaultConfig()
 	base.QPS = 20000
 	base.Seconds = 2
 	base.RPU, base.Split = true, true
-
-	webTier := base
-	webTier.BatchAtWebTier = true
-	ml, mw := Run(base), Run(webTier)
+	spec := webTierBatching(base)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("web-tier spec: %v", err)
+	}
+	ml := Run(base)
+	mw := mustTail(t, TailConfig{Config: base, Scale: 1, Graph: spec})
 	if ml.Completed == 0 || mw.Completed == 0 {
 		t.Fatal("no completions")
 	}
 	rl, rw := ml.Latency.Mean(), mw.Latency.Mean()
-	if rl > rw*1.5 || rw > rl*1.5 {
-		t.Fatalf("batch placement changed latency drastically: %v vs %v", rl, rw)
+	if rl > rw*1.1 || rw > rl*1.1 {
+		t.Fatalf("batch placement changed latency drastically: logic tier %v vs web tier %v", rl, rw)
 	}
+	// The CPU path ignores batching: through the ingress it is the
+	// social graph plus one zero-time stage.
+	cpu := base
+	cpu.QPS = 5000
+	cpu.RPU, cpu.Split = false, false
+	checkConservation(t, mustTail(t, TailConfig{Config: cpu, Scale: 1, Graph: webTierBatching(cpu)}), "webtier-cpu")
 }
 
 func TestComposePostConservation(t *testing.T) {
@@ -340,7 +416,7 @@ func TestComposePostFanoutJoins(t *testing.T) {
 }
 
 func TestJitterBounds(t *testing.T) {
-	s := NewSim(3)
+	s := NewSimSched(3, SchedCalendar)
 	for i := 0; i < 1000; i++ {
 		v := s.Jitter(10)
 		if v < 8 || v > 12 {
@@ -350,7 +426,7 @@ func TestJitterBounds(t *testing.T) {
 }
 
 func TestExpMean(t *testing.T) {
-	s := NewSim(4)
+	s := NewSimSched(4, SchedCalendar)
 	sum := 0.0
 	n := 20000
 	for i := 0; i < n; i++ {

@@ -390,6 +390,7 @@ func TestCalendarSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newTailEngine: %v", err)
 	}
+	e.startArrivals()
 	now := 200.0
 	e.sim.Run(now) // grow arenas, buckets, wheel freelist to steady state
 	n := testing.AllocsPerRun(100, func() {
@@ -401,23 +402,25 @@ func TestCalendarSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestStationTypedDispatchAllocs: the migrated Station service path —
-// typed evStation events into a pooled in-service arena — allocates
-// nothing beyond whatever closure the caller hands Submit.
+// TestStationTypedDispatchAllocs: the engine's station service path —
+// typed service-completion events into the request arena — allocates
+// nothing once warmed, under the heap oracle as well as the calendar
+// scheduler (TestEngineSteadyStateAllocs covers the default only).
 func TestStationTypedDispatchAllocs(t *testing.T) {
-	for _, sched := range []Scheduler{SchedHeap, SchedCalendar} {
-		s := NewSimSched(1, sched)
-		st := NewStation(s, "svc", 4)
-		done := func() {}
-		for i := 0; i < 256; i++ { // warm queue, arena, scheduler
-			st.Submit(s.Exp(1), done)
+	for _, sched := range schedulers {
+		cfg := tailBase()
+		cfg.Warmup = 0
+		cfg.Scheduler = sched
+		e, err := newTailEngine(cfg)
+		if err != nil {
+			t.Fatalf("newTailEngine: %v", err)
 		}
-		now := 500.0
-		s.Run(now)
-		n := testing.AllocsPerRun(200, func() {
-			st.Submit(1, done)
-			now += 3
-			s.Run(now)
+		e.startArrivals()
+		now := 200.0
+		e.sim.Run(now)
+		n := testing.AllocsPerRun(100, func() {
+			now += 5
+			e.sim.Run(now)
 		})
 		if n != 0 {
 			t.Fatalf("%v: station typed dispatch allocates %v allocs/op, want 0", sched, n)

@@ -21,11 +21,6 @@ type Config struct {
 	// BatchSize and BatchTimeout control RPU batch formation.
 	BatchSize    int
 	BatchTimeout float64
-	// BatchAtWebTier forms batches before web/TCP processing. The
-	// default (false) batches at the entry of the logic tier instead,
-	// the paper's §VI-H mitigation: acknowledgements return to clients
-	// immediately so batching never looks like congestion to TCP.
-	BatchAtWebTier bool
 	// HitRate is the memcached hit probability (paper: 0.9).
 	HitRate float64
 	// Demands: per-request service occupancy per tier. WebDemand and
@@ -81,267 +76,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Metrics is the outcome of one load point.
-type Metrics struct {
-	Offered   float64
-	Completed int
-	// Measured is the length of the measured arrival window in seconds
-	// (Seconds - Warmup); the denominator for offered-vs-completed
-	// comparisons.
-	Measured float64
-	// Latency samples end-to-end request latency in milliseconds.
-	Latency *stats.Sample
-	// UserUtil is the bottleneck (User tier) utilisation.
-	UserUtil float64
-	// Batches and AvgBatchFill describe RPU batch formation.
-	Batches      int
-	AvgBatchFill float64
-	// SplitBatches counts batches that split on the miss divergence.
-	SplitBatches int
+// Run simulates one Figure 22 load point: the bundled social graph
+// (SocialGraph) on the engine at 1x scale. A configuration RunTail
+// rejects (no load, no measured window, a station without servers)
+// yields the empty measurement: Completed 0 and an empty Latency.
+func Run(cfg Config) *TailMetrics {
+	return runOrEmpty(TailConfig{Config: cfg, Scale: 1})
 }
 
-// Throughput returns completed requests per second of measured time.
-func (m *Metrics) Throughput(measured float64) float64 {
-	if measured <= 0 {
-		return 0
-	}
-	return float64(m.Completed) / measured
-}
-
-// Saturated reports whether the system failed to keep up with offered
-// load (tail blow-up heuristic: p99 over 10x the unloaded latency, or
-// completion under 95 % of offered). The completion criterion catches
-// the collapsed regime a fast surviving trickle would otherwise hide:
-// a run can report a healthy p99 over the handful of requests that got
-// through while dropping the vast majority on the floor.
-func (m *Metrics) Saturated(baselineP99 float64) bool {
-	if m.Latency.Len() == 0 {
-		return true
-	}
-	if m.Offered > 0 && m.Measured > 0 &&
-		float64(m.Completed) < 0.95*m.Offered*m.Measured {
-		return true
-	}
-	return m.Latency.Percentile(99) > 10*baselineP99
-}
-
-type request struct {
-	arrive  float64
-	hit     bool
-	webDone bool
-}
-
-// Run simulates one load point and returns its metrics.
-func Run(cfg Config) *Metrics {
-	sim := NewSim(cfg.Seed)
-	sim.Mon = cfg.Monitor
-	m := &Metrics{Offered: cfg.QPS, Latency: stats.NewSample(int(cfg.QPS * cfg.Seconds))}
-
-	// Capacity: the RPU system consumes the same power and delivers 5x
-	// the per-tier throughput at 1.2x service latency (paper §V-B). At
-	// the User tier this arrives via 32-wide batches; the thin tiers
-	// are modelled as 5x-capacity stations.
-	lat := 1.0
-	capMul := 1
-	if cfg.RPU {
-		lat = 1.2
-		capMul = 5
-	}
-	web := NewStation(sim, "web", cfg.Cores*capMul)
-	// One machine of RPU cores runs batches: capacity chosen so that
-	// batch throughput is 5x the CPU tier's.
-	userServers := cfg.Cores
-	if cfg.RPU {
-		// cores × 5x × 1.2 (occupancy per batch) / 32 (requests/batch)
-		userServers = int(float64(cfg.Cores)*5*1.2/float64(cfg.BatchSize) + 0.999)
-	}
-	user := NewStation(sim, "user", userServers)
-	mcrouter := NewStation(sim, "mcrouter", cfg.Cores/2*capMul)
-	memcached := NewStation(sim, "memcached", cfg.Cores/2*capMul)
-	storage := NewStation(sim, "storage", Inf)
-
-	warmupMs := cfg.Warmup * 1000
-	endMs := cfg.Seconds * 1000
-	m.Measured = cfg.Seconds - cfg.Warmup
-	if m.Measured < 0 {
-		m.Measured = 0
-	}
-
-	// Completions are attributed by arrival inside the measured window,
-	// regardless of when they finish: requests still in flight at the
-	// arrival horizon drain to completion (bounded by cfg.Drain) instead
-	// of being censored, which near saturation used to bias the tail low
-	// by silently excluding exactly the slowest requests.
-	finish := func(r *request) {
-		if r.arrive >= warmupMs && r.arrive <= endMs {
-			m.Completed++
-			m.Latency.Add(sim.Now() - r.arrive)
-		}
-	}
-
-	// --- CPU per-request path ---
-	var cpuPath func(r *request)
-	cpuPath = func(r *request) {
-		web.Submit(sim.Jitter(cfg.WebDemand), func() {
-			sim.At(cfg.NetHop, func() {
-				user.Submit(sim.Jitter(cfg.UserPhase1), func() {
-					sim.At(cfg.NetHop, func() {
-						mcrouter.Submit(sim.Jitter(cfg.McRouterDemand), func() {
-							memcached.Submit(sim.Jitter(cfg.MemcachedDemand), func() {
-								after := func() {
-									sim.At(cfg.NetHop, func() {
-										user.Submit(sim.Jitter(cfg.UserPhase2), func() {
-											sim.At(cfg.NetHop, func() { finish(r) })
-										})
-									})
-								}
-								if r.hit {
-									after()
-								} else {
-									storage.Submit(cfg.StorageLatency, after)
-								}
-							})
-						})
-					})
-				})
-			})
-		})
-	}
-
-	// --- RPU batched path ---
-	var launch func(batch []*request)
-	launch = func(b []*request) {
-		m.Batches++
-		m.AvgBatchFill += float64(len(b))
-		enterLogic := func(next func()) {
-			if cfg.BatchAtWebTier {
-				// The batch itself crosses the web tier (§VI-H warns
-				// this interferes with TCP but it is cheaper).
-				web.Submit(sim.Jitter(cfg.WebDemand)*lat, func() {
-					sim.At(cfg.NetHop, next)
-				})
-				return
-			}
-			// Logic-tier batching: web processing already happened per
-			// request; the batch enters the User tier directly.
-			sim.At(cfg.NetHop, next)
-		}
-		enterLogic(func() {
-			{
-				user.Submit(sim.Jitter(cfg.UserPhase1)*lat, func() {
-					sim.At(cfg.NetHop, func() {
-						// Batched cache-tier RPC for the whole batch.
-						mcrouter.Submit(sim.Jitter(cfg.McRouterDemand)*lat, func() {
-							memcached.Submit(sim.Jitter(cfg.MemcachedDemand)*lat, func() {
-								var hits, misses []*request
-								for _, r := range b {
-									if r.hit {
-										hits = append(hits, r)
-									} else {
-										misses = append(misses, r)
-									}
-								}
-								phase2 := func(group []*request) {
-									if len(group) == 0 {
-										return
-									}
-									sim.At(cfg.NetHop, func() {
-										user.Submit(sim.Jitter(cfg.UserPhase2)*lat, func() {
-											sim.At(cfg.NetHop, func() {
-												for _, r := range group {
-													finish(r)
-												}
-											})
-										})
-									})
-								}
-								if len(misses) == 0 {
-									phase2(b)
-									return
-								}
-								if cfg.Split {
-									// §III-B5: split the batch; the hit
-									// sub-batch completes immediately and
-									// the blocked sub-batch is context-
-									// switched out, freeing the core
-									// during the storage round trip.
-									m.SplitBatches++
-									phase2(hits)
-									storage.Submit(cfg.StorageLatency, func() {
-										phase2(misses)
-									})
-								} else {
-									// Without splitting, the whole batch
-									// waits on-core at the reconvergence
-									// point for the storage round trip
-									// (context switching is batch-
-									// granular, and the batch cannot be
-									// descheduled mid-divergence).
-									sim.At(cfg.NetHop, func() {
-										user.Submit(cfg.StorageLatency+sim.Jitter(cfg.UserPhase2)*lat, func() {
-											sim.At(cfg.NetHop, func() {
-												for _, r := range b {
-													finish(r)
-												}
-											})
-										})
-									})
-								}
-							})
-						})
-					})
-				})
-			}
-		})
-	}
-
-	// The formation timeout is per batch, armed when the batch's first
-	// request joins; a size-triggered flush invalidates the pending
-	// timer so it can never flush the *next* batch early.
-	form := &batcher[*request]{sim: sim, size: cfg.BatchSize, timeout: cfg.BatchTimeout, launch: launch}
-
-	var rpuEnqueue func(r *request)
-	rpuEnqueue = func(r *request) {
-		if !cfg.BatchAtWebTier && !r.webDone {
-			// §VI-H: each request is acknowledged through the web tier
-			// individually before joining a batch at the logic tier.
-			r.webDone = true
-			web.Submit(sim.Jitter(cfg.WebDemand)*lat, func() {
-				rpuEnqueue(r)
-			})
-			return
-		}
-		form.add(r)
-	}
-
-	// Arrival process. A non-positive QPS offers no load: without the
-	// guard the inter-arrival time degenerates (Inf for 0, negative —
-	// an infinite zero-delay arrival loop — below it).
-	if cfg.QPS > 0 {
-		interArrival := 1000 / cfg.QPS // ms
-		var arrive func()
-		arrive = func() {
-			if sim.Now() >= endMs {
-				return
-			}
-			r := &request{arrive: sim.Now(), hit: sim.Rng.Float64() < cfg.HitRate}
-			if cfg.RPU {
-				rpuEnqueue(r)
-			} else {
-				cpuPath(r)
-			}
-			sim.At(sim.Exp(interArrival), arrive)
-		}
-		sim.At(sim.Exp(interArrival), arrive)
-	}
-
-	// Utilisation is reported over the arrival window only; the drain
-	// that follows collects stragglers without diluting the denominator.
-	sim.Run(endMs)
-	m.UserUtil = user.Utilization()
-	sim.Run(endMs + drainMs(cfg.Drain))
-	if m.Batches > 0 {
-		m.AvgBatchFill /= float64(m.Batches)
+// runOrEmpty runs one load point, reporting a rejected configuration
+// as a run that measured nothing.
+func runOrEmpty(cfg TailConfig) *TailMetrics {
+	m, err := RunTail(cfg)
+	if err != nil {
+		return &TailMetrics{Offered: cfg.QPS, Latency: stats.NewSample(0)}
 	}
 	return m
 }
@@ -356,8 +104,8 @@ func drainMs(drain float64) float64 {
 }
 
 // Sweep runs a QPS sweep and returns metrics per load point.
-func Sweep(base Config, qps []float64) []*Metrics {
-	out := make([]*Metrics, len(qps))
+func Sweep(base Config, qps []float64) []*TailMetrics {
+	out := make([]*TailMetrics, len(qps))
 	for i, q := range qps {
 		cfg := base
 		cfg.QPS = q

@@ -63,7 +63,7 @@ type (
 	// SystemConfig parameterises the end-to-end queueing scenario.
 	SystemConfig = queuesim.Config
 	// SystemMetrics is one load point's outcome.
-	SystemMetrics = queuesim.Metrics
+	SystemMetrics = queuesim.TailMetrics
 )
 
 // Architectures under study (Table IV columns).
