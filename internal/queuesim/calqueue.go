@@ -47,6 +47,13 @@ const calGrowAt = 6
 // width at recalibration.
 const calWidthGapMul = 4.0
 
+// calMaxDay caps day numbers. Every event at or beyond day calMaxDay
+// — far finite times and +Inf alike — shares that one day, kept in
+// exact (at, seq) order inside its bucket, so the day arithmetic never
+// leaves int64 (the scan cursor may still step a full rotation past
+// it).
+const calMaxDay = 1 << 62
+
 // eventLess is the scheduler-wide dispatch order: time, then arming
 // sequence — the FIFO tie-break all schedulers share.
 func eventLess(a, b *calEvent) bool {
@@ -98,7 +105,10 @@ func (q *calQueue) init() {
 // expression push and peek must share: mixed arithmetic here would let
 // an event straddle a window boundary and dispatch out of order.
 func (q *calQueue) day(at float64) int64 {
-	return int64(at * q.inv)
+	if d := at * q.inv; d < calMaxDay {
+		return int64(d)
+	}
+	return calMaxDay
 }
 
 func (q *calQueue) push(e calEvent) {
@@ -218,22 +228,26 @@ func (q *calQueue) pop() calEvent {
 func (q *calQueue) resize(n int) {
 	q.resizes++
 	lo, hi := 0.0, 0.0
-	first := true
+	k := 0 // events inside the day range
 	for i := range q.buckets {
 		bk := &q.buckets[i]
 		for j := bk.head; j < len(bk.ev); j++ {
 			at := bk.ev[j].at
-			if first {
-				lo, hi, first = at, at, false
+			if q.day(at) == calMaxDay {
+				continue // a far or infinite time would stretch the width without bound
+			}
+			if k == 0 {
+				lo, hi = at, at
 			} else if at < lo {
 				lo = at
 			} else if at > hi {
 				hi = at
 			}
+			k++
 		}
 	}
-	if q.count > 1 && hi > lo {
-		w := (hi - lo) / float64(q.count) * calWidthGapMul
+	if k > 1 && hi > lo {
+		w := (hi - lo) / float64(k) * calWidthGapMul
 		if w < calMinWidth {
 			w = calMinWidth
 		}

@@ -1,9 +1,14 @@
 package queuesim
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -425,5 +430,224 @@ func TestStationTypedDispatchAllocs(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("%v: station typed dispatch allocates %v allocs/op, want 0", sched, n)
 		}
+	}
+}
+
+// schedRef drives a Sim and keeps a reference that does not depend on
+// the scheduler's implementation: the (at, seq) of every scheduled
+// event, which ones were cancelled, and the order actually dispatched.
+// An event's id is its a payload.
+type schedRef struct {
+	s    *Sim
+	at   []float64
+	seq  []uint64
+	dead []bool
+	tids []TimerID // live timer handles; 0 once fired or cancelled
+	got  []int32
+	on   func(id int32) // optional handler work after recording
+}
+
+func newSchedRef() *schedRef {
+	r := &schedRef{s: NewSimSched(1, SchedCalendar)}
+	r.s.Handle = func(kind uint8, a, b int32) {
+		r.got = append(r.got, a)
+		r.tids[a] = 0
+		if r.on != nil {
+			r.on(a)
+		}
+	}
+	return r
+}
+
+func (r *schedRef) record(delay float64) int32 {
+	r.at = append(r.at, r.s.Now()+max(delay, 0))
+	r.seq = append(r.seq, r.s.seq+1)
+	r.dead = append(r.dead, false)
+	r.tids = append(r.tids, 0)
+	return int32(len(r.at) - 1)
+}
+
+// event schedules a plain event; timer arms a cancellable one.
+func (r *schedRef) event(delay float64) int32 {
+	id := r.record(delay)
+	r.s.AtEvent(delay, 1, id, 0)
+	return id
+}
+
+func (r *schedRef) timer(delay float64) int32 {
+	id := r.record(delay)
+	r.tids[id] = r.s.AtTimer(delay, 2, id, 0)
+	return id
+}
+
+// cancel deschedules a timer that has not fired yet; anything else is
+// a no-op.
+func (r *schedRef) cancel(id int32) {
+	if r.tids[id] == 0 {
+		return
+	}
+	r.s.Cancel(r.tids[id])
+	r.tids[id] = 0
+	r.dead[id] = true
+}
+
+// check compares the dispatched sequence after a run to until with the
+// reference: every scheduled event minus the cancelled ones, sorted by
+// (at, seq) and cut at until.
+func (r *schedRef) check(t *testing.T, until float64) {
+	t.Helper()
+	var want []int32
+	for i := range r.at {
+		if !r.dead[i] && r.at[i] <= until {
+			want = append(want, int32(i))
+		}
+	}
+	sort.Slice(want, func(x, y int) bool {
+		a, b := want[x], want[y]
+		if r.at[a] != r.at[b] {
+			return r.at[a] < r.at[b]
+		}
+		return r.seq[a] < r.seq[b]
+	})
+	for i := range want {
+		if i >= len(r.got) || r.got[i] != want[i] {
+			t.Fatalf("dispatch %d of %d diverged from the (at, seq) reference (%d dispatched)",
+				i, len(want), len(r.got))
+		}
+	}
+	if len(r.got) != len(want) {
+		t.Fatalf("dispatched %d events, reference has %d", len(r.got), len(want))
+	}
+	if r.s.Events() != uint64(len(want)) {
+		t.Fatalf("Events() = %d, reference has %d", r.s.Events(), len(want))
+	}
+}
+
+// timersBehindChain arms timers past the wheel's top level, which
+// park on its overflow list. Once its levels empty, the wheel rebases
+// its cursor onto them while a calendar chain still runs and keeps
+// arming short timers behind that cursor.
+func timersBehindChain(r *schedRef, far ...float64) {
+	for _, d := range far {
+		r.timer(d)
+	}
+	r.timer(3)
+	left := 1000
+	r.on = func(int32) {
+		if left > 0 {
+			left--
+			r.event(1)
+			if left%10 == 0 {
+				r.timer(0.7)
+			}
+		}
+	}
+	r.event(1)
+}
+
+// TestCalendarFarFutureOrder: events whose day or tick number would
+// leave int64 — far finite times and +Inf — dispatch in exact (at, seq)
+// order, alone, among near events, across calendar resizes and timer
+// wheel overflow rebases.
+func TestCalendarFarFutureOrder(t *testing.T) {
+	inf := math.Inf(1)
+	chain := func(r *schedRef, n int, step float64, arm func(float64) int32) {
+		left := n - 1
+		r.on = func(int32) {
+			if left > 0 {
+				left--
+				arm(step)
+			}
+		}
+		arm(step)
+	}
+	for _, tc := range []struct {
+		label  string
+		script func(r *schedRef)
+	}{
+		{"1e19-then-chain", func(r *schedRef) {
+			r.event(1e19)
+			chain(r, 1000, 1, r.event)
+		}},
+		{"inf-then-chain", func(r *schedRef) {
+			r.event(inf)
+			chain(r, 1000, 1, r.event)
+		}},
+		{"far-events-through-resizes", func(r *schedRef) {
+			rng := rand.New(rand.NewSource(9))
+			for _, far := range []float64{inf, 1e19, 5e17, inf, 1e300, 1e19} {
+				r.event(far)
+			}
+			// Grow the bucket array several times with the far events
+			// queued, then drain (shrinks) while re-arming near events.
+			for i := 0; i < 3000; i++ {
+				r.event(rng.Float64() * 100)
+			}
+			left := 2000
+			r.on = func(int32) {
+				if left > 0 {
+					left--
+					r.event(rng.Float64() * 50)
+				}
+			}
+		}},
+		{"overflow-timer-with-calendar-chain", func(r *schedRef) {
+			timersBehindChain(r, 2e7)
+		}},
+		{"far-timers-with-calendar-chain", func(r *schedRef) {
+			timersBehindChain(r, inf, 1e19, 1e9, 2e7)
+		}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			r := newSchedRef()
+			tc.script(r)
+			r.s.Run(inf)
+			r.check(t, inf)
+			// Infinite times must stay out of the width calibration: an
+			// infinite width hashes every event into one bucket.
+			if w := r.s.cal.width; !(w > 0 && w <= math.MaxFloat64) {
+				t.Fatalf("calendar width %v after the run", w)
+			}
+		})
+	}
+}
+
+// TestFarDemandEngine: a stage demand past the calendar's int64 day
+// range (1e19 ms, which LoadGraph accepts) behaves like any demand
+// beyond the horizon: the run reports the same arrivals and events as
+// at 1e12 ms.
+func TestFarDemandEngine(t *testing.T) {
+	run := func(demand float64) *TailMetrics {
+		cfg := tailBase()
+		cfg.Seconds = 0.1
+		cfg.Warmup = 0
+		spec := SocialGraph(cfg.Config)
+		for i := range spec.Stages {
+			if spec.Stages[i].Name == "user1" {
+				spec.Stages[i].DemandMs = demand
+			}
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "far.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := LoadGraph(path)
+		if err != nil {
+			t.Fatalf("LoadGraph(demand %v): %v", demand, err)
+		}
+		cfg.Graph = g
+		return mustTail(t, cfg)
+	}
+	near, far := run(1e12), run(1e19)
+	if near.Arrived == 0 {
+		t.Fatal("no arrivals")
+	}
+	if far.Arrived != near.Arrived || far.Events != near.Events {
+		t.Fatalf("demand 1e19: arrived=%d ev=%d; demand 1e12: arrived=%d ev=%d",
+			far.Arrived, far.Events, near.Arrived, near.Events)
 	}
 }

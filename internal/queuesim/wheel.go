@@ -26,7 +26,19 @@ const (
 	// hours); anything beyond parks on the overflow list and is
 	// re-placed when the wheel catches up.
 	wheelTick = 0.5
+	// wheelMaxTick caps tick numbers so far and infinite times stay
+	// inside int64: they all land on this one tick, which the due
+	// buffer's (at, seq) sort orders exactly.
+	wheelMaxTick = 1 << 62
 )
+
+// tickOf maps an absolute time onto its (capped) tick number.
+func tickOf(at float64) int64 {
+	if t := at / wheelTick; t < wheelMaxTick {
+		return int64(t)
+	}
+	return wheelMaxTick
+}
 
 // Timer entry states.
 const (
@@ -101,6 +113,13 @@ func (w *timerWheel) arm(at float64, seq uint64, kind uint8, a, b int32) int32 {
 	w.entries[idx] = twEntry{at: at, seq: seq, a: a, b: b, kind: kind, next: -1, prev: -1}
 	w.live++
 	w.armed++
+	if tickOf(at) < w.curTick {
+		// Behind the cursor (it can run ahead of the clock, e.g. after
+		// an overflow rebase): no slot's window start bounds this entry
+		// from below, so it waits in the due buffer.
+		w.insertDue(idx)
+		return idx
+	}
 	if w.dueHead < len(w.due) {
 		last := &w.entries[w.due[len(w.due)-1]]
 		if at < last.at || (at == last.at && seq < last.seq) {
@@ -118,10 +137,7 @@ func (w *timerWheel) arm(at float64, seq uint64, kind uint8, a, b int32) int32 {
 // level 0), so cursor-relative bitmap scans never miss live work.
 func (w *timerWheel) place(idx int32) {
 	en := &w.entries[idx]
-	tick := int64(en.at / wheelTick)
-	if tick < w.curTick {
-		tick = w.curTick
-	}
+	tick := max(tickOf(en.at), w.curTick)
 	for lvl := 0; lvl < twLevels; lvl++ {
 		shift := uint(twSlotBits * (lvl + 1))
 		if tick>>shift != w.curTick>>shift {
@@ -306,7 +322,7 @@ func (w *timerWheel) expand(lvl, slot int, startTick int64) {
 func (w *timerWheel) rebaseOverflow() {
 	minTick := int64(0)
 	for i, idx := range w.ovf {
-		t := int64(w.entries[idx].at / wheelTick)
+		t := tickOf(w.entries[idx].at)
 		if i == 0 || t < minTick {
 			minTick = t
 		}
