@@ -160,30 +160,14 @@ type QueuesimPoint struct {
 	P999        float64 `json:"p999_ms"`
 	InFlightHWM int     `json:"inflight_hwm"`
 	Events      uint64  `json:"events"`
-	// CancelledTimers counts timers logically descheduled during the
-	// run (identical across schedulers; the calendar scheduler turns
-	// each into a physical O(1) removal).
+	// CancelledTimers counts timers descheduled before they fired.
 	CancelledTimers uint64  `json:"cancelled_timers"`
 	WallSec         float64 `json:"wall_s"`
 	EventsPerSec    float64 `json:"events_per_sec"`
 }
 
-// sameQueuesimSim reports whether two points' simulation outputs agree
-// — everything except the wall-clock columns, which are the measurement.
-func sameQueuesimSim(a, b QueuesimPoint) bool {
-	return a.Mode == b.Mode && a.QPS == b.QPS && a.Arrived == b.Arrived &&
-		a.Completed == b.Completed && a.Failed == b.Failed &&
-		a.TimedOut == b.TimedOut && a.Rejected == b.Rejected &&
-		a.P50 == b.P50 && a.P99 == b.P99 && a.P999 == b.P999 &&
-		a.InFlightHWM == b.InFlightHWM && a.Events == b.Events &&
-		a.CancelledTimers == b.CancelledTimers
-}
-
 // QueuesimEntry is one tail-at-scale trajectory point, written to
 // BENCH_queuesim.json: the Figure 22 analog at 100x the paper's load.
-// Since the calendar-queue scheduler landed, each generation appends a
-// pair of entries — heap oracle first, then calendar — so the artifact
-// records the before/after events/sec trajectory.
 type QueuesimEntry struct {
 	Timestamp  string  `json:"timestamp"`
 	GoMaxProcs int     `json:"gomaxprocs"`
@@ -191,8 +175,9 @@ type QueuesimEntry struct {
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`
 	Seconds    float64 `json:"seconds"`
-	// Scheduler names the pending-event container ("heap" or
-	// "calendar"); entries predating the switch omit it.
+	// Scheduler names the pending-event container: "calendar" (calendar
+	// queue + timer wheel). Older entries also hold "heap" points from
+	// the retired binary-heap scheduler, or omit the field.
 	Scheduler string          `json:"scheduler,omitempty"`
 	Points    []QueuesimPoint `json:"points"`
 }
@@ -367,35 +352,17 @@ func main() {
 		}
 	}
 
-	// The tail-at-scale study runs twice — once per scheduler, the heap
-	// oracle first — so every BENCH_queuesim.json generation carries a
-	// before/after pair. The simulation columns of matching points must
-	// agree exactly (the schedulers are byte-identical by construction);
-	// only wall time and events/sec may differ.
-	qeHeap := benchQueuesim(*seconds, *seed, *workers, queuesim.SchedHeap)
-	qeCal := benchQueuesim(*seconds, *seed, *workers, queuesim.SchedCalendar)
-	if len(qeHeap.Points) != len(qeCal.Points) {
-		log.Fatalf("queuesim: scheduler point counts differ: heap %d calendar %d",
-			len(qeHeap.Points), len(qeCal.Points))
+	qe := benchQueuesim(*seconds, *seed, *workers)
+	for _, p := range qe.Points {
+		fmt.Printf("%-22s qps %9.0f  done %8d  p99 %8.2fms  hwm %8d  %5.2f Mev/s\n",
+			"queuesim-"+p.Mode, p.QPS, p.Completed, p.P99, p.InFlightHWM, p.EventsPerSec/1e6)
 	}
-	for i := range qeHeap.Points {
-		h, c := qeHeap.Points[i], qeCal.Points[i]
-		if !sameQueuesimSim(h, c) {
-			log.Fatalf("queuesim: schedulers diverged at %s qps %.0f:\nheap     %+v\ncalendar %+v",
-				h.Mode, h.QPS, h, c)
-		}
-		fmt.Printf("%-22s qps %9.0f  done %8d  p99 %8.2fms  hwm %8d  heap %5.2f Mev/s  calendar %5.2f Mev/s  %.2fx\n",
-			"queuesim-"+h.Mode, h.QPS, h.Completed, h.P99, h.InFlightHWM,
-			h.EventsPerSec/1e6, c.EventsPerSec/1e6, c.EventsPerSec/h.EventsPerSec)
+	qe.Timestamp = stamp
+	qe.GoMaxProcs = entry.GoMaxProcs
+	if err := appendJSON("BENCH_queuesim.json", qe); err != nil {
+		log.Fatal(err)
 	}
-	for _, qe := range []QueuesimEntry{qeHeap, qeCal} {
-		qe.Timestamp = stamp
-		qe.GoMaxProcs = entry.GoMaxProcs
-		if err := appendJSON("BENCH_queuesim.json", qe); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("appended to BENCH_queuesim.json (heap + calendar entries)")
+	fmt.Println("appended to BENCH_queuesim.json")
 	if *only == "queuesim" {
 		return
 	}
@@ -811,7 +778,7 @@ func benchSyssim(seconds float64, seed int64, workers int) StudyEntry {
 // the CPU baseline, RPU with batch splitting, and the CPU system under
 // an overload policy (timeout + one retry + bounded queues) — the
 // regime where the drain/arrival-window accounting matters most.
-func benchQueuesim(seconds float64, seed int64, workers int, sched queuesim.Scheduler) QueuesimEntry {
+func benchQueuesim(seconds float64, seed int64, workers int) QueuesimEntry {
 	const scale = 100
 	modes := []struct {
 		name       string
@@ -825,11 +792,11 @@ func benchQueuesim(seconds float64, seed int64, workers int, sched queuesim.Sche
 	}
 	loads := []float64{0.25, 0.5, 1.0}
 	entry := QueuesimEntry{Workers: workers, Seed: seed, Scale: scale, Seconds: seconds,
-		Scheduler: sched.String()}
+		Scheduler: "calendar"}
 	points, err := core.RunCells(len(modes)*len(loads), workers, func(i int) (QueuesimPoint, error) {
 		mode := modes[i/len(loads)]
 		cfg := queuesim.TailConfig{Config: queuesim.DefaultConfig(), Scale: scale,
-			Policy: mode.policy, Scheduler: sched}
+			Policy: mode.policy}
 		cfg.QPS = 70000 * scale * loads[i%len(loads)]
 		cfg.Seconds = seconds
 		cfg.Warmup = seconds / 4

@@ -4,8 +4,7 @@
 // microservice path (WebServer → User → McRouter → Memcached →
 // Storage). With -graph the tail engine instead sweeps any declarative
 // service graph — a bundled scenario (social, composepost, hotel,
-// media, iot) or a GraphSpec JSON file; -legacy routes the retired
-// hand-coded social dispatch for byte-identity checks.
+// media, iot) or a GraphSpec JSON file.
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
 	tail := flag.Bool("tail", false, "sweep at data-center scale with p50/p99/p999 and overload-policy columns instead of the 1x Figure 22 table")
 	graphName := flag.String("graph", "", "tail mode: service graph to sweep — a bundled name (social|composepost|hotel|media|iot) or a GraphSpec .json file (implies -tail)")
-	legacy := flag.Bool("legacy", false, "tail mode: run the retired hand-coded social-network dispatch instead of the spec executor (byte-identity oracle)")
 	scale := flag.Float64("scale", 100, "tail mode: station-capacity multiplier (100 = the 100x Figure 22 analog)")
 	arrivals := flag.String("arrivals", "poisson", "tail mode: arrival process (poisson|mmpp|diurnal|closed)")
 	users := flag.Int("users", 0, "tail mode: closed-loop population per offered-load point (0 = derive from qps and think time)")
@@ -46,7 +44,6 @@ func main() {
 	hedge := flag.Float64("hedge", 0, "tail mode: hedge delay (ms), 0 = no hedging")
 	qcap := flag.Int("qcap", 0, "tail mode: per-station queue cap, 0 = unbounded")
 	drain := flag.Float64("drain", 2, "tail mode: drain horizon (seconds past the arrival window)")
-	schedName := flag.String("sched", "calendar", "tail mode: event scheduler (calendar|heap); outputs are byte-identical, only speed differs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	obsFlags := obsflag.Add(flag.CommandLine)
@@ -96,15 +93,14 @@ func main() {
 		return
 	}
 	if *tail {
-		sched, err := queuesim.ParseScheduler(*schedName)
+		process, err := queuesim.ParseArrivalProcess(*arrivals)
 		if err != nil {
 			log.Fatal(err)
 		}
 		tc := tailSweepConfig{
 			seconds: *seconds, seed: *seed, scale: *scale, drain: *drain,
-			legacy:  *legacy, sched: sched,
 			arrivals: queuesim.ArrivalConfig{
-				Process: queuesim.ParseArrivalProcess(*arrivals),
+				Process: process,
 				Users:   *users, ThinkMs: *think,
 			},
 			policy: queuesim.PolicyConfig{
@@ -113,9 +109,6 @@ func main() {
 			},
 		}
 		if *graphName != "" {
-			if *legacy {
-				log.Fatal("syssim: -legacy runs the hand-coded social graph; it cannot be combined with -graph")
-			}
 			spec, err := loadGraphArg(*graphName)
 			if err != nil {
 				log.Fatal(err)
@@ -199,8 +192,6 @@ type tailSweepConfig struct {
 	scale    float64
 	drain    float64
 	graph    *queuesim.GraphSpec
-	legacy   bool
-	sched    queuesim.Scheduler
 	arrivals queuesim.ArrivalConfig
 	policy   queuesim.PolicyConfig
 }
@@ -240,7 +231,7 @@ func sweepTail(tc tailSweepConfig, qps []float64, parallel int) error {
 		mode := modes[i/np]
 		cfg := queuesim.TailConfig{Config: queuesim.DefaultConfig(),
 			Scale: tc.scale, Arrivals: tc.arrivals, Policy: tc.policy,
-			Graph: tc.graph, Legacy: tc.legacy, Scheduler: tc.sched}
+			Graph: tc.graph}
 		cfg.QPS = qps[i%np]
 		cfg.Seconds = tc.seconds
 		cfg.Warmup = tc.seconds / 4

@@ -8,7 +8,10 @@
 // closed loop self-throttles instead of collapsing.
 package queuesim
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // ArrivalProcess selects the request arrival model.
 type ArrivalProcess int
@@ -46,19 +49,15 @@ func (p ArrivalProcess) String() string {
 	}
 }
 
-// ParseArrivalProcess maps a flag string to an ArrivalProcess; unknown
-// values fall back to Poisson.
-func ParseArrivalProcess(s string) ArrivalProcess {
-	switch s {
-	case "mmpp":
-		return ArrMMPP
-	case "diurnal":
-		return ArrDiurnal
-	case "closed":
-		return ArrClosed
-	default:
-		return ArrPoisson
+// ParseArrivalProcess maps a flag string (an ArrivalProcess.String
+// name) to an ArrivalProcess; an unknown name is an error.
+func ParseArrivalProcess(s string) (ArrivalProcess, error) {
+	for p := ArrPoisson; p <= ArrClosed; p++ {
+		if s == p.String() {
+			return p, nil
+		}
 	}
+	return ArrPoisson, fmt.Errorf("queuesim: unknown arrival process %q (want poisson, mmpp, diurnal or closed)", s)
 }
 
 // Defaults applied by withDefaults to unset (zero-valued) shape

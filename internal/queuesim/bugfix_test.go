@@ -1,6 +1,7 @@
 package queuesim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -38,42 +39,40 @@ func TestSaturatedCompletionCriterion(t *testing.T) {
 // flushed batch N+1 early: with size 2 and timeout 10, requests at
 // t=0,1 launch at t=1, and a request at t=2 must launch at t=12 — the
 // stale timer fired it at t=10. The size-triggered launch now cancels
-// its formation timer under either scheduler.
+// its formation timer.
 func TestBatcherRearmsPerBatch(t *testing.T) {
-	for _, sched := range schedulers {
-		c := DefaultConfig()
-		c.Seconds = 1
-		c.Warmup = 0
-		c.RPU = true
-		c.BatchSize = 2
-		c.BatchTimeout = 10
-		// Zero-time stages: a request's latency is exactly the wait for
-		// its batch to launch.
-		spec := &GraphSpec{Name: "batcher", Entry: "in",
-			Stations: []StationSpec{{Name: "in", Infinite: true}, {Name: "b", Infinite: true}},
-			Stages: []StageSpec{{Name: "in", Station: "in", Fixed: true,
-				Next: []EdgeSpec{{To: edgeDone}}}},
-			Batch: &BatchSpec{FormAfter: "in", Entry: "bb",
-				Stages: []BatchStageSpec{{Name: "bb", Station: "b", Fixed: true,
-					Next: []EdgeSpec{{To: edgeDone}}}}}}
-		e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec, Scheduler: sched})
-		if err != nil {
-			t.Fatalf("newTailEngine: %v", err)
-		}
-		for _, at := range []float64{0, 1, 2} {
-			e.sim.Run(at)
-			e.issue(-1)
-		}
-		e.sim.Run(100)
-		if e.m.Batches != 2 || e.m.Completed != 3 {
-			t.Fatalf("%v: %d batches, %d completed; want 2 and 3", sched, e.m.Batches, e.m.Completed)
-		}
-		if got := e.m.Latency.Percentile(100); got != 10 {
-			t.Fatalf("%v: last request waited %v ms for its batch, want 10 (stale formation timer fired early)", sched, got)
-		}
-		if e.sim.CancelledTimers() != 1 {
-			t.Fatalf("%v: %d timers cancelled, want the size-triggered launch's 1", sched, e.sim.CancelledTimers())
-		}
+	c := DefaultConfig()
+	c.Seconds = 1
+	c.Warmup = 0
+	c.RPU = true
+	c.BatchSize = 2
+	c.BatchTimeout = 10
+	// Zero-time stages: a request's latency is exactly the wait for
+	// its batch to launch.
+	spec := &GraphSpec{Name: "batcher", Entry: "in",
+		Stations: []StationSpec{{Name: "in", Infinite: true}, {Name: "b", Infinite: true}},
+		Stages: []StageSpec{{Name: "in", Station: "in", Fixed: true,
+			Next: []EdgeSpec{{To: edgeDone}}}},
+		Batch: &BatchSpec{FormAfter: "in", Entry: "bb",
+			Stages: []BatchStageSpec{{Name: "bb", Station: "b", Fixed: true,
+				Next: []EdgeSpec{{To: edgeDone}}}}}}
+	e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec})
+	if err != nil {
+		t.Fatalf("newTailEngine: %v", err)
+	}
+	for _, at := range []float64{0, 1, 2} {
+		e.sim.Run(at)
+		e.issue(-1)
+	}
+	e.sim.Run(100)
+	if e.m.Batches != 2 || e.m.Completed != 3 {
+		t.Fatalf("%d batches, %d completed; want 2 and 3", e.m.Batches, e.m.Completed)
+	}
+	if got := e.m.Latency.Percentile(100); got != 10 {
+		t.Fatalf("last request waited %v ms for its batch, want 10 (stale formation timer fired early)", got)
+	}
+	if e.sim.CancelledTimers() != 1 {
+		t.Fatalf("%d timers cancelled, want the size-triggered launch's 1", e.sim.CancelledTimers())
 	}
 }
 
@@ -256,7 +255,14 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		{"zero-seconds", func(c *TailConfig) { c.Seconds = 0 }},
 		{"warmup-fills-run", func(c *TailConfig) { c.Warmup = c.Seconds }},
 		{"warmup-past-run", func(c *TailConfig) { c.Warmup = c.Seconds + 1 }},
-		{"legacy-with-graph", func(c *TailConfig) { c.Legacy = true; c.Graph = HotelGraph() }},
+		{"nan-timeout", func(c *TailConfig) { c.Policy.TimeoutMs = math.NaN() }},
+		{"negative-timeout", func(c *TailConfig) { c.Policy.TimeoutMs = -5 }},
+		{"nan-backoff", func(c *TailConfig) { c.Policy = PolicyConfig{MaxRetries: 1, BackoffMs: math.NaN()} }},
+		{"negative-backoff", func(c *TailConfig) { c.Policy = PolicyConfig{MaxRetries: 1, BackoffMs: -1} }},
+		{"nan-hedge", func(c *TailConfig) { c.Policy.HedgeMs = math.NaN() }},
+		{"negative-hedge", func(c *TailConfig) { c.Policy.HedgeMs = -10 }},
+		{"nan-max-backoff", func(c *TailConfig) { c.Policy.MaxBackoffMs = math.NaN() }},
+		{"negative-max-backoff", func(c *TailConfig) { c.Policy.MaxBackoffMs = -1 }},
 	} {
 		cfg := tailBase()
 		tc.mut(&cfg)
@@ -285,5 +291,31 @@ func TestUtilExcludesDrain(t *testing.T) {
 	m := Run(cfg)
 	if m.UserUtil < 0.99 {
 		t.Fatalf("overloaded user tier reports %.3f utilisation; drain leaked into the window", m.UserUtil)
+	}
+}
+
+// TestParseArrivalProcess: every process name round-trips, and an
+// unknown name is an error rather than a silent Poisson run.
+func TestParseArrivalProcess(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want ArrivalProcess
+		ok   bool
+	}{
+		{"poisson", ArrPoisson, true},
+		{"mmpp", ArrMMPP, true},
+		{"diurnal", ArrDiurnal, true},
+		{"closed", ArrClosed, true},
+		{"mmp", 0, false},
+		{"", 0, false},
+		{"Poisson", 0, false},
+	} {
+		got, err := ParseArrivalProcess(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Fatalf("ParseArrivalProcess(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Fatalf("ParseArrivalProcess(%q) = %v, want an error", tc.in, got)
+		}
 	}
 }

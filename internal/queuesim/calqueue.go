@@ -3,18 +3,16 @@
 // each bucket kept sorted by (at, seq), and the dequeue scan walks
 // bucket windows in simulated-time order. With a width tuned so a
 // bucket holds a handful of events, push and pop are O(1) amortized —
-// versus ~log2(n) sift comparisons per heap operation at data-center
-// populations. Ordering is bit-identical to the binary heap: the same
-// (at, seq) total order decides every dequeue, only the container
-// differs. Buckets are reused in place (a drained bucket resets its
-// slice without freeing it), so steady state allocates nothing; only
-// the amortized doubling/halving resizes allocate, exactly like the
-// heap's own growth.
+// versus ~log2(n) sift comparisons per binary-heap operation at
+// data-center populations. The (at, seq) total order decides every
+// dequeue, for every at in [0, +Inf] (see calMaxDay). Buckets are
+// reused in place (a drained bucket resets its slice without freeing
+// it), so steady state allocates nothing; only the amortized
+// doubling/halving resizes allocate.
 package queuesim
 
 // calEvent is the scheduler's compact event, shared by the calendar
-// queue, the timer wheel's due list and the heap oracle: 32 bytes, no
-// pointers.
+// queue and the timer wheel's due list: 32 bytes, no pointers.
 type calEvent struct {
 	at   float64
 	seq  uint64
@@ -55,7 +53,7 @@ const calWidthGapMul = 4.0
 const calMaxDay = 1 << 62
 
 // eventLess is the scheduler-wide dispatch order: time, then arming
-// sequence — the FIFO tie-break all schedulers share.
+// sequence — the FIFO tie-break the calendar and the wheel share.
 func eventLess(a, b *calEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -2,24 +2,19 @@
 // allocation-free state machine, so data-center populations (10⁶+
 // in-flight requests) are as cheap as the 1x Figure 22 sweep. The
 // scenario comes from a compiled GraphSpec (graph.go) walked by the
-// generic executor (exec.go); TailConfig.Legacy instead routes the
-// retired hand-coded social-network dispatch (legacy.go), kept as the
-// byte-identity oracle. Requests and batches live in index-addressed
-// arenas, station queues are packed (index, generation) rings, and
-// every hop is a typed event dispatched through the Sim's non-boxing
-// scheduler — by default the O(1) calendar queue plus hierarchical
-// timer wheel (TailConfig.Scheduler selects the binary-heap oracle) —
-// and steady-state event dispatch performs zero heap allocations.
-// Cancellation (timeouts, hedge losers) is lazy: a cancelled entry is
-// marked dead and collected by whatever holds it (its pending event, a
-// queue slot, or its batch), and generation counters make stale
-// timer/hedge/retry events no-ops, so nothing is ever searched or
-// removed from the middle of a queue. Armed timers additionally carry
-// a TimerID: when a slot is freed (or a batch launches early) the
-// engine cancels them, which the wheel turns into a physical O(1)
-// deschedule while the heap oracle still pops them as stale no-ops —
-// either way the logical cancellation count and every metric agree
-// byte for byte.
+// generic executor (exec.go). Requests and batches live in
+// index-addressed arenas, station queues are packed (index,
+// generation) rings, and every hop is a typed event dispatched through
+// the Sim's non-boxing O(1) scheduler (a calendar queue plus a
+// hierarchical timer wheel), so steady-state event dispatch performs
+// zero heap allocations. Cancellation (timeouts, hedge losers) is
+// lazy: a cancelled entry is marked dead and collected by whatever
+// holds it (its pending event, a queue slot, or its batch), and
+// generation counters make stale timer/hedge/retry events no-ops, so
+// nothing is ever searched or removed from the middle of a queue.
+// Armed timers additionally carry a TimerID: when a slot is freed (or
+// a batch launches early) the engine cancels them, which the wheel
+// turns into a physical O(1) deschedule.
 //
 // Ownership discipline: at any instant each live request (and each
 // batch) has exactly one *driver* — the pending event moving it, the
@@ -54,8 +49,7 @@ const (
 
 // Request flags.
 const (
-	rfHit   uint8 = 1 << iota // memcached hit (legacy dispatch)
-	rfDead                    // cancelled; the driver collects the slot
+	rfDead  uint8 = 1 << iota // cancelled; the driver collects the slot
 	rfHedge                   // this slot is the hedge copy
 	rfLeg                     // fan-out leg: joins its parent, never completes
 )
@@ -169,14 +163,6 @@ type TailConfig struct {
 	// Graph selects the scenario; nil runs SocialGraph(cfg.Config),
 	// the Figure 22 social-network analog.
 	Graph *GraphSpec
-	// Legacy routes the retired hand-coded social-network dispatch
-	// instead of the spec executor (equivalence oracle; incompatible
-	// with Graph).
-	Legacy bool
-	// Scheduler selects the pending-event container. The zero value is
-	// SchedCalendar (calendar queue + timer wheel, the O(1) default);
-	// SchedHeap keeps the binary heap as the byte-identity oracle.
-	Scheduler Scheduler
 }
 
 // DefaultTailConfig returns the 100x Figure 22 analog: one hundred
@@ -217,15 +203,11 @@ type TailMetrics struct {
 	// (including retry, hedge and fan-out copies).
 	InFlightHWM int
 	// Events is the number of *useful* simulator events dispatched:
-	// stale gen-checked timer no-ops are subtracted, so the count is
-	// identical whichever scheduler ran the point (the heap oracle
-	// pops a cancelled timer as a stale no-op; the calendar scheduler
-	// never dispatches it at all).
+	// timer events that fire as gen-checked no-ops are subtracted.
 	Events uint64
-	// CancelledTimers counts timers logically descheduled (timeouts
-	// and hedges of freed slots, size-preempted batch timers) —
-	// identical across schedulers; only the calendar scheduler turns
-	// each into a physical O(1) removal.
+	// CancelledTimers counts timers descheduled before they fired
+	// (timeouts and hedges of freed slots, size-preempted batch
+	// timers).
 	CancelledTimers uint64
 	Batches         int
 	AvgBatchFill    float64
@@ -268,12 +250,10 @@ type engine struct {
 	m   *TailMetrics
 
 	g      *cgraph
-	legacy bool
 	netHop float64
 
-	sts     []estation
-	demands [6]float64 // legacy dispatch stage demands
-	latMul  float64
+	sts    []estation
+	latMul float64
 
 	endMs, warmupMs float64
 
@@ -282,8 +262,8 @@ type engine struct {
 	live  int
 
 	// staleEvents counts dispatched timer events whose generation check
-	// failed (or whose target was already dead/launched) — the no-op
-	// pops TailMetrics.Events subtracts to stay scheduler-invariant.
+	// failed (or whose target was already dead/launched) — the no-ops
+	// TailMetrics.Events subtracts.
 	staleEvents uint64
 
 	batches    []ebatch
@@ -306,9 +286,9 @@ type engine struct {
 // RunTail simulates one load point. It returns an error for a
 // degenerate configuration (zero horizon, a warmup that leaves no
 // measured window, open loop without a positive QPS, closed loop
-// without users, RPU over a batchless graph, a station with no
-// servers) or an invalid graph spec, instead of silently reporting an
-// empty run as measured.
+// without users, a NaN or negative policy duration, RPU over a
+// batchless graph, a station with no servers) or an invalid graph
+// spec, instead of silently reporting an empty run as measured.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	e, err := newTailEngine(cfg)
 	if err != nil {
@@ -334,13 +314,11 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	} else if cfg.QPS <= 0 {
 		return nil, fmt.Errorf("queuesim: open-loop arrivals need QPS > 0 (got %v)", cfg.QPS)
 	}
+	if err := cfg.Policy.validate(); err != nil {
+		return nil, err
+	}
 	spec := cfg.Graph
-	if cfg.Legacy {
-		if spec != nil {
-			return nil, fmt.Errorf("queuesim: Legacy runs the hand-coded social graph; Graph must be nil")
-		}
-		spec = SocialGraph(cfg.Config)
-	} else if spec == nil {
+	if spec == nil {
 		spec = SocialGraph(cfg.Config)
 	}
 	g, err := compileGraph(spec)
@@ -351,8 +329,8 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 		return nil, fmt.Errorf("queuesim: graph %q has no batch path; RPU mode needs one", g.name)
 	}
 
-	sim := NewSimSched(cfg.Seed, cfg.Scheduler)
-	e := &engine{cfg: cfg, pol: cfg.Policy, sim: sim, g: g, legacy: cfg.Legacy,
+	sim := NewSimSched(cfg.Seed, SchedCalendar)
+	e := &engine{cfg: cfg, pol: cfg.Policy, sim: sim, g: g,
 		forming: -1, inflightTS: math.Inf(-1)}
 	e.endMs = cfg.Seconds * 1000
 	e.warmupMs = cfg.Warmup * 1000
@@ -388,8 +366,6 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 		}
 		e.initStation(int32(i), sd.name, servers, cfg.RPU && sd.batched)
 	}
-	e.demands = [6]float64{cfg.WebDemand, cfg.UserPhase1, cfg.McRouterDemand,
-		cfg.MemcachedDemand, cfg.StorageLatency, cfg.UserPhase2}
 
 	est := int(cfg.QPS * cfg.Seconds)
 	if e.arr.Process == ArrClosed {
@@ -456,9 +432,9 @@ func (e *engine) finalizeObs() {
 }
 
 // finalizeSchedObs reports the scheduler's own health under
-// queuesim.<label>.sched: the logical cancellation count plus, under
-// the calendar scheduler, the calendar's resize/occupancy stats and
-// the wheel's cascade/deschedule counters.
+// queuesim.<label>.sched: the stale-timer and cancellation counts, the
+// calendar's resize/occupancy stats and the wheel's
+// cascade/deschedule counters.
 func (e *engine) finalizeSchedObs() {
 	m := e.cfg.Monitor
 	if m == nil || m.Reg == nil {
@@ -467,9 +443,6 @@ func (e *engine) finalizeSchedObs() {
 	sc := m.Reg.Scope(ScopeName(m.Label, "sched"))
 	sc.Counter("stale_timer_events").Add(int64(e.staleEvents))
 	sc.Counter("cancelled_timers").Add(int64(e.sim.ncancel))
-	if e.cfg.Scheduler != SchedCalendar {
-		return
-	}
 	cal, tw := &e.sim.cal, &e.sim.tw
 	sc.Counter("cal_resizes").Add(int64(cal.resizes))
 	sc.Counter("cal_direct_scans").Add(int64(cal.directScans))
@@ -487,21 +460,13 @@ func (e *engine) finalizeSchedObs() {
 func (e *engine) handle(kind uint8, a, b int32) {
 	switch kind {
 	case ekNet:
-		if e.legacy {
-			e.enterL(a, int8(b))
-		} else {
-			e.enterG(a, b)
-		}
+		e.enter(a, b)
 	case ekSvcDone:
 		e.onSvcDone(a, b)
 	case ekArrival:
 		e.onArrival(a)
 	case ekBatchNet:
-		if e.legacy {
-			e.onBatchNetL(a, b)
-		} else {
-			e.enterBatchG(a, b)
-		}
+		e.enterBatch(a, b)
 	case ekBatchDone:
 		e.onBatchDone(a, b)
 	case ekBatchTimer:
@@ -555,7 +520,7 @@ func (e *engine) free(idx int32) {
 	r.gen++
 	// Clear the outcome state alongside flags: a hedge armed against a
 	// try that was inline-rejected (and hence freed) reads this slot, so
-	// stale coins must mirror the cleared rfHit of the legacy dispatch.
+	// its stale coins must not leak into the hedge copy.
 	r.flags = 0
 	r.coins = 0
 	r.twin = -1
@@ -581,9 +546,8 @@ func (e *engine) sampleInflight() {
 // --- request lifecycle ---
 
 // issue creates and launches a new logical request (user >= 0 ties it
-// to a closed-loop client). The legacy dispatch draws its single
-// cache coin into rfHit; the generic executor draws every declared
-// coin, in declaration order, into the coin bitmask.
+// to a closed-loop client), drawing every declared coin, in
+// declaration order, into the coin bitmask.
 func (e *engine) issue(user int32) {
 	idx := e.alloc()
 	r := &e.reqs[idx]
@@ -596,15 +560,9 @@ func (e *engine) issue(user int32) {
 	r.tries = 0
 	r.flags = 0
 	r.coins = 0
-	if e.legacy {
-		if e.sim.Rng.Float64() < e.cfg.HitRate {
-			r.flags = rfHit
-		}
-	} else {
-		for i, p := range e.g.coins {
-			if e.sim.Rng.Float64() < p {
-				r.coins |= 1 << uint(i)
-			}
+	for i, p := range e.g.coins {
+		if e.sim.Rng.Float64() < p {
+			r.coins |= 1 << uint(i)
 		}
 	}
 	if now >= e.warmupMs && now <= e.endMs {
@@ -622,11 +580,7 @@ func (e *engine) launchTry(idx int32) {
 	if e.pol.TimeoutMs > 0 {
 		e.reqs[idx].hTimeout = e.sim.AtTimer(e.pol.TimeoutMs, ekTimeout, idx, int32(e.reqs[idx].gen))
 	}
-	if e.legacy {
-		e.enterL(idx, stWeb)
-	} else {
-		e.enterG(idx, e.g.entry)
-	}
+	e.enter(idx, e.g.entry)
 }
 
 func (e *engine) submitReq(st *estation, idx int32) {
@@ -647,14 +601,6 @@ func (e *engine) submitReq(st *estation, idx int32) {
 	st.probe.sample(e.sim.now, st.q.n, int(st.busy))
 }
 
-func (e *engine) serveReq(st *estation, idx int32) {
-	if e.legacy {
-		e.serveReqL(st, idx)
-	} else {
-		e.serveReqG(st, idx)
-	}
-}
-
 func (e *engine) onSvcDone(idx, stIdx int32) {
 	st := &e.sts[stIdx]
 	now := e.sim.now
@@ -668,11 +614,7 @@ func (e *engine) onSvcDone(idx, stIdx int32) {
 		e.free(idx)
 		return
 	}
-	if e.legacy {
-		e.advanceL(idx)
-	} else {
-		e.advanceG(idx)
-	}
+	e.advance(idx)
 }
 
 // dispatchNext pulls queued work onto freed servers, collecting dead
@@ -735,8 +677,7 @@ func (e *engine) complete(idx int32) {
 func (e *engine) onTimeout(idx, gen int32) {
 	r := &e.reqs[idx]
 	if r.gen != uint32(gen) {
-		// The slot was freed (its timer was cancelled under the wheel;
-		// the heap oracle still pops it): a stale no-op.
+		// The slot was freed and reused: a stale no-op.
 		e.staleEvents++
 		return
 	}
@@ -767,7 +708,7 @@ func (e *engine) abandonTry(idx int32, isDriver bool) {
 		c.arrive = r.arrive
 		c.user = r.user
 		c.tries = r.tries + 1
-		c.flags = r.flags & (rfHit | rfHedge)
+		c.flags = r.flags & rfHedge
 		c.coins = r.coins
 		c.twin = -1
 		c.parent = -1
@@ -848,7 +789,7 @@ func (e *engine) onHedge(idx, gen int32) {
 	c.arrive = r.arrive
 	c.user = r.user
 	c.tries = 0
-	c.flags = (r.flags & rfHit) | rfHedge
+	c.flags = rfHedge
 	c.coins = r.coins
 	c.twin = idx
 	c.parent = -1
@@ -940,14 +881,10 @@ func (e *engine) launchBatch(bi int32) {
 	b.forming = false
 	e.m.Batches++
 	e.m.AvgBatchFill += float64(len(b.members))
-	if e.legacy {
-		e.bhop(bi, bsUser1)
-		return
-	}
 	if e.g.bentryHop {
 		e.sim.AtEvent(e.netHop, ekBatchNet, bi, e.g.bentry)
 	} else {
-		e.enterBatchG(bi, e.g.bentry)
+		e.enterBatch(bi, e.g.bentry)
 	}
 }
 
@@ -962,14 +899,6 @@ func (e *engine) submitBatch(st *estation, bi int32) {
 	st.probe.sample(e.sim.now, st.q.n, int(st.busy))
 }
 
-func (e *engine) serveBatch(st *estation, bi int32) {
-	if e.legacy {
-		e.serveBatchL(st, bi)
-	} else {
-		e.serveBatchG(st, bi)
-	}
-}
-
 func (e *engine) onBatchDone(bi, stIdx int32) {
 	st := &e.sts[stIdx]
 	now := e.sim.now
@@ -979,11 +908,7 @@ func (e *engine) onBatchDone(bi, stIdx int32) {
 	st.probe.observe(now, now-b.enq)
 	st.probe.sample(now, st.q.n, int(st.busy))
 	e.dispatchNext(st)
-	if e.legacy {
-		e.onBatchDoneL(bi)
-	} else {
-		e.onBatchDoneG(bi)
-	}
+	e.routeBatch(bi)
 }
 
 func (e *engine) completeBatch(bi int32) {

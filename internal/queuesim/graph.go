@@ -4,15 +4,18 @@
 // fan-out edges, an optional RPU batch path with a formation point and
 // hit/miss divergence — and the generic executor in exec.go walks the
 // compiled form instead of a hand-coded dispatch switch. The social
-// and compose-post graphs that used to be Go code are now specs
-// (byte-identical to the retired dispatch, see graph_test.go), and new
+// and compose-post graphs that used to be Go code are now specs (the
+// social grid's outputs are frozen in testdata/golden_social.txt), and new
 // DeathStarBench-style scenarios (hotel-reservation, media-service,
 // IoT/edge) are just more specs, loadable from JSON.
 package queuesim
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 )
@@ -47,7 +50,7 @@ type GraphSpec struct {
 	// Batch describes the RPU batch path; nil graphs run CPU-only.
 	Batch *BatchSpec `json:"batch,omitempty"`
 	// NetHopMs overrides Config.NetHop as the wire delay of hop edges
-	// when positive.
+	// when positive; 0 keeps Config.NetHop.
 	NetHopMs float64 `json:"net_hop_ms,omitempty"`
 	// UtilStation names the station whose utilisation is reported as
 	// TailMetrics.UserUtil; empty defaults to the first BatchTier
@@ -154,12 +157,28 @@ func LoadGraph(path string) (*GraphSpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	g, err := decodeGraph(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
+}
+
+// decodeGraph decodes and validates one JSON GraphSpec. Unknown fields
+// and trailing data are errors: a misspelt key such as "demandMs"
+// would otherwise load as a valid graph with a zero demand.
+func decodeGraph(raw []byte) (*GraphSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var g GraphSpec
-	if err := json.Unmarshal(raw, &g); err != nil {
-		return nil, fmt.Errorf("%s: not a graph spec: %w", path, err)
+	if err := dec.Decode(&g); err != nil {
+		return nil, fmt.Errorf("not a graph spec: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("not a graph spec: trailing data after the JSON object")
 	}
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &g, nil
 }
@@ -286,6 +305,9 @@ func compileGraph(g *GraphSpec) (*cgraph, error) {
 		return fail("too many coins (max 16)")
 	}
 
+	if !(g.NetHopMs >= 0) || math.IsInf(g.NetHopMs, 0) {
+		return fail("net_hop_ms %v", g.NetHopMs)
+	}
 	c := &cgraph{name: g.Name, netHop: g.NetHopMs, utilStation: -1}
 
 	stations := map[string]int32{}
@@ -729,9 +751,9 @@ func (c *cgraph) preFormStations() []int32 {
 
 // SocialGraph is the declarative form of the Figure 22 User-path
 // social-network scenario. It compiles to the exact event and RNG
-// sequence of the retired hand-coded dispatch (legacy.go keeps that
-// dispatch for the equivalence tests), so spec-driven runs are
-// byte-identical to the pre-spec engine at any seed.
+// sequence of the hand-coded dispatch it replaced; the golden social
+// grid (testdata/golden_social.txt, written by that dispatch) checks
+// spec-driven runs stay byte-identical to it.
 func SocialGraph(cfg Config) *GraphSpec {
 	return &GraphSpec{
 		Name:  "social",

@@ -11,70 +11,6 @@ import (
 	"testing"
 )
 
-// tailFingerprint renders every TailMetrics field, so two runs with
-// equal fingerprints dispatched the same events in the same order with
-// the same RNG draws.
-func tailFingerprint(m *TailMetrics) string {
-	return fmt.Sprintf("off=%v arr=%d done=%d fail=%d to=%d retry=%d hedge=%d hw=%d rej=%d hwm=%d ev=%d b=%d fill=%v split=%d util=%v meas=%v lat[n=%d mean=%v p50=%v p99=%v p999=%v]",
-		m.Offered, m.Arrived, m.Completed, m.Failed, m.TimedOut, m.Retried,
-		m.Hedged, m.HedgeWins, m.Rejected, m.InFlightHWM, m.Events, m.Batches,
-		m.AvgBatchFill, m.SplitBatches, m.UserUtil, m.Measured,
-		m.Latency.Len(), m.Latency.Mean(), m.Latency.Percentile(50),
-		m.Latency.Percentile(99), m.Latency.Percentile(99.9))
-}
-
-// TestSpecLegacyEquivalence is the tentpole acceptance test: the
-// generic executor walking the SocialGraph spec must be byte-identical
-// to the retired hand-coded dispatch — same events, same RNG stream,
-// same metrics to the last bit — across seeds, arrival processes,
-// policy settings and execution modes.
-func TestSpecLegacyEquivalence(t *testing.T) {
-	seeds := []int64{1, 7, 13, 42}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	arrivals := []ArrivalConfig{
-		{Process: ArrPoisson},
-		{Process: ArrMMPP},
-		{Process: ArrClosed, Users: 1500, ThinkMs: 10},
-	}
-	policies := []PolicyConfig{
-		{},
-		{TimeoutMs: 20, MaxRetries: 2, BackoffMs: 0.5, HedgeMs: 10, QueueCap: 512},
-	}
-	modes := []struct {
-		label      string
-		rpu, split bool
-	}{{"cpu", false, false}, {"rpu-nosplit", true, false}, {"rpu-split", true, true}}
-
-	for _, seed := range seeds {
-		for ai, arr := range arrivals {
-			for pi, pol := range policies {
-				for _, mode := range modes {
-					mk := func(legacy bool) TailConfig {
-						c := DefaultConfig()
-						c.QPS = 12000
-						c.Seconds = 0.8
-						c.Warmup = 0.2
-						c.Drain = 5
-						c.Seed = seed
-						c.RPU = mode.rpu
-						c.Split = mode.split
-						return TailConfig{Config: c, Scale: 1, Arrivals: arr,
-							Policy: pol, Legacy: legacy}
-					}
-					want := tailFingerprint(mustTail(t, mk(true)))
-					got := tailFingerprint(mustTail(t, mk(false)))
-					if got != want {
-						t.Fatalf("seed=%d arrivals=%d policy=%d mode=%s: spec diverged from hand-coded dispatch\nlegacy: %s\nspec:   %s",
-							seed, ai, pi, mode.label, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestGraphValidatorErrors: malformed specs are rejected with errors
 // naming the defect, never panics.
 func TestGraphValidatorErrors(t *testing.T) {
@@ -185,6 +121,12 @@ func TestGraphValidatorErrors(t *testing.T) {
 				return out
 			}(),
 			Stages: []StageSpec{stage("a", EdgeSpec{To: "done"})}}, "coins"},
+		{"NaN net hop", GraphSpec{Name: "g", Entry: "a", Stations: st("s"), NetHopMs: math.NaN(),
+			Stages: []StageSpec{stage("a", EdgeSpec{To: "done", Hop: true})}}, "net_hop_ms"},
+		{"infinite net hop", GraphSpec{Name: "g", Entry: "a", Stations: st("s"), NetHopMs: math.Inf(1),
+			Stages: []StageSpec{stage("a", EdgeSpec{To: "done", Hop: true})}}, "net_hop_ms"},
+		{"negative net hop", GraphSpec{Name: "g", Entry: "a", Stations: st("s"), NetHopMs: -0.1,
+			Stages: []StageSpec{stage("a", EdgeSpec{To: "done", Hop: true})}}, "net_hop_ms"},
 	} {
 		err := tc.spec.Validate()
 		if err == nil {
@@ -193,6 +135,25 @@ func TestGraphValidatorErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.label, err, tc.want)
 		}
+	}
+	// Rows only a JSON file can express, through LoadGraph.
+	const valid = `{"name":"g","entry":"a","stations":[{"name":"s"}],` +
+		`"stages":[{"name":"a","station":"s","demand_ms":1,"next":[{"to":"done"}]}]}`
+	for _, tc := range []struct{ label, raw, want string }{
+		{"misspelt field", strings.Replace(valid, "demand_ms", "demandMs", 1), "unknown field"},
+		{"trailing data", valid + ` {}`, "trailing data"},
+	} {
+		path := filepath.Join(t.TempDir(), "g.json")
+		if err := os.WriteFile(path, []byte(tc.raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadGraph(path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: LoadGraph error %v, want one containing %q", tc.label, err, tc.want)
+		}
+	}
+	if _, err := decodeGraph([]byte(valid)); err != nil {
+		t.Fatalf("the well-formed base spec failed to load: %v", err)
 	}
 }
 
@@ -397,7 +358,7 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 		c.Seed = 11
 		c.RPU = true
 		c.Split = true
-		return tailFingerprint(mustTail(t, TailConfig{Config: c, Scale: 1, Graph: g}))
+		return goldenLine(mustTail(t, TailConfig{Config: c, Scale: 1, Graph: g}))
 	}
 	if a, b := run(spec), run(loaded); a != b {
 		t.Fatalf("JSON round trip changed the run:\nmem:  %s\nfile: %s", a, b)
@@ -438,7 +399,7 @@ func TestGraphDeterminism(t *testing.T) {
 	const n = 5
 	seq := make([]string, n)
 	for i := range seq {
-		seq[i] = tailFingerprint(mustTail(t, mk(i)))
+		seq[i] = goldenLine(mustTail(t, mk(i)))
 	}
 	par := make([]string, n)
 	var wg sync.WaitGroup
@@ -451,7 +412,7 @@ func TestGraphDeterminism(t *testing.T) {
 				par[i] = err.Error()
 				return
 			}
-			par[i] = tailFingerprint(m)
+			par[i] = goldenLine(m)
 		}(i)
 	}
 	wg.Wait()
@@ -486,4 +447,57 @@ func TestFanoutRejectionConservation(t *testing.T) {
 		t.Fatal("no hedges under overload")
 	}
 	checkConservation(t, m, "fanout-reject-hedge")
+}
+
+// FuzzGraphSpec: arbitrary bytes either fail to decode or validate
+// with an error, or load a spec that runs a 50 ms load point in CPU and
+// RPU mode — an error or a result, never a panic. The corpus seeds
+// with the bundled graphs and a social graph whose user1 demand
+// (1e19 ms) lies past the scheduler's int64 day range.
+func FuzzGraphSpec(f *testing.F) {
+	cfg := DefaultConfig()
+	for _, name := range GraphNames() {
+		g, err := GraphByName(name, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := json.Marshal(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	far := SocialGraph(cfg)
+	for i := range far.Stages {
+		if far.Stages[i].Name == "user1" {
+			far.Stages[i].DemandMs = 1e19
+		}
+	}
+	raw, err := json.Marshal(far)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		g, err := decodeGraph(raw)
+		if err != nil {
+			return
+		}
+		for _, rpu := range []bool{false, true} {
+			c := DefaultConfig()
+			c.QPS = 2000
+			c.Seconds = 0.05
+			c.Warmup = 0
+			c.Drain = 0.05
+			c.RPU = rpu
+			c.Split = rpu
+			m, err := RunTail(TailConfig{Config: c, Scale: 1, Graph: g})
+			if err != nil {
+				continue
+			}
+			if m.Completed+m.Failed > m.Arrived {
+				t.Fatalf("rpu=%v: %d completed + %d failed of %d arrived", rpu, m.Completed, m.Failed, m.Arrived)
+			}
+		}
+	})
 }

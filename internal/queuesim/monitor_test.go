@@ -19,9 +19,8 @@ func fingerprint(m *TailMetrics) string {
 
 // TestSeededDeterminism runs the social-network and compose-post sims
 // twice per mode with the same seed and asserts identical stats: the
-// event heap breaks timestamp ties by submission sequence and dispatch
-// closes over per-iteration work items, so a seed fully determines the
-// run.
+// scheduler breaks timestamp ties by arming sequence and events carry
+// their targets by value, so a seed fully determines the run.
 func TestSeededDeterminism(t *testing.T) {
 	social := func() string {
 		var out string

@@ -7,6 +7,11 @@
 // system, not of the workload.
 package queuesim
 
+import (
+	"fmt"
+	"math"
+)
+
 // PolicyConfig bounds how long a request may occupy the system and how
 // aggressively it is re-issued. The zero value applies no policy:
 // requests queue without bound and are never abandoned.
@@ -35,6 +40,21 @@ type PolicyConfig struct {
 	// retry budget cannot overflow the shift into a zero or negative
 	// wait (an immediate-retry storm).
 	MaxBackoffMs float64
+}
+
+// validate rejects NaN and negative durations: a NaN timeout or hedge
+// silently never fires, and a NaN backoff poisons every retried
+// request's latency.
+func (p *PolicyConfig) validate() error {
+	for _, d := range []struct {
+		name string
+		ms   float64
+	}{{"TimeoutMs", p.TimeoutMs}, {"BackoffMs", p.BackoffMs}, {"HedgeMs", p.HedgeMs}, {"MaxBackoffMs", p.MaxBackoffMs}} {
+		if math.IsNaN(d.ms) || d.ms < 0 {
+			return fmt.Errorf("queuesim: policy %s must be a non-negative duration (got %v)", d.name, d.ms)
+		}
+	}
+	return nil
 }
 
 // backoffShiftCap stops exponential doubling at 2^16 × BackoffMs.

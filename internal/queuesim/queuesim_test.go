@@ -6,97 +6,85 @@ import (
 	"testing/quick"
 )
 
-// schedulers lists both event containers; the event-loop tests run
-// under each.
-var schedulers = []Scheduler{SchedHeap, SchedCalendar}
-
 // recordSim returns a Sim whose Handle records each dispatched event's
 // a payload, in dispatch order.
-func recordSim(sched Scheduler, order *[]int32) *Sim {
-	s := NewSimSched(1, sched)
+func recordSim(order *[]int32) *Sim {
+	s := NewSimSched(1, SchedCalendar)
 	s.Handle = func(kind uint8, a, b int32) { *order = append(*order, a) }
 	return s
 }
 
 func TestEventOrdering(t *testing.T) {
-	for _, sched := range schedulers {
-		var order []int32
-		s := recordSim(sched, &order)
-		s.AtEvent(5, 1, 2, 0)
-		s.AtEvent(1, 1, 1, 0)
-		s.AtTimer(9, 1, 3, 0)
-		s.Run(100)
-		if !reflect.DeepEqual(order, []int32{1, 2, 3}) {
-			t.Fatalf("%v: order %v", sched, order)
-		}
-		// The clock finishes at the horizon even though the queue drained
-		// at t=9, so rate denominators are independent of queue state.
-		if s.Now() != 100 {
-			t.Fatalf("%v: clock %v, want 100", sched, s.Now())
-		}
+	var order []int32
+	s := recordSim(&order)
+	s.AtEvent(5, 1, 2, 0)
+	s.AtEvent(1, 1, 1, 0)
+	s.AtTimer(9, 1, 3, 0)
+	s.Run(100)
+	if !reflect.DeepEqual(order, []int32{1, 2, 3}) {
+		t.Fatalf("order %v", order)
+	}
+	// The clock finishes at the horizon even though the queue drained
+	// at t=9, so rate denominators are independent of queue state.
+	if s.Now() != 100 {
+		t.Fatalf("clock %v, want 100", s.Now())
 	}
 }
 
 func TestEventTieBreakFIFO(t *testing.T) {
-	for _, sched := range schedulers {
-		var order []int32
-		s := recordSim(sched, &order)
-		for i := int32(0); i < 10; i++ {
-			// Timers and plain events share one (at, seq) order, so the
-			// calendar/wheel merge must not reorder the mix.
-			if i%3 == 0 {
-				s.AtTimer(3, 1, i, 0)
-			} else {
-				s.AtEvent(3, 1, i, 0)
-			}
+	var order []int32
+	s := recordSim(&order)
+	for i := int32(0); i < 10; i++ {
+		// Timers and plain events share one (at, seq) order, so the
+		// calendar/wheel merge must not reorder the mix.
+		if i%3 == 0 {
+			s.AtTimer(3, 1, i, 0)
+		} else {
+			s.AtEvent(3, 1, i, 0)
 		}
-		s.Run(100)
-		for i, v := range order {
-			if v != int32(i) {
-				t.Fatalf("%v: same-time events reordered: %v", sched, order)
-			}
+	}
+	s.Run(100)
+	for i, v := range order {
+		if v != int32(i) {
+			t.Fatalf("same-time events reordered: %v", order)
 		}
 	}
 }
 
 func TestRunStopsAtHorizon(t *testing.T) {
-	for _, sched := range schedulers {
-		var order []int32
-		s := recordSim(sched, &order)
-		s.AtEvent(50, 1, 1, 0)
-		s.Run(10)
-		if len(order) != 0 {
-			t.Fatalf("%v: event past the horizon fired", sched)
-		}
-		if s.Now() != 10 {
-			t.Fatalf("%v: clock %v", sched, s.Now())
-		}
+	var order []int32
+	s := recordSim(&order)
+	s.AtEvent(50, 1, 1, 0)
+	s.Run(10)
+	if len(order) != 0 {
+		t.Fatal("event past the horizon fired")
+	}
+	if s.Now() != 10 {
+		t.Fatalf("clock %v", s.Now())
 	}
 }
 
 // TestRunKeepsFutureEvents: stopping on a beyond-horizon event must not
 // drop it — a later Run picks it up.
 func TestRunKeepsFutureEvents(t *testing.T) {
-	for _, sched := range schedulers {
-		var order []int32
-		s := recordSim(sched, &order)
-		s.AtEvent(80, 1, 1, 0)
-		s.AtTimer(90, 1, 2, 0)
-		s.Run(50)
-		if len(order) != 0 {
-			t.Fatalf("%v: events fired before their time", sched)
-		}
-		s.Run(100)
-		if !reflect.DeepEqual(order, []int32{1, 2}) {
-			t.Fatalf("%v: future events dropped by the earlier Run: %v", sched, order)
-		}
+	var order []int32
+	s := recordSim(&order)
+	s.AtEvent(80, 1, 1, 0)
+	s.AtTimer(90, 1, 2, 0)
+	s.Run(50)
+	if len(order) != 0 {
+		t.Fatal("events fired before their time")
+	}
+	s.Run(100)
+	if !reflect.DeepEqual(order, []int32{1, 2}) {
+		t.Fatalf("future events dropped by the earlier Run: %v", order)
 	}
 }
 
 // stationEngine builds an engine over one station of the given server
 // count whose single stage takes exactly demand ms, with no arrival
 // process: tests issue requests by hand and drive e.sim directly.
-func stationEngine(t *testing.T, servers int, demand float64, sched Scheduler) *engine {
+func stationEngine(t *testing.T, servers int, demand float64) *engine {
 	t.Helper()
 	c := DefaultConfig()
 	c.Cores = servers
@@ -106,7 +94,7 @@ func stationEngine(t *testing.T, servers int, demand float64, sched Scheduler) *
 		Stations: []StationSpec{{Name: "t"}},
 		Stages: []StageSpec{{Name: "serve", Station: "t", DemandMs: demand, Fixed: true,
 			Next: []EdgeSpec{{To: edgeDone}}}}}
-	e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec, Scheduler: sched})
+	e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec})
 	if err != nil {
 		t.Fatalf("newTailEngine: %v", err)
 	}
@@ -114,33 +102,29 @@ func stationEngine(t *testing.T, servers int, demand float64, sched Scheduler) *
 }
 
 func TestStationSerialisesBeyondServers(t *testing.T) {
-	for _, sched := range schedulers {
-		e := stationEngine(t, 2, 10, sched)
-		for i := 0; i < 4; i++ {
-			e.issue(-1)
-		}
-		// 2 servers: the first two complete at t=10, the next two at t=20.
-		e.sim.Run(15)
-		if e.m.Completed != 2 {
-			t.Fatalf("%v: %d completed by t=15, want 2", sched, e.m.Completed)
-		}
-		e.sim.Run(1000)
-		lat := e.m.Latency
-		if e.m.Completed != 4 || lat.Percentile(0) != 10 || lat.Percentile(100) != 20 || lat.Mean() != 15 {
-			t.Fatalf("%v: completed %d, latency min %v max %v mean %v; want 4 at 10,10,20,20",
-				sched, e.m.Completed, lat.Percentile(0), lat.Percentile(100), lat.Mean())
-		}
+	e := stationEngine(t, 2, 10)
+	for i := 0; i < 4; i++ {
+		e.issue(-1)
+	}
+	// 2 servers: the first two complete at t=10, the next two at t=20.
+	e.sim.Run(15)
+	if e.m.Completed != 2 {
+		t.Fatalf("%d completed by t=15, want 2", e.m.Completed)
+	}
+	e.sim.Run(1000)
+	lat := e.m.Latency
+	if e.m.Completed != 4 || lat.Percentile(0) != 10 || lat.Percentile(100) != 20 || lat.Mean() != 15 {
+		t.Fatalf("completed %d, latency min %v max %v mean %v; want 4 at 10,10,20,20",
+			e.m.Completed, lat.Percentile(0), lat.Percentile(100), lat.Mean())
 	}
 }
 
 func TestStationUtilization(t *testing.T) {
-	for _, sched := range schedulers {
-		e := stationEngine(t, 1, 50, sched)
-		e.issue(-1)
-		e.sim.Run(100)
-		if u := e.stationUtil(0); u < 0.45 || u > 0.55 {
-			t.Fatalf("%v: utilization %v, want ~0.5", sched, u)
-		}
+	e := stationEngine(t, 1, 50)
+	e.issue(-1)
+	e.sim.Run(100)
+	if u := e.stationUtil(0); u < 0.45 || u > 0.55 {
+		t.Fatalf("utilization %v, want ~0.5", u)
 	}
 }
 
@@ -150,32 +134,30 @@ func TestStationUtilization(t *testing.T) {
 // by a future event set now = until, so utilisation divided the same
 // busy time by different denominators depending on how the run ended.
 func TestUtilizationConsistentAcrossExitPaths(t *testing.T) {
-	for _, sched := range schedulers {
-		// Exit path 1: the queue drains (only event at t=50).
-		drained := stationEngine(t, 1, 50, sched)
-		drained.issue(-1)
-		drained.sim.Run(200)
-		if drained.sim.Now() != 200 {
-			t.Fatalf("%v: drained run clock %v, want 200 (old behaviour: 50)", sched, drained.sim.Now())
-		}
+	// Exit path 1: the queue drains (only event at t=50).
+	drained := stationEngine(t, 1, 50)
+	drained.issue(-1)
+	drained.sim.Run(200)
+	if drained.sim.Now() != 200 {
+		t.Fatalf("drained run clock %v, want 200 (old behaviour: 50)", drained.sim.Now())
+	}
 
-		// Exit path 2: stopped by an event beyond the horizon (a kind
-		// the engine does not handle, so it is a no-op).
-		stopped := stationEngine(t, 1, 50, sched)
-		stopped.issue(-1)
-		stopped.sim.AtEvent(500, 0xFF, 0, 0)
-		stopped.sim.Run(200)
-		if stopped.sim.Now() != 200 {
-			t.Fatalf("%v: stopped run clock %v, want 200", sched, stopped.sim.Now())
-		}
+	// Exit path 2: stopped by an event beyond the horizon (a kind
+	// the engine does not handle, so it is a no-op).
+	stopped := stationEngine(t, 1, 50)
+	stopped.issue(-1)
+	stopped.sim.AtEvent(500, 0xFF, 0, 0)
+	stopped.sim.Run(200)
+	if stopped.sim.Now() != 200 {
+		t.Fatalf("stopped run clock %v, want 200", stopped.sim.Now())
+	}
 
-		ud, us := drained.stationUtil(0), stopped.stationUtil(0)
-		if ud != us {
-			t.Fatalf("%v: utilization depends on exit path: drained %v vs stopped %v", sched, ud, us)
-		}
-		if ud < 0.24 || ud > 0.26 {
-			t.Fatalf("%v: utilization %v, want 50/200 = 0.25", sched, ud)
-		}
+	ud, us := drained.stationUtil(0), stopped.stationUtil(0)
+	if ud != us {
+		t.Fatalf("utilization depends on exit path: drained %v vs stopped %v", ud, us)
+	}
+	if ud < 0.24 || ud > 0.26 {
+		t.Fatalf("utilization %v, want 50/200 = 0.25", ud)
 	}
 }
 
@@ -183,18 +165,16 @@ func TestUtilizationConsistentAcrossExitPaths(t *testing.T) {
 // stops must be credited for the busy time since its last state
 // change.
 func TestUtilizationSettlesBusyTail(t *testing.T) {
-	for _, sched := range schedulers {
-		e := stationEngine(t, 1, 100, sched)
-		e.issue(-1) // completion at t=100 is beyond the horizon
-		e.sim.Run(50)
-		if u := e.stationUtil(0); u < 0.99 || u > 1.01 {
-			t.Fatalf("%v: utilization %v, want 1.0 (busy tail not settled)", sched, u)
-		}
-		// Settlement must not double-count once the event loop resumes.
-		e.sim.Run(100)
-		if u := e.stationUtil(0); u < 0.99 || u > 1.01 {
-			t.Fatalf("%v: utilization after resume %v, want 1.0", sched, u)
-		}
+	e := stationEngine(t, 1, 100)
+	e.issue(-1) // completion at t=100 is beyond the horizon
+	e.sim.Run(50)
+	if u := e.stationUtil(0); u < 0.99 || u > 1.01 {
+		t.Fatalf("utilization %v, want 1.0 (busy tail not settled)", u)
+	}
+	// Settlement must not double-count once the event loop resumes.
+	e.sim.Run(100)
+	if u := e.stationUtil(0); u < 0.99 || u > 1.01 {
+		t.Fatalf("utilization after resume %v, want 1.0", u)
 	}
 }
 
@@ -202,7 +182,7 @@ func TestUtilizationSettlesBusyTail(t *testing.T) {
 // whatever the server count and backlog.
 func TestQuickStationConservation(t *testing.T) {
 	f := func(n, servers, demand uint8) bool {
-		e := stationEngine(t, int(servers%8)+1, float64(demand%50)+1, SchedCalendar)
+		e := stationEngine(t, int(servers%8)+1, float64(demand%50)+1)
 		for i := 0; i < int(n); i++ {
 			e.issue(-1)
 		}

@@ -2,7 +2,6 @@ package queuesim
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -13,434 +12,14 @@ import (
 	"testing"
 )
 
-// equivBase is a small, fast tail scenario for heap-vs-calendar
-// equivalence: enough load for queueing, hedges and retries, small
-// enough that the full grid runs in seconds.
-func equivBase() TailConfig {
-	c := DefaultConfig()
-	c.QPS = 3000
-	c.Seconds = 0.3
-	c.Warmup = 0.05
-	c.Drain = 3
-	return TailConfig{Config: c, Scale: 1}
-}
-
-// TestSchedulerEquivalence: the calendar queue + timer wheel must be a
-// drop-in for the binary heap — byte-identical TailMetrics across all
-// five bundled graphs × 4 seeds × {poisson,mmpp,closed} ×
-// {no-policy, timeout+retry+hedge+qcap} × {cpu,rpu,rpu-split}.
-func TestSchedulerEquivalence(t *testing.T) {
-	arrivals := []struct {
-		label string
-		ac    ArrivalConfig
-	}{
-		{"poisson", ArrivalConfig{Process: ArrPoisson}},
-		{"mmpp", ArrivalConfig{Process: ArrMMPP}},
-		{"closed", ArrivalConfig{Process: ArrClosed, Users: 150, ThinkMs: 10}},
-	}
-	policies := []struct {
-		label string
-		pc    PolicyConfig
-	}{
-		{"nopol", PolicyConfig{}},
-		{"fullpol", PolicyConfig{TimeoutMs: 20, MaxRetries: 2, BackoffMs: 1,
-			HedgeMs: 10, QueueCap: 400}},
-	}
-	modes := []struct {
-		label string
-		mut   func(*TailConfig)
-	}{
-		{"cpu", func(c *TailConfig) {}},
-		{"rpu", func(c *TailConfig) { c.RPU = true }},
-		{"rpu-split", func(c *TailConfig) { c.RPU = true; c.Split = true }},
-	}
-	for _, gname := range GraphNames() {
-		for seed := int64(1); seed <= 4; seed++ {
-			for _, arr := range arrivals {
-				for _, pol := range policies {
-					for _, mode := range modes {
-						label := fmt.Sprintf("%s/seed%d/%s/%s/%s",
-							gname, seed, arr.label, pol.label, mode.label)
-						mk := func(sched Scheduler) *TailMetrics {
-							cfg := equivBase()
-							cfg.Seed = seed
-							cfg.Arrivals = arr.ac
-							cfg.Policy = pol.pc
-							mode.mut(&cfg)
-							g, err := GraphByName(gname, cfg.Config)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							cfg.Graph = g
-							cfg.Scheduler = sched
-							return mustTail(t, cfg)
-						}
-						heap, cal := mk(SchedHeap), mk(SchedCalendar)
-						if !reflect.DeepEqual(heap, cal) {
-							t.Fatalf("%s: schedulers diverged:\nheap     %+v\ncalendar %+v",
-								label, heap, cal)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// orderRun floods a Sim with heavily colliding timestamps — including
-// same-time chains scheduled from inside the handler and timers armed
-// mid-run — and records the dispatch order. Heap and calendar must
-// produce the identical sequence: ties break on arming seq, nothing
-// else.
-func orderRun(sched Scheduler) (order []int64, events uint64) {
-	s := NewSimSched(1, sched)
-	var chained int32
-	s.Handle = func(kind uint8, a, b int32) {
-		order = append(order, int64(kind)<<32|int64(a))
-		if b > 0 {
-			// Same-timestamp chain: reschedules at now with a fresh seq.
-			chained++
-			s.AtEvent(0, 2, 1_000_000+chained, b-1)
-		}
-	}
-	rng := rand.New(rand.NewSource(42))
-	times := []float64{0, 0.001, 0.001, 0.5, 0.5, 0.5, 0.5, 7, 7, 7}
-	for i := 0; i < 5000; i++ {
-		d := times[rng.Intn(len(times))]
-		if i%10 == 0 {
-			s.AtTimer(d, 3, int32(i), int32(rng.Intn(3))) // timer, never cancelled
-		} else {
-			s.AtEvent(d, 1, int32(i), int32(rng.Intn(3)))
-		}
-	}
-	s.Run(100)
-	return order, s.Events()
-}
-
-// TestCalendarHeapOrderProperty: the same-timestamp flood property
-// test — dispatch order under massive (at) collisions is identical
-// across schedulers.
-func TestCalendarHeapOrderProperty(t *testing.T) {
-	ho, he := orderRun(SchedHeap)
-	co, ce := orderRun(SchedCalendar)
-	if len(ho) == 0 {
-		t.Fatal("order run dispatched nothing")
-	}
-	if !reflect.DeepEqual(ho, co) {
-		for i := range ho {
-			if i >= len(co) || ho[i] != co[i] {
-				t.Fatalf("dispatch order diverged at %d: heap %d calendar %v (heap %d events, calendar %d)",
-					i, ho[i], co[min(i, len(co)-1)], len(ho), len(co))
-			}
-		}
-		t.Fatalf("dispatch order diverged in length: heap %d calendar %d", len(ho), len(co))
-	}
-	if he != ce {
-		t.Fatalf("event counts diverged with no cancellations: heap %d calendar %d", he, ce)
-	}
-}
-
-// wheelRun arms timers straddling every wheel level boundary (level 0
-// ends at 32 ms, level 1 at 2048 ms, level 2 at 131072 ms, the wheel
-// at ~8.39e6 ms), cancels a deterministic subset before and during the
-// run, and records the surviving dispatch order. The heap twin runs
-// the identical script; its cancelled timers still pop, so the handler
-// screens them out the way the engine's generation checks do.
-func wheelRun(t *testing.T, sched Scheduler) (order []int32, s *Sim, stale int) {
-	t.Helper()
-	delays := []float64{
-		0.1, 3, 15.9, 16.1, 31.7, 31.9, 32.1, 33, 48, 63.9, 64.1, // level 0/1 boundary
-		500, 2040, 2047.9, 2048.1, 2100, 4000, // level 1/2 boundary
-		60000, 131071, 131073, 500000, // level 2/3 boundary
-		2e6, 8e6, 8.5e6, 9e6, // top level and overflow
-	}
-	s = NewSimSched(3, sched)
-	cancelled := make(map[int32]bool)
-	s.Handle = func(kind uint8, a, b int32) {
-		if cancelled[a] {
-			stale++
-			return
-		}
-		order = append(order, a)
-		if len(order)%8 == 0 {
-			// Arm a short timer mid-drain: it must merge into the due
-			// window in global (at, seq) order.
-			s.AtTimer(0.01, 2, 10_000+int32(len(order)), 0)
-		}
-	}
-	ids := make([]TimerID, 0, 4*len(delays))
-	var n int32
-	for rep := 0; rep < 4; rep++ {
-		for _, d := range delays {
-			ids = append(ids, s.AtTimer(d+float64(rep)*0.003, 1, n, 0))
-			n++
-		}
-	}
-	// Cancel every 7th timer up front (hits twInSlot and twInOvf)...
-	for i, id := range ids {
-		if i%7 == 3 {
-			s.Cancel(id)
-			cancelled[int32(i)] = true
-		}
-	}
-	// ...run partway, then cancel every 7th survivor with a pending
-	// deadline (hits twInDue tombstones and re-placed slot entries).
-	s.Run(16)
-	for i, id := range ids {
-		d := delays[i%len(delays)]
-		if i%7 == 5 && d > 16 {
-			s.Cancel(id)
-			cancelled[int32(i)] = true
-		}
-	}
-	s.Run(1e7)
-	return order, s, stale
-}
-
-// TestWheelCascade: boundary-straddling timers dispatch in exact (at,
-// seq) order through slot cascades, the overflow list and mid-drain
-// arming, with cancellation windows at every state — and the wheel
-// actually exercised its cascade and overflow machinery.
-func TestWheelCascade(t *testing.T) {
-	ho, hs, hstale := wheelRun(t, SchedHeap)
-	co, cs, cstale := wheelRun(t, SchedCalendar)
-	if !reflect.DeepEqual(ho, co) {
-		t.Fatalf("surviving dispatch order diverged: heap %d entries, calendar %d", len(ho), len(co))
-	}
-	if cstale != 0 {
-		t.Fatalf("calendar dispatched %d cancelled timers; cancellation must be physical", cstale)
-	}
-	if hstale == 0 {
-		t.Fatal("heap oracle saw no stale pops; cancellation script is inert")
-	}
-	if hs.CancelledTimers() != cs.CancelledTimers() {
-		t.Fatalf("CancelledTimers diverged: heap %d calendar %d",
-			hs.CancelledTimers(), cs.CancelledTimers())
-	}
-	// Calendar never dispatches what it descheduled; the heap pops
-	// everything.
-	if got, want := cs.Events(), hs.Events()-uint64(hstale); got != want {
-		t.Fatalf("calendar events %d, want heap events minus stale pops %d", got, want)
-	}
-	if hs.Pending() != 0 || cs.Pending() != 0 {
-		t.Fatalf("pending after full drain: heap %d calendar %d", hs.Pending(), cs.Pending())
-	}
-	if cs.tw.cascades == 0 {
-		t.Fatal("no slot cascades: boundary delays never crossed a level")
-	}
-	if cs.tw.overflows == 0 {
-		t.Fatal("no overflow placements: horizon delays fit the wheel")
-	}
-	if cs.tw.live != 0 {
-		t.Fatalf("wheel reports %d live timers after drain", cs.tw.live)
-	}
-}
-
-// TestCancelledTimerSemantics: Pending() and Events() exclude
-// physically descheduled timers under the calendar scheduler, while
-// the heap oracle keeps them queued until their stale pop — the
-// documented contract.
-func TestCancelledTimerSemantics(t *testing.T) {
-	for _, sched := range []Scheduler{SchedHeap, SchedCalendar} {
-		s := NewSimSched(1, sched)
-		fired := 0
-		s.Handle = func(kind uint8, a, b int32) { fired++ }
-		ids := make([]TimerID, 10)
-		for i := range ids {
-			ids[i] = s.AtTimer(float64(i+1), 1, int32(i), 0)
-		}
-		for i := 0; i < 4; i++ {
-			s.Cancel(ids[i])
-		}
-		wantPending := 10
-		if sched == SchedCalendar {
-			wantPending = 6
-		}
-		if got := s.Pending(); got != wantPending {
-			t.Fatalf("%v: Pending after 4 cancels = %d, want %d", sched, got, wantPending)
-		}
-		if got := s.CancelledTimers(); got != 4 {
-			t.Fatalf("%v: CancelledTimers = %d, want 4", sched, got)
-		}
-		s.Run(100)
-		wantEvents := uint64(10)
-		if sched == SchedCalendar {
-			wantEvents = 6
-		}
-		if got := s.Events(); got != wantEvents {
-			t.Fatalf("%v: Events after drain = %d, want %d", sched, got, wantEvents)
-		}
-		if s.Pending() != 0 {
-			t.Fatalf("%v: Pending after drain = %d", sched, s.Pending())
-		}
-	}
-}
-
-// TestCalendarResizeMidRun: interleaved pushes and pops drive the
-// bucket array through grows and shrinks and the scan through the
-// direct-min fallback, without ever disturbing the global (at, seq)
-// dequeue order.
-func TestCalendarResizeMidRun(t *testing.T) {
-	q := &calQueue{}
-	rng := rand.New(rand.NewSource(5))
-	var seq uint64
-	push := func(at float64) {
-		seq++
-		q.push(calEvent{at: at, seq: seq, kind: 1})
-	}
-	var lastAt float64 = -1
-	var lastSeq uint64
-	pop := func() {
-		e := q.pop()
-		if e.at < lastAt || (e.at == lastAt && e.seq < lastSeq) {
-			t.Fatalf("order violated: (%.9f, %d) after (%.9f, %d)", e.at, e.seq, lastAt, lastSeq)
-		}
-		lastAt, lastSeq = e.at, e.seq
-	}
-	// Phase 1: dense cluster forces grows well past the floor.
-	for i := 0; i < 5000; i++ {
-		push(rng.Float64() * 100)
-	}
-	grows := q.resizes
-	if grows == 0 {
-		t.Fatal("5000 pushes triggered no grow")
-	}
-	// Phase 2: drain most of it (shrinks), interleaving fresh pushes
-	// with timestamps at and beyond the already-popped frontier.
-	for i := 0; i < 4600; i++ {
-		pop()
-		if i%5 == 0 {
-			push(lastAt + rng.Float64()*200)
-		}
-	}
-	if q.resizes == grows {
-		t.Fatal("drain triggered no shrink")
-	}
-	// Phase 3: drain fully and walk the bucket array back to the
-	// floor, where pops cannot shrink (and so cannot recalibrate the
-	// width) any further.
-	for q.count > 0 {
-		pop()
-	}
-	for len(q.buckets) > calMinBuckets {
-		push(lastAt + 1)
-		pop()
-	}
-	// Two stragglers a full rotation apart: after popping the first,
-	// the scan must rotate through every window, miss, and fall back
-	// to the direct minimum.
-	base := lastAt + 1
-	far := base + q.width*float64(len(q.buckets))*3
-	push(base)
-	push(far)
-	pop()
-	pop()
-	if q.directScans == 0 {
-		t.Fatal("far-future straggler never hit the direct-scan fallback")
-	}
-	if lastAt != far {
-		t.Fatalf("last pop at %.3f, want the straggler at %.3f", lastAt, far)
-	}
-}
-
-// TestSchedCalendarDeterminism: 4 seeds under the calendar scheduler,
-// run sequentially and in parallel, must agree exactly — the calendar
-// path shares no state across Sims.
-func TestSchedCalendarDeterminism(t *testing.T) {
-	mk := func() TailConfig {
-		cfg := tailBase()
-		cfg.QPS = 18000
-		cfg.Arrivals = ArrivalConfig{Process: ArrMMPP}
-		cfg.Policy = PolicyConfig{TimeoutMs: 50, MaxRetries: 1, BackoffMs: 1, HedgeMs: 20}
-		cfg.Scheduler = SchedCalendar
-		return cfg
-	}
-	seq := make([]*TailMetrics, 4)
-	for i := range seq {
-		cfg := mk()
-		cfg.Seed = int64(i + 1)
-		seq[i] = mustTail(t, cfg)
-	}
-	par := make([]*TailMetrics, 4)
-	var wg sync.WaitGroup
-	for i := range par {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := mk()
-			cfg.Seed = int64(i + 1)
-			par[i] = mustTail(t, cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i := range seq {
-		if !reflect.DeepEqual(seq[i], par[i]) {
-			t.Fatalf("seed %d: parallel calendar run diverged from sequential:\nseq %+v\npar %+v",
-				i+1, seq[i], par[i])
-		}
-	}
-}
-
-// TestCalendarSteadyStateAllocs: the calendar+wheel engine with every
-// policy timer armed allocates nothing once warmed — the same 0
-// allocs/op contract the heap engine carries.
-func TestCalendarSteadyStateAllocs(t *testing.T) {
-	cfg := tailBase()
-	cfg.Seconds = 2
-	cfg.Warmup = 0
-	cfg.QPS = 15000
-	cfg.Policy = PolicyConfig{TimeoutMs: 50, MaxRetries: 1, BackoffMs: 1, HedgeMs: 25}
-	cfg.Scheduler = SchedCalendar
-	e, err := newTailEngine(cfg)
-	if err != nil {
-		t.Fatalf("newTailEngine: %v", err)
-	}
-	e.startArrivals()
-	now := 200.0
-	e.sim.Run(now) // grow arenas, buckets, wheel freelist to steady state
-	n := testing.AllocsPerRun(100, func() {
-		now += 5
-		e.sim.Run(now)
-	})
-	if n != 0 {
-		t.Fatalf("calendar steady-state event loop allocates %v allocs/op, want 0", n)
-	}
-}
-
-// TestStationTypedDispatchAllocs: the engine's station service path —
-// typed service-completion events into the request arena — allocates
-// nothing once warmed, under the heap oracle as well as the calendar
-// scheduler (TestEngineSteadyStateAllocs covers the default only).
-func TestStationTypedDispatchAllocs(t *testing.T) {
-	for _, sched := range schedulers {
-		cfg := tailBase()
-		cfg.Warmup = 0
-		cfg.Scheduler = sched
-		e, err := newTailEngine(cfg)
-		if err != nil {
-			t.Fatalf("newTailEngine: %v", err)
-		}
-		e.startArrivals()
-		now := 200.0
-		e.sim.Run(now)
-		n := testing.AllocsPerRun(100, func() {
-			now += 5
-			e.sim.Run(now)
-		})
-		if n != 0 {
-			t.Fatalf("%v: station typed dispatch allocates %v allocs/op, want 0", sched, n)
-		}
-	}
-}
-
 // schedRef drives a Sim and keeps a reference that does not depend on
-// the scheduler's implementation: the (at, seq) of every scheduled
-// event, which ones were cancelled, and the order actually dispatched.
-// An event's id is its a payload.
+// the scheduler's implementation: the time of every scheduled event,
+// which ones were cancelled, and the order actually dispatched. An
+// event's id is its a payload and its index in arming order, so it is
+// also the FIFO tie-break among equal times.
 type schedRef struct {
 	s    *Sim
 	at   []float64
-	seq  []uint64
 	dead []bool
 	tids []TimerID // live timer handles; 0 once fired or cancelled
 	got  []int32
@@ -461,7 +40,6 @@ func newSchedRef() *schedRef {
 
 func (r *schedRef) record(delay float64) int32 {
 	r.at = append(r.at, r.s.Now()+max(delay, 0))
-	r.seq = append(r.seq, r.s.seq+1)
 	r.dead = append(r.dead, false)
 	r.tids = append(r.tids, 0)
 	return int32(len(r.at) - 1)
@@ -493,7 +71,7 @@ func (r *schedRef) cancel(id int32) {
 
 // check compares the dispatched sequence after a run to until with the
 // reference: every scheduled event minus the cancelled ones, sorted by
-// (at, seq) and cut at until.
+// (at, arming order) and cut at until.
 func (r *schedRef) check(t *testing.T, until float64) {
 	t.Helper()
 	var want []int32
@@ -507,7 +85,7 @@ func (r *schedRef) check(t *testing.T, until float64) {
 		if r.at[a] != r.at[b] {
 			return r.at[a] < r.at[b]
 		}
-		return r.seq[a] < r.seq[b]
+		return a < b
 	})
 	for i := range want {
 		if i >= len(r.got) || r.got[i] != want[i] {
@@ -520,6 +98,282 @@ func (r *schedRef) check(t *testing.T, until float64) {
 	}
 	if r.s.Events() != uint64(len(want)) {
 		t.Fatalf("Events() = %d, reference has %d", r.s.Events(), len(want))
+	}
+}
+
+// TestCalendarOrderProperty: a flood of heavily colliding timestamps —
+// plain events and timers mixed, same-time chains scheduled from
+// inside the handler — dispatches in exact (at, seq) order, at a
+// mid-run horizon and after the full drain.
+func TestCalendarOrderProperty(t *testing.T) {
+	r := newSchedRef()
+	rng := rand.New(rand.NewSource(42))
+	chain := map[int32]int{}
+	r.on = func(id int32) {
+		if n := chain[id]; n > 0 {
+			// Same-timestamp chain: reschedules at now with a fresh seq.
+			chain[r.event(0)] = n - 1
+		}
+	}
+	times := []float64{0, 0.001, 0.001, 0.5, 0.5, 0.5, 0.5, 7, 7, 7}
+	for i := 0; i < 5000; i++ {
+		d := times[rng.Intn(len(times))]
+		var id int32
+		if i%10 == 0 {
+			id = r.timer(d) // never cancelled
+		} else {
+			id = r.event(d)
+		}
+		chain[id] = rng.Intn(3)
+	}
+	r.s.Run(0.5)
+	r.check(t, 0.5)
+	r.s.Run(100)
+	r.check(t, 100)
+	if len(r.got) <= 5000 {
+		t.Fatalf("%d dispatches: the handler chains never ran", len(r.got))
+	}
+}
+
+// TestWheelCascade: timers straddling every wheel level boundary
+// (level 0 ends at 32 ms, level 1 at 2048 ms, level 2 at 131072 ms,
+// the wheel at ~8.39e6 ms) dispatch in exact (at, seq) order through
+// slot cascades, the overflow list and mid-drain arming, with
+// cancellations hitting every entry state — and the wheel actually
+// exercised its cascade and overflow machinery.
+func TestWheelCascade(t *testing.T) {
+	delays := []float64{
+		0.1, 3, 15.9, 16.1, 31.7, 31.9, 32.1, 33, 48, 63.9, 64.1, // level 0/1 boundary
+		500, 2040, 2047.9, 2048.1, 2100, 4000, // level 1/2 boundary
+		60000, 131071, 131073, 500000, // level 2/3 boundary
+		2e6, 8e6, 8.5e6, 9e6, // top level and overflow
+	}
+	r := newSchedRef()
+	r.on = func(int32) {
+		if len(r.got)%8 == 0 {
+			// Arm a short timer mid-drain: it must merge into the due
+			// window in global (at, seq) order.
+			r.timer(0.01)
+		}
+	}
+	var ids []int32
+	for rep := 0; rep < 4; rep++ {
+		for _, d := range delays {
+			ids = append(ids, r.timer(d+float64(rep)*0.003))
+		}
+	}
+	cancels := 0
+	// Cancel every 7th timer up front (hits twInSlot and twInOvf)...
+	for i, id := range ids {
+		if i%7 == 3 {
+			r.cancel(id)
+			cancels++
+		}
+	}
+	// ...run partway, then cancel every 7th survivor with a pending
+	// deadline (hits twInDue tombstones and re-placed slot entries).
+	r.s.Run(16)
+	r.check(t, 16)
+	for i, id := range ids {
+		if i%7 == 5 && delays[i%len(delays)] > 16 {
+			r.cancel(id)
+			cancels++
+		}
+	}
+	r.s.Run(1e7)
+	r.check(t, 1e7)
+	s := r.s
+	if s.CancelledTimers() != uint64(cancels) {
+		t.Fatalf("CancelledTimers = %d, want %d", s.CancelledTimers(), cancels)
+	}
+	if s.Pending() != 0 || s.tw.live != 0 {
+		t.Fatalf("after full drain: Pending %d, wheel live %d", s.Pending(), s.tw.live)
+	}
+	if s.tw.cascades == 0 {
+		t.Fatal("no slot cascades: boundary delays never crossed a level")
+	}
+	if s.tw.overflows == 0 {
+		t.Fatal("no overflow placements: horizon delays fit the wheel")
+	}
+}
+
+// TestCancelledTimerSemantics: a cancelled timer is descheduled at
+// once — Pending drops, CancelledTimers counts it — and never
+// dispatches or counts in Events.
+func TestCancelledTimerSemantics(t *testing.T) {
+	r := newSchedRef()
+	for i := 0; i < 10; i++ {
+		r.timer(float64(i + 1))
+	}
+	for id := int32(0); id < 4; id++ {
+		r.cancel(id)
+	}
+	if got := r.s.Pending(); got != 6 {
+		t.Fatalf("Pending after 4 cancels = %d, want 6", got)
+	}
+	if got := r.s.CancelledTimers(); got != 4 {
+		t.Fatalf("CancelledTimers = %d, want 4", got)
+	}
+	r.s.Run(100)
+	r.check(t, 100)
+	if r.s.Events() != 6 || r.s.Pending() != 0 {
+		t.Fatalf("after drain: Events %d, Pending %d; want 6 and 0", r.s.Events(), r.s.Pending())
+	}
+}
+
+// TestCalendarResizeMidRun: interleaved pushes and pops drive the
+// bucket array through grows and shrinks and the scan through the
+// direct-min fallback; the popped sequence must equal every pushed
+// event sorted by (at, seq).
+func TestCalendarResizeMidRun(t *testing.T) {
+	q := &calQueue{}
+	rng := rand.New(rand.NewSource(5))
+	var pushed, popped []calEvent
+	push := func(at float64) {
+		e := calEvent{at: at, seq: uint64(len(pushed) + 1), kind: 1}
+		pushed = append(pushed, e)
+		q.push(e)
+	}
+	lastAt := func() float64 { return popped[len(popped)-1].at }
+	pop := func() { popped = append(popped, q.pop()) }
+	// Phase 1: dense cluster forces grows well past the floor.
+	for i := 0; i < 5000; i++ {
+		push(rng.Float64() * 100)
+	}
+	grows := q.resizes
+	if grows == 0 {
+		t.Fatal("5000 pushes triggered no grow")
+	}
+	// Phase 2: drain most of it (shrinks), interleaving fresh pushes
+	// with timestamps at and beyond the already-popped frontier.
+	for i := 0; i < 4600; i++ {
+		pop()
+		if i%5 == 0 {
+			push(lastAt() + rng.Float64()*200)
+		}
+	}
+	if q.resizes == grows {
+		t.Fatal("drain triggered no shrink")
+	}
+	// Phase 3: drain fully and walk the bucket array back to the
+	// floor, where pops cannot shrink (and so cannot recalibrate the
+	// width) any further.
+	for q.count > 0 {
+		pop()
+	}
+	for len(q.buckets) > calMinBuckets {
+		push(lastAt() + 1)
+		pop()
+	}
+	// Two stragglers a full rotation apart: after popping the first,
+	// the scan must rotate through every window, miss, and fall back
+	// to the direct minimum.
+	base := lastAt() + 1
+	push(base)
+	push(base + q.width*float64(len(q.buckets))*3)
+	pop()
+	pop()
+	if q.directScans == 0 {
+		t.Fatal("far-future straggler never hit the direct-scan fallback")
+	}
+	sort.Slice(pushed, func(i, j int) bool { return eventLess(&pushed[i], &pushed[j]) })
+	if !reflect.DeepEqual(popped, pushed) {
+		for i := range pushed {
+			if popped[i] != pushed[i] {
+				t.Fatalf("pop %d of %d: got (%v, %d), reference (%v, %d)",
+					i, len(pushed), popped[i].at, popped[i].seq, pushed[i].at, pushed[i].seq)
+			}
+		}
+		t.Fatalf("popped %d events, pushed %d", len(popped), len(pushed))
+	}
+}
+
+// TestSchedCalendarDeterminism: 4 seeds with policy timers on the
+// wheel, run sequentially and in parallel, must agree exactly — the
+// scheduler shares no state across Sims.
+func TestSchedCalendarDeterminism(t *testing.T) {
+	mk := func() TailConfig {
+		cfg := tailBase()
+		cfg.QPS = 18000
+		cfg.Arrivals = ArrivalConfig{Process: ArrMMPP}
+		cfg.Policy = PolicyConfig{TimeoutMs: 50, MaxRetries: 1, BackoffMs: 1, HedgeMs: 20}
+		return cfg
+	}
+	seq := make([]*TailMetrics, 4)
+	for i := range seq {
+		cfg := mk()
+		cfg.Seed = int64(i + 1)
+		seq[i] = mustTail(t, cfg)
+	}
+	par := make([]*TailMetrics, 4)
+	var wg sync.WaitGroup
+	for i := range par {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := mk()
+			cfg.Seed = int64(i + 1)
+			par[i] = mustTail(t, cfg)
+		}(i)
+	}
+	wg.Wait()
+	for i := range seq {
+		if !reflect.DeepEqual(seq[i], par[i]) {
+			t.Fatalf("seed %d: parallel run diverged from sequential:\nseq %+v\npar %+v",
+				i+1, seq[i], par[i])
+		}
+	}
+}
+
+// TestCalendarSteadyStateAllocs: the engine with every policy timer
+// armed on the wheel allocates nothing once warmed.
+func TestCalendarSteadyStateAllocs(t *testing.T) {
+	cfg := tailBase()
+	cfg.Seconds = 2
+	cfg.Warmup = 0
+	cfg.QPS = 15000
+	cfg.Policy = PolicyConfig{TimeoutMs: 50, MaxRetries: 1, BackoffMs: 1, HedgeMs: 25}
+	e, err := newTailEngine(cfg)
+	if err != nil {
+		t.Fatalf("newTailEngine: %v", err)
+	}
+	e.startArrivals()
+	now := 200.0
+	e.sim.Run(now) // grow arenas, buckets, wheel freelist to steady state
+	n := testing.AllocsPerRun(100, func() {
+		now += 5
+		e.sim.Run(now)
+	})
+	if n != 0 {
+		t.Fatalf("calendar steady-state event loop allocates %v allocs/op, want 0", n)
+	}
+}
+
+// TestStationTypedDispatchAllocs: the batched station service path —
+// RPU batch formation, typed batch-service events and the split
+// divergence — allocates nothing once warmed
+// (TestEngineSteadyStateAllocs covers the per-request CPU path).
+func TestStationTypedDispatchAllocs(t *testing.T) {
+	cfg := tailBase()
+	cfg.Warmup = 0
+	cfg.RPU = true
+	cfg.Split = true
+	e, err := newTailEngine(cfg)
+	if err != nil {
+		t.Fatalf("newTailEngine: %v", err)
+	}
+	e.startArrivals()
+	now := 200.0
+	e.sim.Run(now)
+	n := testing.AllocsPerRun(100, func() {
+		now += 5
+		e.sim.Run(now)
+	})
+	if n != 0 {
+		t.Fatalf("batched station dispatch allocates %v allocs/op, want 0", n)
+	}
+	if e.m.Batches == 0 || e.m.SplitBatches == 0 {
+		t.Fatalf("%d batches, %d split: the batch path never ran", e.m.Batches, e.m.SplitBatches)
 	}
 }
 

@@ -8,8 +8,8 @@
 // its level-(L-1) cycle); per-level occupancy bitmaps make "next
 // non-empty slot" one TrailingZeros64, and slots cascade downward
 // on demand. The current slot expands into a due buffer sorted by
-// (at, seq) — the same total order as the calendar queue and the heap
-// — so merged dispatch is bit-identical across schedulers. Entries
+// (at, seq) — the same total order as the calendar queue — so the
+// merged dispatch keeps one global order. Entries
 // live in an index-addressed arena with a freelist: steady state
 // allocates nothing.
 package queuesim
@@ -78,7 +78,7 @@ type timerWheel struct {
 	// Stats reported under the queuesim.<label>.sched scope.
 	armed     uint64
 	fired     uint64
-	cancelled uint64 // physically unlinked (calendar mode)
+	cancelled uint64 // physically unlinked
 	cascades  uint64
 	overflows uint64
 	dueHWM    int
