@@ -100,8 +100,16 @@ type Arena struct {
 // and banks describe the target L1 cache geometry that the SIMR-aware
 // policy aligns against.
 func NewArena(tid int, policy Policy, lineBytes, banks int) *Arena {
+	a := new(Arena)
+	a.Reset(tid, policy, lineBytes, banks)
+	return a
+}
+
+// Reset returns the arena to the state NewArena gives it, so a caller
+// tracing request after request can reuse one arena.
+func (a *Arena) Reset(tid int, policy Policy, lineBytes, banks int) {
 	base := HeapBase + uint64(tid)*ArenaSize
-	return &Arena{
+	*a = Arena{
 		tid:       tid,
 		next:      base,
 		limit:     base + ArenaSize,

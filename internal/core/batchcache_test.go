@@ -245,7 +245,7 @@ func TestSIMTEffSampledTimedUnitsOnly(t *testing.T) {
 		}
 		timedAny = true
 		sg := alloc.NewStackGroup(0, len(b.Requests), opts.StackInterleave)
-		traces, err := batchTraces(nil, svc, b.Requests, sg, opts.AllocPolicy, 8)
+		traces, err := svc.TraceBatch(b.Requests, sg, opts.AllocPolicy, lineBytes, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,22 +26,28 @@ func TestPipelinedDisabledAllocs(t *testing.T) {
 }
 
 // TestObsStudyCounters: with the hub enabled, a small study populates
-// the runcells/prep/cache scopes, and the snapshot carries coherent
-// values.
+// the runcells/prep scopes, the scalar-trace cache of a study that
+// caches scalar traces populates the cache scope, and the snapshots
+// carry coherent values. The no-GPU chip study caches nothing, so it
+// makes no trace-cache lookups.
 func TestObsStudyCounters(t *testing.T) {
+	defer obs.Disable()
+	scopes := func(reg *obs.Registry) (obs.Snapshot, map[string]obs.ScopeSnapshot) {
+		snap := reg.Snapshot()
+		byName := map[string]obs.ScopeSnapshot{}
+		for _, sc := range snap.Scopes {
+			byName[sc.Name] = sc
+		}
+		return snap, byName
+	}
+
 	reg := obs.NewRegistry()
 	obs.Enable(reg, nil)
-	defer obs.Disable()
-
 	suite := uservices.NewSuite()
 	if _, err := ChipStudyParallel(suite, 8, 7, false, 2); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	byName := map[string]obs.ScopeSnapshot{}
-	for _, sc := range snap.Scopes {
-		byName[sc.Name] = sc
-	}
+	snap, byName := scopes(reg)
 	rc, ok := byName["core.runcells"]
 	if !ok {
 		t.Fatalf("core.runcells scope missing; scopes %v", names(snap))
@@ -60,6 +66,16 @@ func TestObsStudyCounters(t *testing.T) {
 	if pp.Counters["units"] <= 0 || pp.Counters["prep_ns"] <= 0 || pp.Counters["consume_ns"] <= 0 {
 		t.Fatalf("prep pipeline occupancy not recorded: %+v", pp.Counters)
 	}
+	if tc := byName["trace.cache"]; tc.Counters["hits"]+tc.Counters["misses"]+tc.Counters["bypassed"] != 0 {
+		t.Fatalf("no-GPU chip study consulted the scalar-trace cache: %+v", tc.Counters)
+	}
+
+	reg = obs.NewRegistry()
+	obs.Enable(reg, nil)
+	if _, err := EfficiencyStudyParallel(suite, 8, 7, 2); err != nil {
+		t.Fatal(err)
+	}
+	snap, byName = scopes(reg)
 	tc, ok := byName["trace.cache"]
 	if !ok {
 		t.Fatalf("trace.cache scope missing; scopes %v", names(snap))

@@ -183,13 +183,14 @@ func BatchCaching() bool { return !disableBatchCache }
 // CacheBudget returns the pinned cache byte budget (0 = default).
 func CacheBudget() int64 { return cacheBudgetBytes }
 
-// sweepCaches owns one trace.Cache, one trace.BatchCache and one
-// shared request stream per service of a sweep, all drawing on a
-// single byte budget. Cells of the same service share the caches and
-// the stream (all read-only); a per-service countdown drops both
-// caches — returning their bytes to the budget — as soon as the
-// service's last cell finishes, so long sweeps never hold every
-// service's traces and streams at once.
+// sweepCaches owns one shared request stream per service of a sweep
+// and, where the driver asks for them, one trace.Cache and one
+// trace.BatchCache per service, all drawing on a single byte budget.
+// Cells of the same service share the caches and the stream (all
+// read-only); a per-service countdown drops both caches — returning
+// their bytes to the budget — as soon as the service's last cell
+// finishes, so long sweeps never hold every service's traces and
+// streams at once.
 type sweepCaches struct {
 	svcs    []*uservices.Service
 	budget  *trace.Budget
@@ -201,8 +202,13 @@ type sweepCaches struct {
 }
 
 // newSweepCaches builds the per-service caches for a sweep in which
-// every service is evaluated by cellsPer cells.
-func newSweepCaches(svcs []*uservices.Service, cellsPer int) *sweepCaches {
+// every service is evaluated by cellsPer cells. scalar and batch say
+// whether the sweep hands its cells a scalar-trace cache and a
+// batch-stream cache: a driver asks only for a product that another
+// cell of the same sweep reads (TestSweepCachesAreRead holds every
+// driver to that), since a cache nobody reads only copies and retains.
+// SetTraceCaching and SetBatchCaching can still turn either off.
+func newSweepCaches(svcs []*uservices.Service, cellsPer int, scalar, batch bool) *sweepCaches {
 	sw := &sweepCaches{
 		svcs:    svcs,
 		budget:  trace.NewBudget(cacheBudgetBytes),
@@ -213,30 +219,32 @@ func newSweepCaches(svcs []*uservices.Service, cellsPer int) *sweepCaches {
 		left:    make([]atomic.Int32, len(svcs)),
 	}
 	for i, svc := range svcs {
-		sw.caches[i] = trace.NewCache(svc, sw.budget)
-		sw.bcaches[i] = trace.NewBatchCache(sw.budget)
+		if scalar && !disableTraceCache {
+			sw.caches[i] = trace.NewCache(svc, sw.budget)
+		}
+		if batch && !disableBatchCache {
+			sw.bcaches[i] = trace.NewBatchCache(sw.budget)
+		}
 		sw.left[i].Store(int32(cellsPer))
+	}
+	if sweepBuilt != nil {
+		sweepBuilt(sw)
 	}
 	return sw
 }
 
-// cache returns service s's trace cache (nil when caching is disabled,
-// which makes every consumer interpret fresh).
-func (sw *sweepCaches) cache(s int) *trace.Cache {
-	if disableTraceCache {
-		return nil
-	}
-	return sw.caches[s]
-}
+// sweepBuilt, when set, is handed every sweep's caches as they are
+// built; the cache-use tests read their counters after the sweep.
+var sweepBuilt func(*sweepCaches)
 
-// batchCache returns service s's batch-stream cache (nil when batch
-// caching is disabled, which makes every consumer prepare fresh).
-func (sw *sweepCaches) batchCache(s int) *trace.BatchCache {
-	if disableBatchCache {
-		return nil
-	}
-	return sw.bcaches[s]
-}
+// cache returns service s's trace cache (nil when the sweep does not
+// cache scalar traces, which makes every consumer interpret fresh).
+func (sw *sweepCaches) cache(s int) *trace.Cache { return sw.caches[s] }
+
+// batchCache returns service s's batch-stream cache (nil when the
+// sweep does not cache batch streams, which makes every consumer
+// prepare fresh).
+func (sw *sweepCaches) batchCache(s int) *trace.BatchCache { return sw.bcaches[s] }
 
 // requests returns service s's shared request stream, generating it on
 // first use. The stream is read-only for all cells.
@@ -282,13 +290,18 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 // subset: per-service rows are independent, so a subset's rows are
 // byte-identical to the same services' rows in a full-suite run. The
 // distributed worker tier executes per-service tasks through it.
+//
+// Scalar traces are not cached: of a service's cells only the CPU and
+// SMT-8 ones interpret alone, and they share no more than SMT-8's
+// thread-0 traces. Batch streams are cached only with the GPU column,
+// whose cells prepare exactly the RPU cells' streams.
 func ChipStudyOn(svcs []*uservices.Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
 	arches := []Arch{ArchCPU, ArchSMT8, ArchRPU}
 	if withGPU {
 		arches = append(arches, ArchGPU)
 	}
 	na := len(arches)
-	sw := newSweepCaches(svcs, na)
+	sw := newSweepCaches(svcs, na, false, withGPU)
 	la := prepBudget(len(svcs)*na, workers)
 	cells, err := RunCells(len(svcs)*na, workers, func(i int) (*Result, error) {
 		s := i / na
@@ -321,7 +334,10 @@ func EfficiencyStudyParallel(suite *uservices.Suite, requests int, seed int64, w
 }
 
 // EfficiencyStudyOn is EfficiencyStudyParallel restricted to an
-// explicit service subset (see ChipStudyOn).
+// explicit service subset (see ChipStudyOn). The policy variants share
+// scalar traces wherever they place a request at the same batch
+// position, so scalar traces are cached; the merged streams differ by
+// policy and reconvergence scheme, so they are not.
 func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]EffRow, error) {
 	variants := []struct {
 		policy batch.Policy
@@ -333,12 +349,12 @@ func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, work
 		{batch.PerAPIArgSize, true},
 	}
 	nv := len(variants)
-	sw := newSweepCaches(svcs, nv)
+	sw := newSweepCaches(svcs, nv, true, false)
 	cells, err := RunCells(len(svcs)*nv, workers, func(i int) (float64, error) {
 		s := i / nv
 		defer sw.done(s)
 		v := variants[i%nv]
-		return efficiencyOf(svcs[s], sw.requests(s, requests, seed), 32, v.policy, v.ipdom, sw.cache(s), sw.batchCache(s))
+		return efficiencyOf(svcs[s], sw.requests(s, requests, seed), 32, v.policy, v.ipdom, sw.cache(s))
 	})
 	if err != nil {
 		sw.abort()
@@ -365,11 +381,13 @@ func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers
 }
 
 // MPKIStudyOn is MPKIStudyParallel restricted to an explicit service
-// subset (see ChipStudyOn).
+// subset (see ChipStudyOn). The batch sizes place many requests at the
+// same lane, so scalar traces are cached; no two cells form the same
+// batch, so batch streams are not.
 func MPKIStudyOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
 	sizes := []int{32, 16, 8, 4}
 	nc := 1 + len(sizes) // CPU + one per batch size
-	sw := newSweepCaches(svcs, nc)
+	sw := newSweepCaches(svcs, nc, true, false)
 	la := prepBudget(len(svcs)*nc, workers)
 	cells, err := RunCells(len(svcs)*nc, workers, func(i int) (*Result, error) {
 		s := i / nc
@@ -378,7 +396,6 @@ func MPKIStudyOn(svcs []*uservices.Service, requests int, seed int64, workers in
 		reqs := sw.requests(s, requests, seed)
 		opts := DefaultOptions()
 		opts.Traces = sw.cache(s)
-		opts.BatchStreams = sw.batchCache(s)
 		opts.PrepLookahead = la
 		if i%nc == 0 {
 			return RunService(ArchCPU, svc, reqs, opts)
@@ -408,15 +425,16 @@ type BatchSweepRow struct {
 }
 
 // BatchSweep runs the CPU baseline plus an RPU run per batch size over
-// the same requests on a worker pool (the §III-B3 tuning space).
+// the same requests on a worker pool (the §III-B3 tuning space). As in
+// MPKIStudyOn, the sizes share scalar traces but no batch stream, so
+// only scalar traces are cached.
 func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
-	sw := newSweepCaches([]*uservices.Service{svc}, 1+len(sizes))
+	sw := newSweepCaches([]*uservices.Service{svc}, 1+len(sizes), true, false)
 	la := prepBudget(1+len(sizes), workers)
 	cells, err := RunCells(1+len(sizes), workers, func(i int) (*Result, error) {
 		defer sw.done(0)
 		opts := DefaultOptions()
 		opts.Traces = sw.cache(0)
-		opts.BatchStreams = sw.batchCache(0)
 		opts.PrepLookahead = la
 		if i == 0 {
 			return RunService(ArchCPU, svc, reqs, opts)
@@ -449,19 +467,14 @@ func MultiBatchSweep(suite *uservices.Suite, seed int64, workers int) ([]MultiBa
 }
 
 // MultiBatchSweepOn is MultiBatchSweep restricted to an explicit
-// service subset (see ChipStudyOn).
+// service subset (see ChipStudyOn). Each service is one cell, so
+// nothing is cached or shared.
 func MultiBatchSweepOn(svcs []*uservices.Service, seed int64, workers int) ([]MultiBatchRow, error) {
-	sw := newSweepCaches(svcs, 1)
 	cells, err := RunCells(len(svcs), workers, func(i int) (*MultiBatchResult, error) {
-		defer sw.done(i)
 		svc := svcs[i]
-		opts := DefaultOptions()
-		opts.Traces = sw.cache(i)
-		opts.BatchStreams = sw.batchCache(i)
-		return MultiBatchStudy(svc, sw.requests(i, 2*svc.TunedBatch, seed), opts)
+		return MultiBatchStudy(svc, genRequests(svc, 2*svc.TunedBatch, seed), DefaultOptions())
 	})
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	rows := make([]MultiBatchRow, len(svcs))

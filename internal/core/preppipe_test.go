@@ -191,12 +191,14 @@ func TestPrepPipelineUnderSweep(t *testing.T) {
 func TestSweepCachesAbort(t *testing.T) {
 	suite := uservices.NewSuite()
 	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user")}
-	sw := newSweepCaches(svcs, 2)
-	for s, svc := range svcs {
+	sw := newSweepCaches(svcs, 2, true, true)
+	for s := range svcs {
 		reqs := sw.requests(s, 8, 3)
 		sg := alloc.NewStackGroup(0, len(reqs), true)
-		if _, err := sw.cache(s).Batch(svc, reqs, sg, alloc.PolicySIMR, 32, 8); err != nil {
-			t.Fatal(err)
+		for i := range reqs {
+			if _, err := sw.cache(s).Request(&reqs[i], i, sg.StackBase(i), alloc.PolicySIMR, 32, 8); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if sw.cache(s).Stats().Bytes == 0 {
 			t.Fatalf("service %d cached nothing", s)

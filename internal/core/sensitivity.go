@@ -109,7 +109,11 @@ func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []st
 // byte-identical to the same service's column in a full run.
 func SensPairsOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]SensPair, error) {
 	ns := len(svcs)
-	sw := newSweepCaches(svcs, len(sensMutations))
+	// Both caches are read: the timing-only ablations replay the
+	// baseline's batch streams, and the layout ablations that rebuild
+	// them (IPDOM, interleave off) and the CPU prefetcher replay its
+	// scalar traces.
+	sw := newSweepCaches(svcs, len(sensMutations), true, true)
 	bases := make([]sensBase, ns)
 	la := prepBudget(len(sensMutations)*ns, workers)
 	pairs, err := RunCells(len(sensMutations)*ns, workers, func(i int) (SensPair, error) {

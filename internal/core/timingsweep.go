@@ -68,10 +68,14 @@ func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, worke
 // service subset: per-service rows are independent, so a subset's rows
 // are byte-identical to the same services' rows in a full-suite run.
 // The distributed worker tier executes per-service tasks through it.
+//
+// Batch streams are cached. Scalar traces are cached only when batch
+// caching is off: otherwise only each batch's first builder interprets,
+// and no other cell reads its traces.
 func TimingSweepOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]TimingRow, error) {
 	variants := DefaultTimingVariants()
 	nv := len(variants)
-	sw := newSweepCaches(svcs, nv)
+	sw := newSweepCaches(svcs, nv, disableBatchCache, true)
 	la := prepBudget(len(svcs)*nv, workers)
 	cells, err := RunCells(len(svcs)*nv, workers, func(i int) (*Result, error) {
 		s := i / nv

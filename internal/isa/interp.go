@@ -16,18 +16,17 @@ type frame struct {
 // the dynamic scalar trace. ctx.SP is initialised from ctx.StackBase.
 // maxOps <= 0 selects DefaultMaxOps.
 func Execute(top *Program, ctx *Ctx, maxOps int) ([]TraceOp, error) {
-	hint := int(top.traceLen.Load()) + 64
-	if hint < 1024 {
-		hint = 1024
-	}
-	return ExecuteBuf(top, ctx, maxOps, make([]TraceOp, 0, hint))
+	return ExecuteBuf(top, ctx, maxOps, nil)
 }
 
 // ExecuteBuf is Execute appending into buf's backing array (from
 // buf[:0]), letting callers that do not retain the trace reuse one
-// buffer across requests. The returned slice aliases buf when it had
-// capacity; it is NOT safe to reuse buf until the caller is done with
-// the trace.
+// buffer across requests; a buf without capacity is replaced by one
+// sized from the program's last trace length. The returned slice
+// aliases buf when it had capacity; it is NOT safe to reuse buf until
+// the caller is done with the trace. ctx may be reused as well: its
+// scratch slots are zeroed and its call stack emptied on entry,
+// keeping their capacity.
 func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, error) {
 	if !top.linked {
 		return nil, fmt.Errorf("isa: program %q executed before Link", top.Name)
@@ -35,8 +34,18 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 	if maxOps <= 0 {
 		maxOps = DefaultMaxOps
 	}
-	if need := top.MaxSlots(); len(ctx.Slots) < need {
+	if cap(buf) == 0 {
+		hint := int(top.traceLen.Load()) + 64
+		if hint < 1024 {
+			hint = 1024
+		}
+		buf = make([]TraceOp, 0, hint)
+	}
+	if need := top.MaxSlots(); cap(ctx.Slots) < need {
 		ctx.Slots = make([]uint64, need)
+	} else {
+		ctx.Slots = ctx.Slots[:need]
+		clear(ctx.Slots)
 	}
 	ctx.SP = ctx.StackBase
 
@@ -79,7 +88,7 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 
 	prog := top
 	blk := prog.Blocks[prog.Entry]
-	var stack []frame
+	stack := ctx.frames[:0]
 
 	for {
 		for i := range blk.Instrs {
@@ -134,6 +143,7 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 				return nil, fmt.Errorf("isa: %q ended with %d live frames", prog.Name, len(stack))
 			}
 			top.traceLen.Store(int64(len(ops)))
+			ctx.frames = stack
 			return ops, nil
 		default:
 			return nil, fmt.Errorf("isa: %q block %d has invalid terminator", prog.Name, blk.ID)

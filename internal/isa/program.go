@@ -14,9 +14,10 @@ type Heap interface {
 	Alloc(n int) uint64
 }
 
-// Ctx is the per-thread (per-request) execution context. One Ctx is
-// created for each request before tracing; closures inside the static
-// program read and write it to realise request-dependent behaviour.
+// Ctx is the per-thread (per-request) execution context: closures
+// inside the static program read and write it to realise
+// request-dependent behaviour. A caller tracing request after request
+// may reuse one Ctx (see ExecuteBuf).
 type Ctx struct {
 	// Slots are scratch registers allocated by the Builder at program
 	// construction time (loop counters, heap base pointers, ...).
@@ -34,6 +35,9 @@ type Ctx struct {
 	Rand *rand.Rand
 	// TID is the thread's index within its batch.
 	TID int
+
+	// frames is the interpreter's call stack, kept for reuse.
+	frames []frame
 }
 
 // Arg0 returns Arg[i] or 0 when absent; keeps workload closures concise.

@@ -26,7 +26,7 @@ func RunIPDOM(traces [][]isa.TraceOp, batchSize int, reconv map[uint64]uint64) (
 }
 
 // RunIPDOMWith is RunIPDOM drawing all working storage from sc (nil sc
-// allocates fresh). The returned Result aliases the scratch and is
+// allocates fresh). The returned Result lives in the scratch and is
 // valid only until the next run on the same scratch.
 func RunIPDOMWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, reconv map[uint64]uint64) (*Result, error) {
 	if len(traces) == 0 || len(traces) > MaxBatch {

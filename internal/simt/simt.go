@@ -138,9 +138,9 @@ func keyLess(a, b key) bool {
 // runs (one per batch, thousands per study cell) reuse buffers instead
 // of reallocating them. The zero value is ready to use; a Scratch must
 // not be shared between goroutines. A Result produced through a
-// *With executor aliases the scratch (its Ops slice and their Addrs)
-// and is valid only until the next run on the same scratch — consume
-// or copy it first.
+// *With executor lives in the scratch (the Result itself, its Ops
+// slice and their Addrs) and is valid only until the next run on the
+// same scratch — consume or copy it first.
 type Scratch struct {
 	cursor  []int
 	b2i     [][]int32
@@ -149,6 +149,8 @@ type Scratch struct {
 	ops     []BatchOp
 	threads []int
 	stack   []ipdomEntry
+	st      executorState
+	res     Result
 }
 
 // executorState holds the shared per-thread cursor machinery.
@@ -179,7 +181,8 @@ func newExecutorState(sc *Scratch, traces [][]isa.TraceOp) *executorState {
 	if cap(sc.b2iBuf) < total {
 		sc.b2iBuf = make([]int32, total)
 	}
-	st := &executorState{
+	st := &sc.st
+	*st = executorState{
 		traces: traces,
 		cursor: sc.cursor[:n],
 		b2i:    sc.b2i[:n],
@@ -291,7 +294,8 @@ func (st *executorState) step(threads []int) (int, error) {
 
 func (st *executorState) result(batchSize int) *Result {
 	st.sc.ops = st.ops // keep any growth for the next run
-	return &Result{Ops: st.ops, ScalarOps: st.scalar, BatchSize: batchSize}
+	st.sc.res = Result{Ops: st.ops, ScalarOps: st.scalar, BatchSize: batchSize}
+	return &st.sc.res
 }
 
 // RunMinSPPC merges the per-thread traces with the stack-less MinSP-PC
@@ -306,7 +310,7 @@ func RunMinSPPC(traces [][]isa.TraceOp, batchSize int, spin *SpinConfig) (*Resul
 }
 
 // RunMinSPPCWith is RunMinSPPC drawing all working storage from sc
-// (nil sc allocates fresh). The returned Result aliases the scratch
+// (nil sc allocates fresh). The returned Result lives in the scratch
 // and is valid only until the next run on the same scratch.
 func RunMinSPPCWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, spin *SpinConfig) (*Result, error) {
 	if len(traces) == 0 || len(traces) > MaxBatch {

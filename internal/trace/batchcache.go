@@ -49,11 +49,6 @@ const (
 	KeyBatch byte = 'B'
 	// KeySMT marks an SMT round-robin merge of scalar streams.
 	KeySMT byte = 'S'
-	// KeyEff marks a count-only stream (ScalarOps/BatchOps/Requests,
-	// empty Uops) from the batching-policy efficiency study. The tag
-	// keeps count-only entries from ever being served where a full uop
-	// stream is expected.
-	KeyEff byte = 'E'
 )
 
 // BatchStream is one memoized post-merge preparation product: the

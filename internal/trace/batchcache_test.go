@@ -50,7 +50,6 @@ func TestAppendBatchKeyDistinct(t *testing.T) {
 	}
 	variants := map[string][]byte{
 		"tag":       AppendBatchKey(nil, KeySMT, reqs, 32, false, &spin, alloc.PolicySIMR, true, 32, 8, 1<<46),
-		"tag-eff":   AppendBatchKey(nil, KeyEff, reqs, 32, false, &spin, alloc.PolicySIMR, true, 32, 8, 1<<46),
 		"size":      AppendBatchKey(nil, KeyBatch, reqs, 16, false, &spin, alloc.PolicySIMR, true, 32, 8, 1<<46),
 		"ipdom":     AppendBatchKey(nil, KeyBatch, reqs, 32, true, nil, alloc.PolicySIMR, true, 32, 8, 1<<46),
 		"nospin":    AppendBatchKey(nil, KeyBatch, reqs, 32, false, nil, alloc.PolicySIMR, true, 32, 8, 1<<46),

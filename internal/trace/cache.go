@@ -181,37 +181,43 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// interpBufs recycles interpreter buffers across requests: the trace is
-// built in a pooled scratch slice and copied out at its exact final
-// size. TraceOp is pointer-free, so the exact-size copy allocates
-// without the backing-array zeroing a capacity-hinted make pays, and
-// the (typically multi-megabyte) scratch array is reused instead of
-// churned per miss.
-var interpBufs = sync.Pool{New: func() any { return new([]isa.TraceOp) }}
+// interpState is one pooled interpreter: a scratch trace buffer, a
+// reusable context whose seedrng-backed rng is reseeded per request,
+// and a heap arena.
+type interpState struct {
+	buf   []isa.TraceOp
+	ctx   *isa.Ctx
+	arena alloc.Arena
+}
+
+// interps recycles interpreter state across misses: the trace is built
+// in the pooled buffer and copied out at its exact final size.
+// TraceOp is pointer-free, so the exact-size copy allocates without
+// the backing-array zeroing a capacity-hinted make pays, and the
+// (typically multi-megabyte) scratch array and the rng's state are
+// reused instead of churned per miss.
+var interps = sync.Pool{New: func() any { return &interpState{ctx: uservices.NewTraceCtx()} }}
 
 // interpret runs the service's program for the request exactly like
-// uservices.Service.Trace with a fresh arena — the uncached path.
+// uservices.Service.Trace with a fresh arena and returns a trace the
+// caller owns.
 func interpret(svc *uservices.Service, req *uservices.Request, tid int, stackBase uint64, policy alloc.Policy, lineBytes, banks int) ([]isa.TraceOp, error) {
-	arena := alloc.NewArena(tid, policy, lineBytes, banks)
-	buf := interpBufs.Get().(*[]isa.TraceOp)
-	ops, err := svc.TraceInto(req, tid, stackBase, arena, (*buf)[:0])
+	st := interps.Get().(*interpState)
+	st.arena.Reset(tid, policy, lineBytes, banks)
+	ops, err := svc.TraceInto(st.ctx, req, tid, stackBase, &st.arena, st.buf[:0])
 	var out []isa.TraceOp
 	if err == nil {
 		out = append([]isa.TraceOp(nil), ops...)
+		st.buf = ops[:0]
 	}
-	if cap(ops) > cap(*buf) {
-		*buf = ops[:0]
-	}
-	interpBufs.Put(buf)
+	interps.Put(st)
 	return out, err
 }
 
 // Request returns the scalar trace for the request at batch position
 // tid with the given stack base and heap-allocator geometry,
 // interpreting it at most once per cache lifetime. The returned slice
-// is shared and read-only. The receiver must be non-nil (a nil cache
-// does not know its service; use Batch, or call
-// uservices.Service.Trace directly, for the uncached path).
+// is shared and read-only. The receiver must be non-nil.
 func (c *Cache) Request(req *uservices.Request, tid int, stackBase uint64, policy alloc.Policy, lineBytes, banks int) ([]isa.TraceOp, error) {
 	k := key{
 		api:       req.API,
@@ -277,29 +283,6 @@ func (c *Cache) Request(req *uservices.Request, tid int, stackBase uint64, polic
 	}
 	close(e.ready)
 	return e.ops, e.err
-}
-
-// Batch traces every request of a batch through the cache with
-// per-thread stacks and arenas, mirroring uservices.Service.TraceBatch.
-// The per-thread trace slices are shared and read-only.
-func (c *Cache) Batch(svc *uservices.Service, reqs []uservices.Request, sg *alloc.StackGroup, policy alloc.Policy, lineBytes, banks int) ([][]isa.TraceOp, error) {
-	traces := make([][]isa.TraceOp, len(reqs))
-	for t := range reqs {
-		var (
-			tr  []isa.TraceOp
-			err error
-		)
-		if c == nil {
-			tr, err = interpret(svc, &reqs[t], t, sg.StackBase(t), policy, lineBytes, banks)
-		} else {
-			tr, err = c.Request(&reqs[t], t, sg.StackBase(t), policy, lineBytes, banks)
-		}
-		if err != nil {
-			return nil, err
-		}
-		traces[t] = tr
-	}
-	return traces, nil
 }
 
 // Drop releases the cache's entries and returns their bytes to the

@@ -124,23 +124,6 @@ func TestCacheDropReleasesBudget(t *testing.T) {
 	}
 }
 
-func TestNilCacheBatchInterpretsFresh(t *testing.T) {
-	svc, reqs := testService(t)
-	sg := alloc.NewStackGroup(0, 4, true)
-	var c *Cache
-	got, err := c.Batch(svc, reqs[:4], sg, alloc.PolicySIMR, 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := svc.TraceBatch(reqs[:4], sg, alloc.PolicySIMR, 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("nil-cache Batch differs from TraceBatch")
-	}
-}
-
 // TestCacheConcurrentRequestAndDrop hammers one cache from many
 // goroutines with overlapping keys while Drop fires midway; run under
 // -race this is the cache's synchronization proof, and every returned
