@@ -105,10 +105,12 @@ type SamplingEntry struct {
 // BatchCacheEntry is one batch-stream-cache trajectory point, written
 // to BENCH_batchcache.json: the RPU timing-knob sweep (eight variants
 // per service sharing identical batch streams) timed with no caches,
-// with the scalar trace cache only (the pre-batch-cache baseline), and
-// with the batch-stream cache on top, plus a sampled run with both
-// caches. The three unsampled runs are byte-compared, so the
-// trajectory only ever records speedups of equivalent computations.
+// with the scalar trace cache only, and with the batch-stream cache,
+// plus a sampled run with the batch-stream cache. The sweep caches
+// scalar traces only while batch caching is off, so the batch leg runs
+// the batch-stream cache alone. The three unsampled runs are
+// byte-compared, so the trajectory only ever records speedups of
+// equivalent computations.
 type BatchCacheEntry struct {
 	Timestamp  string `json:"timestamp"`
 	GoMaxProcs int    `json:"gomaxprocs"`
@@ -119,14 +121,19 @@ type BatchCacheEntry struct {
 	// record their own trajectory fields).
 	Sample string `json:"sample"`
 	// NoCacheSec runs with scalar trace caching and batch-stream
-	// caching both off.
+	// caching both off: every cell interprets, merges and builds every
+	// batch, into its slots' own buffers.
 	NoCacheSec float64 `json:"nocache_s"`
-	// ScalarCacheSec runs with the scalar trace cache only — the
-	// baseline the batch cache is measured against.
+	// ScalarCacheSec runs with batch-stream caching off, so the sweep
+	// caches scalar traces: each request is interpreted once per lane
+	// position and every cell still merges and builds every batch.
 	ScalarCacheSec float64 `json:"scalarcache_s"`
-	// BatchCacheSec runs with both caches (the default configuration).
+	// BatchCacheSec runs the default configuration: the batch-stream
+	// cache alone (the first cell of a service prepares each batch
+	// once; the other seven replay it).
 	BatchCacheSec float64 `json:"batchcache_s"`
-	// SampledSec runs both caches plus sampled timing (Sample).
+	// SampledSec runs the default configuration plus sampled timing
+	// (Sample).
 	SampledSec float64 `json:"batchcache_sampled_s"`
 	// SpeedupVsScalar is ScalarCacheSec / BatchCacheSec.
 	SpeedupVsScalar float64 `json:"speedup_vs_scalarcache"`
@@ -140,7 +147,8 @@ type BatchCacheEntry struct {
 	Identical bool `json:"outputs_identical"`
 	// Metrics snapshots the batch-cache run's obs registry
 	// (trace.batchcache hits/misses/bypassed/bytes_hwm and the
-	// trace.cache and prep-pipeline scopes) when -studymetrics is set.
+	// prep-pipeline scopes; that run makes no trace.cache lookups)
+	// when -studymetrics is set.
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
@@ -604,8 +612,11 @@ func benchSampling(suite *uservices.Suite, requests int, seed int64, workers int
 // batch-stream cache targets: eight timing variants per service whose
 // preparation (trace fetch, lock-step merge, uop build) is identical —
 // under three cache configurations plus a sampled run, byte-comparing
-// the unsampled outputs. Lookahead is pinned so all runs prep-pipeline
-// identically and only the caching varies.
+// the unsampled outputs: no caches, the scalar-trace cache (which the
+// sweep uses only with batch caching off), and the batch-stream cache
+// (the default, with which the sweep skips the scalar-trace cache).
+// Lookahead is pinned so all runs prep-pipeline identically and only
+// the caching varies.
 func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) BatchCacheEntry {
 	run := func() (float64, []byte) {
 		t0 := time.Now()

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -304,5 +305,49 @@ func TestDisassembleListsEverything(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("disassembly missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestExecuteBufReusesCtx: a Ctx reused across requests behaves like a
+// fresh one — a slot the previous run left dirty reads zero again and
+// the call stack starts empty — and a warmed Ctx and buffer trace
+// without allocating.
+func TestExecuteBufReusesCtx(t *testing.T) {
+	fb := NewFunc("callee")
+	fb.Ops(IAlu, 2)
+	callee := fb.Build()
+
+	b := NewProgram("t")
+	s := b.Slot()
+	b.LoadAt(8, func(c *Ctx) uint64 { return 1<<20 + c.Slots[s] })
+	b.Eff(func(c *Ctx) { c.Slots[s] = 64 })
+	b.Call(callee)
+	p := b.Build()
+	if _, err := Link(0, p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(p, newCtx(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := newCtx()
+	var buf []TraceOp
+	for run := 0; run < 3; run++ {
+		got, err := ExecuteBuf(p, ctx, 0, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d on a reused Ctx differs from a fresh run", run)
+		}
+		buf = got
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := ExecuteBuf(p, ctx, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warmed ExecuteBuf allocates %v allocs/op, want 0", n)
 	}
 }
