@@ -12,7 +12,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,19 +19,14 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
+	"simr/internal/cli"
 	"simr/internal/core"
-	"simr/internal/dist"
-	"simr/internal/distflag"
 	"simr/internal/obs"
-	"simr/internal/prof"
 	"simr/internal/queuesim"
 	"simr/internal/sample"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -221,38 +215,6 @@ type GraphsEntry struct {
 	Points     []GraphPoint `json:"points"`
 }
 
-// DistPoint is one worker-count measurement of the distributed-sweep
-// study: wall clock for the whole sweep through the dispatcher plus
-// the byte-equality verdict against the single-process reference.
-type DistPoint struct {
-	Workers   int     `json:"workers"`
-	WallSec   float64 `json:"wall_s"`
-	Speedup   float64 `json:"speedup_vs_single"`
-	Identical bool    `json:"outputs_identical"`
-}
-
-// DistEntry is one distributed-sweep trajectory point, written to
-// BENCH_dist.json: the Figure 19 chip study plus the sensitivity grid
-// run single-process and through the dispatcher at 1/2/4 forked local
-// workers, byte-comparing each distributed run's rendered output
-// against the single-process reference.
-type DistEntry struct {
-	Timestamp  string  `json:"timestamp"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Requests   int     `json:"requests"`
-	Seed       int64   `json:"seed"`
-	Sample     string  `json:"sample"`
-	Proto      int     `json:"proto"`
-	SchemaHash string  `json:"schema_hash"`
-	SingleSec  float64 `json:"single_s"`
-	// Points are the dispatcher runs, ascending worker count.
-	Points []DistPoint `json:"points"`
-	// Metrics snapshots the dispatcher process's obs registry from the
-	// largest run (dist.dispatcher queue counters, RPC latency
-	// histogram) when -studymetrics is set.
-	Metrics obs.Snapshot `json:"metrics"`
-}
-
 // studyMetrics gates the per-study registry snapshots; set from
 // -studymetrics before the studies run.
 var studyMetrics bool
@@ -265,44 +227,19 @@ func main() {
 	out := flag.String("out", "BENCH_pipeline.json", "bench trajectory file to append to")
 	perStudy := flag.Bool("studymetrics", true, "append per-study entries with metrics snapshots to BENCH_<study>.json")
 	cacheSample := flag.String("cachesample", "4:3", "sample config for the batch-cache study's stacked run (PERIOD[:WARMUP])")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	only := flag.String("only", "", "run a single study and skip the rest (supported: queuesim)")
-	sampleFlags := sampleflag.Add(flag.CommandLine)
-	distFlags := distflag.Add(flag.CommandLine)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Sample|cli.Interrupt)
 	flag.Parse()
 	if *only != "" && *only != "queuesim" {
 		log.Fatalf("-only %q: unsupported study (supported: queuesim)", *only)
 	}
 	studyMetrics = *perStudy
-	scfg, err := sampleFlags.Setup()
+	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	core.SetInterrupt(ctx)
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
-
-	// Worker mode lets the dist study below fork copies of this binary;
-	// the dispatcher modes make no sense here (benchjson drives its own
-	// dispatcher in that study).
-	if ran, err := distFlags.HandleWorker(ctx); ran {
-		if err != nil {
-			stopProf()
-			log.Fatal(err)
-		}
-		return
-	}
-	if distFlags.Active() {
-		log.Fatal("benchjson runs its own dispatcher in the dist study; only -dist worker applies")
-	}
+	defer stop()
+	scfg := sample.Default()
 	// The seq-vs-pipelined pairs always run unsampled — they measure
 	// the prep pipeline, and their entries record sample="off"
 	// accordingly. The -sample flag chooses the config the dedicated
@@ -422,95 +359,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("appended to BENCH_sampling.json")
-
-	de := benchDist(ctx, suite, *requests, *seed)
-	de.Timestamp = stamp
-	de.GoMaxProcs = entry.GoMaxProcs
-	de.Sample = entry.Sample
-	fmt.Printf("%-22s single %7.3fs", "dist-fig19+sens", de.SingleSec)
-	for _, p := range de.Points {
-		fmt.Printf("  %dw %7.3fs (%.2fx, identical=%v)", p.Workers, p.WallSec, p.Speedup, p.Identical)
-	}
-	fmt.Println()
-	for _, p := range de.Points {
-		if !p.Identical {
-			log.Fatalf("dist: %d-worker output differs from single-process", p.Workers)
-		}
-	}
-	if err := appendJSON("BENCH_dist.json", de); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("appended to BENCH_dist.json")
-}
-
-// benchDist times the Figure 19 chip study plus the full sensitivity
-// grid single-process (one worker, matching the dispatcher's
-// per-task configuration) and then through the dispatcher/worker tier
-// at 1, 2 and 4 forked local worker processes, byte-comparing every
-// distributed run's rendered output against the single-process
-// reference. On a multi-core host the 2- and 4-worker points measure
-// the tier's scaling; on a single CPU they bound its overhead.
-func benchDist(ctx context.Context, suite *uservices.Suite, requests int, seed int64) DistEntry {
-	spec := dist.SweepSpec{Studies: []dist.StudySpec{
-		{Kind: dist.StudyChip, Requests: requests, Seed: seed},
-		{Kind: dist.StudySensitivity, Requests: requests, Seed: seed},
-	}}
-	render := func(chip []core.ChipRow, services []string, sens []core.SensPair) []byte {
-		var buf bytes.Buffer
-		core.WriteFig19(&buf, chip)
-		if err := core.WriteSensitivity(&buf, services, sens); err != nil {
-			log.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	t0 := time.Now()
-	chip, err := core.ChipStudyParallel(suite, requests, seed, false, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sens, err := core.SensPairsOn(suite.Services, requests, seed, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	singleSec := time.Since(t0).Seconds()
-	ref := render(chip, suite.Names(), sens)
-
-	entry := DistEntry{
-		Requests:   requests,
-		Seed:       seed,
-		Proto:      dist.ProtoVersion,
-		SchemaHash: dist.SchemaHash(),
-		SingleSec:  singleSec,
-	}
-	counts := []int{1, 2, 4}
-	for i, n := range counts {
-		// The largest run contributes the dispatcher-side metrics
-		// snapshot (queue counters, RPC latency histogram).
-		var reg *obs.Registry
-		if studyMetrics && i == len(counts)-1 {
-			reg = obs.NewRegistry()
-			obs.Enable(reg, nil)
-		}
-		t1 := time.Now()
-		res, err := dist.RunLocal(ctx, spec, dist.CaptureConfig(false), n, dist.DispatcherOptions{})
-		sec := time.Since(t1).Seconds()
-		if reg != nil {
-			entry.Metrics = reg.Snapshot()
-			obs.Disable()
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		out := render(res.Studies[0].Chip, res.Studies[1].Services, res.Studies[1].Sens)
-		entry.Points = append(entry.Points, DistPoint{
-			Workers:   n,
-			WallSec:   sec,
-			Speedup:   singleSec / sec,
-			Identical: bytes.Equal(ref, out),
-		})
-	}
-	return entry
 }
 
 // benchSampling times the Figure 19 chip study fully simulated and

@@ -16,24 +16,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
-	"simr/internal/cacheflag"
+	"simr/internal/cli"
 	"simr/internal/core"
-	"simr/internal/dist"
-	"simr/internal/distflag"
 	"simr/internal/energy"
-	"simr/internal/obsflag"
-	"simr/internal/prof"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -51,55 +43,13 @@ func main() {
 	gpu := flag.Bool("gpu", true, "include the GPU design point")
 	jsonOut := flag.Bool("json", false, "emit the chip study as JSON instead of tables")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
-	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheFlags := cacheflag.Add(flag.CommandLine)
-	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
-	distFlags := distflag.Add(flag.CommandLine)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Lookahead|cli.Cache|cli.Interrupt)
 	flag.Parse()
-	core.SetPrepLookahead(*lookahead)
-	cacheFlags.Setup()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-
-	// SIGINT/SIGTERM cancel the sweep between cells so checkpoints and
-	// profiles flush instead of dying mid-write.
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	core.SetInterrupt(ctx)
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
-	obsFlags.Setup()
-	defer obsFlags.Close()
-
-	if ran, err := distFlags.HandleWorker(ctx); ran {
-		if err != nil {
-			obsFlags.Close()
-			stopProf()
-			log.Fatal(err)
-		}
-		return
-	}
-	// runDist routes one study through the dispatcher when -dist is
-	// active; the reassembled rows render byte-identically to the
-	// single-process path below.
-	runDist := func(kind dist.StudyKind, services []string, withGPU bool) *dist.StudyOut {
-		spec := dist.SweepSpec{Studies: []dist.StudySpec{{
-			Kind: kind, Services: services, Requests: *requests, Seed: *seed, WithGPU: withGPU,
-		}}}
-		res, err := distFlags.Run(ctx, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return &res.Studies[0]
-	}
+	defer stop()
 
 	suite := uservices.NewSuite()
 
@@ -119,9 +69,6 @@ func main() {
 	if *table == 7 {
 		printTable7()
 		return
-	}
-	if distFlags.Active() && (*ispc || *multiproc) {
-		log.Fatal("-ispc and -multiprocess are single-process studies; drop -dist")
 	}
 	if *ispc {
 		runISPC(suite, *requests, *seed)
@@ -143,15 +90,9 @@ func main() {
 	if *multibatch {
 		fmt.Println("§III-A: coarse-grain multi-batch interleaving headroom (2 batches/core)")
 		fmt.Printf("%-18s %12s %12s %10s\n", "service", "sequential", "interleaved", "speedup")
-		var rows []core.MultiBatchRow
-		if distFlags.Active() {
-			rows = runDist(dist.StudyMultiBatch, nil, false).Multi
-		} else {
-			var err error
-			rows, err = core.MultiBatchSweep(suite, *seed, *parallel)
-			if err != nil {
-				log.Fatal(err)
-			}
+		rows, err := core.MultiBatchSweep(suite, *seed, *parallel)
+		if err != nil {
+			log.Fatal(err)
 		}
 		for _, row := range rows {
 			fmt.Printf("%-18s %12d %12d %9.2fx\n", row.Service,
@@ -163,15 +104,9 @@ func main() {
 	if *timing {
 		fmt.Println("RPU timing-knob sweep: lanes {8,32} x majority vote x atomics placement")
 		fmt.Println("(timing knobs share prepared batch streams; see EXPERIMENTS.md, batch-stream caching)")
-		var rows []core.TimingRow
-		if distFlags.Active() {
-			rows = runDist(dist.StudyTiming, nil, false).Timing
-		} else {
-			var err error
-			rows, err = core.TimingSweepParallel(suite, *requests, *seed, *parallel)
-			if err != nil {
-				log.Fatal(err)
-			}
+		rows, err := core.TimingSweepParallel(suite, *requests, *seed, *parallel)
+		if err != nil {
+			log.Fatal(err)
 		}
 		core.WriteTimingSweep(os.Stdout, rows)
 		return
@@ -181,13 +116,6 @@ func main() {
 		if *sensServices != "" {
 			subset = strings.Split(*sensServices, ",")
 		}
-		if distFlags.Active() {
-			out := runDist(dist.StudySensitivity, subset, false)
-			if err := core.WriteSensitivity(os.Stdout, out.Services, out.Sens); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
 		if err := core.SensitivityStudyParallel(os.Stdout, suite, subset, *requests, *seed, *parallel); err != nil {
 			log.Fatal(err)
 		}
@@ -195,30 +123,18 @@ func main() {
 	}
 
 	if *fig == 15 {
-		var rows []core.MPKIRow
-		if distFlags.Active() {
-			rows = runDist(dist.StudyMPKI, nil, false).MPKI
-		} else {
-			var err error
-			rows, err = core.MPKIStudyParallel(suite, *requests, *seed, *parallel)
-			if err != nil {
-				log.Fatal(err)
-			}
+		rows, err := core.MPKIStudyParallel(suite, *requests, *seed, *parallel)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Println("Figure 15: L1 MPKI, CPU (64KB) vs RPU (256KB) by batch size")
 		core.WriteFig15(os.Stdout, rows)
 		return
 	}
 
-	var rows []core.ChipRow
-	if distFlags.Active() {
-		rows = runDist(dist.StudyChip, nil, *gpu).Chip
-	} else {
-		var err error
-		rows, err = core.ChipStudyParallel(suite, *requests, *seed, *gpu, *parallel)
-		if err != nil {
-			log.Fatal(err)
-		}
+	rows, err := core.ChipStudyParallel(suite, *requests, *seed, *gpu, *parallel)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *jsonOut {
 		if err := core.WriteJSON(os.Stdout, rows); err != nil {

@@ -26,14 +26,9 @@
 // entry must carry uniquely named graphs with positive saturation
 // loads and a speedup that equals the recorded RPU/CPU ratio.
 //
-// And BENCH_dist.json trajectories (-dist): every distributed-sweep
-// entry must be wire-versioned (protocol number and schema hash),
-// carry positive wall clocks with self-consistent speedups, and have
-// byte-identical output at every worker count.
-//
 // Usage:
 //
-//	obscheck [-metrics out.json] [-trace out.trace.json] [-sampling BENCH_sampling.json] [-queuesim BENCH_queuesim.json] [-graphs BENCH_graphs.json] [-batchcache BENCH_batchcache.json] [-dist BENCH_dist.json]
+//	obscheck [-metrics out.json] [-trace out.trace.json] [-sampling BENCH_sampling.json] [-queuesim BENCH_queuesim.json] [-graphs BENCH_graphs.json] [-batchcache BENCH_batchcache.json]
 package main
 
 import (
@@ -52,10 +47,9 @@ func main() {
 	qsim := flag.String("queuesim", "", "BENCH_queuesim.json trajectory to validate")
 	graphs := flag.String("graphs", "", "BENCH_graphs.json trajectory to validate")
 	bcache := flag.String("batchcache", "", "BENCH_batchcache.json trajectory to validate")
-	distT := flag.String("dist", "", "BENCH_dist.json trajectory to validate")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *sampling == "" && *qsim == "" && *graphs == "" && *bcache == "" && *distT == "" {
-		log.Fatal("obscheck: give -metrics, -trace, -sampling, -queuesim, -graphs, -batchcache and/or -dist")
+	if *metrics == "" && *trace == "" && *sampling == "" && *qsim == "" && *graphs == "" && *bcache == "" {
+		log.Fatal("obscheck: give -metrics, -trace, -sampling, -queuesim, -graphs and/or -batchcache")
 	}
 	if *metrics != "" {
 		if err := checkMetrics(*metrics); err != nil {
@@ -93,116 +87,6 @@ func main() {
 		}
 		fmt.Printf("%s: batchcache trajectory ok\n", *bcache)
 	}
-	if *distT != "" {
-		if err := checkDist(*distT); err != nil {
-			log.Fatalf("obscheck: %s: %v", *distT, err)
-		}
-		fmt.Printf("%s: dist trajectory ok\n", *distT)
-	}
-}
-
-// checkDist enforces the BENCH_dist.json schema benchjson writes: an
-// array of distributed-sweep entries, each wire-versioned and carrying
-// ascending worker counts with positive wall clocks, self-consistent
-// speedups and byte-identical outputs. When a dispatcher metrics
-// snapshot rides along, its queue counters must be present and
-// account for every task.
-func checkDist(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var entries []struct {
-		Timestamp  string  `json:"timestamp"`
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Requests   int     `json:"requests"`
-		Proto      int     `json:"proto"`
-		SchemaHash string  `json:"schema_hash"`
-		SingleSec  float64 `json:"single_s"`
-		Points     []struct {
-			Workers   int     `json:"workers"`
-			WallSec   float64 `json:"wall_s"`
-			Speedup   float64 `json:"speedup_vs_single"`
-			Identical bool    `json:"outputs_identical"`
-		} `json:"points"`
-		Metrics struct {
-			Scopes []struct {
-				Name     string           `json:"name"`
-				Counters map[string]int64 `json:"counters"`
-				Gauges   map[string]int64 `json:"gauges"`
-			} `json:"scopes"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return fmt.Errorf("not a dist trajectory: %w", err)
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("no entries recorded")
-	}
-	for i, e := range entries {
-		if e.Timestamp == "" {
-			return fmt.Errorf("entry %d: missing timestamp", i)
-		}
-		if e.GoMaxProcs < 1 {
-			return fmt.Errorf("entry %d: gomaxprocs %d", i, e.GoMaxProcs)
-		}
-		if e.Requests < 1 {
-			return fmt.Errorf("entry %d: requests %d", i, e.Requests)
-		}
-		if e.Proto < 1 {
-			return fmt.Errorf("entry %d: wire protocol %d", i, e.Proto)
-		}
-		if len(e.SchemaHash) != 16 {
-			return fmt.Errorf("entry %d: schema hash %q (want 16 hex chars)", i, e.SchemaHash)
-		}
-		if e.SingleSec <= 0 || math.IsNaN(e.SingleSec) || math.IsInf(e.SingleSec, 0) {
-			return fmt.Errorf("entry %d: single-process wall clock %v", i, e.SingleSec)
-		}
-		if len(e.Points) == 0 {
-			return fmt.Errorf("entry %d: no worker-count points", i)
-		}
-		prev := 0
-		for j, p := range e.Points {
-			if p.Workers <= prev {
-				return fmt.Errorf("entry %d point %d: worker counts not ascending (%d after %d)",
-					i, j, p.Workers, prev)
-			}
-			prev = p.Workers
-			if p.WallSec <= 0 || math.IsNaN(p.WallSec) || math.IsInf(p.WallSec, 0) {
-				return fmt.Errorf("entry %d point %d: wall clock %v", i, j, p.WallSec)
-			}
-			want := e.SingleSec / p.WallSec
-			if math.Abs(p.Speedup-want) > 1e-9*want {
-				return fmt.Errorf("entry %d point %d: speedup says %v, wall clocks say %v",
-					i, j, p.Speedup, want)
-			}
-			if !p.Identical {
-				return fmt.Errorf("entry %d point %d: %d-worker output was not byte-identical",
-					i, j, p.Workers)
-			}
-		}
-		for _, sc := range e.Metrics.Scopes {
-			if sc.Name != "dist.dispatcher" {
-				continue
-			}
-			for _, want := range []string{"tasks_dispatched", "tasks_completed", "tasks_requeued", "workers_joined", "workers_lost"} {
-				if _, ok := sc.Counters[want]; !ok {
-					return fmt.Errorf("entry %d: dispatcher scope missing counter %s", i, want)
-				}
-			}
-			if _, ok := sc.Gauges["workers_hwm"]; !ok {
-				return fmt.Errorf("entry %d: dispatcher scope missing gauge workers_hwm", i)
-			}
-			if sc.Counters["tasks_completed"] < 1 {
-				return fmt.Errorf("entry %d: dispatcher completed %d tasks", i, sc.Counters["tasks_completed"])
-			}
-			if sc.Counters["tasks_dispatched"] < sc.Counters["tasks_completed"] {
-				return fmt.Errorf("entry %d: dispatched %d < completed %d",
-					i, sc.Counters["tasks_dispatched"], sc.Counters["tasks_completed"])
-			}
-		}
-	}
-	return nil
 }
 
 // checkBatchCache enforces the BENCH_batchcache.json schema benchjson

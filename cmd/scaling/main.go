@@ -11,22 +11,14 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"simr/internal/cacheflag"
+	"simr/internal/cli"
 	"simr/internal/core"
-	"simr/internal/dist"
-	"simr/internal/distflag"
-	"simr/internal/obsflag"
-	"simr/internal/prof"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -35,47 +27,17 @@ func main() {
 	requests := flag.Int("requests", 240, "requests per service for -bench")
 	seed := flag.Int64("seed", 42, "workload seed for -bench")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -bench (0 = one per CPU)")
-	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheFlags := cacheflag.Add(flag.CommandLine)
-	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
-	distFlags := distflag.Add(flag.CommandLine)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Lookahead|cli.Interrupt)
 	flag.Parse()
-	core.SetPrepLookahead(*lookahead)
-	cacheFlags.Setup()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	core.SetInterrupt(ctx)
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
-	obsFlags.Setup()
-	defer obsFlags.Close()
-
-	if ran, err := distFlags.HandleWorker(ctx); ran {
-		if err != nil {
-			obsFlags.Close()
-			stopProf()
-			log.Fatal(err)
-		}
-		return
-	}
+	defer stop()
 
 	if *bench {
-		benchSweep(ctx, distFlags, *requests, *seed, *parallel)
+		benchSweep(*requests, *seed, *parallel)
 		return
-	}
-	if distFlags.Active() {
-		log.Fatal("-dist only applies to -bench (Figure 5 has no sweep to distribute)")
 	}
 
 	fmt.Println("Figure 5: off-chip DRAM bandwidth and thread scaling")
@@ -83,11 +45,10 @@ func main() {
 	fmt.Println("\n(paper: up to 256 threads/socket with DDR5, 512 with DDR6/HBM)")
 }
 
-// benchSweep runs the chip study twice — one worker, then either the
-// requested goroutine pool or (with -dist) the dispatcher tier —
-// verifies the rendered figures match byte for byte, and reports the
-// wall-clock ratio.
-func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, seed int64, parallel int) {
+// benchSweep runs the chip study twice — one worker, then the
+// requested goroutine pool — verifies the rendered figures match byte
+// for byte, and reports the wall-clock ratio.
+func benchSweep(requests int, seed int64, parallel int) {
 	if parallel <= 0 {
 		parallel = core.DefaultWorkers()
 	}
@@ -110,29 +71,13 @@ func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, se
 	}
 	seqDur := time.Since(t0)
 
-	var (
-		parRows []core.ChipRow
-		parTag  string
-	)
 	t1 := time.Now()
-	if distFlags.Active() {
-		spec := dist.SweepSpec{Studies: []dist.StudySpec{{
-			Kind: dist.StudyChip, Requests: requests, Seed: seed,
-		}}}
-		res, err := distFlags.Run(ctx, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		parRows = res.Studies[0].Chip
-		parTag = fmt.Sprintf("dist (%s)", distFlags.Mode())
-	} else {
-		parRows, err = core.ChipStudyParallel(suite, requests, seed, false, parallel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		parTag = fmt.Sprintf("parallel (%d workers)", parallel)
+	parRows, err := core.ChipStudyParallel(suite, requests, seed, false, parallel)
+	if err != nil {
+		log.Fatal(err)
 	}
 	parDur := time.Since(t1)
+	parTag := fmt.Sprintf("parallel (%d workers)", parallel)
 
 	seqOut, parOut := render(seqRows), render(parRows)
 	fmt.Printf("chip study, %d requests/service, seed %d\n", requests, seed)

@@ -14,10 +14,8 @@ import (
 	"log"
 	"os"
 
+	"simr/internal/cli"
 	"simr/internal/core"
-	"simr/internal/obsflag"
-	"simr/internal/prof"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -26,21 +24,13 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload random seed")
 	fig := flag.Int("fig", 11, "figure to print: 4 (naive only) or 11 (all policies)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Interrupt)
 	flag.Parse()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
-	obsFlags.Setup()
-	defer obsFlags.Close()
+	defer stop()
 
 	suite := uservices.NewSuite()
 	rows, err := core.EfficiencyStudyParallel(suite, *requests, *seed, *parallel)

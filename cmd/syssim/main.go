@@ -8,21 +8,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"simr/internal/cli"
 	"simr/internal/core"
 	"simr/internal/obs"
-	"simr/internal/obsflag"
-	"simr/internal/prof"
 	"simr/internal/queuesim"
-	"simr/internal/sampleflag"
 )
 
 func main() {
@@ -44,26 +38,13 @@ func main() {
 	hedge := flag.Float64("hedge", 0, "tail mode: hedge delay (ms), 0 = no hedging")
 	qcap := flag.Int("qcap", 0, "tail mode: per-station queue cap, 0 = unbounded")
 	drain := flag.Float64("drain", 2, "tail mode: drain horizon (seconds past the arrival window)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Interrupt)
 	flag.Parse()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-	// SIGINT/SIGTERM cancel the sweep between cells so profiles and
-	// metrics snapshots still flush.
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	core.SetInterrupt(ctx)
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopProf()
-	obsFlags.Setup()
-	defer obsFlags.Close()
+	defer stop()
 
 	if *graphName != "" {
 		*tail = true

@@ -17,8 +17,8 @@ import (
 	"strings"
 
 	"simr/internal/alloc"
+	"simr/internal/cli"
 	"simr/internal/mem"
-	"simr/internal/sampleflag"
 	"simr/internal/simt"
 	"simr/internal/uservices"
 )
@@ -30,11 +30,13 @@ func main() {
 	static := flag.Bool("static", false, "print the static program listing (disassembly) instead of traces")
 	limit := flag.Int("limit", 64, "max instructions to print")
 	seed := flag.Int64("seed", 1, "workload seed")
-	sampleFlags := sampleflag.Add(flag.CommandLine)
+	cf := cli.Register(flag.CommandLine, cli.Sample)
 	flag.Parse()
-	if _, err := sampleFlags.Setup(); err != nil {
+	_, stop, err := cf.Start()
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer stop()
 
 	suite := uservices.NewSuite()
 	svc := suite.Get(*service)

@@ -190,12 +190,13 @@ func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts
 		tr tracer
 		ub uopBuilder
 	}
-	slots := make([]cpuSlot, la+1)
+	units := sp.unitCount(len(reqs))
+	slots := make([]cpuSlot, prepSlots(la, units))
 	for i := range slots {
 		slots[i].tr = tracer{svc: svc, tc: opts.Traces}
 	}
-	prepped := make([][]pipeline.Uop, la+1)
-	err := pipelined(sp.unitCount(len(reqs)), la,
+	prepped := make([][]pipeline.Uop, len(slots))
+	err := pipelined(units, la,
 		func(slot, k int) error {
 			sl := &slots[slot]
 			tr, err := sl.tr.request(&reqs[sp.unit(k)], 0, sg.StackBase(0), alloc.PolicyCPU, 1)
@@ -260,7 +261,8 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 		build   func() (*trace.BatchStream, error)
 	}
 	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
-	slots := make([]smtSlot, la+1)
+	units := sp.unitCount(groups)
+	slots := make([]smtSlot, prepSlots(la, units))
 	for i := range slots {
 		sl := &slots[i]
 		sl.tr = tracer{svc: svc, tc: opts.Traces}
@@ -280,7 +282,7 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 			return &sl.local, nil
 		}
 	}
-	err := pipelined(sp.unitCount(groups), la,
+	err := pipelined(units, la,
 		func(slot, k int) error {
 			g := sp.unit(k)
 			off := g * ways
@@ -377,7 +379,8 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 		build  func() (*trace.BatchStream, error)
 	}
 	sp := newRunSampler(opts.sampleConfig(), len(batches), len(reqs))
-	slots := make([]rpuSlot, la+1)
+	units := sp.unitCount(len(batches))
+	slots := make([]rpuSlot, prepSlots(la, units))
 	for i := range slots {
 		sl := &slots[i]
 		sl.tr = tracer{svc: svc, tc: opts.Traces}
@@ -410,7 +413,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 			return &sl.local, nil
 		}
 	}
-	err := pipelined(sp.unitCount(len(batches)), la,
+	err := pipelined(units, la,
 		func(slot, k int) error {
 			sl := &slots[slot]
 			sl.batch = &batches[sp.unit(k)]

@@ -25,8 +25,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // interruptCtx is the process-wide cancellation context the drivers
 // install via SetInterrupt (SIGINT/SIGTERM). RunCells polls it between
 // cells, so a signal aborts a sweep at the next cell boundary instead
-// of truncating output mid-row, and partial distributed checkpoints
-// stay flushed.
+// of truncating output mid-row.
 var interruptCtx atomic.Pointer[context.Context]
 
 // SetInterrupt installs a cancellation context that every subsequent
@@ -171,18 +170,6 @@ func SetBatchCaching(on bool) { disableBatchCache = !on }
 // retained, so results are byte-identical at any budget.
 func SetCacheBudget(bytes int64) { cacheBudgetBytes = bytes }
 
-// TraceCaching reports whether the sweep-wide scalar-trace cache is
-// enabled. The distributed dispatcher reads it to forward the driver's
-// flag state to workers.
-func TraceCaching() bool { return !disableTraceCache }
-
-// BatchCaching reports whether the sweep-wide batch-stream cache is
-// enabled.
-func BatchCaching() bool { return !disableBatchCache }
-
-// CacheBudget returns the pinned cache byte budget (0 = default).
-func CacheBudget() int64 { return cacheBudgetBytes }
-
 // sweepCaches owns one shared request stream per service of a sweep
 // and, where the driver asks for them, one trace.Cache and one
 // trace.BatchCache per service, all drawing on a single byte budget.
@@ -288,8 +275,7 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 
 // ChipStudyOn is ChipStudyParallel restricted to an explicit service
 // subset: per-service rows are independent, so a subset's rows are
-// byte-identical to the same services' rows in a full-suite run. The
-// distributed worker tier executes per-service tasks through it.
+// byte-identical to the same services' rows in a full-suite run.
 //
 // Scalar traces are not cached: of a service's cells only the CPU and
 // SMT-8 ones interpret alone, and they share no more than SMT-8's

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"simr/internal/uservices"
@@ -44,6 +46,60 @@ func TestRunCellsError(t *testing.T) {
 		}
 		if out != nil {
 			t.Fatalf("workers=%d: expected nil results on error", workers)
+		}
+	}
+}
+
+// TestRunCellsInterrupt covers the commands' SIGINT/SIGTERM path: an
+// installed context that is done aborts RunCells with its error before
+// any cell runs, a cancel seen mid-sweep lets no later cell start (at
+// most the cells other workers already took may still run), and
+// SetInterrupt(nil) restores normal runs.
+func TestRunCellsInterrupt(t *testing.T) {
+	defer SetInterrupt(nil)
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		SetInterrupt(ctx)
+		var ran atomic.Int64
+		out, err := RunCells(16, workers, func(i int) (int, error) {
+			ran.Add(1)
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("workers=%d, cancelled before the sweep: got %v, %v", workers, out, err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d cells ran under a cancelled context", workers, n)
+		}
+
+		const n, at = 64, 10
+		ctx, cancel = context.WithCancel(context.Background())
+		SetInterrupt(ctx)
+		var late atomic.Int64
+		out, err = RunCells(n, workers, func(i int) (int, error) {
+			if ctx.Err() != nil {
+				late.Add(1)
+			}
+			if i == at {
+				cancel()
+			}
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("workers=%d, cancelled at cell %d: got %v, %v", workers, at, out, err)
+		}
+		// A worker checks the context before taking its cell, so only
+		// a cell another worker claimed just before the cancel may
+		// start after it.
+		if got := late.Load(); got > int64(workers-1) {
+			t.Fatalf("workers=%d: %d cells started after the cancel", workers, got)
+		}
+
+		SetInterrupt(nil)
+		out, err = RunCells(n, workers, func(i int) (int, error) { return i, nil })
+		if err != nil || len(out) != n || out[n-1] != n-1 {
+			t.Fatalf("workers=%d after SetInterrupt(nil): got %d results, %v", workers, len(out), err)
 		}
 	}
 }

@@ -21,11 +21,13 @@ const PrepAuto = -1
 // batches of headroom already hide it behind the timing core.
 const maxPrepLookahead = 4
 
-// prepForce holds the process-wide lookahead override as value+1
-// (0 = no override). It backs the cmd tools' -lookahead flag and the
-// bench harness, which need to pin every study's derived lookahead
-// without threading a parameter through each driver.
-var prepForce atomic.Int32
+// prepForce holds the process-wide lookahead override (PrepAuto = no
+// override). It backs the cmd tools' -lookahead flag and the bench
+// harness, which need to pin every study's derived lookahead without
+// threading a parameter through each study.
+var prepForce atomic.Int64
+
+func init() { prepForce.Store(PrepAuto) }
 
 // SetPrepLookahead forces the lookahead every PrepAuto resolution
 // (study drivers and direct RunService calls) will use: n >= 0 pins
@@ -33,21 +35,9 @@ var prepForce atomic.Int32
 // non-negative PrepLookahead are unaffected.
 func SetPrepLookahead(n int) {
 	if n < 0 {
-		prepForce.Store(0)
-		return
+		n = PrepAuto
 	}
-	prepForce.Store(int32(n) + 1)
-}
-
-// PrepLookaheadOverride returns the process-wide lookahead pinned by
-// SetPrepLookahead, or -1 when lookahead derivation is automatic. The
-// distributed dispatcher reads it to forward the driver's flag state
-// to workers.
-func PrepLookaheadOverride() int {
-	if v := prepForce.Load(); v != 0 {
-		return int(v) - 1
-	}
-	return -1
+	prepForce.Store(int64(n))
 }
 
 // prepBudget derives the per-cell prep lookahead for a sweep of cells
@@ -56,8 +46,8 @@ func PrepLookaheadOverride() int {
 // each cell gets the spare CPUs left after the outer pool is staffed.
 // A process-wide SetPrepLookahead override wins when set.
 func prepBudget(cells, workers int) int {
-	if v := prepForce.Load(); v != 0 {
-		return int(v) - 1
+	if v := prepForce.Load(); v >= 0 {
+		return int(v)
 	}
 	p := DefaultWorkers()
 	if workers <= 0 || workers > p {
@@ -87,16 +77,27 @@ func (o *Options) lookahead() int {
 	return prepBudget(1, 1)
 }
 
+// prepSlots is the number of prep slots a pipelined run of n units at
+// lookahead >= 0 uses: lookahead+1, capped at n (a slot per unit
+// already keeps every unit in flight).
+func prepSlots(lookahead, n int) int {
+	if lookahead >= n {
+		return n
+	}
+	return lookahead + 1
+}
+
 // pipelined runs n units through a bounded-lookahead producer/consumer
 // pipeline. prep(slot, i) prepares unit i into slot-private storage
-// (the caller provisions lookahead+1 slots so a slot is only reused
-// after its previous unit was consumed); consume(slot, i) applies unit
-// i's results. consume is called from the calling goroutine in strict
-// unit order, so any order-sensitive accumulation stays byte-identical
-// to the sequential loop. prep runs on up to lookahead worker
-// goroutines once the pipeline fills. lookahead <= 0 runs everything
-// inline with no goroutines (the determinism oracle). On a prep error
-// the lowest-index error is returned, matching the sequential loop.
+// (the caller provisions prepSlots(lookahead, n) slots, so a slot is
+// only reused after its previous unit was consumed); consume(slot, i)
+// applies unit i's results. consume is called from the calling
+// goroutine in strict unit order, so any order-sensitive accumulation
+// stays byte-identical to the sequential loop. prep runs on up to
+// lookahead worker goroutines once the pipeline fills. lookahead <= 0
+// runs everything inline with no goroutines (the determinism oracle).
+// On a prep error the lowest-index error is returned, matching the
+// sequential loop.
 func pipelined(n, lookahead int, prep func(slot, i int) error, consume func(slot, i int)) error {
 	if n <= 0 {
 		return nil
@@ -115,10 +116,7 @@ func pipelined(n, lookahead int, prep func(slot, i int) error, consume func(slot
 		}
 		return nil
 	}
-	nslots := lookahead + 1
-	if nslots > n {
-		nslots = n
-	}
+	nslots := prepSlots(lookahead, n)
 
 	// Slot s's goroutine prepares units s, s+nslots, ... back to back;
 	// the free token (returned by the consumer) gates arena reuse and

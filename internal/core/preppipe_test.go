@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -149,6 +150,50 @@ func TestPrepPipelineDeterminism(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestPrepLookaheadOutOfRange drives lookaheads far past any run's
+// unit count, through the process-wide override and through Options:
+// the override must keep its value (no int32 wrap to a negative or to
+// 0), the runners must size their prep slots by the units they have,
+// and each run must match the sequential result field for field.
+func TestPrepLookaheadOutOfRange(t *testing.T) {
+	defer SetPrepLookahead(-1)
+	svc := uservices.NewSuite().Get("memc")
+	reqs := genRequests(svc, 64, 7)
+	cases := []struct {
+		name     string
+		override int
+		opt      int
+	}{
+		{"SetPrepLookahead(MaxInt32)", math.MaxInt32, PrepAuto},
+		{"SetPrepLookahead(1<<32)", 1 << 32, PrepAuto},
+		{"Options.PrepLookahead=1<<30", -1, 1 << 30},
+	}
+	for _, arch := range []Arch{ArchCPU, ArchSMT8, ArchRPU} {
+		opts := DefaultOptions()
+		opts.PrepLookahead = 0
+		want, err := RunService(arch, svc, reqs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			SetPrepLookahead(c.override)
+			if c.override >= 0 {
+				if got := prepBudget(1, 1); got != c.override {
+					t.Fatalf("%s: override resolved to %d", c.name, got)
+				}
+			}
+			opts.PrepLookahead = c.opt
+			got, err := RunService(arch, svc, reqs, opts)
+			if err != nil {
+				t.Fatalf("%v %s: %v", arch, c.name, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%v %s: differs from the lookahead-0 result", arch, c.name)
 			}
 		}
 	}

@@ -51,16 +51,12 @@ func (b *sensBase) get(arch Arch, svc *uservices.Service, reqs []uservices.Reque
 	return b.res[arch], b.err[arch]
 }
 
-// SensPair is one ablation's (baseline, variant) measurement. Pairs
-// are exported so the distributed tier can ship per-service grids back
-// to the dispatcher for rendering.
+// SensPair is one ablation's (baseline, variant) measurement: the
+// cell type of the grid SensPairsOn computes and WriteSensitivity
+// renders.
 type SensPair struct {
 	Base, Variant *Result
 }
-
-// SensSections returns the number of ablation sections in the §V-A1
-// sensitivity grid (rows of the SensPairsOn result).
-func SensSections() int { return len(sensMutations) }
 
 // sensMutations lists the §V-A1 ablations in report order; each becomes
 // one row of worker-pool cells.
@@ -104,8 +100,8 @@ func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []st
 
 // SensPairsOn computes the sensitivity grid for an explicit service
 // subset on a worker pool. The result is a flat grid indexed
-// pairs[section*len(svcs)+s], section in report order (SensSections
-// rows). Per-service columns are independent, so a subset's column is
+// pairs[section*len(svcs)+s], section in report order (one row per
+// ablation). Per-service columns are independent, so a subset's column is
 // byte-identical to the same service's column in a full run.
 func SensPairsOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]SensPair, error) {
 	ns := len(svcs)

@@ -67,7 +67,6 @@ func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, worke
 // TimingSweepOn is TimingSweepParallel restricted to an explicit
 // service subset: per-service rows are independent, so a subset's rows
 // are byte-identical to the same services' rows in a full-suite run.
-// The distributed worker tier executes per-service tasks through it.
 //
 // Batch streams are cached. Scalar traces are cached only when batch
 // caching is off: otherwise only each batch's first builder interprets,

@@ -17,7 +17,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -301,145 +300,6 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Scopes = append(snap.Scopes, ss)
 	}
 	return snap
-}
-
-// Deterministic returns a copy of the snapshot with every
-// wall-clock-derived instrument removed: any counter, gauge or
-// histogram whose name contains "_ns" (busy/stall/latency
-// nanoseconds and their high-water marks) depends on host timing, not
-// on simulation input. What remains is reproducible run to run — and
-// process to process — for the same deterministic workload, so the
-// distributed tier byte-compares and merges deterministic snapshots
-// across workers. Scopes left empty by the filter are dropped.
-func (s Snapshot) Deterministic() Snapshot {
-	timing := func(name string) bool { return strings.Contains(name, "_ns") }
-	out := Snapshot{}
-	for _, sc := range s.Scopes {
-		fs := ScopeSnapshot{Name: sc.Name}
-		for n, v := range sc.Counters {
-			if timing(n) {
-				continue
-			}
-			if fs.Counters == nil {
-				fs.Counters = map[string]int64{}
-			}
-			fs.Counters[n] = v
-		}
-		for n, v := range sc.Gauges {
-			if timing(n) {
-				continue
-			}
-			if fs.Gauges == nil {
-				fs.Gauges = map[string]int64{}
-			}
-			fs.Gauges[n] = v
-		}
-		for n, h := range sc.Histograms {
-			if timing(n) {
-				continue
-			}
-			if fs.Histograms == nil {
-				fs.Histograms = map[string]HistogramSnapshot{}
-			}
-			fs.Histograms[n] = h
-		}
-		if fs.Counters != nil || fs.Gauges != nil || fs.Histograms != nil {
-			out.Scopes = append(out.Scopes, fs)
-		}
-	}
-	return out
-}
-
-// MergeSnapshots combines snapshots taken from independent registries
-// (one per distributed task) into one aggregate: counters add, gauges
-// take the maximum (every gauge in this codebase is a high-water
-// mark), histograms add bucket-wise when their bounds agree (on a
-// bounds mismatch the first histogram wins and the rest are dropped —
-// instrument points use fixed bounds, so this only happens across
-// incompatible binaries, which the wire handshake already rejects).
-// Histogram sums accumulate in argument order, so merging an ordered
-// task list is deterministic. Scopes are emitted sorted by name.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	type scopeAcc struct {
-		counters map[string]int64
-		gauges   map[string]int64
-		hists    map[string]HistogramSnapshot
-	}
-	accs := map[string]*scopeAcc{}
-	get := func(name string) *scopeAcc {
-		a, ok := accs[name]
-		if !ok {
-			a = &scopeAcc{counters: map[string]int64{}, gauges: map[string]int64{}, hists: map[string]HistogramSnapshot{}}
-			accs[name] = a
-		}
-		return a
-	}
-	boundsEqual := func(a, b []float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, s := range snaps {
-		for _, sc := range s.Scopes {
-			a := get(sc.Name)
-			for n, v := range sc.Counters {
-				a.counters[n] += v
-			}
-			for n, v := range sc.Gauges {
-				if cur, ok := a.gauges[n]; !ok || v > cur {
-					a.gauges[n] = v
-				}
-			}
-			for n, h := range sc.Histograms {
-				cur, ok := a.hists[n]
-				if !ok {
-					a.hists[n] = HistogramSnapshot{
-						Bounds: append([]float64(nil), h.Bounds...),
-						Counts: append([]int64(nil), h.Counts...),
-						Count:  h.Count,
-						Sum:    h.Sum,
-					}
-					continue
-				}
-				if !boundsEqual(cur.Bounds, h.Bounds) {
-					continue
-				}
-				for i := range cur.Counts {
-					cur.Counts[i] += h.Counts[i]
-				}
-				cur.Count += h.Count
-				cur.Sum += h.Sum
-				a.hists[n] = cur
-			}
-		}
-	}
-	names := make([]string, 0, len(accs))
-	for n := range accs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := Snapshot{}
-	for _, n := range names {
-		a := accs[n]
-		sc := ScopeSnapshot{Name: n}
-		if len(a.counters) > 0 {
-			sc.Counters = a.counters
-		}
-		if len(a.gauges) > 0 {
-			sc.Gauges = a.gauges
-		}
-		if len(a.hists) > 0 {
-			sc.Histograms = a.hists
-		}
-		out.Scopes = append(out.Scopes, sc)
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.
