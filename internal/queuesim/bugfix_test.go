@@ -87,8 +87,8 @@ func TestCensoringDrain(t *testing.T) {
 	cfg.QPS = 1000
 	cfg.Seconds = 0.01 // 10 ms of arrivals...
 	cfg.Warmup = 0
-	cfg.HitRate = 0            // every request takes the storage path
-	cfg.StorageLatency = 50    // ...each needing >= 50 ms to finish
+	cfg.HitRate = 0         // every request takes the storage path
+	cfg.StorageLatency = 50 // ...each needing >= 50 ms to finish
 	cfg.Drain = 1
 	m := Run(cfg)
 	if m.Completed == 0 {
@@ -263,6 +263,27 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		{"negative-hedge", func(c *TailConfig) { c.Policy.HedgeMs = -10 }},
 		{"nan-max-backoff", func(c *TailConfig) { c.Policy.MaxBackoffMs = math.NaN() }},
 		{"negative-max-backoff", func(c *TailConfig) { c.Policy.MaxBackoffMs = -1 }},
+		// Non-finite run knobs ran past any watchdog (NaN and +Inf
+		// horizons never end; a NaN or +Inf rate never advances time).
+		{"nan-qps", func(c *TailConfig) { c.QPS = math.NaN() }},
+		{"inf-qps", func(c *TailConfig) { c.QPS = math.Inf(1) }},
+		{"nan-seconds", func(c *TailConfig) { c.Seconds = math.NaN() }},
+		{"inf-seconds", func(c *TailConfig) { c.Seconds = math.Inf(1) }},
+		{"nan-warmup", func(c *TailConfig) { c.Warmup = math.NaN() }},
+		{"neg-inf-warmup", func(c *TailConfig) { c.Warmup = math.Inf(-1) }},
+		{"nan-drain", func(c *TailConfig) { c.Drain = math.NaN() }},
+		{"inf-drain", func(c *TailConfig) { c.Drain = math.Inf(1) }},
+		{"nan-scale", func(c *TailConfig) { c.Scale = math.NaN() }},
+		{"inf-scale", func(c *TailConfig) { c.Scale = math.Inf(1) }},
+		// A finite but astronomical load panicked in makeslice
+		// presizing the latency sample (syssim -tail -max 1e16).
+		{"qps-past-arrival-limit", func(c *TailConfig) { c.QPS = 1e15; c.Seconds = 0.01; c.Warmup = 0 }},
+		{"qps-overflows", func(c *TailConfig) { c.QPS = math.MaxFloat64 }},
+		{"closed-users-past-limit", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrClosed, Users: maxArrivals + 1}
+		}},
+		{"scale-overflows-servers", func(c *TailConfig) { c.Scale = 1e12 }},
+		{"horizon-overflows-clock", func(c *TailConfig) { c.QPS = 1e-300; c.Seconds = 1e306; c.Warmup = 0 }},
 	} {
 		cfg := tailBase()
 		tc.mut(&cfg)
@@ -270,13 +291,44 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 			t.Fatalf("%s: expected a config error", tc.label)
 		}
 	}
-	// The closed loop with a real population still runs.
+	// A huge finite rate over a window tiny enough to hold a modest
+	// number of arrivals is a real run, not a panic.
 	cfg := tailBase()
+	cfg.QPS = 1e15
+	cfg.Seconds = 2e-12
+	cfg.Warmup = 0
+	cfg.Drain = 0
+	m := mustTail(t, cfg)
+	if m.Arrived == 0 || m.Completed+m.Failed > m.Arrived || m.Latency.Len() != m.Completed {
+		t.Fatalf("QPS 1e15 over 2e-12 s: arrived %d, completed %d, failed %d, %d samples",
+			m.Arrived, m.Completed, m.Failed, m.Latency.Len())
+	}
+	// The closed loop with a real population still runs.
+	cfg = tailBase()
 	cfg.Seconds = 1
 	cfg.Arrivals = ArrivalConfig{Process: ArrClosed, Users: 100}
 	if m := mustTail(t, cfg); m.Arrived == 0 {
 		t.Fatal("closed loop with Users=100 saw no arrivals")
 	}
+}
+
+// TestInlineRejectedTryNotHedged: a first try the queue cap rejects
+// inline frees its slot and leaves the request to a retry copy. Before
+// the fix issue() armed the hedge on the freed slot anyway; it fired
+// as a copy of a request that had already failed (a second
+// resolution), or hedged whichever request reused the slot.
+func TestInlineRejectedTryNotHedged(t *testing.T) {
+	cfg := tailBase()
+	cfg.QPS = 4e5
+	cfg.Seconds = 0.01
+	cfg.Warmup = 0
+	cfg.Drain = 0.05
+	cfg.Policy = PolicyConfig{TimeoutMs: 20, MaxRetries: 2, BackoffMs: 1, HedgeMs: 5, QueueCap: 50}
+	m := mustTail(t, cfg)
+	if m.Rejected == 0 || m.Hedged == 0 {
+		t.Fatalf("scenario lost its point: %d rejected, %d hedged", m.Rejected, m.Hedged)
+	}
+	checkConservation(t, m, "inline-reject-hedge")
 }
 
 // TestUtilExcludesDrain: utilisation is measured over the arrival

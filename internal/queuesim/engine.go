@@ -2,16 +2,18 @@
 // allocation-free state machine, so data-center populations (10⁶+
 // in-flight requests) are as cheap as the 1x Figure 22 sweep. The
 // scenario comes from a compiled GraphSpec (graph.go) walked by the
-// generic executor (exec.go). Requests and batches live in
-// index-addressed arenas, station queues are packed (index,
-// generation) rings, and every hop is a typed event dispatched through
-// the Sim's non-boxing O(1) scheduler (a calendar queue plus a
-// hierarchical timer wheel), so steady-state event dispatch performs
-// zero heap allocations. Cancellation (timeouts, hedge losers) is
-// lazy: a cancelled entry is marked dead and collected by whatever
-// holds it (its pending event, a queue slot, or its batch), and
-// generation counters make stale timer/hedge/retry events no-ops, so
-// nothing is ever searched or removed from the middle of a queue.
+// generic executor (exec.go). Requests and batches live in paged,
+// index-addressed arenas, station queues are paged FIFOs of packed
+// (index, generation) words (arena.go), and every hop is a typed event
+// dispatched through the Sim's non-boxing O(1) scheduler (a calendar
+// queue plus a hierarchical timer wheel), so steady-state event
+// dispatch performs zero heap allocations. Pages are never copied or
+// freed during a run, so a run allocates about its live set.
+// Cancellation (timeouts, hedge losers) is lazy: a cancelled entry is
+// marked dead and collected by whatever holds it (its pending event, a
+// queue slot, or its batch), and generation counters make stale
+// timer/hedge/retry events no-ops, so nothing is ever searched or
+// removed from the middle of a queue.
 // Armed timers additionally carry a TimerID: when a slot is freed (or
 // a batch launches early) the engine cancels them, which the wheel
 // turns into a physical O(1) deschedule.
@@ -89,49 +91,10 @@ type ebatch struct {
 	forming bool
 }
 
-// ring is a growable power-of-two circular FIFO of packed
-// (index, generation) words — the station queues.
-type ring struct {
-	buf  []int64
-	head int
-	n    int
-}
-
-func pack(idx int32, gen uint32) int64 { return int64(idx)<<32 | int64(gen) }
-func unpack(v int64) (int32, uint32)   { return int32(v >> 32), uint32(v) }
-
-func (r *ring) push(v int64) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-func (r *ring) pop() int64 {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
-func (r *ring) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 64
-	}
-	nb := make([]int64, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = nb
-	r.head = 0
-}
-
 // estation is a multi-server FIFO station over the arenas; it never
 // allocates on the service path.
 type estation struct {
-	q          ring
+	q          fifo
 	name       string
 	idx        int32
 	servers    int32
@@ -156,7 +119,7 @@ func (st *estation) account(now float64) {
 type TailConfig struct {
 	Config
 	// Scale multiplies station capacities (number of machines); < 1 is
-	// treated as 1.
+	// treated as 1, NaN or ±Inf is an error.
 	Scale    float64
 	Arrivals ArrivalConfig
 	Policy   PolicyConfig
@@ -257,19 +220,18 @@ type engine struct {
 
 	endMs, warmupMs float64
 
-	reqs  []ereq
-	freeR []int32
-	live  int
+	reqs    arena[ereq]
+	reqFree int32 // last released request slot, -1 when none
+	live    int
 
 	// staleEvents counts dispatched timer events whose generation check
 	// failed (or whose target was already dead/launched) — the no-ops
 	// TailMetrics.Events subtracts.
 	staleEvents uint64
 
-	batches    []ebatch
-	freeB      []int32
-	memberPool [][]int32
-	forming    int32 // forming batch index, -1 when none
+	batches   arena[ebatch]
+	batchFree int32 // last released batch slot, -1 when none
+	forming   int32 // forming batch index, -1 when none
 
 	// Arrival-process state (see arrivals.go).
 	arrGen     int32
@@ -284,11 +246,15 @@ type engine struct {
 }
 
 // RunTail simulates one load point. It returns an error for a
-// degenerate configuration (zero horizon, a warmup that leaves no
-// measured window, open loop without a positive QPS, closed loop
-// without users, a NaN or negative policy duration, RPU over a
-// batchless graph, a station with no servers) or an invalid graph
-// spec, instead of silently reporting an empty run as measured.
+// degenerate configuration (a NaN or infinite QPS, Seconds, Warmup,
+// Drain or Scale, zero horizon, a warmup that leaves no measured
+// window, open loop without a positive QPS or expecting more than
+// maxArrivals arrivals, closed loop without users or with more than
+// maxArrivals, a NaN or negative policy duration, RPU over a batchless
+// graph, a station with no servers or more than an int32 holds, a
+// horizon past the millisecond clock's range) or an invalid graph
+// spec, instead of silently reporting an empty run as measured,
+// hanging or panicking.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	e, err := newTailEngine(cfg)
 	if err != nil {
@@ -297,7 +263,24 @@ func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	return e.run(), nil
 }
 
+// maxArrivals bounds a run's expected arrivals (open loop) or users
+// (closed loop): under overload every arrival can be in flight at
+// once, and arena slots and user ids are int32.
+const maxArrivals = math.MaxInt32
+
+// maxLatencyPresize caps the latency sample's initial capacity (128
+// MiB of float64); a run with more measured completions grows it.
+const maxLatencyPresize = 1 << 24
+
 func newTailEngine(cfg TailConfig) (*engine, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"QPS", cfg.QPS}, {"Seconds", cfg.Seconds}, {"Warmup", cfg.Warmup}, {"Drain", cfg.Drain}, {"Scale", cfg.Scale}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("queuesim: %s must be finite (got %v)", f.name, f.v)
+		}
+	}
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
 	}
@@ -307,12 +290,17 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	if cfg.Warmup >= cfg.Seconds {
 		return nil, fmt.Errorf("queuesim: Warmup %v s leaves no measured window in a %v s run", cfg.Warmup, cfg.Seconds)
 	}
+	if h := cfg.Seconds*1000 + drainMs(cfg.Drain); math.IsInf(h, 0) {
+		return nil, fmt.Errorf("queuesim: a %v s run with a %v s drain overflows the millisecond clock", cfg.Seconds, cfg.Drain)
+	}
 	if cfg.Arrivals.Process == ArrClosed {
-		if cfg.Arrivals.Users <= 0 {
-			return nil, fmt.Errorf("queuesim: closed-loop arrivals need Users > 0 (got %d)", cfg.Arrivals.Users)
+		if cfg.Arrivals.Users <= 0 || cfg.Arrivals.Users > maxArrivals {
+			return nil, fmt.Errorf("queuesim: closed-loop arrivals need 0 < Users <= %d (got %d)", maxArrivals, cfg.Arrivals.Users)
 		}
 	} else if cfg.QPS <= 0 {
 		return nil, fmt.Errorf("queuesim: open-loop arrivals need QPS > 0 (got %v)", cfg.QPS)
+	} else if n := cfg.QPS * cfg.Seconds; n > maxArrivals {
+		return nil, fmt.Errorf("queuesim: QPS %v over %v s expects %.3g arrivals, more than %d", cfg.QPS, cfg.Seconds, n, maxArrivals)
 	}
 	if err := cfg.Policy.validate(); err != nil {
 		return nil, err
@@ -331,7 +319,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 
 	sim := NewSimSched(cfg.Seed, SchedCalendar)
 	e := &engine{cfg: cfg, pol: cfg.Policy, sim: sim, g: g,
-		forming: -1, inflightTS: math.Inf(-1)}
+		reqFree: -1, batchFree: -1, forming: -1, inflightTS: math.Inf(-1)}
 	e.endMs = cfg.Seconds * 1000
 	e.warmupMs = cfg.Warmup * 1000
 	e.arr = cfg.Arrivals.withDefaults(e.endMs)
@@ -350,32 +338,35 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	cores := float64(cfg.Cores)
 	e.sts = make([]estation, len(g.stations))
 	for i, sd := range g.stations {
-		var servers int32
+		var n float64
 		switch {
 		case sd.infinite:
-			servers = Inf
+			n = Inf
 		case cfg.RPU && sd.batchTier:
 			// cores × 5x × 1.2 (occupancy per batch) / batch width, per
 			// machine, times Scale machines.
-			servers = int32(math.Ceil(cores * sd.coresMul * 5 * 1.2 / float64(cfg.BatchSize) * scale))
+			n = math.Ceil(cores * sd.coresMul * 5 * 1.2 / float64(cfg.BatchSize) * scale)
 		default:
-			servers = int32(cores * sd.coresMul * capMul * scale)
+			n = cores * sd.coresMul * capMul * scale
 		}
-		if servers <= 0 {
+		if !(n >= 1) {
 			return nil, fmt.Errorf("queuesim: graph %q: station %q has zero servers at scale %v", g.name, sd.name, scale)
 		}
-		e.initStation(int32(i), sd.name, servers, cfg.RPU && sd.batched)
+		if n >= Inf && !sd.infinite {
+			return nil, fmt.Errorf("queuesim: graph %q: station %q needs %.3g servers at scale %v, more than an int32 holds", g.name, sd.name, n, scale)
+		}
+		e.initStation(int32(i), sd.name, int32(n), cfg.RPU && sd.batched)
 	}
 
-	est := int(cfg.QPS * cfg.Seconds)
+	// Presize the latency sample for the measured window's arrivals,
+	// with a 1/16 margin for arrival noise.
+	measured := cfg.Seconds - cfg.Warmup
+	est := cfg.QPS * measured * (1 + 1.0/16)
 	if e.arr.Process == ArrClosed {
-		est = e.arr.Users * 8
+		est = float64(e.arr.Users) * 8
 	}
-	if est < 1024 {
-		est = 1024
-	}
-	e.m = &TailMetrics{Offered: cfg.QPS, Latency: stats.NewSample(est)}
-	e.m.Measured = cfg.Seconds - cfg.Warmup
+	est = min(max(est, 1024), maxLatencyPresize)
+	e.m = &TailMetrics{Offered: cfg.QPS, Latency: stats.NewSample(int(est)), Measured: measured}
 	sim.Handle = e.handle
 	return e, nil
 }
@@ -487,13 +478,11 @@ func (e *engine) handle(kind uint8, a, b int32) {
 // --- request arena ---
 
 func (e *engine) alloc() int32 {
-	var idx int32
-	if n := len(e.freeR); n > 0 {
-		idx = e.freeR[n-1]
-		e.freeR = e.freeR[:n-1]
+	idx := e.reqFree
+	if idx >= 0 {
+		e.reqFree = e.reqs.at(idx).parent
 	} else {
-		e.reqs = append(e.reqs, ereq{})
-		idx = int32(len(e.reqs) - 1)
+		idx = e.reqs.grow()
 	}
 	e.live++
 	if e.live > e.m.InFlightHWM {
@@ -504,7 +493,7 @@ func (e *engine) alloc() int32 {
 }
 
 func (e *engine) free(idx int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	// The slot's armed timers can never fire usefully once the
 	// generation advances; deschedule them instead of leaving stale
 	// no-op pops behind. (The retry timer is never cancelled: a slot
@@ -524,7 +513,10 @@ func (e *engine) free(idx int32) {
 	r.flags = 0
 	r.coins = 0
 	r.twin = -1
-	e.freeR = append(e.freeR, idx)
+	// A dead slot's parent is the free-list link; every alloc site
+	// overwrites it.
+	r.parent = e.reqFree
+	e.reqFree = idx
 	e.live--
 }
 
@@ -550,7 +542,7 @@ func (e *engine) sampleInflight() {
 // declaration order, into the coin bitmask.
 func (e *engine) issue(user int32) {
 	idx := e.alloc()
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	now := e.sim.now
 	r.arrive = now
 	r.user = user
@@ -568,9 +560,15 @@ func (e *engine) issue(user int32) {
 	if now >= e.warmupMs && now <= e.endMs {
 		e.m.Arrived++
 	}
+	gen := r.gen
 	e.launchTry(idx)
-	if e.pol.HedgeMs > 0 {
-		e.reqs[idx].hHedge = e.sim.AtTimer(e.pol.HedgeMs, ekHedge, idx, int32(e.reqs[idx].gen))
+	// A queue cap can reject the first try inline, which frees the slot
+	// and leaves the request to a retry copy (or fails it). Like any
+	// abandoned try it is not hedged: a hedge armed on the freed slot
+	// would copy a request that may already have resolved, or hedge
+	// whichever request reuses the slot.
+	if e.pol.HedgeMs > 0 && r.gen == gen {
+		r.hHedge = e.sim.AtTimer(e.pol.HedgeMs, ekHedge, idx, int32(gen))
 	}
 }
 
@@ -578,7 +576,8 @@ func (e *engine) issue(user int32) {
 // graph entry (stage 0 is entered directly, as in Run).
 func (e *engine) launchTry(idx int32) {
 	if e.pol.TimeoutMs > 0 {
-		e.reqs[idx].hTimeout = e.sim.AtTimer(e.pol.TimeoutMs, ekTimeout, idx, int32(e.reqs[idx].gen))
+		r := e.reqs.at(idx)
+		r.hTimeout = e.sim.AtTimer(e.pol.TimeoutMs, ekTimeout, idx, int32(r.gen))
 	}
 	e.enter(idx, e.g.entry)
 }
@@ -590,13 +589,13 @@ func (e *engine) submitReq(st *estation, idx int32) {
 		e.serveReq(st, idx)
 	} else if e.pol.QueueCap > 0 && st.q.n >= e.pol.QueueCap {
 		e.m.Rejected++
-		if e.reqs[idx].flags&rfLeg != 0 {
+		if e.reqs.at(idx).flags&rfLeg != 0 {
 			e.rejectLeg(idx)
 		} else {
 			e.abandonTry(idx, true)
 		}
 	} else {
-		st.q.push(pack(idx, e.reqs[idx].gen))
+		st.q.push(pack(idx, e.reqs.at(idx).gen))
 	}
 	st.probe.sample(e.sim.now, st.q.n, int(st.busy))
 }
@@ -606,7 +605,7 @@ func (e *engine) onSvcDone(idx, stIdx int32) {
 	now := e.sim.now
 	st.account(now)
 	st.busy--
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	st.probe.observe(now, now-r.enq)
 	st.probe.sample(now, st.q.n, int(st.busy))
 	e.dispatchNext(st)
@@ -623,7 +622,7 @@ func (e *engine) dispatchNext(st *estation) {
 	for st.busy < st.servers && st.q.n > 0 {
 		idx, gen := unpack(st.q.pop())
 		if st.batched {
-			b := &e.batches[idx]
+			b := e.batches.at(idx)
 			if b.gen != gen {
 				continue
 			}
@@ -632,7 +631,7 @@ func (e *engine) dispatchNext(st *estation) {
 			e.serveBatch(st, idx)
 			continue
 		}
-		r := &e.reqs[idx]
+		r := e.reqs.at(idx)
 		if r.gen != gen {
 			continue // slot was freed (and possibly reused): stale entry
 		}
@@ -650,9 +649,9 @@ func (e *engine) dispatchNext(st *estation) {
 // the latency by arrival window, wakes its closed-loop user and frees
 // the slot.
 func (e *engine) complete(idx int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	if r.twin >= 0 {
-		t := &e.reqs[r.twin]
+		t := e.reqs.at(r.twin)
 		if t.twin == idx {
 			t.twin = -1
 			t.flags |= rfDead // the loser's driver collects it
@@ -675,7 +674,7 @@ func (e *engine) complete(idx int32) {
 // --- policies ---
 
 func (e *engine) onTimeout(idx, gen int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	if r.gen != uint32(gen) {
 		// The slot was freed and reused: a stale no-op.
 		e.staleEvents++
@@ -696,15 +695,14 @@ func (e *engine) onTimeout(idx, gen int32) {
 // timeout is not the driver and leaves the dead slot for its queue
 // entry / in-service event / outstanding legs to collect.
 func (e *engine) abandonTry(idx int32, isDriver bool) {
-	e.reqs[idx].flags |= rfDead
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
+	r.flags |= rfDead
 	// r.tries < 255 saturates the uint8 counter: with MaxRetries ≥ 255
 	// it would wrap to 0 and retry forever.
 	if int(r.tries) < e.pol.MaxRetries && r.tries < math.MaxUint8 {
 		e.m.Retried++
 		n := e.alloc()
-		r = &e.reqs[idx] // alloc may have grown the arena
-		c := &e.reqs[n]
+		c := e.reqs.at(n)
 		c.arrive = r.arrive
 		c.user = r.user
 		c.tries = r.tries + 1
@@ -716,7 +714,7 @@ func (e *engine) abandonTry(idx int32, isDriver bool) {
 		// A hedge pair survives a retry: relink so the first completion
 		// still cancels the other copy.
 		if r.twin >= 0 {
-			t := &e.reqs[r.twin]
+			t := e.reqs.at(r.twin)
 			if t.twin == idx {
 				t.twin = n
 				c.twin = r.twin
@@ -738,10 +736,10 @@ func (e *engine) abandonTry(idx int32, isDriver bool) {
 // failTry resolves a logical request as failed — unless a live hedge
 // twin remains, in which case the survivor carries it alone.
 func (e *engine) failTry(idx int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	survivor := false
 	if r.twin >= 0 {
-		t := &e.reqs[r.twin]
+		t := e.reqs.at(r.twin)
 		if t.twin == idx && t.flags&rfDead == 0 {
 			survivor = true
 			t.twin = -1
@@ -759,7 +757,7 @@ func (e *engine) failTry(idx int32) {
 }
 
 func (e *engine) onRetry(idx, gen int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	if r.gen != uint32(gen) {
 		e.staleEvents++
 		return
@@ -772,7 +770,7 @@ func (e *engine) onRetry(idx, gen int32) {
 }
 
 func (e *engine) onHedge(idx, gen int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	if r.gen != uint32(gen) {
 		e.staleEvents++
 		return
@@ -784,8 +782,7 @@ func (e *engine) onHedge(idx, gen int32) {
 	}
 	e.m.Hedged++
 	n := e.alloc()
-	r = &e.reqs[idx]
-	c := &e.reqs[n]
+	c := e.reqs.at(n)
 	c.arrive = r.arrive
 	c.user = r.user
 	c.tries = 0
@@ -801,37 +798,35 @@ func (e *engine) onHedge(idx, gen int32) {
 // --- batches (RPU mode) ---
 
 func (e *engine) allocBatch() int32 {
-	var idx int32
-	if n := len(e.freeB); n > 0 {
-		idx = e.freeB[n-1]
-		e.freeB = e.freeB[:n-1]
+	idx := e.batchFree
+	if idx >= 0 {
+		e.batchFree = e.batches.at(idx).parent
 	} else {
-		e.batches = append(e.batches, ebatch{})
-		idx = int32(len(e.batches) - 1)
+		idx = e.batches.grow()
 	}
-	b := &e.batches[idx]
+	b := e.batches.at(idx)
 	b.parent = -1
 	b.joins = 0
-	if n := len(e.memberPool); n > 0 {
-		b.members = e.memberPool[n-1][:0]
-		e.memberPool = e.memberPool[:n-1]
-	} else {
+	// A slot keeps its member slice across reuse: slots are never
+	// copied, so the slice is the slot's own for the whole run.
+	if b.members == nil {
 		b.members = make([]int32, 0, e.cfg.BatchSize)
+	} else {
+		b.members = b.members[:0]
 	}
 	return idx
 }
 
 func (e *engine) freeBatch(idx int32) {
-	b := &e.batches[idx]
+	b := e.batches.at(idx)
 	if b.hTimer != 0 {
 		e.sim.Cancel(b.hTimer)
 		b.hTimer = 0
 	}
 	b.gen++
 	b.forming = false
-	e.memberPool = append(e.memberPool, b.members)
-	b.members = nil
-	e.freeB = append(e.freeB, idx)
+	b.parent = e.batchFree // the free-list link, as for requests
+	e.batchFree = idx
 }
 
 // joinBatch adds a formation-point request to the forming batch,
@@ -842,11 +837,11 @@ func (e *engine) joinBatch(idx int32) {
 	if e.forming < 0 {
 		bi := e.allocBatch()
 		e.forming = bi
-		b := &e.batches[bi]
+		b := e.batches.at(bi)
 		b.forming = true
 		b.hTimer = e.sim.AtTimer(e.cfg.BatchTimeout, ekBatchTimer, bi, int32(b.gen))
 	}
-	b := &e.batches[e.forming]
+	b := e.batches.at(e.forming)
 	b.members = append(b.members, idx)
 	if len(b.members) >= e.cfg.BatchSize {
 		bi := e.forming
@@ -856,7 +851,7 @@ func (e *engine) joinBatch(idx int32) {
 }
 
 func (e *engine) onBatchTimer(bi, gen int32) {
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	if b.gen != uint32(gen) {
 		e.staleEvents++
 		return
@@ -871,7 +866,7 @@ func (e *engine) onBatchTimer(bi, gen int32) {
 }
 
 func (e *engine) launchBatch(bi int32) {
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	if b.hTimer != 0 {
 		// Size-triggered launch: the formation timer can never fire
 		// usefully again, so deschedule it.
@@ -894,7 +889,7 @@ func (e *engine) submitBatch(st *estation, bi int32) {
 		st.busy++
 		e.serveBatch(st, bi)
 	} else {
-		st.q.push(pack(bi, e.batches[bi].gen))
+		st.q.push(pack(bi, e.batches.at(bi).gen))
 	}
 	st.probe.sample(e.sim.now, st.q.n, int(st.busy))
 }
@@ -904,7 +899,7 @@ func (e *engine) onBatchDone(bi, stIdx int32) {
 	now := e.sim.now
 	st.account(now)
 	st.busy--
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	st.probe.observe(now, now-b.enq)
 	st.probe.sample(now, st.q.n, int(st.busy))
 	e.dispatchNext(st)
@@ -912,9 +907,9 @@ func (e *engine) onBatchDone(bi, stIdx int32) {
 }
 
 func (e *engine) completeBatch(bi int32) {
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	for _, idx := range b.members {
-		if e.reqs[idx].flags&rfDead != 0 {
+		if e.reqs.at(idx).flags&rfDead != 0 {
 			e.free(idx)
 			continue
 		}

@@ -1,6 +1,8 @@
 package queuesim
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -247,7 +249,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	e.startArrivals()
 	now := 200.0
-	e.sim.Run(now) // grow arenas, queues, rings, stats to steady state
+	e.sim.Run(now) // grow arena pages, queue blocks, stats to steady state
 	n := testing.AllocsPerRun(100, func() {
 		now += 5
 		e.sim.Run(now)
@@ -259,7 +261,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 
 // TestTailScaleMillionInFlight: the 100x Figure 22 analog overdriven
 // past capacity must carry a standing population of at least a million
-// in-flight requests and still produce a full tail profile.
+// in-flight requests and still produce a full tail profile, allocating
+// about its live set: at most 128 bytes over the whole run per request
+// at the in-flight peak (a 56-byte slot, its queue word and event, its
+// latency sample). Arenas and queues that grew by copying allocated
+// about 384.
 func TestTailScaleMillionInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tail-at-scale stress skipped in -short")
@@ -270,9 +276,16 @@ func TestTailScaleMillionInFlight(t *testing.T) {
 	cfg.Warmup = 0.1
 	cfg.Drain = 0.5
 	cfg.Seed = 7
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	m := mustTail(t, cfg)
+	runtime.ReadMemStats(&after)
 	if m.InFlightHWM < 1_000_000 {
 		t.Fatalf("in-flight high-water mark %d, want >= 1e6", m.InFlightHWM)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.InFlightHWM); per > 128 {
+		t.Fatalf("run allocated %.0f B per request at the in-flight peak (%d), want <= 128",
+			per, m.InFlightHWM)
 	}
 	if m.Completed == 0 {
 		t.Fatal("no completions at scale")
@@ -304,4 +317,67 @@ func BenchmarkTailEngine(b *testing.B) {
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
+}
+
+// FuzzTailConfig: any run knobs on the social graph give an error or a
+// consistent result — never a panic or a hang. Every completion or
+// failure belongs to a measured arrival; and once a run has no event
+// left (it drained before its horizon), every arrival is resolved and
+// every arena slot released. Finite knobs are clamped so one run stays
+// small (at most ~4000 arrivals, a 20 ms window, a 1 s drain, 8
+// retries); non-finite ones reach RunTail as given.
+func FuzzTailConfig(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		qps, sec, warm, drain, scale, timeout, backoff, hedge, maxBackoff float64
+		retries, qcap                                                     int
+		rpu                                                               bool
+	}{
+		{1e4, 0.01, 0.002, 0.2, 1, 0, 0, 0, 0, 0, 0, false},
+		{5e5, 0.01, 0, 0.05, 1, 20, 1, 5, 0, 2, 50, false},
+		{9e4, 0.02, 0.005, 0.5, 1, 20, 0.5, 8, 4, 1, 200, true},
+		// The degenerate knobs that used to hang or panic.
+		{nan, 0.01, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
+		{inf, 0.01, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
+		{1e4, nan, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
+		{1e4, inf, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
+		{1e15, 0.01, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
+		{1e15, 2e-12, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
+		{1e4, 0.01, nan, inf, nan, 0, 0, 0, 0, 0, 0, false},
+		{1e4, 0.01, 0, 0, 1e12, inf, inf, inf, inf, 300, -1, true},
+	} {
+		f.Add(c.qps, c.sec, c.warm, c.drain, c.scale, c.timeout, c.backoff, c.hedge, c.maxBackoff, c.retries, c.qcap, c.rpu)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	f.Fuzz(func(t *testing.T, qps, sec, warm, drain, scale, timeout, backoff, hedge, maxBackoff float64,
+		retries, qcap int, rpu bool) {
+		if finite(sec) && sec > 0.02 {
+			sec = 0.02
+		}
+		if finite(qps) && finite(sec) && qps*sec > 4000 {
+			qps = 4000 / sec
+		}
+		if finite(drain) && drain > 1 {
+			drain = 1
+		}
+		c := DefaultConfig()
+		c.QPS, c.Seconds, c.Warmup, c.Drain = qps, sec, warm, drain
+		c.RPU, c.Split = rpu, rpu
+		cfg := TailConfig{Config: c, Scale: scale, Policy: PolicyConfig{TimeoutMs: timeout,
+			MaxRetries: min(retries, 8), BackoffMs: backoff, HedgeMs: hedge,
+			MaxBackoffMs: maxBackoff, QueueCap: qcap}}
+		e, err := newTailEngine(cfg)
+		if err != nil {
+			return
+		}
+		m := e.run()
+		if m.Completed+m.Failed > m.Arrived || m.Latency.Len() != m.Completed {
+			t.Fatalf("%d completed + %d failed of %d arrived, %d latency samples",
+				m.Completed, m.Failed, m.Arrived, m.Latency.Len())
+		}
+		if e.sim.Pending() == 0 && (e.live != 0 || m.Completed+m.Failed != m.Arrived) {
+			t.Fatalf("drained run: %d slots live; %d completed + %d failed of %d arrived",
+				e.live, m.Completed, m.Failed, m.Arrived)
+		}
+	})
 }

@@ -12,7 +12,7 @@ package queuesim
 // enter lands a request or fan-out leg on a compiled stage, resolves
 // it at cgDone, or joins a leg at cgJoin.
 func (e *engine) enter(idx, stage int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	if r.flags&rfLeg != 0 {
 		if stage == cgJoin {
 			e.legEnd(idx)
@@ -23,7 +23,7 @@ func (e *engine) enter(idx, stage int32) {
 		// the dead parent is eventually collected. Async legs
 		// (parent < 0) always run to their join.
 		if r.parent >= 0 {
-			p := &e.reqs[r.parent]
+			p := e.reqs.at(r.parent)
 			if p.gen != r.pgen || p.flags&rfDead != 0 {
 				e.legEnd(idx)
 				return
@@ -46,7 +46,7 @@ func (e *engine) enter(idx, stage int32) {
 
 // serveReq draws the service demand from the compiled stage.
 func (e *engine) serveReq(st *estation, idx int32) {
-	s := &e.g.stages[e.reqs[idx].stage]
+	s := &e.g.stages[e.reqs.at(idx).stage]
 	d := s.demand
 	if !s.fixed {
 		d = e.sim.Jitter(d) * e.latMul
@@ -68,7 +68,7 @@ func (e *engine) followEdge(idx int32, ed *cedge) {
 // forming batch at the formation point (RPU), into its fan-out legs,
 // or along the first matching next edge.
 func (e *engine) advance(idx int32) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	s := &e.g.stages[r.stage]
 	if r.flags&rfLeg == 0 {
 		if e.cfg.RPU && int32(r.stage) == e.g.formAfter {
@@ -88,7 +88,7 @@ func (e *engine) advance(idx int32) {
 // cap) cannot race it; if a rejected leg abandons and frees the parent
 // mid-loop the generation check below stops the walk.
 func (e *engine) spawnLegs(idx int32, s *cstage) {
-	r := &e.reqs[idx]
+	r := e.reqs.at(idx)
 	coins := r.coins
 	gen := r.gen
 	arrive := r.arrive
@@ -105,13 +105,13 @@ func (e *engine) spawnLegs(idx int32, s *cstage) {
 		if !ed.taken(coins) {
 			continue
 		}
-		if e.reqs[idx].gen != gen {
+		if r.gen != gen {
 			// A rejected leg already abandoned and freed the parent;
 			// remaining legs would reference a recycled slot.
 			return
 		}
-		li := e.alloc() // may grow the arena; use values captured above
-		l := &e.reqs[li]
+		li := e.alloc()
+		l := e.reqs.at(li)
 		l.arrive = arrive
 		l.user = -1
 		l.twin = -1
@@ -128,7 +128,6 @@ func (e *engine) spawnLegs(idx int32, s *cstage) {
 		}
 		e.followEdge(li, ed)
 	}
-	r = &e.reqs[idx]
 	if r.gen != gen {
 		return // parent abandoned by a rejected leg during the launch loop
 	}
@@ -142,13 +141,13 @@ func (e *engine) spawnLegs(idx int32, s *cstage) {
 // join count, and — when this was the last outstanding sync leg —
 // either advances the parent or collects it if it died while waiting.
 func (e *engine) legEnd(li int32) {
-	l := &e.reqs[li]
+	l := e.reqs.at(li)
 	pi, pgen := l.parent, l.pgen
 	e.free(li)
 	if pi < 0 {
 		return // async leg: nobody waits
 	}
-	p := &e.reqs[pi]
+	p := e.reqs.at(pi)
 	if p.gen != pgen {
 		return // parent slot already recycled
 	}
@@ -167,9 +166,9 @@ func (e *engine) legEnd(li int32) {
 // parent's current try is abandoned (retrying if budget remains) and
 // the leg joins out.
 func (e *engine) rejectLeg(li int32) {
-	l := &e.reqs[li]
+	l := e.reqs.at(li)
 	if l.parent >= 0 {
-		p := &e.reqs[l.parent]
+		p := e.reqs.at(l.parent)
 		if p.gen == l.pgen && p.flags&rfDead == 0 {
 			// Not the driver: the outstanding legs collectively are.
 			e.abandonTry(l.parent, false)
@@ -191,7 +190,7 @@ func (e *engine) enterBatch(bi, stage int32) {
 		e.batchLegEnd(bi)
 		return
 	}
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	b.stage = int8(stage)
 	b.enq = e.sim.now
 	e.submitBatch(&e.sts[e.g.bstages[stage].station], bi)
@@ -209,7 +208,7 @@ func (e *engine) followBEdge(bi int32, ed *cedge) {
 // demand, plus any on-core hold (the reconvergence wait of an unsplit
 // batch).
 func (e *engine) serveBatch(st *estation, bi int32) {
-	bs := &e.g.bstages[e.batches[bi].stage]
+	bs := &e.g.bstages[e.batches.at(bi).stage]
 	d := bs.demand
 	if !bs.fixed {
 		d = e.sim.Jitter(d) * e.latMul
@@ -221,7 +220,7 @@ func (e *engine) serveBatch(st *estation, bi int32) {
 // routeBatch routes a batch past its just-completed stage: into a
 // divergence, its fan-out legs, or along its next edge.
 func (e *engine) routeBatch(bi int32) {
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	bs := &e.g.bstages[b.stage]
 	if bs.div != nil {
 		e.diverge(bi, bs.div)
@@ -245,11 +244,11 @@ func (e *engine) spawnBatchLegs(bi int32, bs *cbstage) {
 			sync++
 		}
 	}
-	e.batches[bi].joins = sync
+	e.batches.at(bi).joins = sync
 	for i := range bs.fanout {
 		ed := &bs.fanout[i]
 		li := e.allocBatch()
-		l := &e.batches[li]
+		l := e.batches.at(li)
 		if !ed.async {
 			l.parent = bi
 		}
@@ -263,12 +262,12 @@ func (e *engine) spawnBatchLegs(bi int32, bs *cbstage) {
 // batchLegEnd retires a batch fan-out leg and advances the parent
 // batch when it was the last sync leg outstanding.
 func (e *engine) batchLegEnd(li int32) {
-	pi := e.batches[li].parent
+	pi := e.batches.at(li).parent
 	e.freeBatch(li)
 	if pi < 0 {
 		return
 	}
-	p := &e.batches[pi]
+	p := e.batches.at(pi)
 	p.joins--
 	if p.joins > 0 {
 		return
@@ -280,12 +279,12 @@ func (e *engine) batchLegEnd(li int32) {
 // collect cancelled members, then split (§III-B5), hold the whole
 // batch at the reconvergence point, or proceed along the hit edge.
 func (e *engine) diverge(bi int32, dv *cbdiv) {
-	b := &e.batches[bi]
+	b := e.batches.at(bi)
 	bit := uint16(1) << dv.coin
 	live := b.members[:0]
 	misses := 0
 	for _, idx := range b.members {
-		r := &e.reqs[idx]
+		r := e.reqs.at(idx)
 		if r.flags&rfDead != 0 {
 			e.free(idx)
 			continue
@@ -319,11 +318,10 @@ func (e *engine) diverge(bi int32, dv *cbdiv) {
 		return
 	}
 	mi := e.allocBatch()
-	b = &e.batches[bi] // allocBatch may grow the arena
-	mb := &e.batches[mi]
+	mb := e.batches.at(mi)
 	hits := b.members[:0]
 	for _, idx := range b.members {
-		if e.reqs[idx].coins&bit == 0 {
+		if e.reqs.at(idx).coins&bit == 0 {
 			mb.members = append(mb.members, idx)
 		} else {
 			hits = append(hits, idx)
