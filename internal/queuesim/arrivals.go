@@ -133,6 +133,45 @@ func (a ArrivalConfig) withDefaults(horizonMs float64) ArrivalConfig {
 	return a
 }
 
+// validate rejects an arrival shape the engine cannot run faithfully:
+// an unknown Process, a NaN or infinite shape parameter (they hang the
+// run or silently issue nothing; the negative FlatDiurnal sentinel
+// stays valid), or an MMPP whose expected state flips, or whose
+// arrivals at the burst rate, over a window of seconds exceed
+// maxArrivals — the same bound QPS × Seconds meets. A burst dwell
+// too short to advance the clock would otherwise flip forever.
+func (a ArrivalConfig) validate(qps, seconds float64) error {
+	if a.Process < ArrPoisson || a.Process > ArrClosed {
+		return fmt.Errorf("queuesim: unknown arrival process %d", int(a.Process))
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"BurstMul", a.BurstMul}, {"BurstFrac", a.BurstFrac}, {"MeanBurstMs", a.MeanBurstMs},
+		{"DiurnalAmp", a.DiurnalAmp}, {"DiurnalPeriodMs", a.DiurnalPeriodMs}, {"ThinkMs", a.ThinkMs}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("queuesim: arrival %s must be finite (got %v)", f.name, f.v)
+		}
+	}
+	if a.Process != ArrMMPP {
+		return nil
+	}
+	d := a.withDefaults(seconds * 1000)
+	// A calm dwell plus a burst dwell lasts MeanBurstMs/BurstFrac on
+	// average, two flips per cycle.
+	if n := 2 * seconds * 1000 * d.BurstFrac / d.MeanBurstMs; !(n <= maxArrivals) {
+		return fmt.Errorf("queuesim: MMPP MeanBurstMs %v over %v s expects %.3g state flips, more than %d",
+			d.MeanBurstMs, seconds, n, maxArrivals)
+	}
+	// startArrivals' BurstMul × calm rate, arranged not to overflow.
+	burst := qps / ((1-d.BurstFrac)/d.BurstMul + d.BurstFrac)
+	if n := burst * seconds; !(n <= maxArrivals) {
+		return fmt.Errorf("queuesim: MMPP burst rate %.3g/s over %v s expects %.3g arrivals, more than %d",
+			burst, seconds, n, maxArrivals)
+	}
+	return nil
+}
+
 // startArrivals seeds the engine's arrival machinery. Open-loop
 // processes schedule a self-perpetuating ekArrival chain; the closed
 // loop staggers each user's first think uniformly over one think time
@@ -154,7 +193,7 @@ func (e *engine) startArrivals() {
 		e.rateBurst = a.BurstMul * calm
 		e.rate = e.rateCalm
 		e.meanCalmMs = a.MeanBurstMs * (1 - a.BurstFrac) / a.BurstFrac
-		e.sim.AtEvent(e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
+		e.sim.atLane(laneArrival, e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
 		e.sim.AtEvent(e.sim.Exp(e.meanCalmMs), ekFlip, 0, 0)
 	case ArrDiurnal:
 		if e.cfg.QPS <= 0 {
@@ -162,13 +201,13 @@ func (e *engine) startArrivals() {
 		}
 		e.rateMax = e.cfg.QPS * (1 + a.DiurnalAmp)
 		e.rate = e.rateMax
-		e.sim.AtEvent(e.sim.Exp(1000/e.rateMax), ekArrival, e.arrGen, 0)
+		e.sim.atLane(laneArrival, e.sim.Exp(1000/e.rateMax), ekArrival, e.arrGen, 0)
 	default:
 		if e.cfg.QPS <= 0 {
 			return
 		}
 		e.rate = e.cfg.QPS
-		e.sim.AtEvent(e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
+		e.sim.atLane(laneArrival, e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
 	}
 }
 
@@ -190,7 +229,7 @@ func (e *engine) onArrival(gen int32) {
 	default:
 		e.issue(-1)
 	}
-	e.sim.AtEvent(e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
+	e.sim.atLane(laneArrival, e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
 }
 
 // onFlip toggles the MMPP state. The pending arrival was drawn at the
@@ -208,7 +247,7 @@ func (e *engine) onFlip() {
 	}
 	e.arrGen++
 	if e.sim.now < e.endMs {
-		e.sim.AtEvent(e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
+		e.sim.atLane(laneArrival, e.sim.Exp(1000/e.rate), ekArrival, e.arrGen, 0)
 		e.sim.AtEvent(e.sim.Exp(dwell), ekFlip, 0, 0)
 	}
 }

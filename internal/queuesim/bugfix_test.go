@@ -284,6 +284,52 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		}},
 		{"scale-overflows-servers", func(c *TailConfig) { c.Scale = 1e12 }},
 		{"horizon-overflows-clock", func(c *TailConfig) { c.QPS = 1e-300; c.Seconds = 1e306; c.Warmup = 0 }},
+		// A NaN wire delay completed every request at a NaN latency; an
+		// infinite one completed nothing; a negative one ran as 0,
+		// although GraphSpec.NetHopMs -1 is rejected. A NaN batch
+		// timeout gave a NaN mean latency; an infinite one never
+		// launched the last partial batch.
+		{"nan-net-hop", func(c *TailConfig) { c.NetHop = math.NaN() }},
+		{"inf-net-hop", func(c *TailConfig) { c.NetHop = math.Inf(1) }},
+		{"negative-net-hop", func(c *TailConfig) { c.NetHop = -1 }},
+		{"rpu-nan-batch-timeout", func(c *TailConfig) { c.RPU = true; c.BatchTimeout = math.NaN() }},
+		{"rpu-inf-batch-timeout", func(c *TailConfig) { c.RPU = true; c.BatchTimeout = math.Inf(1) }},
+		{"rpu-negative-batch-timeout", func(c *TailConfig) { c.RPU = true; c.BatchTimeout = -1 }},
+		{"rpu-zero-batch-size", func(c *TailConfig) { c.RPU = true; c.BatchSize = 0 }},
+		// Malformed arrival shapes: the first three hung, the rest
+		// issued no or too few arrivals, or ran an unknown process as
+		// Poisson.
+		{"diurnal-nan-amp", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrDiurnal, DiurnalAmp: math.NaN()}
+		}},
+		{"closed-nan-think", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrClosed, Users: 100, ThinkMs: math.NaN()}
+		}},
+		{"mmpp-burst-dwell-underflows", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrMMPP, MeanBurstMs: 1e-300}
+		}},
+		{"mmpp-nan-burst-mul", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrMMPP, BurstMul: math.NaN()}
+		}},
+		{"mmpp-inf-burst-mul", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrMMPP, BurstMul: math.Inf(1)}
+		}},
+		{"mmpp-nan-burst-frac", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrMMPP, BurstFrac: math.NaN()}
+		}},
+		{"mmpp-nan-mean-burst", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrMMPP, MeanBurstMs: math.NaN()}
+		}},
+		{"mmpp-burst-past-arrival-limit", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrMMPP, BurstMul: 1e12, BurstFrac: 1e-9}
+		}},
+		{"diurnal-nan-period", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrDiurnal, DiurnalPeriodMs: math.NaN()}
+		}},
+		{"closed-inf-think", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrClosed, Users: 100, ThinkMs: math.Inf(1)}
+		}},
+		{"unknown-process", func(c *TailConfig) { c.Arrivals = ArrivalConfig{Process: 99} }},
 	} {
 		cfg := tailBase()
 		tc.mut(&cfg)
@@ -302,6 +348,23 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 	if m.Arrived == 0 || m.Completed+m.Failed > m.Arrived || m.Latency.Len() != m.Completed {
 		t.Fatalf("QPS 1e15 over 2e-12 s: arrived %d, completed %d, failed %d, %d samples",
 			m.Arrived, m.Completed, m.Failed, m.Latency.Len())
+	}
+	// A batch wider than any run fills is a real run that launches on
+	// its formation timeout; presizing it whole asked for 4 TiB.
+	cfg = tailBase()
+	cfg.Seconds = 0.2
+	cfg.Warmup = 0
+	cfg.RPU = true
+	cfg.BatchSize = 1 << 40
+	if m := mustTail(t, cfg); m.Batches == 0 || m.Completed == 0 {
+		t.Fatalf("BatchSize 2^40: %d batches, %d completed", m.Batches, m.Completed)
+	}
+	// The negative FlatDiurnal sentinel is a valid shape, not a
+	// malformed one.
+	cfg = tailBase()
+	cfg.Arrivals = ArrivalConfig{Process: ArrDiurnal, DiurnalAmp: FlatDiurnal}
+	if m := mustTail(t, cfg); m.Arrived == 0 {
+		t.Fatal("flat diurnal shape saw no arrivals")
 	}
 	// The closed loop with a real population still runs.
 	cfg = tailBase()

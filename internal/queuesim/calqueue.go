@@ -9,10 +9,16 @@
 // reused in place (a drained bucket resets its slice without freeing
 // it), so steady state allocates nothing; only the amortized
 // doubling/halving resizes allocate.
+//
+// The calendar is one of three event sources Sim.Run merges by
+// (at, seq): events scheduled in time order (wire hops, arrivals) skip
+// it for the FIFO lanes (lane.go), and cancellable timers live on the
+// timer wheel (wheel.go).
 package queuesim
 
 // calEvent is the scheduler's compact event, shared by the calendar
-// queue and the timer wheel's due list: 32 bytes, no pointers.
+// queue, the lanes and the timer wheel's due list: 32 bytes, no
+// pointers.
 type calEvent struct {
 	at   float64
 	seq  uint64

@@ -6,9 +6,10 @@
 // index-addressed arenas, station queues are paged FIFOs of packed
 // (index, generation) words (arena.go), and every hop is a typed event
 // dispatched through the Sim's non-boxing O(1) scheduler (a calendar
-// queue plus a hierarchical timer wheel), so steady-state event
-// dispatch performs zero heap allocations. Pages are never copied or
-// freed during a run, so a run allocates about its live set.
+// queue, FIFO lanes for wire hops and arrivals, and a hierarchical
+// timer wheel), so steady-state event dispatch performs zero heap
+// allocations. Pages are never copied or freed during a run, so a run
+// allocates about its live set.
 // Cancellation (timeouts, hedge losers) is lazy: a cancelled entry is
 // marked dead and collected by whatever holds it (its pending event, a
 // queue slot, or its batch), and generation counters make stale
@@ -247,14 +248,16 @@ type engine struct {
 
 // RunTail simulates one load point. It returns an error for a
 // degenerate configuration (a NaN or infinite QPS, Seconds, Warmup,
-// Drain or Scale, zero horizon, a warmup that leaves no measured
-// window, open loop without a positive QPS or expecting more than
-// maxArrivals arrivals, closed loop without users or with more than
-// maxArrivals, a NaN or negative policy duration, RPU over a batchless
-// graph, a station with no servers or more than an int32 holds, a
-// horizon past the millisecond clock's range) or an invalid graph
-// spec, instead of silently reporting an empty run as measured,
-// hanging or panicking.
+// Drain or Scale, a NaN, infinite or negative NetHop or BatchTimeout,
+// zero horizon, a warmup that leaves no measured window, open loop
+// without a positive QPS or expecting more than maxArrivals arrivals,
+// closed loop without users or with more than maxArrivals, a malformed
+// arrival shape (see ArrivalConfig.validate), a NaN or negative policy
+// duration, RPU without a positive BatchSize or over a batchless graph,
+// a station with no servers or more than an int32 holds, a horizon
+// past the millisecond clock's range) or an invalid graph spec,
+// instead of silently reporting an empty run as measured, hanging or
+// panicking.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	e, err := newTailEngine(cfg)
 	if err != nil {
@@ -268,6 +271,11 @@ func RunTail(cfg TailConfig) (*TailMetrics, error) {
 // once, and arena slots and user ids are int32.
 const maxArrivals = math.MaxInt32
 
+// maxBatchPresize caps a batch's initial member capacity; a wider
+// batch grows as requests join, so a huge BatchSize cannot exhaust
+// memory before any request arrives.
+const maxBatchPresize = 1024
+
 // maxLatencyPresize caps the latency sample's initial capacity (128
 // MiB of float64); a run with more measured completions grows it.
 const maxLatencyPresize = 1 << 24
@@ -280,6 +288,17 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("queuesim: %s must be finite (got %v)", f.name, f.v)
 		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"NetHop", cfg.NetHop}, {"BatchTimeout", cfg.BatchTimeout}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("queuesim: %s must be finite and non-negative (got %v)", f.name, f.v)
+		}
+	}
+	if cfg.RPU && cfg.BatchSize < 1 {
+		return nil, fmt.Errorf("queuesim: RPU mode needs BatchSize >= 1 (got %d)", cfg.BatchSize)
 	}
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
@@ -301,6 +320,9 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 		return nil, fmt.Errorf("queuesim: open-loop arrivals need QPS > 0 (got %v)", cfg.QPS)
 	} else if n := cfg.QPS * cfg.Seconds; n > maxArrivals {
 		return nil, fmt.Errorf("queuesim: QPS %v over %v s expects %.3g arrivals, more than %d", cfg.QPS, cfg.Seconds, n, maxArrivals)
+	}
+	if err := cfg.Arrivals.validate(cfg.QPS, cfg.Seconds); err != nil {
+		return nil, err
 	}
 	if err := cfg.Policy.validate(); err != nil {
 		return nil, err
@@ -424,8 +446,8 @@ func (e *engine) finalizeObs() {
 
 // finalizeSchedObs reports the scheduler's own health under
 // queuesim.<label>.sched: the stale-timer and cancellation counts, the
-// calendar's resize/occupancy stats and the wheel's
-// cascade/deschedule counters.
+// calendar's resize/occupancy stats, the lanes' event and fallback
+// counts and the wheel's cascade/deschedule counters.
 func (e *engine) finalizeSchedObs() {
 	m := e.cfg.Monitor
 	if m == nil || m.Reg == nil {
@@ -439,6 +461,10 @@ func (e *engine) finalizeSchedObs() {
 	sc.Counter("cal_direct_scans").Add(int64(cal.directScans))
 	sc.Gauge("cal_bucket_hwm").Set(int64(cal.bucketHWM))
 	sc.Gauge("cal_buckets").Set(int64(len(cal.buckets)))
+	wire, arr := &e.sim.lanes[laneWire], &e.sim.lanes[laneArrival]
+	sc.Counter("lane_wire_events").Add(int64(wire.pushed))
+	sc.Counter("lane_arrival_events").Add(int64(arr.pushed))
+	sc.Counter("lane_fallbacks").Add(int64(wire.fallbacks + arr.fallbacks))
 	sc.Counter("wheel_armed").Add(int64(tw.armed))
 	sc.Counter("wheel_fired").Add(int64(tw.fired))
 	sc.Counter("wheel_descheduled").Add(int64(tw.cancelled))
@@ -810,7 +836,7 @@ func (e *engine) allocBatch() int32 {
 	// A slot keeps its member slice across reuse: slots are never
 	// copied, so the slice is the slot's own for the whole run.
 	if b.members == nil {
-		b.members = make([]int32, 0, e.cfg.BatchSize)
+		b.members = make([]int32, 0, min(e.cfg.BatchSize, maxBatchPresize))
 	} else {
 		b.members = b.members[:0]
 	}
@@ -877,7 +903,7 @@ func (e *engine) launchBatch(bi int32) {
 	e.m.Batches++
 	e.m.AvgBatchFill += float64(len(b.members))
 	if e.g.bentryHop {
-		e.sim.AtEvent(e.netHop, ekBatchNet, bi, e.g.bentry)
+		e.sim.atLane(laneWire, e.netHop, ekBatchNet, bi, e.g.bentry)
 	} else {
 		e.enterBatch(bi, e.g.bentry)
 	}

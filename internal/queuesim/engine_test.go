@@ -325,32 +325,77 @@ func BenchmarkTailEngine(b *testing.B) {
 // left (it drained before its horizon), every arrival is resolved and
 // every arena slot released. Finite knobs are clamped so one run stays
 // small (at most ~4000 arrivals, a 20 ms window, a 1 s drain, 8
-// retries); non-finite ones reach RunTail as given.
+// retries, 256 closed-loop users, an 8x burst rate, ~4000 MMPP flips);
+// non-finite ones, and every arrival process number, reach RunTail as
+// given.
 func FuzzTailConfig(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
-	for _, c := range []struct {
+	type knobs struct {
 		qps, sec, warm, drain, scale, timeout, backoff, hedge, maxBackoff float64
 		retries, qcap                                                     int
 		rpu                                                               bool
-	}{
-		{1e4, 0.01, 0.002, 0.2, 1, 0, 0, 0, 0, 0, 0, false},
-		{5e5, 0.01, 0, 0.05, 1, 20, 1, 5, 0, 2, 50, false},
-		{9e4, 0.02, 0.005, 0.5, 1, 20, 0.5, 8, 4, 1, 200, true},
+		process                                                           int
+		burstMul, burstFrac, meanBurst, amp, period, think                float64
+		users                                                             int
+		netHop, batchTimeout                                              float64
+		batchSize                                                         int
+	}
+	// base is a plain Poisson run at the default wire delay and batch
+	// formation; each seed below changes a few knobs.
+	base := knobs{qps: 1e4, sec: 0.01, scale: 1, netHop: 0.06, batchTimeout: 1, batchSize: 32}
+	seeds := []func(k *knobs){
+		func(k *knobs) { k.warm, k.drain = 0.002, 0.2 },
+		func(k *knobs) {
+			k.qps, k.drain, k.timeout, k.backoff, k.hedge, k.retries, k.qcap = 5e5, 0.05, 20, 1, 5, 2, 50
+		},
+		func(k *knobs) {
+			k.qps, k.sec, k.warm, k.drain, k.timeout, k.backoff, k.hedge, k.maxBackoff = 9e4, 0.02, 0.005, 0.5, 20, 0.5, 8, 4
+			k.retries, k.qcap, k.rpu = 1, 200, true
+		},
+		func(k *knobs) { k.process, k.burstMul, k.burstFrac, k.meanBurst = int(ArrMMPP), 5, 0.2, 2 },
+		func(k *knobs) { k.process, k.amp, k.period = int(ArrDiurnal), 0.6, 5 },
+		func(k *knobs) { k.process, k.amp = int(ArrDiurnal), FlatDiurnal },
+		func(k *knobs) { k.process, k.users, k.think = int(ArrClosed), 50, 1 },
 		// The degenerate knobs that used to hang or panic.
-		{nan, 0.01, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
-		{inf, 0.01, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
-		{1e4, nan, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
-		{1e4, inf, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
-		{1e15, 0.01, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
-		{1e15, 2e-12, 0, 0, 1, 0, 0, 0, 0, 0, 0, false},
-		{1e4, 0.01, nan, inf, nan, 0, 0, 0, 0, 0, 0, false},
-		{1e4, 0.01, 0, 0, 1e12, inf, inf, inf, inf, 300, -1, true},
-	} {
-		f.Add(c.qps, c.sec, c.warm, c.drain, c.scale, c.timeout, c.backoff, c.hedge, c.maxBackoff, c.retries, c.qcap, c.rpu)
+		func(k *knobs) { k.qps = nan },
+		func(k *knobs) { k.qps = inf },
+		func(k *knobs) { k.sec = nan },
+		func(k *knobs) { k.sec = inf },
+		func(k *knobs) { k.qps = 1e15 },
+		func(k *knobs) { k.qps, k.sec = 1e15, 2e-12 },
+		func(k *knobs) { k.warm, k.drain, k.scale = nan, inf, nan },
+		func(k *knobs) {
+			k.scale, k.timeout, k.backoff, k.hedge, k.maxBackoff, k.retries, k.qcap, k.rpu = 1e12, inf, inf, inf, inf, 300, -1, true
+		},
+		func(k *knobs) { k.process, k.amp = int(ArrDiurnal), nan },
+		func(k *knobs) { k.process, k.users, k.think = int(ArrClosed), 50, nan },
+		func(k *knobs) { k.process, k.meanBurst = int(ArrMMPP), 1e-300 },
+		// The degenerate knobs that ran silently with wrong results.
+		func(k *knobs) { k.process, k.burstMul = int(ArrMMPP), nan },
+		func(k *knobs) { k.process, k.burstMul = int(ArrMMPP), inf },
+		func(k *knobs) { k.process, k.burstFrac = int(ArrMMPP), nan },
+		func(k *knobs) { k.process, k.meanBurst = int(ArrMMPP), nan },
+		func(k *knobs) { k.process, k.period = int(ArrDiurnal), nan },
+		func(k *knobs) { k.process, k.users, k.think = int(ArrClosed), 50, inf },
+		func(k *knobs) { k.process = 99 },
+		func(k *knobs) { k.netHop = nan },
+		func(k *knobs) { k.netHop = inf },
+		func(k *knobs) { k.netHop = -1 },
+		func(k *knobs) { k.rpu, k.batchTimeout = true, nan },
+		func(k *knobs) { k.rpu, k.batchTimeout = true, inf },
+		func(k *knobs) { k.rpu, k.batchSize = true, 0 },
+	}
+	for _, mut := range seeds {
+		c := base
+		mut(&c)
+		f.Add(c.qps, c.sec, c.warm, c.drain, c.scale, c.timeout, c.backoff, c.hedge, c.maxBackoff, c.retries, c.qcap, c.rpu,
+			c.process, c.burstMul, c.burstFrac, c.meanBurst, c.amp, c.period, c.think, c.users,
+			c.netHop, c.batchTimeout, c.batchSize)
 	}
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	f.Fuzz(func(t *testing.T, qps, sec, warm, drain, scale, timeout, backoff, hedge, maxBackoff float64,
-		retries, qcap int, rpu bool) {
+		retries, qcap int, rpu bool, process int, burstMul, burstFrac, meanBurst, amp, period, think float64,
+		users int, netHop, batchTimeout float64, batchSize int) {
 		if finite(sec) && sec > 0.02 {
 			sec = 0.02
 		}
@@ -360,12 +405,27 @@ func FuzzTailConfig(f *testing.F) {
 		if finite(drain) && drain > 1 {
 			drain = 1
 		}
+		if finite(burstMul) && burstMul > 8 {
+			burstMul = 8
+		}
+		// At most ~4000 expected MMPP flips, unless the dwell is short
+		// enough for RunTail to reject it.
+		if finite(sec) && finite(meanBurst) && meanBurst > 0 {
+			frac := ArrivalConfig{BurstFrac: burstFrac}.withDefaults(1).BurstFrac
+			if n := 2 * sec * 1000 * frac / meanBurst; n > 4000 && n <= maxArrivals {
+				meanBurst = 2 * sec * 1000 * frac / 4000
+			}
+		}
 		c := DefaultConfig()
 		c.QPS, c.Seconds, c.Warmup, c.Drain = qps, sec, warm, drain
 		c.RPU, c.Split = rpu, rpu
+		c.NetHop, c.BatchTimeout, c.BatchSize = netHop, batchTimeout, batchSize
 		cfg := TailConfig{Config: c, Scale: scale, Policy: PolicyConfig{TimeoutMs: timeout,
 			MaxRetries: min(retries, 8), BackoffMs: backoff, HedgeMs: hedge,
-			MaxBackoffMs: maxBackoff, QueueCap: qcap}}
+			MaxBackoffMs: maxBackoff, QueueCap: qcap},
+			Arrivals: ArrivalConfig{Process: ArrivalProcess(process), BurstMul: burstMul,
+				BurstFrac: burstFrac, MeanBurstMs: meanBurst, DiurnalAmp: amp,
+				DiurnalPeriodMs: period, Users: min(users, 256), ThinkMs: think}}
 		e, err := newTailEngine(cfg)
 		if err != nil {
 			return

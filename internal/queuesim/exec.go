@@ -58,7 +58,7 @@ func (e *engine) serveReq(st *estation, idx int32) {
 // wire when the edge is a hop.
 func (e *engine) followEdge(idx int32, ed *cedge) {
 	if ed.hop {
-		e.sim.AtEvent(e.netHop, ekNet, idx, ed.to)
+		e.sim.atLane(laneWire, e.netHop, ekNet, idx, ed.to)
 		return
 	}
 	e.enter(idx, ed.to)
@@ -198,7 +198,7 @@ func (e *engine) enterBatch(bi, stage int32) {
 
 func (e *engine) followBEdge(bi int32, ed *cedge) {
 	if ed.hop {
-		e.sim.AtEvent(e.netHop, ekBatchNet, bi, ed.to)
+		e.sim.atLane(laneWire, e.netHop, ekBatchNet, bi, ed.to)
 		return
 	}
 	e.enterBatch(bi, ed.to)

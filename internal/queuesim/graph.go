@@ -63,10 +63,10 @@ type GraphSpec struct {
 // gets ceil(Cores×CoresMul×5×1.2/BatchSize×Scale) servers in RPU mode
 // (whole batches occupy a server); Infinite stations are pure delay.
 type StationSpec struct {
-	Name     string  `json:"name"`
-	CoresMul float64 `json:"cores_mul,omitempty"` // default 1
-	BatchTier bool   `json:"batch_tier,omitempty"`
-	Infinite  bool   `json:"infinite,omitempty"`
+	Name      string  `json:"name"`
+	CoresMul  float64 `json:"cores_mul,omitempty"` // default 1
+	BatchTier bool    `json:"batch_tier,omitempty"`
+	Infinite  bool    `json:"infinite,omitempty"`
 }
 
 // CoinSpec is one per-request Bernoulli draw: Prob is the probability
@@ -120,11 +120,11 @@ type BatchSpec struct {
 // wait of an unsplit batch). Diverge replaces Next: after service the
 // batch splits on a per-member coin.
 type BatchStageSpec struct {
-	Name     string  `json:"name"`
-	Station  string  `json:"station"`
-	DemandMs float64 `json:"demand_ms"`
-	Fixed    bool    `json:"fixed,omitempty"`
-	HoldMs   float64 `json:"hold_ms,omitempty"`
+	Name     string       `json:"name"`
+	Station  string       `json:"station"`
+	DemandMs float64      `json:"demand_ms"`
+	Fixed    bool         `json:"fixed,omitempty"`
+	HoldMs   float64      `json:"hold_ms,omitempty"`
 	Diverge  *DivergeSpec `json:"diverge,omitempty"`
 	Next     []EdgeSpec   `json:"next,omitempty"`
 	Fanout   []EdgeSpec   `json:"fanout,omitempty"`
@@ -264,10 +264,10 @@ type cbstage struct {
 }
 
 type cbdiv struct {
-	coin uint8
-	hit  cedge
-	miss cedge
-	hold cedge
+	coin    uint8
+	hit     cedge
+	miss    cedge
+	hold    cedge
 	hasHold bool
 }
 

@@ -1,6 +1,7 @@
 package queuesim
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"simr/internal/stats"
 )
 
 // TestGraphValidatorErrors: malformed specs are rejected with errors
@@ -284,6 +287,82 @@ func TestComposePostClosedForm(t *testing.T) {
 			want -= cfg.NetHop
 		}
 		checkClosedForm(t, mustTail(t, tc), want, mode.label)
+	}
+}
+
+// sampleValues returns a sample's observations in insertion order,
+// read back from its GobEncode wire format.
+func sampleValues(t *testing.T, s *stats.Sample) []float64 {
+	t.Helper()
+	enc, err := s.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, (len(enc)-9)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(enc[9+8*i:]))
+	}
+	return vals
+}
+
+// TestPollaczekKhinchineClosedForm: one station, one server, Poisson
+// arrivals and no hops is an M/G/1 queue, whose mean sojourn is
+// E[T] = E[S] + λE[S²]/(2(1−ρ)). The check runs at ρ = 0.5 and 0.8
+// with fixed demands (M/D/1, E[S²] = D²) and with the default ±20 %
+// uniform jitter (E[S²] = D²(1 + 0.4²/12)). The tolerance is four
+// standard errors from batch means over the measured window, which
+// must itself be tight (under 2 % of E[T]) for the check to mean
+// anything.
+func TestPollaczekKhinchineClosedForm(t *testing.T) {
+	const (
+		demand  = 1.0 // ms
+		batches = 30
+	)
+	for _, fixed := range []bool{true, false} {
+		for _, rho := range []float64{0.5, 0.8} {
+			label := fmt.Sprintf("fixed=%v/rho=%v", fixed, rho)
+			c := DefaultConfig()
+			c.QPS = rho / demand * 1000
+			c.Seconds = 300
+			c.Warmup = 5
+			c.Drain = 1
+			c.Cores = 1
+			spec := &GraphSpec{Name: "mg1", Entry: "serve",
+				Stations: []StationSpec{{Name: "server"}},
+				Stages: []StageSpec{{Name: "serve", Station: "server", DemandMs: demand, Fixed: fixed,
+					Next: []EdgeSpec{{To: edgeDone}}}}}
+			m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: spec})
+			checkConservation(t, m, label)
+
+			es2 := demand * demand
+			if !fixed {
+				es2 *= 1 + 0.4*0.4/12
+			}
+			lambda := c.QPS / 1000
+			want := demand + lambda*es2/(2*(1-rho))
+
+			vals := sampleValues(t, m.Latency)
+			per := len(vals) / batches
+			var sum, sumSq float64
+			for b := 0; b < batches; b++ {
+				bm := 0.0
+				for _, v := range vals[b*per : (b+1)*per] {
+					bm += v
+				}
+				bm /= float64(per)
+				sum += bm
+				sumSq += bm * bm
+			}
+			mean := sum / batches
+			se := math.Sqrt((sumSq/batches - mean*mean) * batches / (batches - 1) / batches)
+			if se > 0.02*want {
+				t.Fatalf("%s: batch-means standard error %.4f ms is over 2%% of E[T] %.4f ms", label, se, want)
+			}
+			t.Logf("%s: mean sojourn %.4f ms, Pollaczek-Khinchine %.4f ms, SE %.4f ms", label, mean, want, se)
+			if math.Abs(mean-want) > 4*se {
+				t.Fatalf("%s: mean sojourn %.4f ms, Pollaczek-Khinchine %.4f ms ± %.4f (4 SE)", label, mean, want, 4*se)
+			}
+		}
 	}
 }
 

@@ -52,6 +52,13 @@ func (r *schedRef) event(delay float64) int32 {
 	return id
 }
 
+// lane schedules an event on lane l, the engine's in-order fast path.
+func (r *schedRef) lane(l int, delay float64) int32 {
+	id := r.record(delay)
+	r.s.atLane(l, delay, 3, id, 0)
+	return id
+}
+
 func (r *schedRef) timer(delay float64) int32 {
 	id := r.record(delay)
 	r.tids[id] = r.s.AtTimer(delay, 2, id, 0)
@@ -71,14 +78,22 @@ func (r *schedRef) cancel(id int32) {
 
 // check compares the dispatched sequence after a run to until with the
 // reference: every scheduled event minus the cancelled ones, sorted by
-// (at, arming order) and cut at until.
+// (at, arming order) and cut at until; the rest must be pending.
 func (r *schedRef) check(t *testing.T, until float64) {
 	t.Helper()
 	var want []int32
+	later := 0
 	for i := range r.at {
-		if !r.dead[i] && r.at[i] <= until {
+		switch {
+		case r.dead[i]:
+		case r.at[i] <= until:
 			want = append(want, int32(i))
+		default:
+			later++
 		}
+	}
+	if r.s.Pending() != later {
+		t.Fatalf("Pending() = %d, reference has %d events past %v", r.s.Pending(), later, until)
 	}
 	sort.Slice(want, func(x, y int) bool {
 		a, b := want[x], want[y]
@@ -132,6 +147,95 @@ func TestCalendarOrderProperty(t *testing.T) {
 	r.check(t, 100)
 	if len(r.got) <= 5000 {
 		t.Fatalf("%d dispatches: the handler chains never ran", len(r.got))
+	}
+}
+
+// TestLaneOrderProperty: lane events — in order, same-time chains
+// and out-of-order pushes that must fall back to the calendar — mixed
+// with calendar events and armed and cancelled timers dispatch in
+// exact (at, seq) order, with Events() and Pending() exact, at
+// mid-run horizons and after the full drain.
+func TestLaneOrderProperty(t *testing.T) {
+	r := newSchedRef()
+	rng := rand.New(rand.NewSource(11))
+	chain := map[int32]int{}
+	var timers []int32
+	// The handler's wire pushes (a constant hop, or same-time chains)
+	// land behind the seeded wire tail until the clock passes it; the
+	// seeded arrival-lane events are drawn in random order.
+	const hop = 0.06
+	r.on = func(id int32) {
+		switch n := chain[id]; {
+		case n > 0:
+			// Same-time chain on the wire lane: at == the lane tail.
+			chain[r.lane(laneWire, 0)] = n - 1
+		case rng.Intn(4) == 0:
+			chain[r.lane(laneWire, hop)] = rng.Intn(3)
+		}
+		if len(r.got)%50 == 0 && len(timers) > 0 {
+			r.cancel(timers[rng.Intn(len(timers))])
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		d := rng.Float64() * 10
+		var id int32
+		switch i % 5 {
+		case 0:
+			id = r.event(d)
+		case 1:
+			id = r.timer(d)
+			timers = append(timers, id)
+		case 2:
+			id = r.lane(laneArrival, d) // mostly behind the tail: falls back
+		default:
+			id = r.lane(laneWire, float64(i)*1e-3) // in order
+		}
+		chain[id] = rng.Intn(3)
+	}
+	for _, until := range []float64{0, 0.5, 3, 3, 100} {
+		r.s.Run(until)
+		r.check(t, until)
+	}
+	wire, arr := &r.s.lanes[laneWire], &r.s.lanes[laneArrival]
+	if wire.pushed == 0 || arr.pushed == 0 {
+		t.Fatalf("lane events: wire %d, arrival %d; the fast path never ran", wire.pushed, arr.pushed)
+	}
+	if arr.fallbacks == 0 || wire.fallbacks == 0 {
+		t.Fatalf("lane fallbacks: wire %d, arrival %d; an out-of-order push never fell back",
+			wire.fallbacks, arr.fallbacks)
+	}
+}
+
+// TestLaneFastPathEngaged: on Poisson arrivals every bundled graph
+// sends its wire hops down the wire lane and none of them falls back.
+// A silent fallback keeps output identical and only costs host time,
+// so nothing else would notice it.
+func TestLaneFastPathEngaged(t *testing.T) {
+	for _, name := range GraphNames() {
+		for _, rpu := range []bool{false, true} {
+			cfg := tailBase()
+			cfg.Seconds = 0.2
+			cfg.Warmup = 0.05
+			cfg.Drain = 0.2
+			cfg.RPU, cfg.Split = rpu, rpu
+			spec, err := GraphByName(name, cfg.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Graph = spec
+			e, err := newTailEngine(cfg)
+			if err != nil {
+				t.Fatalf("%s rpu=%v: %v", name, rpu, err)
+			}
+			e.run()
+			wire, arr := &e.sim.lanes[laneWire], &e.sim.lanes[laneArrival]
+			if wire.pushed == 0 || arr.pushed == 0 {
+				t.Errorf("%s rpu=%v: lane events wire %d, arrival %d; want both > 0", name, rpu, wire.pushed, arr.pushed)
+			}
+			if n := wire.fallbacks + arr.fallbacks; n != 0 {
+				t.Errorf("%s rpu=%v: %d lane fallbacks, want 0", name, rpu, n)
+			}
+		}
 	}
 }
 

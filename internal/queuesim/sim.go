@@ -17,13 +17,14 @@ import (
 )
 
 // Scheduler names the pending-event container. SchedCalendar — a
-// calendar queue for ordinary events plus a hierarchical timer wheel
-// for cancellable timers — is its only value; the type survives so
-// callers written against NewSimSched(seed, SchedCalendar), such as
-// the benchmark harness, keep compiling.
+// calendar queue for ordinary events, FIFO lanes for events scheduled
+// in time order and a hierarchical timer wheel for cancellable timers
+// — is its only value; the type survives so callers written against
+// NewSimSched(seed, SchedCalendar), such as the benchmark harness,
+// keep compiling.
 type Scheduler uint8
 
-// SchedCalendar is the O(1) scheduler (calqueue.go, wheel.go).
+// SchedCalendar is the O(1) scheduler (calqueue.go, lane.go, wheel.go).
 const SchedCalendar Scheduler = 0
 
 // TimerID identifies a cancellable timer armed with AtTimer. The zero
@@ -37,9 +38,10 @@ type TimerID int32
 // a closure on push or pop, so scheduling and dispatching an event
 // costs zero heap allocations.
 type Sim struct {
-	now float64
-	cal calQueue   // ordinary events
-	tw  timerWheel // cancellable timers
+	now   float64
+	cal   calQueue       // ordinary events
+	lanes [numLanes]lane // in-order events (see atLane)
+	tw    timerWheel     // cancellable timers
 
 	seq     uint64
 	nev     uint64
@@ -65,7 +67,13 @@ func (s *Sim) Events() uint64 { return s.nev }
 
 // Pending returns the number of scheduled events not yet dispatched;
 // cancelled timers are descheduled immediately and do not count.
-func (s *Sim) Pending() int { return s.cal.count + s.tw.live }
+func (s *Sim) Pending() int {
+	n := s.cal.count + s.tw.live
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	return n
+}
 
 // CancelledTimers returns the number of Cancel calls on live timers.
 func (s *Sim) CancelledTimers() uint64 { return s.ncancel }
@@ -79,6 +87,23 @@ func (s *Sim) AtEvent(delay float64, kind uint8, a, b int32) {
 	}
 	s.seq++
 	s.cal.push(calEvent{at: s.now + delay, seq: s.seq, kind: uint32(kind), a: a, b: b})
+}
+
+// atLane schedules a typed event like AtEvent on lane l. A caller
+// whose events mostly arrive in time order (a constant wire delay, a
+// one-at-a-time arrival chain) skips the calendar's sorted insert; an
+// event earlier than the lane's tail falls back to the calendar, so
+// dispatch order never depends on the caller keeping its promise.
+func (s *Sim) atLane(l int, delay float64, kind uint8, a, b int32) {
+	if delay < 0 {
+		delay = 0
+	}
+	s.seq++
+	e := calEvent{at: s.now + delay, seq: s.seq, kind: uint32(kind), a: a, b: b}
+	if ln := &s.lanes[l]; !ln.push(e) {
+		ln.fallbacks++
+		s.cal.push(e)
+	}
 }
 
 // AtTimer schedules a typed event like AtEvent but on the timer wheel,
@@ -104,39 +129,68 @@ func (s *Sim) Cancel(id TimerID) {
 	s.tw.cancel(int32(id) - 1)
 }
 
+// Run's merge sources besides the lanes' own indices.
+const (
+	srcNone  = -1
+	srcCal   = -2
+	srcWheel = -3
+)
+
 // Run processes events until the queue empties or the next event lies
 // beyond until. Either way the clock finishes at until, so time-based
 // rates (station utilisation, throughput over the horizon) use the
 // same denominator regardless of how the run ended. A future event
 // that stops the run stays queued for a later Run call.
 //
-// Each step merges the calendar queue's head with the timer wheel's,
-// dispatching whichever holds the global (at, seq) minimum. While the
-// wheel is empty — the whole run, for policy-free workloads — the loop
-// skips the merge and drains the calendar alone; otherwise the wheel
-// only expands a slot when its window could actually win the merge,
-// so calendar-heavy stretches cost it one bitmap probe.
+// Each step merges three sources — the calendar queue's head, the
+// lanes' heads and the timer wheel's — dispatching whichever holds the
+// global (at, seq) minimum. The calendar and lane heads are compared
+// directly; their minimum then bounds the wheel, which only expands a
+// slot when its window could actually win the merge, so calendar- and
+// lane-heavy stretches cost it one bitmap probe. While the wheel is
+// empty — the whole run, for policy-free workloads — the loop skips
+// it altogether. The cached calendar head and the two lanes are read
+// inline: this loop runs once per event.
 func (s *Sim) Run(until float64) {
+	wire, arr := &s.lanes[laneWire], &s.lanes[laneArrival]
 	for {
-		cat, cseq, cok := s.cal.peek()
-		var e calEvent
-		if s.tw.live == 0 && s.tw.dueHead >= len(s.tw.due) {
-			if !cok || cat > until {
-				break
+		src := srcNone
+		var at float64
+		var seq uint64
+		if s.cal.peeked {
+			src, at, seq = srcCal, s.cal.peekAt, s.cal.peekSeq
+		} else if s.cal.count > 0 {
+			at, seq, _ = s.cal.peek()
+			src = srcCal
+		}
+		if wire.n > 0 {
+			if h := &wire.ev[wire.head]; src == srcNone || h.at < at || (h.at == at && h.seq < seq) {
+				src, at, seq = laneWire, h.at, h.seq
 			}
-			e = s.cal.pop()
-		} else if wat, wseq, wok := s.tw.peekMin(cat, cok); wok && (!cok || wat < cat || (wat == cat && wseq < cseq)) {
-			if wat > until {
-				break
+		}
+		if arr.n > 0 {
+			if h := &arr.ev[arr.head]; src == srcNone || h.at < at || (h.at == at && h.seq < seq) {
+				src, at, seq = laneArrival, h.at, h.seq
 			}
-			e = s.tw.popDue()
-		} else if cok {
-			if cat > until {
-				break
+		}
+		if s.tw.live > 0 || s.tw.dueHead < len(s.tw.due) {
+			if wat, wseq, wok := s.tw.peekMin(at, src != srcNone); wok && (src == srcNone || wat < at || (wat == at && wseq < seq)) {
+				src, at = srcWheel, wat
 			}
-			e = s.cal.pop()
-		} else {
+		}
+		if src == srcNone || at > until {
 			break
+		}
+		var e calEvent
+		switch src {
+		case srcCal:
+			e = s.cal.pop()
+		case srcWheel:
+			e = s.tw.popDue()
+		case laneWire:
+			e = wire.pop()
+		default:
+			e = arr.pop()
 		}
 		s.now = e.at
 		s.nev++

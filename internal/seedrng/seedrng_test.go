@@ -36,11 +36,11 @@ func TestMatchesMathRand(t *testing.T) {
 }
 
 // TestReplayIndependence checks that two streams of the same seed do
-// not disturb each other (the recorded prefix is shared read-only).
+// not disturb each other (each copies the recorded prefix).
 func TestReplayIndependence(t *testing.T) {
 	a, b := New(7), New(7)
 	ref := rand.New(rand.NewSource(7))
-	for i := 0; i < 2 * rngLen; i++ {
+	for i := 0; i < 2*rngLen; i++ {
 		w := ref.Uint64()
 		if g := a.Uint64(); g != w {
 			t.Fatalf("stream a draw %d: %d != %d", i, g, w)
@@ -53,7 +53,8 @@ func TestReplayIndependence(t *testing.T) {
 
 // TestSeedRestart verifies Source.Seed restarts the sequence.
 func TestSeedRestart(t *testing.T) {
-	s := &Source{pre: table(5)}
+	s := new(Source)
+	s.Seed(5)
 	r := rand.New(s)
 	first := make([]uint64, rngLen+10)
 	for i := range first {
@@ -67,19 +68,40 @@ func TestSeedRestart(t *testing.T) {
 	}
 }
 
-// TestTableRecycle exercises the wholesale cache recycle path.
-func TestTableRecycle(t *testing.T) {
+// resetTables empties the seed table cache.
+func resetTables() {
 	mu.Lock()
-	tables = map[int64]*prefix{}
+	clear(tables)
+	used = 0
 	mu.Unlock()
+}
+
+// TestTableRecycle exercises the wholesale cache recycle path, including
+// a stream seeded before the recycle whose table is re-recorded in place
+// while the stream is still replaying it.
+func TestTableRecycle(t *testing.T) {
+	resetTables()
+	held := New(-5) // its table is store[0], the first one re-recorded
+	heldRef := rand.New(rand.NewSource(-5))
+	for i := 0; i < 10; i++ {
+		if g, w := held.Uint64(), heldRef.Uint64(); g != w {
+			t.Fatalf("held draw %d: %d != %d", i, g, w)
+		}
+	}
 	for seed := int64(0); seed < maxTables+8; seed++ {
-		table(seed)
+		var p [rngLen]uint64
+		load(seed, &p)
 	}
 	mu.Lock()
 	n := len(tables)
 	mu.Unlock()
 	if n > maxTables {
 		t.Fatalf("table cache grew to %d entries, cap is %d", n, maxTables)
+	}
+	for i := 10; i < 2*rngLen; i++ {
+		if g, w := held.Uint64(), heldRef.Uint64(); g != w {
+			t.Fatalf("held draw %d after recycle: %d != %d", i, g, w)
+		}
 	}
 	// Post-recycle streams still match math/rand.
 	want := rand.New(rand.NewSource(3))
@@ -88,5 +110,25 @@ func TestTableRecycle(t *testing.T) {
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Fatalf("draw %d after recycle: %d != %d", i, g, w)
 		}
+	}
+}
+
+// TestSeedMissAllocs holds a full cache to recording misses in place:
+// once maxTables tables exist, seeding from a seed the cache does not
+// hold allocates nothing, so the bytes a run allocates do not depend on
+// how many of its lookups miss.
+func TestSeedMissAllocs(t *testing.T) {
+	resetTables()
+	s := new(Source)
+	seed := int64(1 << 50)
+	for i := 0; i < maxTables; i++ {
+		s.Seed(seed)
+		seed++
+	}
+	if a := testing.AllocsPerRun(2*maxTables, func() {
+		s.Seed(seed)
+		seed++
+	}); a != 0 {
+		t.Fatalf("a missing seed allocates %v times with the cache full, want 0", a)
 	}
 }
