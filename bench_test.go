@@ -39,7 +39,7 @@ func benchSuite(b *testing.B) *uservices.Suite {
 func BenchmarkFig04NaiveSIMTEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := benchSuite(b)
-		rows, err := core.EfficiencyStudy(suite, benchRequests, 42)
+		rows, err := core.EfficiencyStudyParallel(suite, benchRequests, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFig05ThreadScaling(b *testing.B) {
 func BenchmarkFig11BatchingPolicies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := benchSuite(b)
-		rows, err := core.EfficiencyStudy(suite, benchRequests, 42)
+		rows, err := core.EfficiencyStudyParallel(suite, benchRequests, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkFig11BatchingPolicies(b *testing.B) {
 func chipRows(b *testing.B, withGPU bool) []core.ChipRow {
 	b.Helper()
 	suite := benchSuite(b)
-	rows, err := core.ChipStudy(suite, benchRequests, 42, withGPU)
+	rows, err := core.ChipStudyParallel(suite, benchRequests, 42, withGPU, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func BenchmarkFig14L1Traffic(b *testing.B) {
 func BenchmarkFig15MPKI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := benchSuite(b)
-		rows, err := core.MPKIStudy(suite, benchRequests, 42)
+		rows, err := core.MPKIStudyParallel(suite, benchRequests, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,10 +9,13 @@
 //	-fig 21   latency-component metrics
 //	-table 4  simulated configurations (Table IV)
 //	-table 5  per-component area and peak power (Table V)
+//	-table 6  GPU vs RPU terminology (Table VI)
+//	-table 7  SIMR vs previous SIMT work (Table VII)
 //	-sensitivity   §V-A1 ablations
 //	-timing   RPU timing-knob sweep (lanes x vote x atomics placement)
 //
-// With no selector, all figures are printed.
+// With no selector, all figures are printed. An unknown -fig or -table
+// is an error, reported before anything runs.
 package main
 
 import (
@@ -33,7 +36,7 @@ func main() {
 	requests := flag.Int("requests", core.DefaultRequests, "requests per service (paper: 2400)")
 	seed := flag.Int64("seed", 42, "workload random seed")
 	fig := flag.Int("fig", 0, "print a single figure (10, 14, 15, 19, 20, 21)")
-	table := flag.Int("table", 0, "print a table (4 or 5)")
+	table := flag.Int("table", 0, "print a table (4, 5, 6 or 7)")
 	sensitivity := flag.Bool("sensitivity", false, "run the sensitivity ablations")
 	ispc := flag.Bool("ispc", false, "run the §VI-A SPMD-on-SIMD (ISPC) comparison")
 	multiproc := flag.Bool("multiprocess", false, "run the §VI-B multi-process divergence study")
@@ -45,6 +48,9 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
 	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Lookahead|cli.Cache|cli.Interrupt)
 	flag.Parse()
+	if err := checkSelectors(*fig, *table); err != nil {
+		log.Fatal(err)
+	}
 	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
@@ -172,9 +178,28 @@ func main() {
 	core.WriteSampling(os.Stdout, rows)
 }
 
+// checkSelectors rejects a -fig or -table value that names nothing
+// chipsim prints (0 selects no single figure or table).
+func checkSelectors(fig, table int) error {
+	switch fig {
+	case 0, 10, 14, 15, 19, 20, 21:
+	default:
+		return fmt.Errorf("unknown -fig %d (want 10, 14, 15, 19, 20 or 21)", fig)
+	}
+	switch table {
+	case 0, 4, 5, 6, 7:
+	default:
+		return fmt.Errorf("unknown -table %d (want 4, 5, 6 or 7)", table)
+	}
+	return nil
+}
+
 // runISPC prints the §VI-A study: one request per AVX lane on the CPU
 // vs the dedicated RPU, over the same requests.
 func runISPC(suite *uservices.Suite, requests int, seed int64) {
+	if requests < 1 {
+		log.Fatalf("requests per service must be at least 1, got %d", requests)
+	}
 	fmt.Println("§VI-A: SPMD-on-SIMD (ISPC-style, 8 AVX lanes) vs RPU, relative to scalar CPU")
 	fmt.Printf("%-18s %12s %12s %12s %12s %10s\n",
 		"service", "ispc req/J", "ispc lat", "rpu req/J", "rpu lat", "ispc eff")

@@ -26,6 +26,9 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
 	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Interrupt)
 	flag.Parse()
+	if *fig != 4 && *fig != 11 {
+		log.Fatalf("unknown figure %d (want 4 or 11)", *fig)
+	}
 	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
@@ -52,7 +55,5 @@ func main() {
 		fmt.Println("Figure 11: SIMT control efficiency per batching policy (batch size 32)")
 		core.WriteEfficiency(os.Stdout, rows)
 		fmt.Println("(paper: 92% ideal stack-based, 91% MinSP-PC with per-API + per-argument-size)")
-	default:
-		log.Fatalf("unknown figure %d", *fig)
 	}
 }

@@ -130,7 +130,7 @@ func TestNaivePolicyLowersEfficiency(t *testing.T) {
 
 func TestEfficiencyStudyOrdering(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := EfficiencyStudy(suite, 320, 42)
+	rows, err := EfficiencyStudyParallel(suite, 320, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEfficiencyStudyOrdering(t *testing.T) {
 
 func TestMPKIStudyLeafTuning(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := MPKIStudy(suite, 192, 42)
+	rows, err := MPKIStudyParallel(suite, 192, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMPKIStudyLeafTuning(t *testing.T) {
 func TestSensitivityStudyRuns(t *testing.T) {
 	suite := uservices.NewSuite()
 	var sb strings.Builder
-	err := SensitivityStudy(&sb, suite, []string{"memc", "uniqueid"}, 96, 42)
+	err := SensitivityStudyParallel(&sb, suite, []string{"memc", "uniqueid"}, 96, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFig5Table(t *testing.T) {
 
 func TestChipStudyWritersProduceOutput(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := ChipStudy(suite, 64, 42, false)
+	rows, err := ChipStudyParallel(suite, 64, 42, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestMultiBatchStudy(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := ChipStudy(suite, 32, 5, false)
+	rows, err := ChipStudyParallel(suite, 32, 5, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestPerServiceEfficiencyBands(t *testing.T) {
 		"user":             {0.80, 1.0},
 	}
 	suite := uservices.NewSuite()
-	rows, err := EfficiencyStudy(suite, 640, 42)
+	rows, err := EfficiencyStudyParallel(suite, 640, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

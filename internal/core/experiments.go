@@ -57,14 +57,6 @@ func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p 
 	return float64(scalar) / (float64(ops) * float64(size)), nil
 }
 
-// EfficiencyStudy reproduces Figures 4 and 11: SIMT control efficiency
-// per service under naive, per-API and per-API+argument-size batching
-// (MinSP-PC), plus the ideal stack-based IPDOM reference, at batch 32.
-// It is EfficiencyStudyParallel on one worker.
-func EfficiencyStudy(suite *uservices.Suite, requests int, seed int64) ([]EffRow, error) {
-	return EfficiencyStudyParallel(suite, requests, seed, 1)
-}
-
 // WriteEfficiency renders the Figure 4/11 table.
 func WriteEfficiency(w io.Writer, rows []EffRow) {
 	fmt.Fprintf(w, "%-18s %8s %8s %12s %14s\n", "service", "naive", "per-api", "+arg-size", "+arg (ipdom)")
@@ -98,13 +90,6 @@ type ChipRow struct {
 	Service       string
 	CPU, SMT, RPU *Result
 	GPU           *Result // nil unless requested
-}
-
-// ChipStudy runs the chip-level comparison for every service.
-// withGPU additionally runs the Ampere-like GPU model (§V-A3). It is
-// ChipStudyParallel on one worker.
-func ChipStudy(suite *uservices.Suite, requests int, seed int64, withGPU bool) ([]ChipRow, error) {
-	return ChipStudyParallel(suite, requests, seed, withGPU, 1)
 }
 
 // WriteFig10 renders the CPU dynamic-energy breakdown per pipeline
@@ -224,13 +209,6 @@ type MPKIRow struct {
 	Service string
 	CPU     float64
 	RPU     map[int]float64 // batch size -> MPKI
-}
-
-// MPKIStudy reproduces Figure 15: L1 MPKI of the single-threaded CPU
-// (64 KB L1) vs the RPU (256 KB L1) at batch sizes 32/16/8/4. It is
-// MPKIStudyParallel on one worker.
-func MPKIStudy(suite *uservices.Suite, requests int, seed int64) ([]MPKIRow, error) {
-	return MPKIStudyParallel(suite, requests, seed, 1)
 }
 
 // WriteFig15 renders the MPKI table.

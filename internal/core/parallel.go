@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -126,6 +127,16 @@ func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, first
 	}
 	return out, nil
+}
+
+// checkRequests rejects a per-service request count below one before a
+// study runs any cell: a negative count cannot size a request stream,
+// and zero requests leave every ratio NaN.
+func checkRequests(requests int) error {
+	if requests < 1 {
+		return fmt.Errorf("core: requests per service must be at least 1, got %d", requests)
+	}
+	return nil
 }
 
 // genRequests regenerates a service's request stream from the study
@@ -267,21 +278,21 @@ func (sw *sweepCaches) abort() {
 	}
 }
 
-// ChipStudyParallel is ChipStudy on a worker pool: one cell per
-// (service, architecture).
-func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
-	return ChipStudyOn(suite.Services, requests, seed, withGPU, workers)
-}
-
-// ChipStudyOn is ChipStudyParallel restricted to an explicit service
-// subset: per-service rows are independent, so a subset's rows are
-// byte-identical to the same services' rows in a full-suite run.
+// ChipStudyParallel runs the chip-level comparison behind Figures 10,
+// 14, 19, 20 and 21 for every service of the suite on a worker pool:
+// one cell per (service, architecture). withGPU adds the Ampere-like
+// GPU model (§V-A3). As in every study, workers <= 0 uses one worker
+// per CPU and workers == 1 runs the cells in order on the caller.
 //
 // Scalar traces are not cached: of a service's cells only the CPU and
 // SMT-8 ones interpret alone, and they share no more than SMT-8's
 // thread-0 traces. Batch streams are cached only with the GPU column,
 // whose cells prepare exactly the RPU cells' streams.
-func ChipStudyOn(svcs []*uservices.Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
+func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
+	svcs := suite.Services
 	arches := []Arch{ArchCPU, ArchSMT8, ArchRPU}
 	if withGPU {
 		arches = append(arches, ArchGPU)
@@ -313,18 +324,19 @@ func ChipStudyOn(svcs []*uservices.Service, requests int, seed int64, withGPU bo
 	return rows, nil
 }
 
-// EfficiencyStudyParallel is EfficiencyStudy on a worker pool: one
-// cell per (service, policy variant).
+// EfficiencyStudyParallel reproduces Figures 4 and 11 on a worker pool:
+// SIMT control efficiency per service under naive, per-API and
+// per-API+argument-size batching (MinSP-PC), plus the ideal stack-based
+// IPDOM reference, at batch 32. One cell per (service, policy variant).
+//
+// The policy variants share scalar traces wherever they place a request
+// at the same batch position, so scalar traces are cached; the merged
+// streams differ by policy and reconvergence scheme, so they are not.
 func EfficiencyStudyParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]EffRow, error) {
-	return EfficiencyStudyOn(suite.Services, requests, seed, workers)
-}
-
-// EfficiencyStudyOn is EfficiencyStudyParallel restricted to an
-// explicit service subset (see ChipStudyOn). The policy variants share
-// scalar traces wherever they place a request at the same batch
-// position, so scalar traces are cached; the merged streams differ by
-// policy and reconvergence scheme, so they are not.
-func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]EffRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
+	svcs := suite.Services
 	variants := []struct {
 		policy batch.Policy
 		ipdom  bool
@@ -359,18 +371,18 @@ func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, work
 	return rows, nil
 }
 
-// MPKIStudyParallel is MPKIStudy on a worker pool: one cell per
-// (service, configuration) where configuration is the CPU or an RPU
-// batch size.
+// MPKIStudyParallel reproduces Figure 15 on a worker pool: L1 MPKI of
+// the single-threaded CPU (64 KB L1) vs the RPU (256 KB L1) at batch
+// sizes 32/16/8/4. One cell per (service, configuration).
+//
+// The batch sizes place many requests at the same lane, so scalar
+// traces are cached; no two cells form the same batch, so batch streams
+// are not.
 func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]MPKIRow, error) {
-	return MPKIStudyOn(suite.Services, requests, seed, workers)
-}
-
-// MPKIStudyOn is MPKIStudyParallel restricted to an explicit service
-// subset (see ChipStudyOn). The batch sizes place many requests at the
-// same lane, so scalar traces are cached; no two cells form the same
-// batch, so batch streams are not.
-func MPKIStudyOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
+	svcs := suite.Services
 	sizes := []int{32, 16, 8, 4}
 	nc := 1 + len(sizes) // CPU + one per batch size
 	sw := newSweepCaches(svcs, nc, true, false)
@@ -412,7 +424,7 @@ type BatchSweepRow struct {
 
 // BatchSweep runs the CPU baseline plus an RPU run per batch size over
 // the same requests on a worker pool (the §III-B3 tuning space). As in
-// MPKIStudyOn, the sizes share scalar traces but no batch stream, so
+// MPKIStudyParallel, the sizes share scalar traces but no batch stream, so
 // only scalar traces are cached.
 func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
 	sw := newSweepCaches([]*uservices.Service{svc}, 1+len(sizes), true, false)
@@ -447,15 +459,10 @@ type MultiBatchRow struct {
 }
 
 // MultiBatchSweep runs MultiBatchStudy for every service in the suite
-// on a worker pool (two tuned-size batches per service).
+// on a worker pool (two tuned-size batches per service). Each service
+// is one cell, so nothing is cached or shared.
 func MultiBatchSweep(suite *uservices.Suite, seed int64, workers int) ([]MultiBatchRow, error) {
-	return MultiBatchSweepOn(suite.Services, seed, workers)
-}
-
-// MultiBatchSweepOn is MultiBatchSweep restricted to an explicit
-// service subset (see ChipStudyOn). Each service is one cell, so
-// nothing is cached or shared.
-func MultiBatchSweepOn(svcs []*uservices.Service, seed int64, workers int) ([]MultiBatchRow, error) {
+	svcs := suite.Services
 	cells, err := RunCells(len(svcs), workers, func(i int) (*MultiBatchResult, error) {
 		svc := svcs[i]
 		return MultiBatchStudy(svc, genRequests(svc, 2*svc.TunedBatch, seed), DefaultOptions())

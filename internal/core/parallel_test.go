@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -219,5 +221,62 @@ func TestBatchSweepDeterminism(t *testing.T) {
 		if row.Size != sizes[i] || row.Res == nil {
 			t.Fatalf("row %d: size %d, res %v", i, row.Size, row.Res)
 		}
+	}
+}
+
+// TestStudyBadInputs: every study that takes a per-service request
+// count rejects one below 1, and the sensitivity study rejects an
+// unknown service by name, each with an error (never a panic or a
+// table of NaN) and before any cell runs.
+func TestStudyBadInputs(t *testing.T) {
+	suite := uservices.NewSuite()
+	type study struct {
+		name string
+		run  func(requests int) error
+	}
+	studies := []study{
+		{"chip", func(n int) error { _, err := ChipStudyParallel(suite, n, 3, false, 2); return err }},
+		{"efficiency", func(n int) error { _, err := EfficiencyStudyParallel(suite, n, 3, 2); return err }},
+		{"mpki", func(n int) error { _, err := MPKIStudyParallel(suite, n, 3, 2); return err }},
+		{"sensitivity", func(n int) error {
+			return SensitivityStudyParallel(io.Discard, suite, []string{"memc"}, n, 3, 2)
+		}},
+		{"timing", func(n int) error { _, err := TimingSweepParallel(suite, n, 3, 2); return err }},
+	}
+	type bad struct {
+		name, want string
+		run        func() error
+	}
+	var cases []bad
+	for _, s := range studies {
+		for _, n := range []int{0, -1} {
+			cases = append(cases, bad{fmt.Sprintf("%s/requests=%d", s.name, n), "requests", func() error { return s.run(n) }})
+		}
+	}
+	cases = append(cases, bad{"sensitivity/unknown service", `"nosuch"`, func() error {
+		return SensitivityStudyParallel(io.Discard, suite, []string{"memc", "nosuch"}, 16, 3, 2)
+	}})
+
+	defer func() { sweepBuilt = nil }()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ran := false
+			sweepBuilt = func(*sweepCaches) { ran = true }
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				err = c.run()
+			}()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want an error naming %s", err, c.want)
+			}
+			if ran {
+				t.Fatal("the study built its sweep before rejecting the input")
+			}
+		})
 	}
 }

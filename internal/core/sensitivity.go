@@ -3,20 +3,13 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"simr/internal/alloc"
 	"simr/internal/trace"
 	"simr/internal/uservices"
 )
-
-// SensRow compares one RPU configuration ablation against the baseline
-// for one service.
-type SensRow struct {
-	Service string
-	// Metric-specific values; see each study's writer.
-	Base, Variant float64
-}
 
 // runVariant executes one mutated option set.
 func runVariant(arch Arch, svc *uservices.Service, reqs []uservices.Request, mutate func(*Options), tc *trace.Cache, bc *trace.BatchCache, la int) (*Result, error) {
@@ -51,10 +44,10 @@ func (b *sensBase) get(arch Arch, svc *uservices.Service, reqs []uservices.Reque
 	return b.res[arch], b.err[arch]
 }
 
-// SensPair is one ablation's (baseline, variant) measurement: the
-// cell type of the grid SensPairsOn computes and WriteSensitivity
-// renders.
-type SensPair struct {
+// sensPair is one ablation's (baseline, variant) measurement: the cell
+// type of the grid SensitivityStudyParallel computes and
+// writeSensitivity renders.
+type sensPair struct {
 	Base, Variant *Result
 }
 
@@ -73,37 +66,26 @@ var sensMutations = []struct {
 	{ArchCPU, func(o *Options) { o.CPUPrefetch = true }},
 }
 
-// SensitivityStudy reproduces the §V-A1 sensitivity analyses on the
-// given services and writes the report. It is SensitivityStudyParallel
-// on one worker.
-func SensitivityStudy(w io.Writer, suite *uservices.Suite, services []string, requests int, seed int64) error {
-	return SensitivityStudyParallel(w, suite, services, requests, seed, 1)
-}
-
-// SensitivityStudyParallel computes every (ablation, service) pair on a
-// worker pool, then renders the report sections in order from the
-// precomputed results.
+// SensitivityStudyParallel reproduces the §V-A1 sensitivity analyses
+// on the named services (all of the suite's when services is empty) and
+// writes the report. Every (ablation, service) pair is computed on a
+// worker pool, then the report sections are rendered in order from the
+// precomputed grid, so the text is identical at any worker count.
 func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []string, requests int, seed int64, workers int) error {
-	if len(services) == 0 {
-		services = suite.Names()
-	}
-	svcs := make([]*uservices.Service, len(services))
-	for i, name := range services {
-		svcs[i] = suite.Get(name)
-	}
-	pairs, err := SensPairsOn(svcs, requests, seed, workers)
-	if err != nil {
+	if err := checkRequests(requests); err != nil {
 		return err
 	}
-	return WriteSensitivity(w, services, pairs)
-}
-
-// SensPairsOn computes the sensitivity grid for an explicit service
-// subset on a worker pool. The result is a flat grid indexed
-// pairs[section*len(svcs)+s], section in report order (one row per
-// ablation). Per-service columns are independent, so a subset's column is
-// byte-identical to the same service's column in a full run.
-func SensPairsOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]SensPair, error) {
+	svcs := suite.Services
+	if len(services) == 0 {
+		services = suite.Names()
+	} else {
+		svcs = make([]*uservices.Service, len(services))
+		for i, name := range services {
+			if svcs[i] = findService(suite, name); svcs[i] == nil {
+				return fmt.Errorf("core: unknown service %q (have %s)", name, strings.Join(suite.Names(), ", "))
+			}
+		}
+	}
 	ns := len(svcs)
 	// Both caches are read: the timing-only ablations replay the
 	// baseline's batch streams, and the layout ablations that rebuild
@@ -112,30 +94,41 @@ func SensPairsOn(svcs []*uservices.Service, requests int, seed int64, workers in
 	sw := newSweepCaches(svcs, len(sensMutations), true, true)
 	bases := make([]sensBase, ns)
 	la := prepBudget(len(sensMutations)*ns, workers)
-	pairs, err := RunCells(len(sensMutations)*ns, workers, func(i int) (SensPair, error) {
+	pairs, err := RunCells(len(sensMutations)*ns, workers, func(i int) (sensPair, error) {
 		m := sensMutations[i/ns]
 		s := i % ns
 		defer sw.done(s)
 		reqs := sw.requests(s, requests, seed)
 		b, err := bases[s].get(m.arch, svcs[s], reqs, sw.cache(s), sw.batchCache(s), la)
 		if err != nil {
-			return SensPair{}, err
+			return sensPair{}, err
 		}
 		v, err := runVariant(m.arch, svcs[s], reqs, m.mutate, sw.cache(s), sw.batchCache(s), la)
-		return SensPair{b, v}, err
+		return sensPair{b, v}, err
 	})
 	if err != nil {
 		sw.abort()
-		return nil, err
+		return err
 	}
-	return pairs, nil
+	return writeSensitivity(w, services, pairs)
 }
 
-// WriteSensitivity renders the §V-A1 report from a precomputed grid
-// (services[s] names column s of pairs; see SensPairsOn).
-func WriteSensitivity(w io.Writer, services []string, pairs []SensPair) error {
+// findService returns the suite's service with the given name, or nil.
+func findService(suite *uservices.Suite, name string) *uservices.Service {
+	for _, svc := range suite.Services {
+		if svc.Name == name {
+			return svc
+		}
+	}
+	return nil
+}
+
+// writeSensitivity renders the §V-A1 report from a precomputed grid
+// indexed pairs[section*len(services)+s], section in sensMutations
+// order and services[s] naming column s.
+func writeSensitivity(w io.Writer, services []string, pairs []sensPair) error {
 	ns := len(services)
-	pair := func(section, s int) SensPair { return pairs[section*ns+s] }
+	pair := func(section, s int) sensPair { return pairs[section*ns+s] }
 
 	// 1. Sub-batch interleaving: 8 SIMT lanes vs full 32-lane width.
 	fmt.Fprintln(w, "-- sub-batch interleaving: 8 lanes vs full 32 lanes (paper: ~4% loss, up to 10% UniqueID)")

@@ -8,24 +8,24 @@ import (
 	"simr/internal/uservices"
 )
 
-// TimingVariant is one point of the RPU timing-knob sweep: a named
+// timingVariant is one point of the RPU timing-knob sweep: a named
 // mutation of Options that changes only timing/energy behaviour (lane
 // count, branch voting, atomics placement), never the prepared uop
 // stream. Because every variant of a service replays the identical
 // batch composition, the whole sweep shares one batch-stream cache
 // entry per batch — the showcase workload for BatchCache.
-type TimingVariant struct {
+type timingVariant struct {
 	Name   string
 	Mutate func(*Options)
 }
 
-// DefaultTimingVariants enumerates the 2x2x2 cross of the paper's
+// defaultTimingVariants enumerates the 2x2x2 cross of the paper's
 // §V-A1 timing knobs: SIMT lane width {8, 32} x majority branch voting
 // {on, off} x atomics at L3 {on, off}. All eight points prepare the
 // same streams.
-func DefaultTimingVariants() []TimingVariant {
+func defaultTimingVariants() []timingVariant {
 	lanes := []int{8, 32}
-	var vs []TimingVariant
+	var vs []timingVariant
 	for _, l := range lanes {
 		for _, vote := range []bool{true, false} {
 			for _, l3 := range []bool{true, false} {
@@ -37,7 +37,7 @@ func DefaultTimingVariants() []TimingVariant {
 				if l3 {
 					name += "+l3atomics"
 				}
-				vs = append(vs, TimingVariant{Name: name, Mutate: func(o *Options) {
+				vs = append(vs, timingVariant{Name: name, Mutate: func(o *Options) {
 					o.Lanes = l
 					o.MajorityVote = vote
 					o.AtomicsAtL3 = l3
@@ -49,7 +49,7 @@ func DefaultTimingVariants() []TimingVariant {
 }
 
 // TimingRow is one service's results across the timing variants, in
-// DefaultTimingVariants order.
+// defaultTimingVariants order.
 type TimingRow struct {
 	Service  string
 	Variants []string
@@ -60,19 +60,16 @@ type TimingRow struct {
 // a worker pool. Variants differ only in timing knobs, so the batch
 // streams prepared for the first cell of a service are replayed by the
 // remaining seven from the cache.
-func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]TimingRow, error) {
-	return TimingSweepOn(suite.Services, requests, seed, workers)
-}
-
-// TimingSweepOn is TimingSweepParallel restricted to an explicit
-// service subset: per-service rows are independent, so a subset's rows
-// are byte-identical to the same services' rows in a full-suite run.
 //
 // Batch streams are cached. Scalar traces are cached only when batch
 // caching is off: otherwise only each batch's first builder interprets,
 // and no other cell reads its traces.
-func TimingSweepOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]TimingRow, error) {
-	variants := DefaultTimingVariants()
+func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]TimingRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
+	svcs := suite.Services
+	variants := defaultTimingVariants()
 	nv := len(variants)
 	sw := newSweepCaches(svcs, nv, disableBatchCache, true)
 	la := prepBudget(len(svcs)*nv, workers)
@@ -99,11 +96,6 @@ func TimingSweepOn(svcs []*uservices.Service, requests int, seed int64, workers 
 		rows[s] = TimingRow{Service: svc.Name, Variants: names, Res: cells[s*nv : (s+1)*nv]}
 	}
 	return rows, nil
-}
-
-// TimingSweep is TimingSweepParallel on one worker.
-func TimingSweep(suite *uservices.Suite, requests int, seed int64) ([]TimingRow, error) {
-	return TimingSweepParallel(suite, requests, seed, 1)
 }
 
 // WriteTimingSweep renders the sweep: per variant, request latency and

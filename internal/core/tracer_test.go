@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
@@ -94,6 +95,7 @@ func TestSlotPrepAllocs(t *testing.T) {
 func TestSweepCachesAreRead(t *testing.T) {
 	suite := uservices.NewSuite()
 	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user"), suite.Get("hdsearch-leaf")}
+	sub := &uservices.Suite{Services: svcs}
 	const (
 		requests = 64
 		seed     = 3
@@ -104,13 +106,13 @@ func TestSweepCachesAreRead(t *testing.T) {
 		scalar, batch bool
 		run           func() error
 	}{
-		{"chip", false, false, func() error { _, err := ChipStudyOn(svcs, requests, seed, false, workers); return err }},
-		{"chip+gpu", false, true, func() error { _, err := ChipStudyOn(svcs, requests, seed, true, workers); return err }},
-		{"timing", false, true, func() error { _, err := TimingSweepOn(svcs, requests, seed, workers); return err }},
-		{"efficiency", true, false, func() error { _, err := EfficiencyStudyOn(svcs, requests, seed, workers); return err }},
-		{"mpki", true, false, func() error { _, err := MPKIStudyOn(svcs, requests, seed, workers); return err }},
-		{"sensitivity", true, true, func() error { _, err := SensPairsOn(svcs, requests, seed, workers); return err }},
-		{"multibatch", false, false, func() error { _, err := MultiBatchSweepOn(svcs, seed, workers); return err }},
+		{"chip", false, false, func() error { _, err := ChipStudyParallel(sub, requests, seed, false, workers); return err }},
+		{"chip+gpu", false, true, func() error { _, err := ChipStudyParallel(sub, requests, seed, true, workers); return err }},
+		{"timing", false, true, func() error { _, err := TimingSweepParallel(sub, requests, seed, workers); return err }},
+		{"efficiency", true, false, func() error { _, err := EfficiencyStudyParallel(sub, requests, seed, workers); return err }},
+		{"mpki", true, false, func() error { _, err := MPKIStudyParallel(sub, requests, seed, workers); return err }},
+		{"sensitivity", true, true, func() error { return SensitivityStudyParallel(io.Discard, sub, nil, requests, seed, workers) }},
+		{"multibatch", false, false, func() error { _, err := MultiBatchSweep(sub, seed, workers); return err }},
 		{"batchsweep", true, false, func() error {
 			_, _, err := BatchSweep(svcs[0], genRequests(svcs[0], requests, seed), []int{32, 16, 8}, workers)
 			return err

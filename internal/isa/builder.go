@@ -32,9 +32,6 @@ func NewFunc(name string) *Builder {
 	return b
 }
 
-// SetFrameBytes overrides the stack frame size charged on call.
-func (b *Builder) SetFrameBytes(n uint64) { b.p.FrameBytes = n }
-
 func (b *Builder) newBlock() *Block {
 	blk := &Block{ID: len(b.p.Blocks)}
 	b.p.Blocks = append(b.p.Blocks, blk)

@@ -292,15 +292,6 @@ func TestBatchFormationFillsUnderLoad(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seconds = 1.5
-	ms := Sweep(cfg, []float64{2000, 8000})
-	if len(ms) != 2 || ms[0].Offered != 2000 || ms[1].Offered != 8000 {
-		t.Fatalf("sweep wrong: %+v", ms)
-	}
-}
-
 // webTierBatching is the §VI-H alternative placement as a spec: the
 // social graph with batches formed at a zero-demand ingress, before the
 // web tier, so each batch crosses web as one unit instead of every

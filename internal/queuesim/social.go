@@ -102,14 +102,3 @@ func drainMs(drain float64) float64 {
 	}
 	return 200
 }
-
-// Sweep runs a QPS sweep and returns metrics per load point.
-func Sweep(base Config, qps []float64) []*TailMetrics {
-	out := make([]*TailMetrics, len(qps))
-	for i, q := range qps {
-		cfg := base
-		cfg.QPS = q
-		out[i] = Run(cfg)
-	}
-	return out
-}

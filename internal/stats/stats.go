@@ -92,10 +92,10 @@ func (s *Sample) Max() float64 {
 	return max
 }
 
-// GobEncode serializes the sample for the distributed-sweep wire
-// format. Observations travel in insertion order as raw float64 bits —
-// Mean sums in that order, so a decoded sample reproduces the original
-// byte for byte in every report.
+// GobEncode serializes the sample: a sorted flag, the count, then every
+// observation in insertion order as raw float64 bits. The queuesim
+// golden-grid fingerprints hash these bytes, and its tests read the
+// observations back from them.
 func (s *Sample) GobEncode() ([]byte, error) {
 	buf := make([]byte, 0, 9+8*len(s.vals))
 	if s.sorted {
@@ -108,23 +108,6 @@ func (s *Sample) GobEncode() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf, nil
-}
-
-// GobDecode restores a sample produced by GobEncode.
-func (s *Sample) GobDecode(b []byte) error {
-	if len(b) < 9 {
-		return fmt.Errorf("stats: sample payload too short (%d bytes)", len(b))
-	}
-	s.sorted = b[0] == 1
-	n := binary.BigEndian.Uint64(b[1:9])
-	if uint64(len(b)-9) != 8*n {
-		return fmt.Errorf("stats: sample payload %d bytes for %d values", len(b), n)
-	}
-	s.vals = make([]float64, n)
-	for i := range s.vals {
-		s.vals[i] = math.Float64frombits(binary.BigEndian.Uint64(b[9+8*i:]))
-	}
-	return nil
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using
@@ -222,9 +205,6 @@ func (h *Histogram) Count() int { return h.total }
 
 // Bucket returns the count in bucket i.
 func (h *Histogram) Bucket(i int) int { return h.counts[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
 
 // Ratio returns a/b, or 0 when b is 0. It keeps report code tidy when a
 // denominator can legitimately be empty (e.g. a service with no loads).

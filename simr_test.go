@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"simr/internal/core"
 )
 
 // TestFacadeQuickstart exercises the README's quick-start path through
@@ -29,17 +31,6 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeEfficiencyStudy(t *testing.T) {
-	suite := NewSuite()
-	rows, err := EfficiencyStudy(suite, 128, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 15 {
-		t.Fatalf("rows %d", len(rows))
-	}
-}
-
 func TestFacadeSystemSim(t *testing.T) {
 	cfg := DefaultSystemConfig()
 	cfg.QPS = 3000
@@ -48,68 +39,26 @@ func TestFacadeSystemSim(t *testing.T) {
 	if m.Completed == 0 {
 		t.Fatal("no completions")
 	}
-	ms := SweepSystem(cfg, []float64{2000, 4000})
-	if len(ms) != 2 {
-		t.Fatal("sweep size")
-	}
 }
 
-func TestFacadeSensitivity(t *testing.T) {
+func TestFacadeChipStudy(t *testing.T) {
 	suite := NewSuite()
-	var sb strings.Builder
-	if err := SensitivityStudy(&sb, suite, []string{"urlshort"}, 64, 3); err != nil {
-		t.Fatal(err)
-	}
-	if len(sb.String()) == 0 {
-		t.Fatal("empty sensitivity report")
-	}
-}
-
-func TestFacadeChipAndMPKI(t *testing.T) {
-	suite := NewSuite()
-	rows, err := ChipStudy(suite, 32, 3, false)
+	rows, err := ChipStudyParallel(suite, 32, 3, false, 1)
 	if err != nil || len(rows) != 15 {
 		t.Fatalf("chip study: %v, %d rows", err, len(rows))
 	}
 	var sb strings.Builder
-	if err := WriteResultsJSON(&sb, rows[:1]); err != nil {
+	if err := core.WriteJSON(&sb, rows[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if len(sb.String()) == 0 {
 		t.Fatal("empty JSON")
 	}
-	mrows, err := MPKIStudy(suite, 32, 3)
-	if err != nil || len(mrows) != 15 {
-		t.Fatalf("mpki study: %v, %d rows", err, len(mrows))
-	}
 }
 
 func TestFacadeExtensionStudies(t *testing.T) {
-	mp, err := MultiProcessStudy(8, 3)
-	if err != nil || mp.SharedEff <= mp.SeparateEff {
-		t.Fatalf("multiprocess: %v %+v", err, mp)
-	}
-	suite := NewSuite()
-	svc := suite.Get("uniqueid")
-	reqs := svc.Generate(rand.New(rand.NewSource(3)), 64)
-	mb, err := MultiBatchStudy(svc, reqs, DefaultOptions())
-	if err != nil || mb.Speedup() <= 0 {
-		t.Fatalf("multibatch: %v %+v", err, mb)
-	}
-	isp, err := RunISPC(svc, reqs)
-	if err != nil || isp.Requests != 64 {
-		t.Fatalf("ispc: %v", err)
-	}
-	cfg := DefaultComposePost()
-	cfg.QPS, cfg.Seconds = 2000, 1.5
-	if m := RunComposePost(cfg); m.Completed == 0 {
-		t.Fatal("composepost: no completions")
-	}
 	g := NewGPGPUSuite()
 	if len(g.Services) != 3 {
 		t.Fatalf("gpgpu suite %d kernels", len(g.Services))
-	}
-	if DefaultRequests != 2400 {
-		t.Fatal("paper request count constant")
 	}
 }
