@@ -97,14 +97,16 @@ type SamplingEntry struct {
 }
 
 // BatchCacheEntry is one batch-stream-cache trajectory point, written
-// to BENCH_batchcache.json: the RPU timing-knob sweep (eight variants
-// per service sharing identical batch streams) timed with no caches,
-// with the scalar trace cache only, and with the batch-stream cache,
-// plus a sampled run with the batch-stream cache. The sweep caches
-// scalar traces only while batch caching is off, so the batch leg runs
-// the batch-stream cache alone. The three unsampled runs are
+// to BENCH_batchcache.json: the §V-A1 sensitivity study, whose
+// timing-only ablations (32 lanes, atomics at L1, no majority voting)
+// replay the baseline's batch streams and whose layout ablations and
+// CPU prefetcher run replay its scalar traces, timed with no caches,
+// with the scalar trace cache only, and with both caches (the
+// default), plus a sampled run with both. The three unsampled runs are
 // byte-compared, so the trajectory only ever records speedups of
-// equivalent computations.
+// equivalent computations. Entries written before the timing sweep
+// stopped caching (it now prepares each batch once for all eight of a
+// service's variants) timed that sweep instead.
 type BatchCacheEntry struct {
 	Timestamp  string `json:"timestamp"`
 	GoMaxProcs int    `json:"gomaxprocs"`
@@ -123,8 +125,8 @@ type BatchCacheEntry struct {
 	// position and every cell still merges and builds every batch.
 	ScalarCacheSec float64 `json:"scalarcache_s"`
 	// BatchCacheSec runs the default configuration: the batch-stream
-	// cache alone (the first cell of a service prepares each batch
-	// once; the other seven replay it).
+	// cache on top of the scalar trace cache (the ablations that only
+	// retime the baseline replay its prepared batches).
 	BatchCacheSec float64 `json:"batchcache_s"`
 	// SampledSec runs the default configuration plus sampled timing
 	// (Sample).
@@ -139,10 +141,9 @@ type BatchCacheEntry struct {
 	// Identical reports whether the three unsampled runs rendered
 	// byte-identical sweeps.
 	Identical bool `json:"outputs_identical"`
-	// Metrics snapshots the batch-cache run's obs registry
-	// (trace.batchcache hits/misses/bypassed/bytes_hwm and the
-	// prep-pipeline scopes; that run makes no trace.cache lookups)
-	// when -studymetrics is set.
+	// Metrics snapshots the both-caches run's obs registry
+	// (trace.cache and trace.batchcache hits/misses/bypassed/bytes_hwm
+	// and the prep-pipeline scopes) when -studymetrics is set.
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
@@ -332,11 +333,11 @@ func main() {
 	be.Timestamp = stamp
 	be.GoMaxProcs = entry.GoMaxProcs
 	fmt.Printf("%-22s nocache %7.3fs  scalar %7.3fs  batch %7.3fs  sampled %7.3fs\n",
-		"batchcache-timing", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec, be.SampledSec)
+		"batchcache-sensitivity", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec, be.SampledSec)
 	fmt.Printf("%-22s vs scalar %.2fx  vs nocache %.2fx  sampled vs nocache %.2fx  identical=%v\n",
 		"", be.SpeedupVsScalar, be.SpeedupVsNoCache, be.SpeedupSampled, be.Identical)
 	if !be.Identical {
-		log.Fatal("batchcache-timing: outputs differ across cache configurations")
+		log.Fatal("batchcache-sensitivity: outputs differ across cache configurations")
 	}
 	if err := appendJSON("BENCH_batchcache.json", be); err != nil {
 		log.Fatal(err)
@@ -456,26 +457,21 @@ func benchSampling(suite *uservices.Suite, requests int, seed int64, workers int
 	return entry
 }
 
-// benchBatchCache times the RPU timing-knob sweep — the workload the
-// batch-stream cache targets: eight timing variants per service whose
-// preparation (trace fetch, lock-step merge, uop build) is identical —
-// under three cache configurations plus a sampled run, byte-comparing
-// the unsampled outputs: no caches, the scalar-trace cache (which the
-// sweep uses only with batch caching off), and the batch-stream cache
-// (the default, with which the sweep skips the scalar-trace cache).
-// Lookahead is pinned so all runs prep-pipeline identically and only
-// the caching varies.
+// benchBatchCache times the §V-A1 sensitivity study — the sweep whose
+// cells replay batch streams: its timing-only ablations retime the
+// baseline's prepared batches — under three cache configurations plus
+// a sampled run, byte-comparing the unsampled outputs: no caches, the
+// scalar-trace cache alone, and both caches (the default). Lookahead
+// is pinned so all runs prep-pipeline identically and only the caching
+// varies.
 func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) BatchCacheEntry {
 	run := func() (float64, []byte) {
+		var buf bytes.Buffer
 		t0 := time.Now()
-		rows, err := core.TimingSweepParallel(suite, requests, seed, workers)
-		if err != nil {
+		if err := core.SensitivityStudyParallel(&buf, suite, nil, requests, seed, workers); err != nil {
 			log.Fatal(err)
 		}
-		sec := time.Since(t0).Seconds()
-		var buf bytes.Buffer
-		core.WriteTimingSweep(&buf, rows)
-		return sec, buf.Bytes()
+		return time.Since(t0).Seconds(), buf.Bytes()
 	}
 	core.SetPrepLookahead(2)
 	defer core.SetPrepLookahead(-1)
@@ -510,11 +506,10 @@ func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers i
 		obs.Disable()
 	}
 
-	// Sampled timing stacks multiplicatively on the cache: warm units
+	// Sampled timing stacks multiplicatively on the caches: warm units
 	// replay cached streams through the functional path and skipped
-	// units cost nothing, so the combination is the repo's fastest
-	// full-sweep configuration. Its output legitimately differs (it is
-	// an estimate), so it is timed but not byte-compared.
+	// units cost nothing. Its output legitimately differs (it is an
+	// estimate), so it is timed but not byte-compared.
 	sample.SetDefault(scfg)
 	sampledSec, _ := run()
 	sample.SetDefault(sample.Config{})

@@ -145,13 +145,23 @@ func (r *Result) L1MPKI() float64 {
 // sequentially; SMT-8 runs them in groups of 8; RPU/GPU batch them via
 // the SIMR-aware server and run them in lock-step.
 func RunService(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
+	return runService(arch, svc, reqs, opts, nil)
+}
+
+// runService is RunService on memory hierarchies drawn from sys (nil
+// builds a fresh one).
+func runService(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, sys *sysList) (*Result, error) {
 	switch arch {
 	case ArchCPU:
-		return runScalar(arch, svc, reqs, opts)
+		return runScalar(arch, svc, reqs, opts, sys)
 	case ArchSMT8:
-		return runSMT(arch, svc, reqs, opts)
+		return runSMT(arch, svc, reqs, opts, sys)
 	case ArchRPU, ArchGPU:
-		return runBatched(arch, svc, reqs, opts)
+		res, err := runBatched(arch, svc, reqs, []Options{opts}, sys)
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
 	default:
 		return nil, fmt.Errorf("core: invalid arch %v", arch)
 	}
@@ -173,9 +183,10 @@ func newResult(arch Arch, svc *uservices.Service, n int) *Result {
 // consecutive CPU threads enjoy prefetched shared data, paper §V-A).
 // Upcoming requests are traced and uop-converted up to
 // opts.PrepLookahead ahead of the one the timing core is running.
-func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
+func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, sys *sysList) (*Result, error) {
 	cfg := PipelineConfig(arch)
-	ms := mem.NewSystem(MemConfig(arch))
+	ms := sys.get(MemConfig(arch))
+	defer sys.put(ms)
 	if opts.CPUPrefetch {
 		ms.PF = mem.NewPrefetcher(2)
 	}
@@ -232,9 +243,10 @@ func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts
 // through a shared frontend with per-thread ROB partitions and a shared
 // banked L1. Only the Traces and PrepLookahead options apply (the SMT
 // core is not an RPU configuration).
-func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
+func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, sys *sysList) (*Result, error) {
 	cfg := PipelineConfig(arch)
-	ms := mem.NewSystem(MemConfig(arch))
+	ms := sys.get(MemConfig(arch))
+	defer sys.put(ms)
 	cpu := pipeline.NewCore(cfg)
 	res := newResult(arch, svc, len(reqs))
 	model := EnergyModel(arch)
@@ -331,41 +343,67 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 // runBatched models the RPU (and GPU): the SIMR-aware server forms
 // batches, the driver lays out contiguous stacks and SIMR-aware heap
 // arenas, the SIMT engine lock-steps the traces and the OoO-SIMT core
-// executes the merged stream.
-func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
-	cfgP := PipelineConfig(arch)
-	cfgM := MemConfig(arch)
-	if opts.Lanes > 0 {
-		cfgP.Lanes = opts.Lanes
+// executes the merged stream. Each batch is prepared once and timed
+// on every variant: variants may differ from variants[0] only in the
+// timing knobs (Lanes, MajorityVote, AtomicsAtL3), which never change
+// the prepared stream, and each gets its own core, memory hierarchy,
+// sampler and Result, in variants order.
+func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, variants []Options, sys *sysList) ([]*Result, error) {
+	if err := checkVariants(variants); err != nil {
+		return nil, err
 	}
-	cfgP.MajorityVote = opts.MajorityVote
-	cfgM.AtomicsAtL3 = opts.AtomicsAtL3
+	opts := &variants[0]
 	size := opts.BatchSize
 	if size <= 0 {
 		size = svc.TunedBatch
 	}
-
-	ms := mem.NewSystem(cfgM)
-	rpu := pipeline.NewCore(cfgP)
-	res := newResult(arch, svc, len(reqs))
-	model := EnergyModel(arch)
+	banks := MemConfig(arch).L1.Banks
 	reconv := svc.BranchReconv()
-
 	batches := batch.Form(reqs, size, opts.Policy)
-	res.Batches = len(batches)
+	model := EnergyModel(arch)
+
+	// One timing model per variant; all of them consume the same
+	// prepared streams in batch order.
+	type timing struct {
+		ms   *mem.System
+		core *pipeline.Core
+		res  *Result
+		sp   *runSampler
+	}
+	tms := make([]timing, len(variants))
+	for v := range variants {
+		o := &variants[v]
+		cfgP := PipelineConfig(arch)
+		cfgM := MemConfig(arch)
+		if o.Lanes > 0 {
+			cfgP.Lanes = o.Lanes
+		}
+		cfgP.MajorityVote = o.MajorityVote
+		cfgM.AtomicsAtL3 = o.AtomicsAtL3
+		tm := &tms[v]
+		tm.ms = sys.get(cfgM)
+		defer sys.put(tm.ms)
+		tm.core = pipeline.NewCore(cfgP)
+		tm.res = newResult(arch, svc, len(reqs))
+		tm.res.Batches = len(batches)
+		tm.sp = newRunSampler(o.sampleConfig(), len(batches), len(reqs))
+	}
+	// Every variant samples the same units (checkVariants holds Sample
+	// equal), so the first sampler plans the prep walk for all.
+	plan := tms[0].sp
 
 	// Preparation — trace fetch, lock-step merge, uop build — is pure:
 	// it writes only the slot's scratch objects (tracer, merge scratch,
 	// uop builder) and a per-batch MCUStats delta, so upcoming batches
-	// are prepared on worker goroutines while the timing core consumes
-	// earlier ones. The
-	// consumer applies each delta to ms.MCU before Run, which lands the
-	// coalescer counts inside the same prev/Delta window the sequential
-	// loop (which bumped ms.MCU during the build) gave them. When the
-	// options carry a batch-stream cache, prep consults it first and
-	// only falls back to the live build on a miss; a hit serves a
-	// cache-owned read-only stream with zero allocations (each slot
-	// owns one build closure and one reused key buffer).
+	// are prepared on worker goroutines while the timing cores consume
+	// earlier ones. The consumer applies each delta to every variant's
+	// ms.MCU before Run, which lands the coalescer counts inside the
+	// same prev/Delta window the sequential loop (which bumped ms.MCU
+	// during the build) gave them. When the options carry a
+	// batch-stream cache, prep consults it first and only falls back to
+	// the live build on a miss; a hit serves a cache-owned read-only
+	// stream with zero allocations (each slot owns one build closure
+	// and one reused key buffer).
 	totalScalar, totalBatchOps := 0, 0
 	la := opts.lookahead()
 	type rpuSlot struct {
@@ -378,8 +416,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 		stream *trace.BatchStream
 		build  func() (*trace.BatchStream, error)
 	}
-	sp := newRunSampler(opts.sampleConfig(), len(batches), len(reqs))
-	units := sp.unitCount(len(batches))
+	units := plan.unitCount(len(batches))
 	slots := make([]rpuSlot, prepSlots(la, units))
 	for i := range slots {
 		sl := &slots[i]
@@ -387,7 +424,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 		sl.build = func() (*trace.BatchStream, error) {
 			b := sl.batch
 			sg := alloc.NewStackGroup(0, len(b.Requests), opts.StackInterleave)
-			traces, err := sl.tr.batch(b.Requests, sg, opts.AllocPolicy, cfgM.L1.Banks)
+			traces, err := sl.tr.batch(b.Requests, sg, opts.AllocPolicy, banks)
 			if err != nil {
 				return nil, err
 			}
@@ -416,7 +453,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 	err := pipelined(units, la,
 		func(slot, k int) error {
 			sl := &slots[slot]
-			sl.batch = &batches[sp.unit(k)]
+			sl.batch = &batches[plan.unit(k)]
 			var err error
 			if opts.BatchStreams == nil {
 				sl.stream, err = sl.build()
@@ -428,40 +465,91 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 			// frequency are timing-only and deliberately absent.
 			sl.key = trace.AppendBatchKey(sl.key[:0], trace.KeyBatch, sl.batch.Requests, size,
 				opts.UseIPDOM, opts.Spin, opts.AllocPolicy, opts.StackInterleave,
-				lineBytes, cfgM.L1.Banks, alloc.StackRegion)
+				lineBytes, banks, alloc.StackRegion)
 			sl.stream, err = opts.BatchStreams.Get(sl.key, sl.build)
 			return err
 		},
 		func(slot, k int) {
 			bs := slots[slot].stream
-			if !sp.timed(sp.unit(k)) {
-				sp.warm(rpu, ms, bs.Uops)
-				return
+			u := plan.unit(k)
+			if plan.timed(u) {
+				// SIMT efficiency accumulates over timed units only —
+				// the subpopulation Stats extrapolates from — so
+				// sampled runs report one consistent Result; unsampled
+				// runs time every unit and are unchanged.
+				totalScalar += bs.ScalarOps
+				totalBatchOps += bs.BatchOps
 			}
-			// SIMT efficiency accumulates over timed units only — the
-			// subpopulation Stats extrapolates from — so sampled runs
-			// report one consistent Result; unsampled runs time every
-			// unit and are unchanged.
-			totalScalar += bs.ScalarOps
-			totalBatchOps += bs.BatchOps
-			prev := ms.Stats()
-			ms.MCU.Add(&bs.MCU)
-			ms.ResetTiming()
-			st := rpu.Run(ms, bs.Uops)
-			st.Mem = st.Mem.Delta(&prev)
-			res.Stats.Accumulate(&st)
-			for j := 0; j < bs.Requests; j++ {
-				res.Latency.Add(float64(st.Cycles))
+			for v := range tms {
+				tm := &tms[v]
+				if !tm.sp.timed(u) {
+					tm.sp.warm(tm.core, tm.ms, bs.Uops)
+					continue
+				}
+				prev := tm.ms.Stats()
+				tm.ms.MCU.Add(&bs.MCU)
+				tm.ms.ResetTiming()
+				st := tm.core.Run(tm.ms, bs.Uops)
+				st.Mem = st.Mem.Delta(&prev)
+				tm.res.Stats.Accumulate(&st)
+				for j := 0; j < bs.Requests; j++ {
+					tm.res.Latency.Add(float64(st.Cycles))
+				}
+				tm.sp.observe(&st, bs.Requests)
 			}
-			sp.observe(&st, bs.Requests)
 		})
 	if err != nil {
 		return nil, err
 	}
-	if totalBatchOps > 0 {
-		res.SIMTEff = float64(totalScalar) / (float64(totalBatchOps) * float64(size))
+	out := make([]*Result, len(tms))
+	for v := range tms {
+		tm := &tms[v]
+		if totalBatchOps > 0 {
+			tm.res.SIMTEff = float64(totalScalar) / (float64(totalBatchOps) * float64(size))
+		}
+		tm.sp.finish(tm.res)
+		tm.res.Energy = model.Compute(&tm.res.Stats, tm.res.FreqGHz)
+		out[v] = tm.res
 	}
-	sp.finish(res)
-	res.Energy = model.Compute(&res.Stats, cfgP.FreqGHz)
-	return res, nil
+	return out, nil
+}
+
+// checkVariants rejects a variant list runBatched cannot prepare once:
+// an empty one, or one whose variants differ from the first in any
+// field that shapes the prepared batch streams or how they are walked.
+func checkVariants(variants []Options) error {
+	if len(variants) == 0 {
+		return fmt.Errorf("core: no timing variants to run")
+	}
+	base := &variants[0]
+	for i := 1; i < len(variants); i++ {
+		o := &variants[i]
+		var field string
+		switch {
+		case o.BatchSize != base.BatchSize:
+			field = "BatchSize"
+		case o.Policy != base.Policy:
+			field = "Policy"
+		case o.AllocPolicy != base.AllocPolicy:
+			field = "AllocPolicy"
+		case o.StackInterleave != base.StackInterleave:
+			field = "StackInterleave"
+		case o.UseIPDOM != base.UseIPDOM:
+			field = "UseIPDOM"
+		case (o.Spin == nil) != (base.Spin == nil) || o.Spin != nil && *o.Spin != *base.Spin:
+			field = "Spin"
+		case o.Sample != base.Sample:
+			field = "Sample"
+		case o.Traces != base.Traces:
+			field = "Traces"
+		case o.BatchStreams != base.BatchStreams:
+			field = "BatchStreams"
+		case o.PrepLookahead != base.PrepLookahead:
+			field = "PrepLookahead"
+		default:
+			continue
+		}
+		return fmt.Errorf("core: timing variant %d differs from variant 0 in %s; variants may differ only in Lanes, MajorityVote and AtomicsAtL3", i, field)
+	}
+	return nil
 }

@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"simr/internal/alloc"
 	"simr/internal/batch"
+	"simr/internal/sample"
+	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -436,5 +440,79 @@ func TestPerServiceEfficiencyBands(t *testing.T) {
 			t.Errorf("%s optimized efficiency %.3f outside band [%.2f, %.2f]",
 				r.Service, r.PerArg, band[0], band[1])
 		}
+	}
+}
+
+// TestRunBatchedVariants: timing variants prepared once match the same
+// options run one RunService call each, and a variant that differs
+// from the first in any field that shapes preparation is an error
+// naming the field, not a panic or a silently wrong stream.
+func TestRunBatchedVariants(t *testing.T) {
+	svc := uservices.NewSuite().Get("memc")
+	reqs := genRequests(svc, 48, 5)
+	base := DefaultOptions()
+	base.PrepLookahead = 1
+	timing := []func(*Options){
+		func(o *Options) {},
+		func(o *Options) { o.Lanes = 8 },
+		func(o *Options) { o.MajorityVote = false },
+		func(o *Options) { o.AtomicsAtL3 = false },
+	}
+	variants := make([]Options, len(timing))
+	for v, mut := range timing {
+		variants[v] = base
+		mut(&variants[v])
+	}
+	got, err := runBatched(ArchRPU, svc, reqs, variants, &sysList{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, o := range variants {
+		want, err := RunService(ArchRPU, svc, reqs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[v], want) {
+			t.Fatalf("variant %d prepared once differs from its own RunService run", v)
+		}
+	}
+
+	spin := *base.Spin
+	spin.Grant++
+	prep := []struct {
+		name, field string
+		mutate      func(*Options)
+	}{
+		{"BatchSize", "BatchSize", func(o *Options) { o.BatchSize = 8 }},
+		{"Policy", "Policy", func(o *Options) { o.Policy = batch.Naive }},
+		{"AllocPolicy", "AllocPolicy", func(o *Options) { o.AllocPolicy = alloc.PolicyCPU }},
+		{"StackInterleave", "StackInterleave", func(o *Options) { o.StackInterleave = false }},
+		{"UseIPDOM", "UseIPDOM", func(o *Options) { o.UseIPDOM = true }},
+		{"Spin", "Spin", func(o *Options) { o.Spin = &spin }},
+		{"Spin nil", "Spin", func(o *Options) { o.Spin = nil }},
+		{"Sample", "Sample", func(o *Options) { o.Sample = sample.Config{Period: 2} }},
+		{"Traces", "Traces", func(o *Options) { o.Traces = trace.NewCache(svc, trace.NewBudget(0)) }},
+		{"BatchStreams", "BatchStreams", func(o *Options) { o.BatchStreams = trace.NewBatchCache(trace.NewBudget(0)) }},
+		{"PrepLookahead", "PrepLookahead", func(o *Options) { o.PrepLookahead = 0 }},
+	}
+	for _, c := range prep {
+		t.Run(c.name, func(t *testing.T) {
+			bad := base
+			c.mutate(&bad)
+			res, err := runBatched(ArchRPU, svc, reqs, []Options{base, variants[1], bad}, nil)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("got %v, %v; want an error naming %s", res, err, c.field)
+			}
+		})
+	}
+	// An equal Spin behind another pointer prepares the same stream.
+	same := base
+	spinCopy := *base.Spin
+	same.Spin = &spinCopy
+	if _, err := runBatched(ArchRPU, svc, reqs, []Options{base, same}, nil); err != nil {
+		t.Fatalf("equal Spin at another address rejected: %v", err)
+	}
+	if _, err := runBatched(ArchRPU, svc, reqs, nil, nil); err == nil {
+		t.Fatal("an empty variant list ran")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"simr/internal/uservices"
@@ -99,4 +100,41 @@ func TestGoldenTimingSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGoldenFile(t, "testdata/golden_timing.txt", renderTimingGolden(t, rows))
+}
+
+// TestCellReuseDeterminism: the chip study and the timing sweep, whose
+// workers reuse their memory hierarchies from cell to cell, reproduce
+// the frozen fixtures at one, two and three workers, twice over in one
+// process. Each sweep builds no more hierarchies than its workers hold
+// at once: one per architecture for the chip study (a cell models one
+// core), eight for the timing sweep (a cell times eight variants).
+func TestCellReuseDeterminism(t *testing.T) {
+	suite := uservices.NewSuite()
+	var built atomic.Int64
+	systemBuilt = func() { built.Add(1) }
+	defer func() { systemBuilt = nil }()
+	const chipArches, timingVariants = 4, 8
+	for rep := 0; rep < 2; rep++ {
+		for _, workers := range []int{1, 2, 3} {
+			built.Store(0)
+			rows, err := ChipStudyParallel(suite, 32, 3, true, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGoldenFile(t, "testdata/golden_chip.txt", renderChipGolden(t, rows))
+			if n := built.Load(); n > int64(workers*chipArches) {
+				t.Errorf("workers=%d: chip study built %d memory hierarchies, want at most %d", workers, n, workers*chipArches)
+			}
+
+			built.Store(0)
+			trows, err := TimingSweepParallel(suite, 16, 3, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGoldenFile(t, "testdata/golden_timing.txt", renderTimingGolden(t, trows))
+			if n := built.Load(); n > int64(workers*timingVariants) {
+				t.Errorf("workers=%d: timing sweep built %d memory hierarchies, want at most %d", workers, n, workers*timingVariants)
+			}
+		}
+	}
 }

@@ -1,9 +1,12 @@
 // Worker-pool sweep runner. Every paper study is a grid of independent
 // (service, architecture, Options) cells — each cell builds its own
-// mem.System, pipeline.Core and request stream — so the sweeps fan out
-// over a bounded pool of goroutines. Results are aggregated in input
-// order regardless of completion order, which keeps every figure and
-// CSV byte-identical to the sequential path.
+// pipeline.Core and request stream — so the sweeps fan out over a
+// bounded pool of goroutines. A worker runs its cells one at a time,
+// so the chip study and the timing sweep keep each worker's memory
+// hierarchies (sysList) and Reset them for its next cell instead of
+// building fresh ones. Results are aggregated in input order
+// regardless of completion order, which keeps every figure and CSV
+// byte-identical to the sequential path.
 package core
 
 import (
@@ -15,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"simr/internal/batch"
+	"simr/internal/mem"
 	"simr/internal/trace"
 	"simr/internal/uservices"
 )
@@ -56,15 +60,27 @@ func interrupted() error {
 // On error the lowest-index error among completed cells is returned
 // and remaining cells are abandoned.
 func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
+	return runCells(n, workers, func(_, i int) (T, error) { return fn(i) })
+}
+
+// cellWorkers is the number of workers runCells starts for n cells:
+// workers, or DefaultWorkers when workers <= 0, capped at n.
+func cellWorkers(n, workers int) int {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > n {
-		workers = n
+	return min(workers, n)
+}
+
+// runCells is RunCells that also hands fn the index w of the worker
+// evaluating the cell, 0 <= w < cellWorkers(n, workers). A worker runs
+// its cells one after another, so per-worker state indexed by w needs
+// no locking.
+func runCells[T any](n, workers int, fn func(w, i int) (T, error)) ([]T, error) {
+	if n <= 0 {
+		return nil, nil
 	}
+	workers = cellWorkers(n, workers)
 	po := cellsProbe(workers)
 	start := po.clock()
 	defer po.finish(start)
@@ -75,7 +91,7 @@ func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 				return nil, err
 			}
 			t0 := po.clock()
-			v, err := fn(i)
+			v, err := fn(0, i)
 			if err != nil {
 				return nil, err
 			}
@@ -106,7 +122,7 @@ func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 				var v T
 				err := interrupted()
 				if err == nil {
-					v, err = fn(i)
+					v, err = fn(w, i)
 				}
 				if err != nil {
 					mu.Lock()
@@ -128,6 +144,47 @@ func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
+
+// sysList is one sweep worker's idle memory hierarchies. A run takes a
+// System per core it models with get and returns it with put when the
+// run is over, so the worker's next cell reuses it: a Table IV RPU
+// hierarchy is about 3.3 MB of cache lines and MSHR table, and a sweep
+// would otherwise build one per cell. A nil *sysList builds a fresh
+// System for every run and keeps none, which is what direct RunService
+// calls get.
+type sysList struct {
+	idle []*mem.System
+}
+
+// get returns an idle System built for exactly cfg, Reset to the state
+// mem.NewSystem(cfg) gives, or a new one when none is idle.
+func (l *sysList) get(cfg mem.SysConfig) *mem.System {
+	if l != nil {
+		for i, s := range l.idle {
+			if s.Config() == cfg {
+				l.idle = append(l.idle[:i], l.idle[i+1:]...)
+				s.Reset()
+				return s
+			}
+		}
+	}
+	if systemBuilt != nil {
+		systemBuilt()
+	}
+	return mem.NewSystem(cfg)
+}
+
+// put hands a System back for the worker's later runs.
+func (l *sysList) put(s *mem.System) {
+	if l != nil {
+		l.idle = append(l.idle, s)
+	}
+}
+
+// systemBuilt, when set, is called for every memory hierarchy a run
+// builds instead of reusing; the reuse tests count the calls. It must
+// be safe for concurrent use.
+var systemBuilt func()
 
 // checkRequests rejects a per-service request count below one before a
 // study runs any cell: a negative count cannot size a request stream,
@@ -282,7 +339,8 @@ func (sw *sweepCaches) abort() {
 // 14, 19, 20 and 21 for every service of the suite on a worker pool:
 // one cell per (service, architecture). withGPU adds the Ampere-like
 // GPU model (§V-A3). As in every study, workers <= 0 uses one worker
-// per CPU and workers == 1 runs the cells in order on the caller.
+// per CPU and workers == 1 runs the cells in order on the caller. Each
+// worker reuses its memory hierarchies from cell to cell.
 //
 // Scalar traces are not cached: of a service's cells only the CPU and
 // SMT-8 ones interpret alone, and they share no more than SMT-8's
@@ -300,14 +358,15 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 	na := len(arches)
 	sw := newSweepCaches(svcs, na, false, withGPU)
 	la := prepBudget(len(svcs)*na, workers)
-	cells, err := RunCells(len(svcs)*na, workers, func(i int) (*Result, error) {
+	systems := make([]sysList, cellWorkers(len(svcs)*na, workers))
+	cells, err := runCells(len(svcs)*na, workers, func(w, i int) (*Result, error) {
 		s := i / na
 		defer sw.done(s)
 		opts := DefaultOptions()
 		opts.Traces = sw.cache(s)
 		opts.BatchStreams = sw.batchCache(s)
 		opts.PrepLookahead = la
-		return RunService(arches[i%na], svcs[s], sw.requests(s, requests, seed), opts)
+		return runService(arches[i%na], svcs[s], sw.requests(s, requests, seed), opts, &systems[w])
 	})
 	if err != nil {
 		sw.abort()

@@ -8,92 +8,65 @@ import (
 	"simr/internal/uservices"
 )
 
-// timingVariant is one point of the RPU timing-knob sweep: a named
-// mutation of Options that changes only timing/energy behaviour (lane
-// count, branch voting, atomics placement), never the prepared uop
-// stream. Because every variant of a service replays the identical
-// batch composition, the whole sweep shares one batch-stream cache
-// entry per batch — the showcase workload for BatchCache.
-type timingVariant struct {
-	Name   string
-	Mutate func(*Options)
-}
-
-// defaultTimingVariants enumerates the 2x2x2 cross of the paper's
-// §V-A1 timing knobs: SIMT lane width {8, 32} x majority branch voting
-// {on, off} x atomics at L3 {on, off}. All eight points prepare the
-// same streams.
-func defaultTimingVariants() []timingVariant {
-	lanes := []int{8, 32}
-	var vs []timingVariant
-	for _, l := range lanes {
+// timingVariants returns base under the 2x2x2 cross of the paper's
+// §V-A1 timing knobs — SIMT lane width {8, 32} x majority branch voting
+// {on, off} x atomics at L3 {on, off} — and each point's name. The
+// knobs change only timing and energy, never the prepared uop stream,
+// so runBatched times all eight points on one preparation of each
+// batch.
+func timingVariants(base Options) (names []string, variants []Options) {
+	for _, lanes := range []int{8, 32} {
 		for _, vote := range []bool{true, false} {
 			for _, l3 := range []bool{true, false} {
-				l, vote, l3 := l, vote, l3
-				name := fmt.Sprintf("lanes%d", l)
+				name := fmt.Sprintf("lanes%d", lanes)
 				if vote {
 					name += "+vote"
 				}
 				if l3 {
 					name += "+l3atomics"
 				}
-				vs = append(vs, timingVariant{Name: name, Mutate: func(o *Options) {
-					o.Lanes = l
-					o.MajorityVote = vote
-					o.AtomicsAtL3 = l3
-				}})
+				o := base
+				o.Lanes, o.MajorityVote, o.AtomicsAtL3 = lanes, vote, l3
+				names = append(names, name)
+				variants = append(variants, o)
 			}
 		}
 	}
-	return vs
+	return names, variants
 }
 
 // TimingRow is one service's results across the timing variants, in
-// defaultTimingVariants order.
+// timingVariants order.
 type TimingRow struct {
 	Service  string
 	Variants []string
 	Res      []*Result
 }
 
-// TimingSweepParallel runs every (service, timing variant) RPU cell on
-// a worker pool. Variants differ only in timing knobs, so the batch
-// streams prepared for the first cell of a service are replayed by the
-// remaining seven from the cache.
-//
-// Batch streams are cached. Scalar traces are cached only when batch
-// caching is off: otherwise only each batch's first builder interprets,
-// and no other cell reads its traces.
+// TimingSweepParallel runs the RPU timing-knob sweep on a worker pool:
+// one cell per service, which prepares each batch once and times it on
+// all eight variants, each on its own core and memory hierarchy. Each
+// worker reuses its eight hierarchies from service to service. No cell
+// reads another's products, so the sweep caches nothing.
 func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]TimingRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
 	svcs := suite.Services
-	variants := defaultTimingVariants()
-	nv := len(variants)
-	sw := newSweepCaches(svcs, nv, disableBatchCache, true)
-	la := prepBudget(len(svcs)*nv, workers)
-	cells, err := RunCells(len(svcs)*nv, workers, func(i int) (*Result, error) {
-		s := i / nv
-		defer sw.done(s)
-		opts := DefaultOptions()
-		opts.Traces = sw.cache(s)
-		opts.BatchStreams = sw.batchCache(s)
-		opts.PrepLookahead = la
-		variants[i%nv].Mutate(&opts)
-		return RunService(ArchRPU, svcs[s], sw.requests(s, requests, seed), opts)
+	base := DefaultOptions()
+	base.PrepLookahead = prepBudget(len(svcs), workers)
+	names, variants := timingVariants(base)
+	systems := make([]sysList, cellWorkers(len(svcs), workers))
+	cells, err := runCells(len(svcs), workers, func(w, s int) ([]*Result, error) {
+		svc := svcs[s]
+		return runBatched(ArchRPU, svc, genRequests(svc, requests, seed), variants, &systems[w])
 	})
 	if err != nil {
-		sw.abort()
 		return nil, err
-	}
-	names := make([]string, nv)
-	for v, tv := range variants {
-		names[v] = tv.Name
 	}
 	rows := make([]TimingRow, len(svcs))
 	for s, svc := range svcs {
-		rows[s] = TimingRow{Service: svc.Name, Variants: names, Res: cells[s*nv : (s+1)*nv]}
+		rows[s] = TimingRow{Service: svc.Name, Variants: names, Res: cells[s]}
 	}
 	return rows, nil
 }

@@ -108,7 +108,7 @@ func TestSweepCachesAreRead(t *testing.T) {
 	}{
 		{"chip", false, false, func() error { _, err := ChipStudyParallel(sub, requests, seed, false, workers); return err }},
 		{"chip+gpu", false, true, func() error { _, err := ChipStudyParallel(sub, requests, seed, true, workers); return err }},
-		{"timing", false, true, func() error { _, err := TimingSweepParallel(sub, requests, seed, workers); return err }},
+		{"timing", false, false, func() error { _, err := TimingSweepParallel(sub, requests, seed, workers); return err }},
 		{"efficiency", true, false, func() error { _, err := EfficiencyStudyParallel(sub, requests, seed, workers); return err }},
 		{"mpki", true, false, func() error { _, err := MPKIStudyParallel(sub, requests, seed, workers); return err }},
 		{"sensitivity", true, true, func() error { return SensitivityStudyParallel(io.Discard, sub, nil, requests, seed, workers) }},

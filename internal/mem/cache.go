@@ -278,19 +278,13 @@ func (c *Cache) Probe(addr uint64) bool {
 // ResetTiming clears bank timing state (between independent runs that
 // share cache contents).
 func (c *Cache) ResetTiming() {
-	for i := range c.bankFree {
-		c.bankFree[i] = 0
-	}
+	clear(c.bankFree)
 }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	for i := range c.bankFree {
-		c.bankFree[i] = 0
-	}
+	clear(c.lines)
+	clear(c.bankFree)
 	c.tick = 0
 	c.Stats = CacheStats{}
 }

@@ -334,6 +334,82 @@ func TestSystemResetTimingKeepsContents(t *testing.T) {
 	}
 }
 
+// TestSystemResetMatchesFresh: a System dirtied by one access stream
+// and then Reset behaves exactly like a freshly built one — same
+// completion cycle for every access of a second stream and the same
+// Stats() afterwards — with and without a prefetcher on either stream
+// and for both atomics placements. Sweeps reuse hierarchies across
+// cells on this guarantee.
+func TestSystemResetMatchesFresh(t *testing.T) {
+	type access struct {
+		addr          uint64
+		write, atomic bool
+		t             uint64
+	}
+	// stream mixes ascending runs (which trigger the prefetcher) with
+	// scattered reads, writes and atomics over a footprint larger than
+	// the L2, at arrival times close enough for bank conflicts and MSHR
+	// merges.
+	stream := func(seed uint64, n int) []access {
+		x := seed
+		out := make([]access, 0, n)
+		var at, seq uint64
+		for i := 0; i < n; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			var addr uint64
+			if x>>60 < 6 {
+				seq += 32
+				addr = 0x200000 + seq
+			} else {
+				addr = 0x100000 + (x>>20)%(64<<10)
+			}
+			at += (x >> 40) % 4
+			out = append(out, access{addr: addr, write: x>>33&3 == 0, atomic: x>>35&7 == 0, t: at})
+		}
+		return out
+	}
+	run := func(s *System, pf bool, accs []access) []uint64 {
+		if pf {
+			s.PF = NewPrefetcher(2)
+		}
+		done := make([]uint64, len(accs))
+		for i, a := range accs {
+			done[i] = s.Access(a.addr, a.write, a.atomic, a.t)
+		}
+		return done
+	}
+	measured := stream(7, 4000)
+	for _, l3 := range []bool{false, true} {
+		for _, dirtyPF := range []bool{false, true} {
+			for _, pf := range []bool{false, true} {
+				cfg := sysConfig()
+				cfg.AtomicsAtL3 = l3
+				fresh := NewSystem(cfg)
+				want := run(fresh, pf, measured)
+
+				reused := NewSystem(cfg)
+				// The dirtying stream overlaps the measured one, so any
+				// surviving line, prefetch record or counter shows.
+				run(reused, dirtyPF, stream(7, 3000))
+				run(reused, dirtyPF, stream(11, 3000))
+				reused.Reset()
+				got := run(reused, pf, measured)
+
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("atomicsAtL3=%v dirtyPF=%v pf=%v: access %d completes at %d after Reset, %d fresh",
+							l3, dirtyPF, pf, i, got[i], want[i])
+					}
+				}
+				if gs, ws := reused.Stats(), fresh.Stats(); gs != ws {
+					t.Fatalf("atomicsAtL3=%v dirtyPF=%v pf=%v: stats after Reset %+v, fresh %+v",
+						l3, dirtyPF, pf, gs, ws)
+				}
+			}
+		}
+	}
+}
+
 func TestPrefetcherDetectsSequentialRuns(t *testing.T) {
 	cfg := sysConfig()
 	s := NewSystem(cfg)

@@ -369,7 +369,11 @@ func (s *System) ResetTiming() {
 	s.dramFree = 0
 }
 
-// Reset clears all cache contents, MSHRs and statistics.
+// Reset returns the System to the state NewSystem(s.Config()) builds:
+// cache and TLB contents, MSHRs, DRAM timing and every counter are
+// cleared, and the prefetcher is detached along with its record of
+// prefetched lines, so a reused hierarchy counts no earlier run's
+// prefetches. The line arrays keep their storage.
 func (s *System) Reset() {
 	s.L1.Reset()
 	s.TLB.Reset()
@@ -381,4 +385,6 @@ func (s *System) Reset() {
 	s.dramAccesses = 0
 	s.dramBytes = 0
 	s.atomicL3 = 0
+	s.PF = nil
+	clear(s.prefetched)
 }

@@ -3,11 +3,14 @@
 // The scalar cache amortizes trace *interpretation* across sweep cells,
 // but every cell still pays the rest of preparation — SIMT lock-step
 // merge and uop build — even when it consumes the exact stream another
-// cell already built. Timing-knob sweeps (lanes, majority vote, atomics
-// placement, frequency/energy model) hold batch composition, spin
-// policy, reconvergence mode and allocator geometry fixed across many
-// cells, so the merged []pipeline.Uop stream, its MCU coalescing delta
-// and its op counts are pure functions of inputs the cells share. The
+// cell already built. Cells that differ only in timing knobs (lanes,
+// majority vote, atomics placement, frequency/energy model) — the
+// sensitivity grid's ablations against their baseline, the chip
+// study's RPU and GPU columns — hold batch composition, spin policy,
+// reconvergence mode and allocator geometry fixed, so the merged
+// []pipeline.Uop stream, its MCU coalescing delta and its op counts are
+// pure functions of inputs the cells share. (A single run that times
+// several such variants prepares each batch once and needs no cache.) The
 // BatchCache memoizes that post-merge product once per sweep and serves
 // it read-only to every other cell, with singleflight dedup so
 // concurrent workers block on the first build instead of repeating it.
