@@ -143,21 +143,16 @@ func (r *Result) L1MPKI() float64 {
 // RunService executes the requests on one core of the architecture and
 // returns the aggregated measurement. CPU runs the requests
 // sequentially; SMT-8 runs them in groups of 8; RPU/GPU batch them via
-// the SIMR-aware server and run them in lock-step.
+// the SIMR-aware server and run them in lock-step. Each call builds
+// its own prep scratch, core and memory hierarchy.
 func RunService(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
-	return runService(arch, svc, reqs, opts, nil)
-}
-
-// runService is RunService on memory hierarchies drawn from sys (nil
-// builds a fresh one).
-func runService(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, sys *sysList) (*Result, error) {
 	switch arch {
 	case ArchCPU:
-		return runScalar(arch, svc, reqs, opts, sys)
+		return runScalar(svc, reqs, opts, nil, nil)
 	case ArchSMT8:
-		return runSMT(arch, svc, reqs, opts, sys)
+		return runSMT(svc, reqs, opts, nil, nil)
 	case ArchRPU, ArchGPU:
-		res, err := runBatched(arch, svc, reqs, []Options{opts}, sys)
+		res, err := runBatched(svc, reqs, []Arch{arch}, []Options{opts}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -183,40 +178,29 @@ func newResult(arch Arch, svc *uservices.Service, n int) *Result {
 // consecutive CPU threads enjoy prefetched shared data, paper §V-A).
 // Upcoming requests are traced and uop-converted up to
 // opts.PrepLookahead ahead of the one the timing core is running.
-func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, sys *sysList) (*Result, error) {
+func runScalar(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
+	const arch = ArchCPU
 	cfg := PipelineConfig(arch)
 	ms := sys.get(MemConfig(arch))
 	defer sys.put(ms)
 	if opts.CPUPrefetch {
 		ms.PF = mem.NewPrefetcher(2)
 	}
-	cpu := pipeline.NewCore(cfg)
+	cpu := ws.core(0, cfg)
 	res := newResult(arch, svc, len(reqs))
 	model := EnergyModel(arch)
 
 	sg := alloc.NewStackGroup(0, 1, false)
 	la := opts.lookahead()
 	sp := newRunSampler(opts.sampleConfig(), len(reqs), len(reqs))
-	type cpuSlot struct {
-		tr tracer
-		ub uopBuilder
-	}
 	units := sp.unitCount(len(reqs))
-	slots := make([]cpuSlot, prepSlots(la, units))
-	for i := range slots {
-		slots[i].tr = tracer{svc: svc, tc: opts.Traces}
-	}
+	slots := ws.slots(prepSlots(la, units), svc, opts.Traces)
 	prepped := make([][]pipeline.Uop, len(slots))
 	err := pipelined(units, la,
 		func(slot, k int) error {
-			sl := &slots[slot]
-			tr, err := sl.tr.request(&reqs[sp.unit(k)], 0, sg.StackBase(0), alloc.PolicyCPU, 1)
-			if err != nil {
-				return err
-			}
-			sl.ub.reset()
-			prepped[slot] = sl.ub.scalarUops(tr, 0)
-			return nil
+			var err error
+			prepped[slot], err = slots[slot].scalar(&reqs[sp.unit(k)], sg)
+			return err
 		},
 		func(slot, k int) {
 			if !sp.timed(sp.unit(k)) {
@@ -241,13 +225,14 @@ func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts
 
 // runSMT models the SMT-8 CPU: 8 worker threads dispatch round-robin
 // through a shared frontend with per-thread ROB partitions and a shared
-// banked L1. Only the Traces and PrepLookahead options apply (the SMT
-// core is not an RPU configuration).
-func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, sys *sysList) (*Result, error) {
+// banked L1. Of the options only Traces, BatchStreams, PrepLookahead
+// and Sample apply (the SMT core is not an RPU configuration).
+func runSMT(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
+	const arch = ArchSMT8
 	cfg := PipelineConfig(arch)
 	ms := sys.get(MemConfig(arch))
 	defer sys.put(ms)
-	cpu := pipeline.NewCore(cfg)
+	cpu := ws.core(0, cfg)
 	res := newResult(arch, svc, len(reqs))
 	model := EnergyModel(arch)
 
@@ -255,42 +240,31 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 	sg := alloc.NewStackGroup(0, ways, false)
 	groups := (len(reqs) + ways - 1) / ways
 
-	// One slot per in-flight group: all of a group's streams live in
-	// the slot's arena simultaneously until merged, and the merged
-	// stream stays valid until the timing core has consumed it. The
-	// merge is memoized through the sweep's batch-stream cache when the
-	// options carry one; each slot owns one build closure (reading the
-	// group through the slot) so the hit path allocates nothing.
+	// One slot per in-flight group: the merged stream stays valid until
+	// the timing core has consumed it. The merge is memoized through
+	// the batch-stream cache when the options carry one; each slot owns
+	// one build closure (reading the group through the slot) so the hit
+	// path allocates nothing.
 	la := opts.lookahead()
 	type smtSlot struct {
-		tr      tracer
-		ub      uopBuilder
-		streams [][]pipeline.Uop
-		key     []byte
-		group   []uservices.Request
-		local   trace.BatchStream
-		stream  *trace.BatchStream
-		build   func() (*trace.BatchStream, error)
+		key    []byte
+		group  []uservices.Request
+		local  trace.BatchStream
+		stream *trace.BatchStream
+		build  func() (*trace.BatchStream, error)
 	}
 	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
 	units := sp.unitCount(groups)
-	slots := make([]smtSlot, prepSlots(la, units))
+	preps := ws.slots(prepSlots(la, units), svc, opts.Traces)
+	slots := make([]smtSlot, len(preps))
 	for i := range slots {
-		sl := &slots[i]
-		sl.tr = tracer{svc: svc, tc: opts.Traces}
+		sl, p := &slots[i], preps[i]
 		sl.build = func() (*trace.BatchStream, error) {
-			group := sl.group
-			sl.ub.reset()
-			sl.streams = sl.streams[:0]
-			for t := range group {
-				tr, err := sl.tr.request(&group[t], t, sg.StackBase(t), alloc.PolicyCPU, 1)
-				if err != nil {
-					return nil, err
-				}
-				sl.streams = append(sl.streams, sl.ub.scalarUops(tr, t))
+			uops, err := p.smt(sl.group, sg)
+			if err != nil {
+				return nil, err
 			}
-			sl.local = trace.BatchStream{Requests: len(group)}
-			sl.local.Uops = sl.ub.mergeSMT(sl.streams)
+			sl.local = trace.BatchStream{Uops: uops, Requests: len(sl.group)}
 			return &sl.local, nil
 		}
 	}
@@ -340,16 +314,22 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 	return res, nil
 }
 
+// memConfig is MemConfig as runBatched sees it; the variant tests swap
+// it to give an architecture another L1 geometry.
+var memConfig = MemConfig
+
 // runBatched models the RPU (and GPU): the SIMR-aware server forms
 // batches, the driver lays out contiguous stacks and SIMR-aware heap
 // arenas, the SIMT engine lock-steps the traces and the OoO-SIMT core
-// executes the merged stream. Each batch is prepared once and timed
-// on every variant: variants may differ from variants[0] only in the
-// timing knobs (Lanes, MajorityVote, AtomicsAtL3), which never change
-// the prepared stream, and each gets its own core, memory hierarchy,
-// sampler and Result, in variants order.
-func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, variants []Options, sys *sysList) ([]*Result, error) {
-	if err := checkVariants(variants); err != nil {
+// executes the merged stream. Each batch is prepared once and timed on
+// every variant, variant v on architecture arches[v]. checkVariants
+// holds the variants to what one preparation serves: RPU and GPU
+// architectures with one L1 line size and bank count, and options that
+// differ from variants[0] only in the timing knobs (Lanes,
+// MajorityVote, AtomicsAtL3). Each variant gets its own core, memory
+// hierarchy, sampler and Result, in variants order.
+func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch, variants []Options, ws *workSet, sys *sysList) ([]*Result, error) {
+	if err := checkVariants(arches, variants); err != nil {
 		return nil, err
 	}
 	opts := &variants[0]
@@ -357,24 +337,24 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, var
 	if size <= 0 {
 		size = svc.TunedBatch
 	}
-	banks := MemConfig(arch).L1.Banks
+	banks := memConfig(arches[0]).L1.Banks
 	reconv := svc.BranchReconv()
 	batches := batch.Form(reqs, size, opts.Policy)
-	model := EnergyModel(arch)
 
 	// One timing model per variant; all of them consume the same
 	// prepared streams in batch order.
 	type timing struct {
-		ms   *mem.System
-		core *pipeline.Core
-		res  *Result
-		sp   *runSampler
+		ms    *mem.System
+		core  *pipeline.Core
+		res   *Result
+		sp    *runSampler
+		model *energy.Model
 	}
 	tms := make([]timing, len(variants))
 	for v := range variants {
-		o := &variants[v]
+		o, arch := &variants[v], arches[v]
 		cfgP := PipelineConfig(arch)
-		cfgM := MemConfig(arch)
+		cfgM := memConfig(arch)
 		if o.Lanes > 0 {
 			cfgP.Lanes = o.Lanes
 		}
@@ -383,33 +363,30 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, var
 		tm := &tms[v]
 		tm.ms = sys.get(cfgM)
 		defer sys.put(tm.ms)
-		tm.core = pipeline.NewCore(cfgP)
+		tm.core = ws.core(v, cfgP)
 		tm.res = newResult(arch, svc, len(reqs))
 		tm.res.Batches = len(batches)
 		tm.sp = newRunSampler(o.sampleConfig(), len(batches), len(reqs))
+		tm.model = EnergyModel(arch)
 	}
 	// Every variant samples the same units (checkVariants holds Sample
 	// equal), so the first sampler plans the prep walk for all.
 	plan := tms[0].sp
 
 	// Preparation — trace fetch, lock-step merge, uop build — is pure:
-	// it writes only the slot's scratch objects (tracer, merge scratch,
-	// uop builder) and a per-batch MCUStats delta, so upcoming batches
-	// are prepared on worker goroutines while the timing cores consume
-	// earlier ones. The consumer applies each delta to every variant's
-	// ms.MCU before Run, which lands the coalescer counts inside the
-	// same prev/Delta window the sequential loop (which bumped ms.MCU
-	// during the build) gave them. When the options carry a
-	// batch-stream cache, prep consults it first and only falls back to
-	// the live build on a miss; a hit serves a cache-owned read-only
-	// stream with zero allocations (each slot owns one build closure
-	// and one reused key buffer).
+	// it writes only the slot's scratch and a per-batch MCUStats delta,
+	// so upcoming batches are prepared on worker goroutines while the
+	// timing cores consume earlier ones. The consumer applies each
+	// delta to every variant's ms.MCU before Run, which lands the
+	// coalescer counts inside the same prev/Delta window the sequential
+	// loop (which bumped ms.MCU during the build) gave them. When the
+	// options carry a batch-stream cache, prep consults it first and
+	// only falls back to the live build on a miss; a hit serves a
+	// cache-owned read-only stream with zero allocations (each slot
+	// owns one build closure and one reused key buffer).
 	totalScalar, totalBatchOps := 0, 0
 	la := opts.lookahead()
 	type rpuSlot struct {
-		tr     tracer
-		ub     uopBuilder
-		sc     simt.Scratch
 		key    []byte
 		batch  *batch.Batch
 		local  trace.BatchStream
@@ -417,36 +394,14 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, var
 		build  func() (*trace.BatchStream, error)
 	}
 	units := plan.unitCount(len(batches))
-	slots := make([]rpuSlot, prepSlots(la, units))
+	preps := ws.slots(prepSlots(la, units), svc, opts.Traces)
+	slots := make([]rpuSlot, len(preps))
 	for i := range slots {
-		sl := &slots[i]
-		sl.tr = tracer{svc: svc, tc: opts.Traces}
+		sl, p := &slots[i], preps[i]
 		sl.build = func() (*trace.BatchStream, error) {
-			b := sl.batch
-			sg := alloc.NewStackGroup(0, len(b.Requests), opts.StackInterleave)
-			traces, err := sl.tr.batch(b.Requests, sg, opts.AllocPolicy, banks)
-			if err != nil {
+			if err := p.batch(sl.batch, opts, size, banks, reconv, &sl.local); err != nil {
 				return nil, err
 			}
-			var merged *simt.Result
-			if opts.UseIPDOM {
-				merged, err = simt.RunIPDOMWith(&sl.sc, traces, size, reconv)
-			} else {
-				merged, err = simt.RunMinSPPCWith(&sl.sc, traces, size, opts.Spin)
-			}
-			if err != nil {
-				return nil, err
-			}
-			// merged aliases sl.sc and the built uops alias sl.ub: the
-			// local stream stays valid until the consumer releases the
-			// slot (the cache deep copies it before sharing).
-			sl.ub.reset()
-			sl.local = trace.BatchStream{
-				ScalarOps: merged.ScalarOps,
-				BatchOps:  len(merged.Ops),
-				Requests:  len(b.Requests),
-			}
-			sl.local.Uops = sl.ub.batchUops(merged.Ops, sg, opts.StackInterleave, &sl.local.MCU)
 			return &sl.local, nil
 		}
 	}
@@ -508,18 +463,37 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, var
 			tm.res.SIMTEff = float64(totalScalar) / (float64(totalBatchOps) * float64(size))
 		}
 		tm.sp.finish(tm.res)
-		tm.res.Energy = model.Compute(&tm.res.Stats, tm.res.FreqGHz)
+		tm.res.Energy = tm.model.Compute(&tm.res.Stats, tm.res.FreqGHz)
 		out[v] = tm.res
 	}
 	return out, nil
 }
 
 // checkVariants rejects a variant list runBatched cannot prepare once:
-// an empty one, or one whose variants differ from the first in any
-// field that shapes the prepared batch streams or how they are walked.
-func checkVariants(variants []Options) error {
+// an empty one, one whose architectures are not batched (RPU or GPU),
+// do not pair one-to-one with the options or lay out heap arenas and
+// coalesce for another L1 line size or bank count than arches[0], or
+// one whose options differ from the first in any field that shapes the
+// prepared batch streams (batch size and stack layout included) or how
+// they are walked.
+func checkVariants(arches []Arch, variants []Options) error {
 	if len(variants) == 0 {
 		return fmt.Errorf("core: no timing variants to run")
+	}
+	if len(arches) != len(variants) {
+		return fmt.Errorf("core: %d architectures for %d timing variants", len(arches), len(variants))
+	}
+	l1 := memConfig(arches[0]).L1
+	for i, a := range arches {
+		if a != ArchRPU && a != ArchGPU {
+			return fmt.Errorf("core: timing variant %d runs on %v; only RPU and GPU variants share a batch preparation", i, a)
+		}
+		switch o := memConfig(a).L1; {
+		case o.LineBytes != l1.LineBytes:
+			return fmt.Errorf("core: timing variant %d's L1 has %d-byte lines, variant 0's %d; variants must share the L1 LineBytes", i, o.LineBytes, l1.LineBytes)
+		case o.Banks != l1.Banks:
+			return fmt.Errorf("core: timing variant %d's L1 has %d banks, variant 0's %d; variants must share the L1 Banks", i, o.Banks, l1.Banks)
+		}
 	}
 	base := &variants[0]
 	for i := 1; i < len(variants); i++ {

@@ -10,6 +10,7 @@ import (
 
 	"simr/internal/alloc"
 	"simr/internal/batch"
+	"simr/internal/mem"
 	"simr/internal/sample"
 	"simr/internal/trace"
 	"simr/internal/uservices"
@@ -443,10 +444,12 @@ func TestPerServiceEfficiencyBands(t *testing.T) {
 	}
 }
 
-// TestRunBatchedVariants: timing variants prepared once match the same
-// options run one RunService call each, and a variant that differs
-// from the first in any field that shapes preparation is an error
-// naming the field, not a panic or a silently wrong stream.
+// TestRunBatchedVariants: timing variants prepared once — RPU variants
+// of the timing knobs, and RPU and GPU variants together — match the
+// same options run one RunService call each. A variant that differs
+// from the first in any field that shapes preparation, runs on a
+// scalar architecture or on another L1 line size or bank count is an
+// error naming what differs, not a panic or a silently wrong stream.
 func TestRunBatchedVariants(t *testing.T) {
 	svc := uservices.NewSuite().Get("memc")
 	reqs := genRequests(svc, 48, 5)
@@ -463,7 +466,14 @@ func TestRunBatchedVariants(t *testing.T) {
 		variants[v] = base
 		mut(&variants[v])
 	}
-	got, err := runBatched(ArchRPU, svc, reqs, variants, &sysList{})
+	rpus := func(n int) []Arch {
+		a := make([]Arch, n)
+		for i := range a {
+			a[i] = ArchRPU
+		}
+		return a
+	}
+	got, err := runBatched(svc, reqs, rpus(len(variants)), variants, &workSet{}, &sysList{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +509,7 @@ func TestRunBatchedVariants(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			bad := base
 			c.mutate(&bad)
-			res, err := runBatched(ArchRPU, svc, reqs, []Options{base, variants[1], bad}, nil)
+			res, err := runBatched(svc, reqs, rpus(3), []Options{base, variants[1], bad}, nil, nil)
 			if err == nil || !strings.Contains(err.Error(), c.field) {
 				t.Fatalf("got %v, %v; want an error naming %s", res, err, c.field)
 			}
@@ -509,10 +519,59 @@ func TestRunBatchedVariants(t *testing.T) {
 	same := base
 	spinCopy := *base.Spin
 	same.Spin = &spinCopy
-	if _, err := runBatched(ArchRPU, svc, reqs, []Options{base, same}, nil); err != nil {
+	if _, err := runBatched(svc, reqs, rpus(2), []Options{base, same}, nil, nil); err != nil {
 		t.Fatalf("equal Spin at another address rejected: %v", err)
 	}
-	if _, err := runBatched(ArchRPU, svc, reqs, nil, nil); err == nil {
+	if _, err := runBatched(svc, reqs, nil, nil, nil, nil); err == nil {
 		t.Fatal("an empty variant list ran")
+	}
+
+	// RPU and GPU share one preparation: both columns equal their own
+	// RunService runs.
+	mixed := []Arch{ArchRPU, ArchGPU, ArchRPU}
+	mixedOpts := []Options{base, base, variants[1]}
+	got, err = runBatched(svc, reqs, mixed, mixedOpts, &workSet{}, &sysList{})
+	if err != nil {
+		t.Fatalf("RPU+GPU variants rejected: %v", err)
+	}
+	for v, a := range mixed {
+		want, err := RunService(a, svc, reqs, mixedOpts[v])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[v], want) {
+			t.Fatalf("%v variant %d prepared once differs from its own RunService run", a, v)
+		}
+	}
+
+	// Scalar architectures, an architecture list that does not pair
+	// with the options, and another L1 geometry are errors.
+	for _, c := range []struct {
+		name, want string
+		arches     []Arch
+		l1         func(*mem.CacheConfig)
+	}{
+		{"CPU", "cpu", []Arch{ArchRPU, ArchCPU}, nil},
+		{"SMT-8", "cpu-smt8", []Arch{ArchSMT8, ArchRPU}, nil},
+		{"length", "architectures", []Arch{ArchRPU}, nil},
+		{"LineBytes", "LineBytes", []Arch{ArchRPU, ArchGPU}, func(l1 *mem.CacheConfig) { l1.LineBytes = 64 }},
+		{"Banks", "Banks", []Arch{ArchRPU, ArchGPU}, func(l1 *mem.CacheConfig) { l1.Banks = 4 }},
+	} {
+		t.Run("arch "+c.name, func(t *testing.T) {
+			if c.l1 != nil {
+				memConfig = func(a Arch) mem.SysConfig {
+					cfg := MemConfig(a)
+					if a == ArchGPU {
+						c.l1(&cfg.L1)
+					}
+					return cfg
+				}
+				defer func() { memConfig = MemConfig }()
+			}
+			res, err := runBatched(svc, reqs, c.arches, []Options{base, base}, nil, nil)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %v, %v; want an error naming %s", res, err, c.want)
+			}
+		})
 	}
 }

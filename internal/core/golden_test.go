@@ -106,8 +106,9 @@ func TestGoldenTimingSweep(t *testing.T) {
 // workers reuse their memory hierarchies from cell to cell, reproduce
 // the frozen fixtures at one, two and three workers, twice over in one
 // process. Each sweep builds no more hierarchies than its workers hold
-// at once: one per architecture for the chip study (a cell models one
-// core), eight for the timing sweep (a cell times eight variants).
+// at once: one per architecture for the chip study (a cell runs CPU,
+// SMT-8 and then RPU and GPU together), eight for the timing sweep (a
+// cell times eight variants).
 func TestCellReuseDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
 	var built atomic.Int64

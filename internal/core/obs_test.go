@@ -28,8 +28,8 @@ func TestPipelinedDisabledAllocs(t *testing.T) {
 // TestObsStudyCounters: with the hub enabled, a small study populates
 // the runcells/prep scopes, the scalar-trace cache of a study that
 // caches scalar traces populates the cache scope, and the snapshots
-// carry coherent values. The no-GPU chip study caches nothing, so it
-// makes no trace-cache lookups.
+// carry coherent values. The chip study runs one cell per service and
+// caches nothing, so it makes no trace-cache lookups.
 func TestObsStudyCounters(t *testing.T) {
 	defer obs.Disable()
 	scopes := func(reg *obs.Registry) (obs.Snapshot, map[string]obs.ScopeSnapshot) {
@@ -53,7 +53,7 @@ func TestObsStudyCounters(t *testing.T) {
 		t.Fatalf("core.runcells scope missing; scopes %v", names(snap))
 	}
 	cells := rc.Counters["cells"]
-	if want := int64(len(suite.Services) * 3); cells != want {
+	if want := int64(len(suite.Services)); cells != want {
 		t.Fatalf("cells %d, want %d", cells, want)
 	}
 	if rc.Counters["busy_ns"] <= 0 || rc.Counters["wall_ns"] <= 0 {

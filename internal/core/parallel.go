@@ -1,12 +1,14 @@
 // Worker-pool sweep runner. Every paper study is a grid of independent
-// (service, architecture, Options) cells — each cell builds its own
-// pipeline.Core and request stream — so the sweeps fan out over a
-// bounded pool of goroutines. A worker runs its cells one at a time,
-// so the chip study and the timing sweep keep each worker's memory
-// hierarchies (sysList) and Reset them for its next cell instead of
-// building fresh ones. Results are aggregated in input order
-// regardless of completion order, which keeps every figure and CSV
-// byte-identical to the sequential path.
+// cells — a (service, configuration) pair, or in the chip study and the
+// timing sweep a whole service, whose runs share one preparation of
+// each batch — and the sweeps fan out over a bounded pool of
+// goroutines. A worker runs its cells one at a time, so the chip study
+// and the timing sweep keep each worker's memory hierarchies (sysList)
+// and Reset them for its next cell instead of building fresh ones; a
+// chip cell also runs its architectures on one working set of prep
+// scratch and cores (workSet) that it owns. Results are aggregated in
+// input order regardless of completion order, which keeps every figure
+// and CSV byte-identical to the sequential path.
 package core
 
 import (
@@ -337,50 +339,52 @@ func (sw *sweepCaches) abort() {
 
 // ChipStudyParallel runs the chip-level comparison behind Figures 10,
 // 14, 19, 20 and 21 for every service of the suite on a worker pool:
-// one cell per (service, architecture). withGPU adds the Ampere-like
-// GPU model (§V-A3). As in every study, workers <= 0 uses one worker
-// per CPU and workers == 1 runs the cells in order on the caller. Each
-// worker reuses its memory hierarchies from cell to cell.
+// one cell per service, which generates the service's requests once and
+// runs the CPU, the SMT-8 CPU and the RPU in turn on one working set of
+// prep scratch and cores. withGPU adds the Ampere-like GPU model
+// (§V-A3), whose column times the RPU's prepared batches: the two
+// architectures share the L1 geometry a preparation depends on. As in
+// every study, workers <= 0 uses one worker per CPU and workers == 1
+// runs the cells in order on the caller. Each worker reuses its memory
+// hierarchies from cell to cell. No cell reads another's products, so
+// the study caches nothing.
 //
-// Scalar traces are not cached: of a service's cells only the CPU and
-// SMT-8 ones interpret alone, and they share no more than SMT-8's
-// thread-0 traces. Batch streams are cached only with the GPU column,
-// whose cells prepare exactly the RPU cells' streams.
+// Cells are as large as a service's work, so from three workers up the
+// largest service's cell bounds the study's wall clock.
 func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
 	svcs := suite.Services
-	arches := []Arch{ArchCPU, ArchSMT8, ArchRPU}
+	opts := DefaultOptions()
+	opts.PrepLookahead = prepBudget(len(svcs), workers)
+	arches, variants := []Arch{ArchRPU}, []Options{opts}
 	if withGPU {
-		arches = append(arches, ArchGPU)
+		arches, variants = append(arches, ArchGPU), append(variants, opts)
 	}
-	na := len(arches)
-	sw := newSweepCaches(svcs, na, false, withGPU)
-	la := prepBudget(len(svcs)*na, workers)
-	systems := make([]sysList, cellWorkers(len(svcs)*na, workers))
-	cells, err := runCells(len(svcs)*na, workers, func(w, i int) (*Result, error) {
-		s := i / na
-		defer sw.done(s)
-		opts := DefaultOptions()
-		opts.Traces = sw.cache(s)
-		opts.BatchStreams = sw.batchCache(s)
-		opts.PrepLookahead = la
-		return runService(arches[i%na], svcs[s], sw.requests(s, requests, seed), opts, &systems[w])
-	})
-	if err != nil {
-		sw.abort()
-		return nil, err
-	}
-	rows := make([]ChipRow, len(svcs))
-	for s, svc := range svcs {
-		row := ChipRow{Service: svc.Name, CPU: cells[s*na], SMT: cells[s*na+1], RPU: cells[s*na+2]}
-		if withGPU {
-			row.GPU = cells[s*na+3]
+	systems := make([]sysList, cellWorkers(len(svcs), workers))
+	return runCells(len(svcs), workers, func(w, s int) (ChipRow, error) {
+		svc := svcs[s]
+		reqs := genRequests(svc, requests, seed)
+		ws, sys := &workSet{}, &systems[w]
+		row := ChipRow{Service: svc.Name}
+		var err error
+		if row.CPU, err = runScalar(svc, reqs, opts, ws, sys); err != nil {
+			return row, err
 		}
-		rows[s] = row
-	}
-	return rows, nil
+		if row.SMT, err = runSMT(svc, reqs, opts, ws, sys); err != nil {
+			return row, err
+		}
+		batched, err := runBatched(svc, reqs, arches, variants, ws, sys)
+		if err != nil {
+			return row, err
+		}
+		row.RPU = batched[0]
+		if withGPU {
+			row.GPU = batched[1]
+		}
+		return row, nil
+	})
 }
 
 // EfficiencyStudyParallel reproduces Figures 4 and 11 on a worker pool:

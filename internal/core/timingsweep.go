@@ -56,10 +56,14 @@ func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, worke
 	base := DefaultOptions()
 	base.PrepLookahead = prepBudget(len(svcs), workers)
 	names, variants := timingVariants(base)
+	arches := make([]Arch, len(variants))
+	for v := range arches {
+		arches[v] = ArchRPU
+	}
 	systems := make([]sysList, cellWorkers(len(svcs), workers))
 	cells, err := runCells(len(svcs), workers, func(w, s int) ([]*Result, error) {
 		svc := svcs[s]
-		return runBatched(ArchRPU, svc, genRequests(svc, requests, seed), variants, &systems[w])
+		return runBatched(svc, genRequests(svc, requests, seed), arches, variants, nil, &systems[w])
 	})
 	if err != nil {
 		return nil, err

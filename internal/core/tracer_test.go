@@ -107,7 +107,7 @@ func TestSweepCachesAreRead(t *testing.T) {
 		run           func() error
 	}{
 		{"chip", false, false, func() error { _, err := ChipStudyParallel(sub, requests, seed, false, workers); return err }},
-		{"chip+gpu", false, true, func() error { _, err := ChipStudyParallel(sub, requests, seed, true, workers); return err }},
+		{"chip+gpu", false, false, func() error { _, err := ChipStudyParallel(sub, requests, seed, true, workers); return err }},
 		{"timing", false, false, func() error { _, err := TimingSweepParallel(sub, requests, seed, workers); return err }},
 		{"efficiency", true, false, func() error { _, err := EfficiencyStudyParallel(sub, requests, seed, workers); return err }},
 		{"mpki", true, false, func() error { _, err := MPKIStudyParallel(sub, requests, seed, workers); return err }},

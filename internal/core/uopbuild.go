@@ -12,7 +12,7 @@ import (
 // per-op allocations: uops and their Accesses slices are carved out of
 // growing chunk arenas, and the per-op lane expansion reuses flat
 // buffers. Streams built between two reset calls may all stay alive at
-// once (runSMT keeps 8, MultiBatchStudy keeps 2): when a chunk fills, a
+// once (MultiBatchStudy keeps 2): when a chunk fills, a
 // fresh one is started and earlier streams keep pointing into the old
 // chunk, whose values are never rewritten. reset recycles only the
 // current chunks, so it must not be called while a previously built
@@ -26,7 +26,7 @@ type uopBuilder struct {
 	lanes   [][]uint64 // per-lane views into laneBuf
 	csc     mem.CoalesceScratch
 
-	// mergeSMT working storage.
+	// smtUops and mergeSMT working storage.
 	remapBuf []int32
 	remap    [][]int32
 	cursor   []int
@@ -40,9 +40,8 @@ func (b *uopBuilder) reset() {
 
 // carve returns an n-uop slice from the uop arena; the caller must
 // overwrite every element. Chunks grow geometrically so a steady-state
-// working set (e.g. runSMT's 8 streams plus their merge, every group)
-// converges to a single reused chunk instead of churning fixed-size
-// ones.
+// working set (e.g. one stream per unit, every unit) converges to a
+// single reused chunk instead of churning fixed-size ones.
 func (b *uopBuilder) carve(n int) []pipeline.Uop {
 	if cap(b.uops)-len(b.uops) < n {
 		c := 2 * cap(b.uops)
@@ -80,29 +79,67 @@ func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread int) []pipeline.Uop 
 	uops := b.carve(len(trace))
 	b.addrRoom(len(trace))
 	for i := range trace {
-		op := &trace[i]
-		// Field stores (not a struct literal) so the compiler writes the
-		// arena slot in place instead of building and copying a stack
-		// temporary per uop; carve reuses chunk memory, so every field
-		// including the unused ones must be (re)assigned.
-		u := &uops[i]
-		u.PC = op.PC
-		u.Class = op.Class
-		u.Dep1 = op.Dep1
-		u.Dep2 = op.Dep2
-		u.Accesses = nil
-		u.ActiveLanes = 1
-		u.Mask = 0
-		u.TakenMask = 0
-		u.Taken = op.Taken
-		u.Thread = thread
-		if op.Class.IsMem() {
-			l := len(b.addrs)
-			b.addrs = append(b.addrs, op.Addr)
-			u.Accesses = b.addrs[l : l+1 : l+1]
-		}
+		b.scalarUop(&uops[i], &trace[i], thread)
 	}
 	return uops
+}
+
+// smtUops builds the SMT core's stream straight from its threads'
+// scalar traces: ops are taken round-robin, one per unfinished thread
+// per turn, trace t's uops are tagged thread t, and dependency indices
+// are remapped from each trace into the merged stream as it is built.
+// The result equals mergeSMT over scalarUops of every trace without
+// building the per-thread streams.
+func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
+	remap, cursor, total := mergeScratch(b, traces)
+	merged := b.carve(total)
+	b.addrRoom(total)
+	k := 0
+	for k < total {
+		for t, tr := range traces {
+			c := cursor[t]
+			if c >= len(tr) {
+				continue
+			}
+			u := &merged[k]
+			b.scalarUop(u, &tr[c], t)
+			if u.Dep1 >= 0 {
+				u.Dep1 = remap[t][u.Dep1]
+			}
+			if u.Dep2 >= 0 {
+				u.Dep2 = remap[t][u.Dep2]
+			}
+			remap[t][c] = int32(k)
+			cursor[t]++
+			k++
+		}
+	}
+	return merged
+}
+
+// scalarUop fills u from the scalar trace op: identity address
+// translation, one active lane, the given thread tag. The caller must
+// have made addrRoom for the op's address.
+func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int) {
+	// Field stores (not a struct literal) so the compiler writes the
+	// arena slot in place instead of building and copying a stack
+	// temporary per uop; carve reuses chunk memory, so every field
+	// including the unused ones must be (re)assigned.
+	u.PC = op.PC
+	u.Class = op.Class
+	u.Dep1 = op.Dep1
+	u.Dep2 = op.Dep2
+	u.Accesses = nil
+	u.ActiveLanes = 1
+	u.Mask = 0
+	u.TakenMask = 0
+	u.Taken = op.Taken
+	u.Thread = thread
+	if op.Class.IsMem() {
+		l := len(b.addrs)
+		b.addrs = append(b.addrs, op.Addr)
+		u.Accesses = b.addrs[l : l+1 : l+1]
+	}
 }
 
 // batchUops converts the lock-step batch stream into pipeline uops:
@@ -187,25 +224,7 @@ func appendGranules(dst []uint64, addr uint64, size int) []uint64 {
 // dependency indices into the merged stream. The input streams are not
 // modified; the merged stream is carved from the builder's arena.
 func (b *uopBuilder) mergeSMT(streams [][]pipeline.Uop) []pipeline.Uop {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	if cap(b.remapBuf) < total {
-		b.remapBuf = make([]int32, total)
-	}
-	if cap(b.remap) < len(streams) {
-		b.remap = make([][]int32, len(streams))
-		b.cursor = make([]int, len(streams))
-	}
-	remap := b.remap[:len(streams)]
-	cursor := b.cursor[:len(streams)]
-	off := 0
-	for t, s := range streams {
-		remap[t] = b.remapBuf[off : off+len(s) : off+len(s)]
-		off += len(s)
-		cursor[t] = 0
-	}
+	remap, cursor, total := mergeScratch(b, streams)
 	merged := b.carve(total)
 	k := 0
 	for k < total {
@@ -227,4 +246,29 @@ func (b *uopBuilder) mergeSMT(streams [][]pipeline.Uop) []pipeline.Uop {
 		}
 	}
 	return merged
+}
+
+// mergeScratch returns a round-robin merge's working storage from b
+// for streams: per-stream views of one remap buffer (stream index ->
+// merged index), zeroed cursors and the streams' total length.
+func mergeScratch[T any](b *uopBuilder, streams [][]T) (remap [][]int32, cursor []int, total int) {
+	for _, s := range streams {
+		total += len(s)
+	}
+	if cap(b.remapBuf) < total {
+		b.remapBuf = make([]int32, max(total, 2*cap(b.remapBuf)))
+	}
+	if cap(b.remap) < len(streams) {
+		b.remap = make([][]int32, len(streams))
+		b.cursor = make([]int, len(streams))
+	}
+	remap = b.remap[:len(streams)]
+	cursor = b.cursor[:len(streams)]
+	off := 0
+	for t, s := range streams {
+		remap[t] = b.remapBuf[off : off+len(s) : off+len(s)]
+		off += len(s)
+		cursor[t] = 0
+	}
+	return remap, cursor, total
 }

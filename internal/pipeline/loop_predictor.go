@@ -27,6 +27,9 @@ func NewLoopPredictor(bits int) *LoopPredictor {
 	return &LoopPredictor{entries: make([]loopEntry, n), mask: uint64(n - 1)}
 }
 
+// Reset returns the predictor to its NewLoopPredictor state.
+func (l *LoopPredictor) Reset() { clear(l.entries) }
+
 func (l *LoopPredictor) entry(pc uint64) *loopEntry {
 	return &l.entries[(pc>>2)&l.mask]
 }

@@ -126,17 +126,16 @@ type ring struct {
 }
 
 // init readies the ring for a fresh run, reusing its slot array when
-// the width is unchanged.
+// it is wide enough.
 func (r *ring) init(w int) {
 	if w <= 0 {
 		w = 1
 	}
-	if len(r.slots) != w {
+	if cap(r.slots) < w {
 		r.slots = make([]uint64, w)
 	} else {
-		for i := range r.slots {
-			r.slots[i] = 0
-		}
+		r.slots = r.slots[:w]
+		clear(r.slots)
 	}
 	r.pos = 0
 }
@@ -251,10 +250,14 @@ func max64(a, b uint64) uint64 {
 }
 
 // robRing is one SMT thread's dispatch history for partitioned ROBs:
-// a fixed window of the last ROBPerThread dispatched uop indices.
+// a fixed window of the last ROBPerThread dispatched uop indices. pos
+// is the slot the thread's next dispatch overwrites, and full says the
+// window has wrapped, so that slot holds the dispatch exactly
+// ROBPerThread uops back on the thread.
 type robRing struct {
-	buf   []int
-	count int
+	buf  []int
+	pos  int
+	full bool
 }
 
 // runScratch is Core.Run's reusable working storage. completion and
@@ -285,6 +288,18 @@ func NewCore(cfg Config) *Core {
 		cfg.Lanes = 1
 	}
 	return &Core{Cfg: cfg, BP: NewPredictor(12), LP: NewLoopPredictor(8)}
+}
+
+// Reset readies the core to run cfg exactly as NewCore(cfg) would: it
+// clears both branch predictors and keeps the run scratch, which no run
+// reads before writing.
+func (c *Core) Reset(cfg Config) {
+	if cfg.Lanes <= 0 {
+		cfg.Lanes = 1
+	}
+	c.Cfg = cfg
+	c.BP.Reset()
+	c.LP.Reset()
 }
 
 // Run simulates the uop stream against the memory system and returns
@@ -332,10 +347,11 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 		}
 		for t := range c.sc.threads {
 			h := &c.sc.threads[t]
-			if len(h.buf) != cfg.ROBPerThread {
+			if cap(h.buf) < cfg.ROBPerThread {
 				h.buf = make([]int, cfg.ROBPerThread)
 			}
-			h.count = 0
+			h.buf = h.buf[:cfg.ROBPerThread]
+			h.pos, h.full = 0, false
 		}
 	}
 
@@ -349,14 +365,13 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 		issueS.advance(d)
 		if cfg.ROBPerThread > 0 {
 			h := &c.sc.threads[u.Thread]
-			pos := h.count % cfg.ROBPerThread
-			if h.count >= cfg.ROBPerThread {
-				// The slot about to be overwritten holds the dispatch
-				// exactly ROBPerThread uops back on this thread.
-				d = max64(d, retire[h.buf[pos]])
+			if h.full {
+				d = max64(d, retire[h.buf[h.pos]])
 			}
-			h.buf[pos] = i
-			h.count++
+			h.buf[h.pos] = i
+			if h.pos++; h.pos == len(h.buf) {
+				h.pos, h.full = 0, true
+			}
 		} else if cfg.ROB > 0 && i >= cfg.ROB {
 			d = max64(d, retire[i-cfg.ROB])
 		}

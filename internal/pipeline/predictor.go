@@ -17,6 +17,12 @@ func NewPredictor(bits int) *Predictor {
 	return &Predictor{table: make([]uint8, n), mask: uint64(n - 1)}
 }
 
+// Reset returns the predictor to its NewPredictor state.
+func (p *Predictor) Reset() {
+	clear(p.table)
+	p.hist = 0
+}
+
 func (p *Predictor) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ p.hist) & p.mask
 }

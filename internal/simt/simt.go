@@ -179,7 +179,9 @@ func newExecutorState(sc *Scratch, traces [][]isa.TraceOp) *executorState {
 		total += len(tr)
 	}
 	if cap(sc.b2iBuf) < total {
-		sc.b2iBuf = make([]int32, total)
+		// Grow geometrically, so a stream of ever larger batches
+		// reallocates a logarithmic number of times.
+		sc.b2iBuf = make([]int32, max(total, 2*cap(sc.b2iBuf)))
 	}
 	st := &sc.st
 	*st = executorState{

@@ -5,12 +5,13 @@
 // merge and uop build — even when it consumes the exact stream another
 // cell already built. Cells that differ only in timing knobs (lanes,
 // majority vote, atomics placement, frequency/energy model) — the
-// sensitivity grid's ablations against their baseline, the chip
-// study's RPU and GPU columns — hold batch composition, spin policy,
-// reconvergence mode and allocator geometry fixed, so the merged
-// []pipeline.Uop stream, its MCU coalescing delta and its op counts are
-// pure functions of inputs the cells share. (A single run that times
-// several such variants prepares each batch once and needs no cache.) The
+// sensitivity grid's ablations against their baseline — hold batch
+// composition, spin policy, reconvergence mode and allocator geometry
+// fixed, so the merged []pipeline.Uop stream, its MCU coalescing delta
+// and its op counts are pure functions of inputs the cells share. (A
+// single run that times several such variants, like the timing sweep's
+// eight or the chip study's RPU and GPU columns, prepares each batch
+// once and needs no cache.) The
 // BatchCache memoizes that post-merge product once per sweep and serves
 // it read-only to every other cell, with singleflight dedup so
 // concurrent workers block on the first build instead of repeating it.
