@@ -1,13 +1,15 @@
-// Command benchjson times the intra-run prep pipeline against the
-// sequential oracle on the studies the pipeline targets and appends a
-// machine-readable entry to a bench-trajectory JSON file (default
-// BENCH_pipeline.json). Each measured pair also cross-checks that the
-// two modes render byte-identical output, so the trajectory can only
-// ever record speedups of equivalent computations.
+// Command benchjson runs the trajectory studies and appends one
+// machine-readable entry per study to its BENCH_<study>.json file: the
+// tail-at-scale sweep (BENCH_queuesim.json), the service-graph
+// saturation sweep (BENCH_graphs.json), the batch-stream cache study
+// (BENCH_batchcache.json) and sampled-vs-full simulation
+// (BENCH_sampling.json). Studies that time equivalent computations
+// against each other also byte-compare their outputs, so a trajectory
+// only ever records speedups of equivalent computations.
 //
 // Usage:
 //
-//	benchjson [-requests 240] [-seed 42] [-workers 8] [-out BENCH_pipeline.json]
+//	benchjson [-requests 240] [-seed 42] [-workers 8] [-seconds 1] [-only queuesim]
 package main
 
 import (
@@ -17,7 +19,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"time"
@@ -29,43 +30,6 @@ import (
 	"simr/internal/sample"
 	"simr/internal/uservices"
 )
-
-// BenchResult is one seq-vs-pipelined wall-clock pair.
-type BenchResult struct {
-	Name       string  `json:"name"`
-	SeqSec     float64 `json:"seq_s"`
-	PipeSec    float64 `json:"pipelined_s"`
-	Speedup    float64 `json:"speedup"`
-	Identical  bool    `json:"outputs_identical"`
-	WhatDiffer string  `json:"pipelined_config"`
-}
-
-// BenchEntry is one appended trajectory point. GoMaxProcs, Seed and
-// Sample make every row self-describing and comparable across hosts.
-type BenchEntry struct {
-	Timestamp  string        `json:"timestamp"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Workers    int           `json:"workers"`
-	Requests   int           `json:"requests"`
-	Seed       int64         `json:"seed"`
-	Sample     string        `json:"sample"`
-	Results    []BenchResult `json:"results"`
-}
-
-// StudyEntry is one per-study trajectory point: the timing result of
-// a single bench study plus the obs-registry snapshot its two runs
-// populated (trace-cache effectiveness, prep-pipeline occupancy,
-// worker utilization), written to BENCH_<study>.json.
-type StudyEntry struct {
-	Timestamp  string       `json:"timestamp"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Workers    int          `json:"workers"`
-	Requests   int          `json:"requests"`
-	Seed       int64        `json:"seed"`
-	Sample     string       `json:"sample"`
-	Result     BenchResult  `json:"result"`
-	Metrics    obs.Snapshot `json:"metrics"`
-}
 
 // SamplingMetric is one headline metric's sampled-vs-full error over
 // the chip-study cells.
@@ -143,7 +107,7 @@ type BatchCacheEntry struct {
 	Identical bool `json:"outputs_identical"`
 	// Metrics snapshots the both-caches run's obs registry
 	// (trace.cache and trace.batchcache hits/misses/bypassed/bytes_hwm
-	// and the prep-pipeline scopes) when -studymetrics is set.
+	// and the core.prep and core.runcells scopes).
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
@@ -216,17 +180,11 @@ type GraphsEntry struct {
 	Points     []GraphPoint `json:"points"`
 }
 
-// studyMetrics gates the per-study registry snapshots; set from
-// -studymetrics before the studies run.
-var studyMetrics bool
-
 func main() {
 	requests := flag.Int("requests", 240, "requests per service for the chip-study measurements")
 	seed := flag.Int64("seed", 42, "workload seed")
-	workers := flag.Int("workers", 8, "sweep worker goroutines for the parallel/pipelined runs")
+	workers := flag.Int("workers", 8, "sweep worker goroutines")
 	seconds := flag.Float64("seconds", 1, "simulated seconds per syssim load point")
-	out := flag.String("out", "BENCH_pipeline.json", "bench trajectory file to append to")
-	perStudy := flag.Bool("studymetrics", true, "append per-study entries with metrics snapshots to BENCH_<study>.json")
 	cacheSample := flag.String("cachesample", "4:3", "sample config for the batch-cache study's stacked run (PERIOD[:WARMUP])")
 	only := flag.String("only", "", "run a single study and skip the rest (supported: queuesim)")
 	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Sample|cli.Interrupt)
@@ -234,17 +192,15 @@ func main() {
 	if *only != "" && *only != "queuesim" {
 		log.Fatalf("-only %q: unsupported study (supported: queuesim)", *only)
 	}
-	studyMetrics = *perStudy
 	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stop()
 	scfg := sample.Default()
-	// The seq-vs-pipelined pairs always run unsampled — they measure
-	// the prep pipeline, and their entries record sample="off"
-	// accordingly. The -sample flag chooses the config the dedicated
-	// sampled-vs-full study measures (default 4:1).
+	// Every study but the sampled-vs-full one runs unsampled; the
+	// -sample flag chooses the config that study measures (default
+	// 4:1).
 	sample.SetDefault(sample.Config{})
 	if !scfg.Sampling() {
 		scfg = sample.Config{Period: 4, Warmup: 1}
@@ -252,51 +208,7 @@ func main() {
 
 	suite := uservices.NewSuite()
 	stamp := time.Now().UTC().Format(time.RFC3339)
-	entry := BenchEntry{
-		Timestamp:  stamp,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    *workers,
-		Requests:   *requests,
-		Seed:       *seed,
-		Sample:     sample.Config{}.String(),
-	}
-
-	if *only == "" {
-		studies := []StudyEntry{
-			benchChipStudy(suite, *requests, *seed, *workers),
-			benchBatchSweep(suite, *requests, *seed, *workers),
-			benchSyssim(*seconds, *seed, *workers),
-		}
-
-		for _, s := range studies {
-			entry.Results = append(entry.Results, s.Result)
-			r := s.Result
-			fmt.Printf("%-22s seq %7.3fs  pipelined %7.3fs  speedup %.2fx  identical=%v\n",
-				r.Name, r.SeqSec, r.PipeSec, r.Speedup, r.Identical)
-			if !r.Identical {
-				log.Fatalf("%s: outputs differ between sequential and pipelined runs", r.Name)
-			}
-		}
-		if err := appendJSON(*out, entry); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("appended to %s\n", *out)
-		if studyMetrics {
-			for _, s := range studies {
-				s.Timestamp = stamp
-				s.GoMaxProcs = entry.GoMaxProcs
-				s.Workers = *workers
-				s.Requests = *requests
-				s.Seed = *seed
-				s.Sample = entry.Sample
-				path := "BENCH_" + s.Result.Name + ".json"
-				if err := appendJSON(path, s); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("appended to %s\n", path)
-			}
-		}
-	}
+	gomaxprocs := runtime.GOMAXPROCS(0)
 
 	qe := benchQueuesim(*seconds, *seed, *workers)
 	for _, p := range qe.Points {
@@ -304,7 +216,7 @@ func main() {
 			"queuesim-"+p.Mode, p.QPS, p.Completed, p.P99, p.InFlightHWM, p.EventsPerSec/1e6)
 	}
 	qe.Timestamp = stamp
-	qe.GoMaxProcs = entry.GoMaxProcs
+	qe.GoMaxProcs = gomaxprocs
 	if err := appendJSON("BENCH_queuesim.json", qe); err != nil {
 		log.Fatal(err)
 	}
@@ -315,7 +227,7 @@ func main() {
 
 	ge := benchGraphs(*seconds, *seed, *workers)
 	ge.Timestamp = stamp
-	ge.GoMaxProcs = entry.GoMaxProcs
+	ge.GoMaxProcs = gomaxprocs
 	for _, p := range ge.Points {
 		fmt.Printf("%-22s cpu sat %7.0f qps  rpu sat %7.0f qps  speedup %.2fx\n",
 			"graph-"+p.Graph, p.CPUSatQPS, p.RPUSatQPS, p.Speedup)
@@ -331,7 +243,7 @@ func main() {
 	}
 	be := benchBatchCache(suite, *requests, *seed, *workers, ccfg)
 	be.Timestamp = stamp
-	be.GoMaxProcs = entry.GoMaxProcs
+	be.GoMaxProcs = gomaxprocs
 	fmt.Printf("%-22s nocache %7.3fs  scalar %7.3fs  batch %7.3fs  sampled %7.3fs\n",
 		"batchcache-sensitivity", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec, be.SampledSec)
 	fmt.Printf("%-22s vs scalar %.2fx  vs nocache %.2fx  sampled vs nocache %.2fx  identical=%v\n",
@@ -346,7 +258,7 @@ func main() {
 
 	se := benchSampling(suite, *requests, *seed, *workers, scfg)
 	se.Timestamp = stamp
-	se.GoMaxProcs = entry.GoMaxProcs
+	se.GoMaxProcs = gomaxprocs
 	se.Workers = *workers
 	se.Requests = *requests
 	se.Seed = *seed
@@ -461,9 +373,7 @@ func benchSampling(suite *uservices.Suite, requests int, seed int64, workers int
 // cells replay batch streams: its timing-only ablations retime the
 // baseline's prepared batches — under three cache configurations plus
 // a sampled run, byte-comparing the unsampled outputs: no caches, the
-// scalar-trace cache alone, and both caches (the default). Lookahead
-// is pinned so all runs prep-pipeline identically and only the caching
-// varies.
+// scalar-trace cache alone, and both caches (the default).
 func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) BatchCacheEntry {
 	run := func() (float64, []byte) {
 		var buf bytes.Buffer
@@ -473,9 +383,6 @@ func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers i
 		}
 		return time.Since(t0).Seconds(), buf.Bytes()
 	}
-	core.SetPrepLookahead(2)
-	defer core.SetPrepLookahead(-1)
-
 	core.SetTraceCaching(false)
 	core.SetBatchCaching(false)
 	noSec, noOut := run()
@@ -483,11 +390,8 @@ func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers i
 	core.SetTraceCaching(true)
 	scalarSec, scalarOut := run()
 
-	var reg *obs.Registry
-	if studyMetrics {
-		reg = obs.NewRegistry()
-		obs.Enable(reg, nil)
-	}
+	reg := obs.NewRegistry()
+	obs.Enable(reg, nil)
 	core.SetBatchCaching(true)
 	batchSec, batchOut := run()
 	entry := BatchCacheEntry{
@@ -500,11 +404,9 @@ func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers i
 		SpeedupVsScalar:  scalarSec / batchSec,
 		SpeedupVsNoCache: noSec / batchSec,
 		Identical:        bytes.Equal(noOut, scalarOut) && bytes.Equal(scalarOut, batchOut),
+		Metrics:          reg.Snapshot(),
 	}
-	if reg != nil {
-		entry.Metrics = reg.Snapshot()
-		obs.Disable()
-	}
+	obs.Disable()
 
 	// Sampled timing stacks multiplicatively on the caches: warm units
 	// replay cached streams through the functional path and skipped
@@ -517,113 +419,6 @@ func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers i
 	entry.SampledSec = sampledSec
 	entry.SpeedupSampled = noSec / sampledSec
 	return entry
-}
-
-// timed runs f and returns its wall-clock seconds alongside its output.
-func timed(f func() []byte) (float64, []byte) {
-	t0 := time.Now()
-	b := f()
-	return time.Since(t0).Seconds(), b
-}
-
-// pair runs the sequential oracle (prep lookahead pinned to 0, one
-// sweep worker where the sequential baseline is a 1-worker sweep) and
-// the pipelined configuration at a fixed lookahead — pinned rather
-// than auto-derived so the pipeline engages regardless of how many
-// CPUs the sweep pool already claims — restoring automatic lookahead
-// afterward. With -studymetrics a fresh obs registry is installed for
-// the study's duration and its snapshot rides along in the entry; both
-// runs execute under the same instrumentation, so the speedup
-// comparison stays fair.
-func pair(name, config string, seq, pipe func() []byte) StudyEntry {
-	var reg *obs.Registry
-	if studyMetrics {
-		reg = obs.NewRegistry()
-		obs.Enable(reg, nil)
-		defer obs.Disable()
-	}
-	core.SetPrepLookahead(0)
-	seqSec, seqOut := timed(seq)
-	core.SetPrepLookahead(2)
-	pipeSec, pipeOut := timed(pipe)
-	core.SetPrepLookahead(-1)
-	e := StudyEntry{Result: BenchResult{
-		Name:       name,
-		SeqSec:     seqSec,
-		PipeSec:    pipeSec,
-		Speedup:    seqSec / pipeSec,
-		Identical:  bytes.Equal(seqOut, pipeOut),
-		WhatDiffer: config,
-	}}
-	if reg != nil {
-		e.Metrics = reg.Snapshot()
-	}
-	return e
-}
-
-// benchChipStudy is the Figure 19 grid (the full chip study) with and
-// without the prep pipeline, both on the same worker pool.
-func benchChipStudy(suite *uservices.Suite, requests int, seed int64, workers int) StudyEntry {
-	run := func(w int) []byte {
-		rows, err := core.ChipStudyParallel(suite, requests, seed, false, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var buf bytes.Buffer
-		core.WriteFig19(&buf, rows)
-		return buf.Bytes()
-	}
-	return pair("chipstudy-fig19", "lookahead=2", func() []byte { return run(workers) }, func() []byte { return run(workers) })
-}
-
-// benchBatchSweep is the §III-B3 single-service tuning sweep: few
-// cells, long runs — the shape the intra-run pipeline targets.
-func benchBatchSweep(suite *uservices.Suite, requests int, seed int64, workers int) StudyEntry {
-	svc := suite.Get("memc")
-	reqs := svc.Generate(rand.New(rand.NewSource(seed)), requests)
-	run := func() []byte {
-		cpu, rows, err := core.BatchSweep(svc, reqs, []int{4, 8, 16, 32, 64}, workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "cpu %d\n", cpu.Stats.Cycles)
-		for _, r := range rows {
-			fmt.Fprintf(&buf, "%d %d %.6f\n", r.Size, r.Res.Stats.Cycles, r.Res.Latency.Mean())
-		}
-		return buf.Bytes()
-	}
-	return pair("batchsweep-memc", "lookahead=2", run, run)
-}
-
-// benchSyssim is the 12-point Figure 22 grid: sequential loop vs the
-// fanned-out sweep (the prep pipeline does not apply to queuesim; this
-// measures the sweep parallelization).
-func benchSyssim(seconds float64, seed int64, workers int) StudyEntry {
-	modes := []struct{ rpu, split bool }{{false, false}, {true, false}, {true, true}}
-	const points = 12
-	run := func(w int) []byte {
-		rows, err := core.RunCells(len(modes)*points, w, func(i int) (string, error) {
-			cfg := queuesim.DefaultConfig()
-			cfg.QPS = 70000 * float64(i%points+1) / points
-			cfg.Seconds = seconds
-			cfg.Warmup = seconds / 4
-			cfg.Seed = seed
-			cfg.RPU = modes[i/points].rpu
-			cfg.Split = modes[i/points].split
-			m := queuesim.Run(cfg)
-			return fmt.Sprintf("%.0f %.2f %.2f\n", cfg.QPS, m.Latency.Percentile(99), m.Latency.Mean()), nil
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var buf bytes.Buffer
-		for _, r := range rows {
-			buf.WriteString(r)
-		}
-		return buf.Bytes()
-	}
-	return pair("syssim-12pt", "parallel sweep", func() []byte { return run(1) }, func() []byte { return run(workers) })
 }
 
 // benchQueuesim sweeps the tail-at-scale engine over the 100x

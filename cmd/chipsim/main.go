@@ -46,7 +46,7 @@ func main() {
 	gpu := flag.Bool("gpu", true, "include the GPU design point")
 	jsonOut := flag.Bool("json", false, "emit the chip study as JSON instead of tables")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Lookahead|cli.Cache|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Cache|cli.Interrupt)
 	flag.Parse()
 	if err := checkSelectors(*fig, *table); err != nil {
 		log.Fatal(err)

@@ -47,9 +47,6 @@ const (
 	// Sample registers -sample, the sampled-simulation default every
 	// cycle-level chip study picks up (see internal/sample).
 	Sample
-	// Lookahead registers -lookahead, the prep pipeline depth every
-	// study resolves its automatic lookahead to.
-	Lookahead
 	// Cache registers -batchcache and -cachebudget, the sweep-cache
 	// knobs. Both change only wall clock and memory.
 	Cache
@@ -68,7 +65,6 @@ type Flags struct {
 	metrics    *string
 	trace      *string
 	sample     *string
-	lookahead  *int
 	batchCache *bool
 	cacheMiB   *int
 }
@@ -89,9 +85,6 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 		f.sample = fs.String("sample", "off",
 			"sampled timing simulation: 'off', PERIOD (warmup 1) or PERIOD:WARMUP — time every PERIOD-th batch, functionally warm WARMUP batches before each, skip the rest (1 = time everything)")
 	}
-	if groups&Lookahead != 0 {
-		f.lookahead = fs.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
-	}
 	if groups&Cache != 0 {
 		f.batchCache = fs.Bool("batchcache", true,
 			"memoize post-merge batch uop streams across sweep cells (outputs are byte-identical on or off)")
@@ -101,9 +94,9 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 	return f
 }
 
-// Start installs the parsed flags: the sampling default, the prep
-// lookahead and the cache settings, then the interrupt context, the
-// CPU profile and the obs hub. ctx is the context core.RunCells
+// Start installs the parsed flags: the sampling default and the cache
+// settings, then the interrupt context, the CPU profile and the obs
+// hub. ctx is the context core.RunCells
 // sweeps honour: with Interrupt it is done after the first SIGINT or
 // SIGTERM (or once stop runs), otherwise it is never done. stop undoes
 // the setup in reverse order, writing the heap profile, the metrics
@@ -119,9 +112,6 @@ func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
 			return ctx, func() {}, err
 		}
 		sample.SetDefault(cfg)
-	}
-	if f.lookahead != nil {
-		core.SetPrepLookahead(*f.lookahead)
 	}
 	if f.batchCache != nil {
 		core.SetBatchCaching(*f.batchCache)

@@ -42,10 +42,9 @@ func TestRegisterOnlyRequestedGroups(t *testing.T) {
 		{Profile, "cpuprofile memprofile"},
 		{Metrics, "metrics trace"},
 		{Sample, "sample"},
-		{Lookahead, "lookahead"},
 		{Cache, "batchcache cachebudget"},
-		{Profile | Metrics | Sample | Lookahead | Cache | Interrupt,
-			"batchcache cachebudget cpuprofile lookahead memprofile metrics sample trace"},
+		{Profile | Metrics | Sample | Cache | Interrupt,
+			"batchcache cachebudget cpuprofile memprofile metrics sample trace"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		Register(fs, c.groups)

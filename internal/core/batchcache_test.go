@@ -23,18 +23,9 @@ func withFreshBatchStreams(t *testing.T, fn func()) {
 	fn()
 }
 
-// withLookahead pins the prep lookahead for fn and restores automatic
-// derivation afterwards.
-func withLookahead(t *testing.T, la int, fn func()) {
-	t.Helper()
-	SetPrepLookahead(la)
-	defer SetPrepLookahead(-1)
-	fn()
-}
-
 // TestBatchCacheStudyDeterminism is the tentpole guarantee of the
 // batch-stream cache: memoized sweeps render byte-identically to
-// fresh-preparation sweeps at every (workers, lookahead) combination —
+// fresh-preparation sweeps at every worker count —
 // the cache may only change wall clock, never output. Under -race this
 // doubles as the cache's concurrent integration test.
 func TestBatchCacheStudyDeterminism(t *testing.T) {
@@ -51,48 +42,39 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 			return buf.Bytes()
 		}
 		for _, workers := range []int{1, 4} {
-			for _, la := range []int{0, 1, 4} {
-				withLookahead(t, la, func() {
-					// withGPU exercises cross-architecture stream
-					// sharing: RPU and GPU cells have identical prep
-					// keys and must serve each other's streams.
-					cached, err := ChipStudyParallel(suite, 32, 3, true, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var fresh []ChipRow
-					withFreshBatchStreams(t, func() {
-						fresh, err = ChipStudyParallel(suite, 32, 3, true, workers)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(render(cached), render(fresh)) {
-						t.Fatalf("workers=%d lookahead=%d: memoized chip study differs from fresh preparation", workers, la)
-					}
-				})
+			// withGPU exercises cross-architecture stream sharing: the
+			// RPU and GPU columns time one preparation of each batch.
+			cached, err := ChipStudyParallel(suite, 32, 3, true, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh []ChipRow
+			withFreshBatchStreams(t, func() {
+				fresh, err = ChipStudyParallel(suite, 32, 3, true, workers)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(render(cached), render(fresh)) {
+				t.Fatalf("workers=%d: memoized chip study differs from fresh preparation", workers)
 			}
 		}
 	})
 
 	t.Run("sensitivity", func(t *testing.T) {
-		for _, la := range []int{0, 4} {
-			withLookahead(t, la, func() {
-				var cached, fresh bytes.Buffer
-				if err := SensitivityStudyParallel(&cached, suite, []string{"urlshort", "memc"}, 64, 3, 4); err != nil {
-					t.Fatal(err)
-				}
-				var err error
-				withFreshBatchStreams(t, func() {
-					err = SensitivityStudyParallel(&fresh, suite, []string{"urlshort", "memc"}, 64, 3, 4)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cached.String() != fresh.String() {
-					t.Fatalf("lookahead=%d: memoized sensitivity report differs from fresh preparation", la)
-				}
-			})
+		var cached, fresh bytes.Buffer
+		if err := SensitivityStudyParallel(&cached, suite, []string{"urlshort", "memc"}, 64, 3, 4); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		withFreshBatchStreams(t, func() {
+			err = SensitivityStudyParallel(&fresh, suite, []string{"urlshort", "memc"}, 64, 3, 4)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.String() != fresh.String() {
+			t.Fatal("memoized sensitivity report differs from fresh preparation")
 		}
 	})
 
@@ -138,22 +120,20 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 			WriteTimingSweep(&buf, rows)
 			return buf.Bytes()
 		}
-		withLookahead(t, 1, func() {
-			cached, err := TimingSweepParallel(suite, 32, 3, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fresh []TimingRow
-			withFreshBatchStreams(t, func() {
-				fresh, err = TimingSweepParallel(suite, 32, 3, 4)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(render(cached), render(fresh)) {
-				t.Fatal("memoized timing sweep differs from fresh preparation")
-			}
+		cached, err := TimingSweepParallel(suite, 32, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh []TimingRow
+		withFreshBatchStreams(t, func() {
+			fresh, err = TimingSweepParallel(suite, 32, 3, 4)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(render(cached), render(fresh)) {
+			t.Fatal("memoized timing sweep differs from fresh preparation")
+		}
 	})
 }
 
@@ -171,7 +151,6 @@ func TestBatchCacheRunServiceHits(t *testing.T) {
 		t.Helper()
 		opts := DefaultOptions()
 		opts.BatchStreams = cache
-		opts.PrepLookahead = 2
 		res, err := RunService(ArchRPU, svc, reqs, opts)
 		if err != nil {
 			t.Fatal(err)

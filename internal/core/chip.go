@@ -52,13 +52,10 @@ type Options struct {
 	// streams are cache-owned and read-only. Results are byte-identical
 	// either way.
 	BatchStreams *trace.BatchCache
-	// PrepLookahead bounds how many upcoming batches (or request
-	// groups) are prepared — trace fetch, SIMT lock-step merge, uop
-	// build — on worker goroutines ahead of the batch the timing core
-	// is simulating. 0 runs fully sequentially (the determinism
-	// oracle); PrepAuto derives a budget from the CPUs left over by the
-	// enclosing sweep. Results are byte-identical at any value; only
-	// wall-clock changes.
+	// PrepLookahead is ignored: every run prepares its units one after
+	// another, each just before the timing core runs it.
+	//
+	// Deprecated: ignored; every run prepares sequentially.
 	PrepLookahead int
 	// Sample selects SMARTS-style sampled timing simulation (see
 	// internal/sample): every Sample.Period-th unit is fully timed,
@@ -84,7 +81,6 @@ func DefaultOptions() Options {
 		MajorityVote:    true,
 		AtomicsAtL3:     true,
 		Spin:            &spin,
-		PrepLookahead:   PrepAuto,
 	}
 }
 
@@ -176,8 +172,8 @@ func newResult(arch Arch, svc *uservices.Service, n int) *Result {
 // runScalar models the single-threaded CPU: one worker thread serves
 // requests back to back on a warm core, reusing its stack (which is why
 // consecutive CPU threads enjoy prefetched shared data, paper §V-A).
-// Upcoming requests are traced and uop-converted up to
-// opts.PrepLookahead ahead of the one the timing core is running.
+// Each request is traced and uop-converted just before the timing core
+// runs it.
 func runScalar(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
 	const arch = ArchCPU
 	cfg := PipelineConfig(arch)
@@ -191,32 +187,29 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, opts Options, w
 	model := EnergyModel(arch)
 
 	sg := alloc.NewStackGroup(0, 1, false)
-	la := opts.lookahead()
 	sp := newRunSampler(opts.sampleConfig(), len(reqs), len(reqs))
-	units := sp.unitCount(len(reqs))
-	slots := ws.slots(prepSlots(la, units), svc, opts.Traces)
-	prepped := make([][]pipeline.Uop, len(slots))
-	err := pipelined(units, la,
-		func(slot, k int) error {
-			var err error
-			prepped[slot], err = slots[slot].scalar(&reqs[sp.unit(k)], sg)
-			return err
-		},
-		func(slot, k int) {
-			if !sp.timed(sp.unit(k)) {
-				sp.warm(cpu, ms, prepped[slot])
-				return
-			}
+	p := ws.slot(svc, opts.Traces)
+	po := prepProbe()
+	for k, units := 0, sp.unitCount(len(reqs)); k < units; k++ {
+		t0 := po.clock()
+		u := sp.unit(k)
+		uops, err := p.scalar(&reqs[u], sg)
+		if err != nil {
+			return nil, err
+		}
+		t1 := po.clock()
+		if sp.timed(u) {
 			prev := ms.Stats()
 			ms.ResetTiming()
-			st := cpu.Run(ms, prepped[slot])
+			st := cpu.Run(ms, uops)
 			st.Mem = st.Mem.Delta(&prev)
 			res.Stats.Accumulate(&st)
 			res.Latency.Add(float64(st.Cycles))
 			sp.observe(&st, 1)
-		})
-	if err != nil {
-		return nil, err
+		} else {
+			sp.warm(cpu, ms, uops)
+		}
+		po.unit(t0, t1)
 	}
 	sp.finish(res)
 	res.Energy = model.Compute(&res.Stats, cfg.FreqGHz)
@@ -225,8 +218,8 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, opts Options, w
 
 // runSMT models the SMT-8 CPU: 8 worker threads dispatch round-robin
 // through a shared frontend with per-thread ROB partitions and a shared
-// banked L1. Of the options only Traces, BatchStreams, PrepLookahead
-// and Sample apply (the SMT core is not an RPU configuration).
+// banked L1. Of the options only Traces, BatchStreams and Sample apply
+// (the SMT core is not an RPU configuration).
 func runSMT(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
 	const arch = ArchSMT8
 	cfg := PipelineConfig(arch)
@@ -240,62 +233,46 @@ func runSMT(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *
 	sg := alloc.NewStackGroup(0, ways, false)
 	groups := (len(reqs) + ways - 1) / ways
 
-	// One slot per in-flight group: the merged stream stays valid until
-	// the timing core has consumed it. The merge is memoized through
-	// the batch-stream cache when the options carry one; each slot owns
-	// one build closure (reading the group through the slot) so the hit
-	// path allocates nothing.
-	la := opts.lookahead()
-	type smtSlot struct {
-		key    []byte
-		group  []uservices.Request
-		local  trace.BatchStream
-		stream *trace.BatchStream
-		build  func() (*trace.BatchStream, error)
+	// Each group's merged stream is built just before the timing core
+	// runs it, or served by the batch-stream cache when the options
+	// carry one. build reads the current group, so one closure serves
+	// every group and a cache hit allocates nothing.
+	p := ws.slot(svc, opts.Traces)
+	var (
+		key   []byte
+		group []uservices.Request
+		local trace.BatchStream
+	)
+	build := func() (*trace.BatchStream, error) {
+		uops, err := p.smt(group, sg)
+		if err != nil {
+			return nil, err
+		}
+		local = trace.BatchStream{Uops: uops, Requests: len(group)}
+		return &local, nil
 	}
 	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
-	units := sp.unitCount(groups)
-	preps := ws.slots(prepSlots(la, units), svc, opts.Traces)
-	slots := make([]smtSlot, len(preps))
-	for i := range slots {
-		sl, p := &slots[i], preps[i]
-		sl.build = func() (*trace.BatchStream, error) {
-			uops, err := p.smt(sl.group, sg)
-			if err != nil {
-				return nil, err
-			}
-			sl.local = trace.BatchStream{Uops: uops, Requests: len(sl.group)}
-			return &sl.local, nil
-		}
-	}
-	err := pipelined(units, la,
-		func(slot, k int) error {
-			g := sp.unit(k)
-			off := g * ways
-			end := off + ways
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			sl := &slots[slot]
-			sl.group = reqs[off:end]
-			var err error
-			if opts.BatchStreams == nil {
-				sl.stream, err = sl.build()
-				return err
-			}
+	po := prepProbe()
+	for k, units := 0, sp.unitCount(groups); k < units; k++ {
+		t0 := po.clock()
+		g := sp.unit(k)
+		group = reqs[g*ways : min(g*ways+ways, len(reqs))]
+		var bs *trace.BatchStream
+		var err error
+		if opts.BatchStreams == nil {
+			bs, err = build()
+		} else {
 			// sg.StackBase(0)-StackSize is the group's base address
 			// (thread t's stack starts one StackSize above base+t).
-			sl.key = trace.AppendBatchKey(sl.key[:0], trace.KeySMT, sl.group, ways,
+			key = trace.AppendBatchKey(key[:0], trace.KeySMT, group, ways,
 				false, nil, alloc.PolicyCPU, false, lineBytes, 1, sg.StackBase(0)-alloc.StackSize)
-			sl.stream, err = opts.BatchStreams.Get(sl.key, sl.build)
-			return err
-		},
-		func(slot, k int) {
-			bs := slots[slot].stream
-			if !sp.timed(sp.unit(k)) {
-				sp.warm(cpu, ms, bs.Uops)
-				return
-			}
+			bs, err = opts.BatchStreams.Get(key, build)
+		}
+		if err != nil {
+			return nil, err
+		}
+		t1 := po.clock()
+		if sp.timed(g) {
 			prev := ms.Stats()
 			ms.ResetTiming()
 			st := cpu.Run(ms, bs.Uops)
@@ -305,9 +282,10 @@ func runSMT(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *
 				res.Latency.Add(float64(st.Cycles))
 			}
 			sp.observe(&st, bs.Requests)
-		})
-	if err != nil {
-		return nil, err
+		} else {
+			sp.warm(cpu, ms, bs.Uops)
+		}
+		po.unit(t0, t1)
 	}
 	sp.finish(res)
 	res.Energy = model.Compute(&res.Stats, cfg.FreqGHz)
@@ -321,11 +299,11 @@ var memConfig = MemConfig
 // runBatched models the RPU (and GPU): the SIMR-aware server forms
 // batches, the driver lays out contiguous stacks and SIMR-aware heap
 // arenas, the SIMT engine lock-steps the traces and the OoO-SIMT core
-// executes the merged stream. Each batch is prepared once and timed on
-// every variant, variant v on architecture arches[v]. checkVariants
-// holds the variants to what one preparation serves: RPU and GPU
-// architectures with one L1 line size and bank count, and options that
-// differ from variants[0] only in the timing knobs (Lanes,
+// executes the merged stream. Each batch is prepared once, just before
+// it is timed on every variant, variant v on architecture arches[v].
+// checkVariants holds the variants to what one preparation serves: RPU
+// and GPU architectures with one L1 line size and bank count, and
+// options that differ from variants[0] only in the timing knobs (Lanes,
 // MajorityVote, AtomicsAtL3). Each variant gets its own core, memory
 // hierarchy, sampler and Result, in variants order.
 func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch, variants []Options, ws *workSet, sys *sysList) ([]*Result, error) {
@@ -341,8 +319,8 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 	reconv := svc.BranchReconv()
 	batches := batch.Form(reqs, size, opts.Policy)
 
-	// One timing model per variant; all of them consume the same
-	// prepared streams in batch order.
+	// One timing model per variant; all of them time the same prepared
+	// stream of each batch in turn.
 	type timing struct {
 		ms    *mem.System
 		core  *pipeline.Core
@@ -373,88 +351,76 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 	// equal), so the first sampler plans the prep walk for all.
 	plan := tms[0].sp
 
-	// Preparation — trace fetch, lock-step merge, uop build — is pure:
-	// it writes only the slot's scratch and a per-batch MCUStats delta,
-	// so upcoming batches are prepared on worker goroutines while the
-	// timing cores consume earlier ones. The consumer applies each
-	// delta to every variant's ms.MCU before Run, which lands the
-	// coalescer counts inside the same prev/Delta window the sequential
-	// loop (which bumped ms.MCU during the build) gave them. When the
-	// options carry a batch-stream cache, prep consults it first and
-	// only falls back to the live build on a miss; a hit serves a
-	// cache-owned read-only stream with zero allocations (each slot
-	// owns one build closure and one reused key buffer).
+	// Preparation — trace fetch, lock-step merge, uop build — writes
+	// only the slot's scratch and the stream's MCUStats delta, so one
+	// prepared stream serves every variant: each applies the delta to
+	// its own ms.MCU before Run, inside the prev/Delta window of that
+	// batch. When the options carry a batch-stream cache, prep consults
+	// it first and only falls back to build on a miss; a hit serves a
+	// cache-owned read-only stream with zero allocations (build reads
+	// the current batch, and the key buffer is reused).
 	totalScalar, totalBatchOps := 0, 0
-	la := opts.lookahead()
-	type rpuSlot struct {
-		key    []byte
-		batch  *batch.Batch
-		local  trace.BatchStream
-		stream *trace.BatchStream
-		build  func() (*trace.BatchStream, error)
-	}
-	units := plan.unitCount(len(batches))
-	preps := ws.slots(prepSlots(la, units), svc, opts.Traces)
-	slots := make([]rpuSlot, len(preps))
-	for i := range slots {
-		sl, p := &slots[i], preps[i]
-		sl.build = func() (*trace.BatchStream, error) {
-			if err := p.batch(sl.batch, opts, size, banks, reconv, &sl.local); err != nil {
-				return nil, err
-			}
-			return &sl.local, nil
+	p := ws.slot(svc, opts.Traces)
+	var (
+		key   []byte
+		b     *batch.Batch
+		local trace.BatchStream
+	)
+	build := func() (*trace.BatchStream, error) {
+		if err := p.batch(b, opts, size, banks, reconv, &local); err != nil {
+			return nil, err
 		}
+		return &local, nil
 	}
-	err := pipelined(units, la,
-		func(slot, k int) error {
-			sl := &slots[slot]
-			sl.batch = &batches[plan.unit(k)]
-			var err error
-			if opts.BatchStreams == nil {
-				sl.stream, err = sl.build()
-				return err
-			}
+	po := prepProbe()
+	for k, units := 0, plan.unitCount(len(batches)); k < units; k++ {
+		t0 := po.clock()
+		u := plan.unit(k)
+		b = &batches[u]
+		var bs *trace.BatchStream
+		var err error
+		if opts.BatchStreams == nil {
+			bs, err = build()
+		} else {
 			// Batch 0's stack group always starts at StackRegion, so
 			// the key's stack base is known without laying the group
 			// out. Lanes, majority voting, atomics placement and
 			// frequency are timing-only and deliberately absent.
-			sl.key = trace.AppendBatchKey(sl.key[:0], trace.KeyBatch, sl.batch.Requests, size,
+			key = trace.AppendBatchKey(key[:0], trace.KeyBatch, b.Requests, size,
 				opts.UseIPDOM, opts.Spin, opts.AllocPolicy, opts.StackInterleave,
 				lineBytes, banks, alloc.StackRegion)
-			sl.stream, err = opts.BatchStreams.Get(sl.key, sl.build)
-			return err
-		},
-		func(slot, k int) {
-			bs := slots[slot].stream
-			u := plan.unit(k)
-			if plan.timed(u) {
-				// SIMT efficiency accumulates over timed units only —
-				// the subpopulation Stats extrapolates from — so
-				// sampled runs report one consistent Result; unsampled
-				// runs time every unit and are unchanged.
-				totalScalar += bs.ScalarOps
-				totalBatchOps += bs.BatchOps
+			bs, err = opts.BatchStreams.Get(key, build)
+		}
+		if err != nil {
+			return nil, err
+		}
+		t1 := po.clock()
+		if plan.timed(u) {
+			// SIMT efficiency accumulates over timed units only — the
+			// subpopulation Stats extrapolates from — so sampled runs
+			// report one consistent Result; unsampled runs time every
+			// unit and are unchanged.
+			totalScalar += bs.ScalarOps
+			totalBatchOps += bs.BatchOps
+		}
+		for v := range tms {
+			tm := &tms[v]
+			if !tm.sp.timed(u) {
+				tm.sp.warm(tm.core, tm.ms, bs.Uops)
+				continue
 			}
-			for v := range tms {
-				tm := &tms[v]
-				if !tm.sp.timed(u) {
-					tm.sp.warm(tm.core, tm.ms, bs.Uops)
-					continue
-				}
-				prev := tm.ms.Stats()
-				tm.ms.MCU.Add(&bs.MCU)
-				tm.ms.ResetTiming()
-				st := tm.core.Run(tm.ms, bs.Uops)
-				st.Mem = st.Mem.Delta(&prev)
-				tm.res.Stats.Accumulate(&st)
-				for j := 0; j < bs.Requests; j++ {
-					tm.res.Latency.Add(float64(st.Cycles))
-				}
-				tm.sp.observe(&st, bs.Requests)
+			prev := tm.ms.Stats()
+			tm.ms.MCU.Add(&bs.MCU)
+			tm.ms.ResetTiming()
+			st := tm.core.Run(tm.ms, bs.Uops)
+			st.Mem = st.Mem.Delta(&prev)
+			tm.res.Stats.Accumulate(&st)
+			for j := 0; j < bs.Requests; j++ {
+				tm.res.Latency.Add(float64(st.Cycles))
 			}
-		})
-	if err != nil {
-		return nil, err
+			tm.sp.observe(&st, bs.Requests)
+		}
+		po.unit(t0, t1)
 	}
 	out := make([]*Result, len(tms))
 	for v := range tms {
@@ -518,8 +484,6 @@ func checkVariants(arches []Arch, variants []Options) error {
 			field = "Traces"
 		case o.BatchStreams != base.BatchStreams:
 			field = "BatchStreams"
-		case o.PrepLookahead != base.PrepLookahead:
-			field = "PrepLookahead"
 		default:
 			continue
 		}

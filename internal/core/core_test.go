@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -444,17 +445,44 @@ func TestPerServiceEfficiencyBands(t *testing.T) {
 	}
 }
 
+// TestPrepLookaheadOutOfRange: the deprecated Options.PrepLookahead is
+// ignored. Any value — negative, zero, or far past any run's unit
+// count — gives every architecture the Result of the default options,
+// field for field.
+func TestPrepLookaheadOutOfRange(t *testing.T) {
+	svc := uservices.NewSuite().Get("memc")
+	reqs := genRequests(svc, 64, 7)
+	for _, arch := range []Arch{ArchCPU, ArchSMT8, ArchRPU} {
+		want, err := RunService(arch, svc, reqs, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, la := range []int{-1, 0, 1, 4, math.MaxInt32, 1 << 30} {
+			opts := DefaultOptions()
+			opts.PrepLookahead = la
+			got, err := RunService(arch, svc, reqs, opts)
+			if err != nil {
+				t.Fatalf("%v PrepLookahead %d: %v", arch, la, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%v PrepLookahead %d: differs from the default options' result", arch, la)
+			}
+		}
+	}
+}
+
 // TestRunBatchedVariants: timing variants prepared once — RPU variants
 // of the timing knobs, and RPU and GPU variants together — match the
-// same options run one RunService call each. A variant that differs
-// from the first in any field that shapes preparation, runs on a
+// same options run one RunService call each, and a variant that differs
+// from the first only in the ignored PrepLookahead times exactly like
+// it. A variant that differs from the first in any field that shapes
+// preparation, runs on a
 // scalar architecture or on another L1 line size or bank count is an
 // error naming what differs, not a panic or a silently wrong stream.
 func TestRunBatchedVariants(t *testing.T) {
 	svc := uservices.NewSuite().Get("memc")
 	reqs := genRequests(svc, 48, 5)
 	base := DefaultOptions()
-	base.PrepLookahead = 1
 	timing := []func(*Options){
 		func(o *Options) {},
 		func(o *Options) { o.Lanes = 8 },
@@ -503,7 +531,6 @@ func TestRunBatchedVariants(t *testing.T) {
 		{"Sample", "Sample", func(o *Options) { o.Sample = sample.Config{Period: 2} }},
 		{"Traces", "Traces", func(o *Options) { o.Traces = trace.NewCache(svc, trace.NewBudget(0)) }},
 		{"BatchStreams", "BatchStreams", func(o *Options) { o.BatchStreams = trace.NewBatchCache(trace.NewBudget(0)) }},
-		{"PrepLookahead", "PrepLookahead", func(o *Options) { o.PrepLookahead = 0 }},
 	}
 	for _, c := range prep {
 		t.Run(c.name, func(t *testing.T) {
@@ -515,6 +542,19 @@ func TestRunBatchedVariants(t *testing.T) {
 			}
 		})
 	}
+	// PrepLookahead is ignored, so a variant that differs from the base
+	// only there shares its preparation and times exactly like it.
+	t.Run("PrepLookahead", func(t *testing.T) {
+		other := base
+		other.PrepLookahead = 3
+		res, err := runBatched(svc, reqs, rpus(2), []Options{base, other}, nil, nil)
+		if err != nil {
+			t.Fatalf("variant differing only in PrepLookahead rejected: %v", err)
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Fatal("variant differing only in PrepLookahead differs from the base")
+		}
+	})
 	// An equal Spin behind another pointer prepares the same stream.
 	same := base
 	spinCopy := *base.Spin

@@ -1,13 +1,12 @@
-// Observability probes for the two hot orchestration layers: the
-// RunCells sweep worker pool (per-cell wall clock, worker utilization)
-// and the intra-run prep pipeline (producer/consumer occupancy and
-// stall time). Probes resolve to nil when no obs hub is installed, and
-// every hook is a no-op on a nil probe, so the disabled hot path costs
-// one pointer test and zero allocations.
+// Observability probes for the hot orchestration layers: the RunCells
+// sweep worker pool (per-cell wall clock, worker utilization), each
+// run's prep-then-time loop (time spent preparing units against time
+// spent timing them) and sampled runs. Probes resolve to nil when no
+// obs hub is installed, and every hook is a no-op on a nil probe, so
+// the disabled hot path costs one pointer test and zero allocations.
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"simr/internal/obs"
@@ -134,50 +133,27 @@ func (p *sampleObs) warmUnit(start time.Time) {
 	p.warmNS.Add(time.Since(start).Nanoseconds())
 }
 
-// prepRunSeq distinguishes concurrent pipelined runs' trace thread
-// tracks (each run owns tids base..base+slots on pid 2).
-var prepRunSeq atomic.Int64
-
-// prepObs instruments one pipelined invocation.
+// prepObs instruments one run's prep-then-time loop (scope
+// "core.prep").
 type prepObs struct {
-	sink         *obs.TraceSink
-	units        *obs.Counter // units pushed through the pipeline
-	inlineUnits  *obs.Counter // units run on the inline (lookahead<=0) path
-	prepNS       *obs.Counter // producer time spent preparing
-	consumeNS    *obs.Counter // consumer time spent applying results
-	prepStallNS  *obs.Counter // producers blocked waiting for a free slot
-	consumeStall *obs.Counter // consumer blocked waiting for a prepared unit
-	runs         *obs.Counter
-	lookaheadHWM *obs.Gauge
-	tidBase      int
-	start        time.Time
-	wallNS       *obs.Counter
+	units     *obs.Counter // units prepared and then timed or warmed
+	prepNS    *obs.Counter // time spent preparing units
+	consumeNS *obs.Counter // time spent timing or warming prepared units
 }
 
-// prepProbe resolves the prep-pipeline instruments, or nil when
-// observability is disabled.
-func prepProbe(lookahead int) *prepObs {
+// prepProbe resolves the prep-loop instruments and counts one run, or
+// returns nil when observability is disabled.
+func prepProbe() *prepObs {
 	if !obs.Enabled() {
 		return nil
 	}
 	sc := obs.Default().Scope("core.prep")
-	p := &prepObs{
-		sink:         obs.Trace(),
-		units:        sc.Counter("units"),
-		inlineUnits:  sc.Counter("inline_units"),
-		prepNS:       sc.Counter("prep_ns"),
-		consumeNS:    sc.Counter("consume_ns"),
-		prepStallNS:  sc.Counter("prep_stall_ns"),
-		consumeStall: sc.Counter("consume_stall_ns"),
-		runs:         sc.Counter("runs"),
-		wallNS:       sc.Counter("wall_ns"),
-		lookaheadHWM: sc.Gauge("lookahead_hwm"),
-		tidBase:      int(prepRunSeq.Add(1)) * 16,
-		start:        time.Now(),
+	sc.Counter("runs").Inc()
+	return &prepObs{
+		units:     sc.Counter("units"),
+		prepNS:    sc.Counter("prep_ns"),
+		consumeNS: sc.Counter("consume_ns"),
 	}
-	p.runs.Inc()
-	p.lookaheadHWM.SetMax(int64(lookahead))
-	return p
 }
 
 // clock returns time.Now on a live probe and the zero time on a nil
@@ -189,52 +165,13 @@ func (p *prepObs) clock() time.Time {
 	return time.Now()
 }
 
-// prep records one prepared unit on the producing slot's trace track.
-func (p *prepObs) prep(slot int, start time.Time) {
-	if p == nil {
-		return
-	}
-	d := time.Since(start)
-	p.units.Inc()
-	p.prepNS.Add(d.Nanoseconds())
-	p.sink.Complete("prep", "preppipe", 2, p.tidBase+1+slot, p.sink.TS(start), float64(d)/float64(time.Microsecond))
-}
-
-// stall records producer time blocked on a free slot token.
-func (p *prepObs) stall(start time.Time) {
-	if p == nil {
-		return
-	}
-	p.prepStallNS.Add(time.Since(start).Nanoseconds())
-}
-
-// consume records consumer apply time; waited is the time the consumer
-// spent blocked on the unit becoming ready.
-func (p *prepObs) consume(start time.Time, waited time.Duration) {
-	if p == nil {
-		return
-	}
-	d := time.Since(start)
-	p.consumeNS.Add(d.Nanoseconds())
-	p.consumeStall.Add(waited.Nanoseconds())
-	p.sink.Complete("consume", "preppipe", 2, p.tidBase, p.sink.TS(start), float64(d)/float64(time.Microsecond))
-}
-
-// inline records one unit of the sequential (lookahead<=0) path.
-func (p *prepObs) inline(prepStart, consumeStart time.Time) {
+// unit records one unit prepared from prepStart and timed or warmed
+// from consumeStart until now.
+func (p *prepObs) unit(prepStart, consumeStart time.Time) {
 	if p == nil {
 		return
 	}
 	p.units.Inc()
-	p.inlineUnits.Inc()
 	p.prepNS.Add(consumeStart.Sub(prepStart).Nanoseconds())
 	p.consumeNS.Add(time.Since(consumeStart).Nanoseconds())
-}
-
-// finish records the pipeline's wall clock.
-func (p *prepObs) finish() {
-	if p == nil {
-		return
-	}
-	p.wallNS.Add(time.Since(p.start).Nanoseconds())
 }

@@ -7,21 +7,20 @@ import (
 	"simr/internal/uservices"
 )
 
-// TestPipelinedDisabledAllocs: with no obs hub installed, the
-// sequential prep-pipeline hot path (the per-unit code every study
-// runs) must not allocate.
-func TestPipelinedDisabledAllocs(t *testing.T) {
+// TestPrepProbeDisabledAllocs: with no obs hub installed, the core.prep
+// probe that every run's prep-then-time loop resolves once and calls
+// per unit must not allocate.
+func TestPrepProbeDisabledAllocs(t *testing.T) {
 	obs.Disable()
-	sink := 0
-	prep := func(slot, i int) error { sink += i; return nil }
-	consume := func(slot, i int) { sink -= i }
 	n := testing.AllocsPerRun(200, func() {
-		if err := pipelined(4, 0, prep, consume); err != nil {
-			t.Fatal(err)
+		po := prepProbe()
+		for i := 0; i < 4; i++ {
+			t0 := po.clock()
+			po.unit(t0, po.clock())
 		}
 	})
 	if n != 0 {
-		t.Fatalf("disabled pipelined path allocates %v allocs/op, want 0", n)
+		t.Fatalf("disabled prep probe allocates %v allocs/op, want 0", n)
 	}
 }
 
@@ -64,7 +63,7 @@ func TestObsStudyCounters(t *testing.T) {
 		t.Fatalf("core.prep scope missing; scopes %v", names(snap))
 	}
 	if pp.Counters["units"] <= 0 || pp.Counters["prep_ns"] <= 0 || pp.Counters["consume_ns"] <= 0 {
-		t.Fatalf("prep pipeline occupancy not recorded: %+v", pp.Counters)
+		t.Fatalf("prep loop timing not recorded: %+v", pp.Counters)
 	}
 	if tc := byName["trace.cache"]; tc.Counters["hits"]+tc.Counters["misses"]+tc.Counters["bypassed"] != 0 {
 		t.Fatalf("no-GPU chip study consulted the scalar-trace cache: %+v", tc.Counters)

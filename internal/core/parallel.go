@@ -2,13 +2,16 @@
 // cells — a (service, configuration) pair, or in the chip study and the
 // timing sweep a whole service, whose runs share one preparation of
 // each batch — and the sweeps fan out over a bounded pool of
-// goroutines. A worker runs its cells one at a time, so the chip study
-// and the timing sweep keep each worker's memory hierarchies (sysList)
-// and Reset them for its next cell instead of building fresh ones; a
-// chip cell also runs its architectures on one working set of prep
-// scratch and cores (workSet) that it owns. Results are aggregated in
-// input order regardless of completion order, which keeps every figure
-// and CSV byte-identical to the sequential path.
+// goroutines. The pool is the chip side's only parallelism: inside a
+// cell, each run prepares a unit and then times it, one unit after
+// another, as the paper's trace-then-time methodology does. A worker
+// runs its cells one at a time, so the chip study and the timing sweep
+// keep each worker's memory hierarchies (sysList) and Reset them for
+// its next cell instead of building fresh ones; a chip cell also runs
+// its architectures on one working set of prep scratch and cores
+// (workSet) that it owns. Results are aggregated in input order
+// regardless of completion order, which keeps every figure and CSV
+// byte-identical to the sequential path.
 package core
 
 import (
@@ -357,7 +360,6 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 	}
 	svcs := suite.Services
 	opts := DefaultOptions()
-	opts.PrepLookahead = prepBudget(len(svcs), workers)
 	arches, variants := []Arch{ArchRPU}, []Options{opts}
 	if withGPU {
 		arches, variants = append(arches, ArchGPU), append(variants, opts)
@@ -449,7 +451,6 @@ func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers
 	sizes := []int{32, 16, 8, 4}
 	nc := 1 + len(sizes) // CPU + one per batch size
 	sw := newSweepCaches(svcs, nc, true, false)
-	la := prepBudget(len(svcs)*nc, workers)
 	cells, err := RunCells(len(svcs)*nc, workers, func(i int) (*Result, error) {
 		s := i / nc
 		defer sw.done(s)
@@ -457,7 +458,6 @@ func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers
 		reqs := sw.requests(s, requests, seed)
 		opts := DefaultOptions()
 		opts.Traces = sw.cache(s)
-		opts.PrepLookahead = la
 		if i%nc == 0 {
 			return RunService(ArchCPU, svc, reqs, opts)
 		}
@@ -491,12 +491,10 @@ type BatchSweepRow struct {
 // only scalar traces are cached.
 func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
 	sw := newSweepCaches([]*uservices.Service{svc}, 1+len(sizes), true, false)
-	la := prepBudget(1+len(sizes), workers)
 	cells, err := RunCells(1+len(sizes), workers, func(i int) (*Result, error) {
 		defer sw.done(0)
 		opts := DefaultOptions()
 		opts.Traces = sw.cache(0)
-		opts.PrepLookahead = la
 		if i == 0 {
 			return RunService(ArchCPU, svc, reqs, opts)
 		}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"simr/internal/alloc"
 	"simr/internal/uservices"
 )
 
@@ -278,5 +279,35 @@ func TestStudyBadInputs(t *testing.T) {
 				t.Fatal("the study built its sweep before rejecting the input")
 			}
 		})
+	}
+}
+
+// TestSweepCachesAbort is the regression test for the error-path leak:
+// cells abandoned by RunCells never call done, so without abort a
+// failed sweep strands its cache bytes against the shared budget.
+func TestSweepCachesAbort(t *testing.T) {
+	suite := uservices.NewSuite()
+	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user")}
+	sw := newSweepCaches(svcs, 2, true, true)
+	for s := range svcs {
+		reqs := sw.requests(s, 8, 3)
+		sg := alloc.NewStackGroup(0, len(reqs), true)
+		for i := range reqs {
+			if _, err := sw.cache(s).Request(&reqs[i], i, sg.StackBase(i), alloc.PolicySIMR, 32, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sw.cache(s).Stats().Bytes == 0 {
+			t.Fatalf("service %d cached nothing", s)
+		}
+	}
+	// One of service 0's two cells finishes before the sweep fails; the
+	// other cells are abandoned and never call done.
+	sw.done(0)
+	sw.abort()
+	for s := range svcs {
+		if got := sw.cache(s).Stats().Bytes; got != 0 {
+			t.Fatalf("service %d still holds %d bytes after abort", s, got)
+		}
 	}
 }

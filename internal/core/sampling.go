@@ -1,5 +1,5 @@
 // Sampled timing simulation (SMARTS-style) for the three chip-level
-// run loops: a runSampler maps the prep/consume pipeline onto the
+// run loops: a runSampler maps each run's prep-then-time loop onto the
 // active (timed + warmup) units only, routes non-timed units through
 // the functional-warmup fast path, and extrapolates the aggregate
 // Result from the timed subpopulation with per-metric confidence
@@ -73,7 +73,7 @@ func newRunSampler(cfg sample.Config, units, requests int) *runSampler {
 	return sp
 }
 
-// unitCount returns how many units the prep pipeline walks: all n
+// unitCount returns how many units the prep-then-time loop walks: all n
 // when sampling is off, only the active (timed + warmup) ones when
 // on — skipped units are never prepared at all.
 func (sp *runSampler) unitCount(n int) int {
@@ -83,7 +83,7 @@ func (sp *runSampler) unitCount(n int) int {
 	return len(sp.active)
 }
 
-// unit maps the pipeline's dense index back to the original unit.
+// unit maps the loop's dense index back to the original unit.
 func (sp *runSampler) unit(k int) int {
 	if sp == nil {
 		return k

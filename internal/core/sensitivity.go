@@ -12,11 +12,10 @@ import (
 )
 
 // runVariant executes one mutated option set.
-func runVariant(arch Arch, svc *uservices.Service, reqs []uservices.Request, mutate func(*Options), tc *trace.Cache, bc *trace.BatchCache, la int) (*Result, error) {
+func runVariant(arch Arch, svc *uservices.Service, reqs []uservices.Request, mutate func(*Options), tc *trace.Cache, bc *trace.BatchCache) (*Result, error) {
 	ov := DefaultOptions()
 	ov.Traces = tc
 	ov.BatchStreams = bc
-	ov.PrepLookahead = la
 	mutate(&ov)
 	return RunService(arch, svc, reqs, ov)
 }
@@ -33,12 +32,11 @@ type sensBase struct {
 	err  [NumArchs]error
 }
 
-func (b *sensBase) get(arch Arch, svc *uservices.Service, reqs []uservices.Request, tc *trace.Cache, bc *trace.BatchCache, la int) (*Result, error) {
+func (b *sensBase) get(arch Arch, svc *uservices.Service, reqs []uservices.Request, tc *trace.Cache, bc *trace.BatchCache) (*Result, error) {
 	b.once[arch].Do(func() {
 		ob := DefaultOptions()
 		ob.Traces = tc
 		ob.BatchStreams = bc
-		ob.PrepLookahead = la
 		b.res[arch], b.err[arch] = RunService(arch, svc, reqs, ob)
 	})
 	return b.res[arch], b.err[arch]
@@ -93,17 +91,16 @@ func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []st
 	// scalar traces.
 	sw := newSweepCaches(svcs, len(sensMutations), true, true)
 	bases := make([]sensBase, ns)
-	la := prepBudget(len(sensMutations)*ns, workers)
 	pairs, err := RunCells(len(sensMutations)*ns, workers, func(i int) (sensPair, error) {
 		m := sensMutations[i/ns]
 		s := i % ns
 		defer sw.done(s)
 		reqs := sw.requests(s, requests, seed)
-		b, err := bases[s].get(m.arch, svcs[s], reqs, sw.cache(s), sw.batchCache(s), la)
+		b, err := bases[s].get(m.arch, svcs[s], reqs, sw.cache(s), sw.batchCache(s))
 		if err != nil {
 			return sensPair{}, err
 		}
-		v, err := runVariant(m.arch, svcs[s], reqs, m.mutate, sw.cache(s), sw.batchCache(s), la)
+		v, err := runVariant(m.arch, svcs[s], reqs, m.mutate, sw.cache(s), sw.batchCache(s))
 		return sensPair{b, v}, err
 	})
 	if err != nil {

@@ -53,9 +53,7 @@ func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, worke
 		return nil, err
 	}
 	svcs := suite.Services
-	base := DefaultOptions()
-	base.PrepLookahead = prepBudget(len(svcs), workers)
-	names, variants := timingVariants(base)
+	names, variants := timingVariants(DefaultOptions())
 	arches := make([]Arch, len(variants))
 	for v := range arches {
 		arches[v] = ArchRPU

@@ -10,7 +10,7 @@ import (
 )
 
 // workSet is the prep and timing scratch of one study cell: the prep
-// slots and the pipeline cores its runs take one run after another. A
+// slot and the pipeline cores its runs take one run after another. A
 // cell that runs one service on several architectures — the chip
 // study's CPU, SMT-8, RPU and GPU — grows each buffer once, to what the
 // service's largest request or batch needs, instead of once per run.
@@ -20,33 +20,29 @@ import (
 // RunService calls get. A workSet must not be shared between
 // goroutines.
 type workSet struct {
-	preps []*prepSlot
+	prep  prepSlot
 	cores []*pipeline.Core
 }
 
-// prepSlot is one prep slot's scratch: the tracer that interprets the
-// slot's requests, the builder its uops are carved from and the SIMT
-// engine's lock-step scratch. A stream a slot prepares stays valid until
-// the slot prepares the next one.
+// prepSlot is a run's prep scratch: the tracer that interprets its
+// requests, the builder its uops are carved from and the SIMT engine's
+// lock-step scratch. A stream the slot prepares stays valid until the
+// slot prepares the next one.
 type prepSlot struct {
 	tr tracer
 	ub uopBuilder
 	sc simt.Scratch
 }
 
-// slots returns n prep slots that trace svc's requests through tc (nil
-// interprets them).
-func (ws *workSet) slots(n int, svc *uservices.Service, tc *trace.Cache) []*prepSlot {
-	if ws == nil {
-		ws = &workSet{}
+// slot returns the set's prep slot, set to trace svc's requests through
+// tc (nil interprets them).
+func (ws *workSet) slot(svc *uservices.Service, tc *trace.Cache) *prepSlot {
+	p := &prepSlot{}
+	if ws != nil {
+		p = &ws.prep
 	}
-	for len(ws.preps) < n {
-		ws.preps = append(ws.preps, &prepSlot{})
-	}
-	for _, p := range ws.preps[:n] {
-		p.tr.svc, p.tr.tc = svc, tc
-	}
-	return ws.preps[:n]
+	p.tr.svc, p.tr.tc = svc, tc
+	return p
 }
 
 // core returns the set's i-th pipeline core, in the state

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"simr/internal/alloc"
 	"simr/internal/batch"
 	"simr/internal/pipeline"
+	"simr/internal/simt"
 	"simr/internal/trace"
 	"simr/internal/uservices"
 )
@@ -28,7 +30,7 @@ func TestCellScratchAllocs(t *testing.T) {
 		reconv := svc.BranchReconv()
 
 		ws := &workSet{}
-		p := ws.slots(1, svc, nil)[0]
+		p := ws.slot(svc, nil)
 		cpuSG := alloc.NewStackGroup(0, 1, false)
 		smtSG := alloc.NewStackGroup(0, 8, false)
 		var bs trace.BatchStream
@@ -79,6 +81,76 @@ func TestSMTUopsMatchMerge(t *testing.T) {
 		}
 		if got, want := direct.smtUops(traces), perThread.mergeSMT(streams); !reflect.DeepEqual(got, want) {
 			t.Fatalf("group of %d: smtUops differs from mergeSMT over scalarUops", len(group))
+		}
+	}
+}
+
+// TestPrepPipelineDeterminism: the prep-then-time loop — trace fetch,
+// SIMT lock-step merge and uop build, then the timing core — gives
+// every architecture's run the same Result, field for field including
+// the float accumulation order, whether it prepares into fresh scratch
+// on fresh memory hierarchies (a direct RunService call) or into one
+// working set and one worker's hierarchies that other services' and
+// architectures' runs used before it, as in a chip-study cell. The
+// service set covers the atomic/spin-heavy path (uniqueid) and the
+// variants cover ideal IPDOM reconvergence and a tight spin window.
+func TestPrepPipelineDeterminism(t *testing.T) {
+	suite := uservices.NewSuite()
+	run := func(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
+		switch arch {
+		case ArchCPU:
+			return runScalar(svc, reqs, opts, ws, sys)
+		case ArchSMT8:
+			return runSMT(svc, reqs, opts, ws, sys)
+		}
+		res, err := runBatched(svc, reqs, []Arch{arch}, []Options{opts}, ws, sys)
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
+	}
+	arches := []Arch{ArchCPU, ArchSMT8, ArchRPU, ArchGPU}
+	// Every run below reuses ws and sys, which a larger service's runs
+	// have already grown and dirtied.
+	ws, sys := &workSet{}, &sysList{}
+	warm := suite.Get("hdsearch-leaf")
+	for _, arch := range arches {
+		if _, err := run(arch, warm, genRequests(warm, 96, 3), DefaultOptions(), ws, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	variants := []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"base", func(o *Options) {}},
+		{"ipdom", func(o *Options) { o.UseIPDOM = true }},
+		{"tightspin", func(o *Options) { o.Spin = &simt.SpinConfig{Window: 4, MinAtomics: 1, Grant: 4} }},
+	}
+	for _, name := range []string{"memc", "uniqueid", "user"} {
+		svc := suite.Get(name)
+		reqs := genRequests(svc, 48, 7)
+		for _, arch := range arches {
+			for _, v := range variants {
+				if v.name != "base" && arch != ArchRPU {
+					continue // reconvergence/spin options only shape RPU runs
+				}
+				t.Run(fmt.Sprintf("%s/%v/%s", name, arch, v.name), func(t *testing.T) {
+					opts := DefaultOptions()
+					v.mutate(&opts)
+					fresh, err := RunService(arch, svc, reqs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reused, err := run(arch, svc, reqs, opts, ws, sys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fresh, reused) {
+						t.Fatal("run on a reused working set differs from a fresh RunService run")
+					}
+				})
+			}
 		}
 	}
 }

@@ -127,32 +127,28 @@ func Parse(s string) (Config, error) {
 	return Config{Period: period, Warmup: warm}, nil
 }
 
-// defaultCfg holds the process-wide sampling default as
-// (period<<32 | warmup)+1 so the zero word means "no override". It
-// backs the cmd tools' -sample flag, which needs to reach every study
-// without threading a parameter through each driver — the same shape
-// as core's prep-lookahead pin.
-var defaultCfg atomic.Uint64
+// defaultCfg holds the process-wide sampling default, nil when unset.
+// It backs the cmd tools' -sample flag, which needs to reach every
+// study without threading a parameter through each study entry point.
+var defaultCfg atomic.Pointer[Config]
 
 // SetDefault installs the sampling config every run without an
 // explicit Options.Sample will use. The zero Config restores the
 // unsampled default.
 func SetDefault(c Config) {
 	if !c.Active() {
-		defaultCfg.Store(0)
+		defaultCfg.Store(nil)
 		return
 	}
-	defaultCfg.Store((uint64(c.Period)<<32 | uint64(c.Warmup)) + 1)
+	defaultCfg.Store(&c)
 }
 
 // Default returns the process-wide sampling config (zero when unset).
 func Default() Config {
-	v := defaultCfg.Load()
-	if v == 0 {
-		return Config{}
+	if c := defaultCfg.Load(); c != nil {
+		return *c
 	}
-	v--
-	return Config{Period: int(v >> 32), Warmup: int(v & 0xffffffff)}
+	return Config{}
 }
 
 // Metric is one extrapolated quantity with its sampling error bound.

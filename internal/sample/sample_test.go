@@ -94,6 +94,24 @@ func TestDefaultPin(t *testing.T) {
 	}
 }
 
+// TestDefaultRoundTrip: Default returns exactly the Config SetDefault
+// installed, including fields past 32 bits (a packed encoding once
+// turned -sample 4:4294967296 into period 5, warmup 0, and ran
+// -sample 4294967297 unsampled).
+func TestDefaultRoundTrip(t *testing.T) {
+	defer SetDefault(Config{})
+	for _, spec := range []string{"1", "4", "8:3", "4:0", "4:4294967295", "4:4294967296", "4294967296", "4294967297", "9223372036854775807:9223372036854775807"} {
+		c, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		SetDefault(c)
+		if got := Default(); got != c {
+			t.Fatalf("-sample %s: Default() = %+v after SetDefault(%+v)", spec, got, c)
+		}
+	}
+}
+
 func TestMeterEstimate(t *testing.T) {
 	// 8 units, period 4, warmup 1: units 0 and 4 timed, 3 and 7
 	// warmed, 4 skipped.
