@@ -142,20 +142,20 @@ func (r *Result) L1MPKI() float64 {
 // the SIMR-aware server and run them in lock-step. Each call builds
 // its own prep scratch, core and memory hierarchy.
 func RunService(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
+	var res []*Result
+	var err error
 	switch arch {
-	case ArchCPU:
-		return runScalar(svc, reqs, opts, nil, nil)
-	case ArchSMT8:
-		return runSMT(svc, reqs, opts, nil, nil)
+	case ArchCPU, ArchSMT8:
+		res, err = runScalar(svc, reqs, []Arch{arch}, opts, nil, nil)
 	case ArchRPU, ArchGPU:
-		res, err := runBatched(svc, reqs, []Arch{arch}, []Options{opts}, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res[0], nil
+		res, err = runBatched(svc, reqs, []Arch{arch}, []Options{opts}, nil, nil)
 	default:
 		return nil, fmt.Errorf("core: invalid arch %v", arch)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 func newResult(arch Arch, svc *uservices.Service, n int) *Result {
@@ -169,127 +169,156 @@ func newResult(arch Arch, svc *uservices.Service, n int) *Result {
 	}
 }
 
-// runScalar models the single-threaded CPU: one worker thread serves
-// requests back to back on a warm core, reusing its stack (which is why
-// consecutive CPU threads enjoy prefetched shared data, paper §V-A).
-// Each request is traced and uop-converted just before the timing core
-// runs it.
-func runScalar(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
-	const arch = ArchCPU
-	cfg := PipelineConfig(arch)
-	ms := sys.get(MemConfig(arch))
-	defer sys.put(ms)
-	if opts.CPUPrefetch {
-		ms.PF = mem.NewPrefetcher(2)
-	}
-	cpu := ws.core(0, cfg)
-	res := newResult(arch, svc, len(reqs))
-	model := EnergyModel(arch)
-
-	sg := alloc.NewStackGroup(0, 1, false)
-	sp := newRunSampler(opts.sampleConfig(), len(reqs), len(reqs))
-	p := ws.slot(svc, opts.Traces)
-	po := prepProbe()
-	for k, units := 0, sp.unitCount(len(reqs)); k < units; k++ {
-		t0 := po.clock()
-		u := sp.unit(k)
-		uops, err := p.scalar(&reqs[u], sg)
-		if err != nil {
-			return nil, err
-		}
-		t1 := po.clock()
-		if sp.timed(u) {
-			prev := ms.Stats()
-			ms.ResetTiming()
-			st := cpu.Run(ms, uops)
-			st.Mem = st.Mem.Delta(&prev)
-			res.Stats.Accumulate(&st)
-			res.Latency.Add(float64(st.Cycles))
-			sp.observe(&st, 1)
-		} else {
-			sp.warm(cpu, ms, uops)
-		}
-		po.unit(t0, t1)
-	}
-	sp.finish(res)
-	res.Energy = model.Compute(&res.Stats, cfg.FreqGHz)
-	return res, nil
+// timing is one architecture's timing model in a run: its memory
+// hierarchy, core, sampler, energy model and Result.
+type timing struct {
+	ms    *mem.System
+	core  *pipeline.Core
+	res   *Result
+	sp    *runSampler
+	model *energy.Model
 }
 
-// runSMT models the SMT-8 CPU: 8 worker threads dispatch round-robin
-// through a shared frontend with per-thread ROB partitions and a shared
-// banked L1. Of the options only Traces, BatchStreams and Sample apply
-// (the SMT core is not an RPU configuration).
-func runSMT(svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
-	const arch = ArchSMT8
-	cfg := PipelineConfig(arch)
-	ms := sys.get(MemConfig(arch))
-	defer sys.put(ms)
-	cpu := ws.core(0, cfg)
-	res := newResult(arch, svc, len(reqs))
-	model := EnergyModel(arch)
+// run times unit u — the stream uops, serving reqs requests — on the
+// model, or warms the model with it when the sampler does not time u.
+// A non-nil mcu is the stream's MCU count delta, applied to ms.MCU
+// inside the unit's stats window.
+func (tm *timing) run(u int, uops []pipeline.Uop, reqs int, mcu *mem.MCUStats) {
+	if !tm.sp.timed(u) {
+		tm.sp.warm(tm.core, tm.ms, uops)
+		return
+	}
+	prev := tm.ms.Stats()
+	if mcu != nil {
+		tm.ms.MCU.Add(mcu)
+	}
+	tm.ms.ResetTiming()
+	st := tm.core.Run(tm.ms, uops)
+	st.Mem = st.Mem.Delta(&prev)
+	tm.res.Stats.Accumulate(&st)
+	for j := 0; j < reqs; j++ {
+		tm.res.Latency.Add(float64(st.Cycles))
+	}
+	tm.sp.observe(&st, reqs)
+}
 
-	const ways = 8
-	sg := alloc.NewStackGroup(0, ways, false)
-	groups := (len(reqs) + ways - 1) / ways
+// finish extrapolates a sampled run's Result and prices its energy.
+func (tm *timing) finish() *Result {
+	tm.sp.finish(tm.res)
+	tm.res.Energy = tm.model.Compute(&tm.res.Stats, tm.res.FreqGHz)
+	return tm.res
+}
 
-	// Each group's merged stream is built just before the timing core
-	// runs it, or served by the batch-stream cache when the options
-	// carry one. build reads the current group, so one closure serves
+// smtWays is the SMT-8 core's thread count, the size of the groups
+// runScalar walks the requests in.
+const smtWays = 8
+
+// runScalar models the CPU side, one Result per architecture of
+// arches, in arches order: the single-threaded CPU (ArchCPU) and the
+// SMT-8 CPU (ArchSMT8), each at most once. The CPU's one worker thread
+// serves requests back to back on a warm core, reusing its stack
+// (which is why consecutive CPU threads enjoy prefetched shared data,
+// paper §V-A). The SMT-8 core runs them in groups of 8 worker threads
+// that dispatch round-robin through a shared frontend with per-thread
+// ROB partitions and a shared banked L1.
+//
+// Both time one interpretation of each request. The loop walks the
+// requests in groups of 8 and traces each request once, just before
+// the first model that needs it: the CPU times the group's requests
+// one by one, and the SMT-8 core then times the stream prepSlot.smt
+// builds from the same traces. With sampling, each model times, warms
+// or skips its own units — requests for the CPU, groups for SMT-8 —
+// and a request neither needs is never traced. Of the options only
+// Traces, BatchStreams, Sample and, on the CPU, CPUPrefetch apply (the
+// scalar cores are not RPU configurations).
+func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, opts Options, ws *workSet, sys *sysList) ([]*Result, error) {
+	groups := (len(reqs) + smtWays - 1) / smtWays
+	tms := make([]timing, len(arches))
+	var cpu, smt *timing
+	for v, arch := range arches {
+		tm, units := &tms[v], len(reqs)
+		switch {
+		case arch == ArchCPU && cpu == nil:
+			cpu = tm
+		case arch == ArchSMT8 && smt == nil:
+			smt, units = tm, groups
+		default:
+			return nil, fmt.Errorf("core: architectures %v are not distinct scalar architectures", arches)
+		}
+		tm.ms = sys.get(MemConfig(arch))
+		defer sys.put(tm.ms)
+		if arch == ArchCPU && opts.CPUPrefetch {
+			tm.ms.PF = mem.NewPrefetcher(2)
+		}
+		tm.core = ws.core(v, PipelineConfig(arch))
+		tm.res = newResult(arch, svc, len(reqs))
+		tm.sp = newRunSampler(opts.sampleConfig(), units, len(reqs))
+		tm.model = EnergyModel(arch)
+	}
+
+	// A group's SMT-8 stream is built just before the SMT-8 core runs
+	// it, or served by the batch-stream cache when the options carry
+	// one. build reads the slot's current group, so one closure serves
 	// every group and a cache hit allocates nothing.
 	p := ws.slot(svc, opts.Traces)
 	var (
 		key   []byte
-		group []uservices.Request
 		local trace.BatchStream
 	)
 	build := func() (*trace.BatchStream, error) {
-		uops, err := p.smt(group, sg)
+		uops, err := p.smt()
 		if err != nil {
 			return nil, err
 		}
-		local = trace.BatchStream{Uops: uops, Requests: len(group)}
+		local = trace.BatchStream{Uops: uops, Requests: len(p.group)}
 		return &local, nil
 	}
-	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
 	po := prepProbe()
-	for k, units := 0, sp.unitCount(groups); k < units; k++ {
+	for g := 0; g < groups; g++ {
+		first := g * smtWays
+		group := reqs[first:min(first+smtWays, len(reqs))]
+		p.setGroup(group)
+		if cpu != nil {
+			for i := range group {
+				if !cpu.sp.active(first + i) {
+					continue
+				}
+				t0 := po.clock()
+				uops, err := p.scalar(i)
+				if err != nil {
+					return nil, err
+				}
+				t1 := po.clock()
+				cpu.run(first+i, uops, 1, nil)
+				po.unit(t0, t1)
+			}
+		}
+		if smt == nil || !smt.sp.active(g) {
+			continue
+		}
 		t0 := po.clock()
-		g := sp.unit(k)
-		group = reqs[g*ways : min(g*ways+ways, len(reqs))]
 		var bs *trace.BatchStream
 		var err error
 		if opts.BatchStreams == nil {
 			bs, err = build()
 		} else {
-			// sg.StackBase(0)-StackSize is the group's base address
-			// (thread t's stack starts one StackSize above base+t).
-			key = trace.AppendBatchKey(key[:0], trace.KeySMT, group, ways,
-				false, nil, alloc.PolicyCPU, false, lineBytes, 1, sg.StackBase(0)-alloc.StackSize)
+			// An 8-way group's first stack starts at StackRegion.
+			key = trace.AppendBatchKey(key[:0], trace.KeySMT, group, smtWays,
+				false, nil, alloc.PolicyCPU, false, lineBytes, 1, alloc.StackRegion)
 			bs, err = opts.BatchStreams.Get(key, build)
 		}
 		if err != nil {
 			return nil, err
 		}
 		t1 := po.clock()
-		if sp.timed(g) {
-			prev := ms.Stats()
-			ms.ResetTiming()
-			st := cpu.Run(ms, bs.Uops)
-			st.Mem = st.Mem.Delta(&prev)
-			res.Stats.Accumulate(&st)
-			for j := 0; j < bs.Requests; j++ {
-				res.Latency.Add(float64(st.Cycles))
-			}
-			sp.observe(&st, bs.Requests)
-		} else {
-			sp.warm(cpu, ms, bs.Uops)
-		}
+		smt.run(g, bs.Uops, bs.Requests, nil)
 		po.unit(t0, t1)
 	}
-	sp.finish(res)
-	res.Energy = model.Compute(&res.Stats, cfg.FreqGHz)
-	return res, nil
+	out := make([]*Result, len(tms))
+	for v := range tms {
+		out[v] = tms[v].finish()
+	}
+	return out, nil
 }
 
 // memConfig is MemConfig as runBatched sees it; the variant tests swap
@@ -321,13 +350,6 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 
 	// One timing model per variant; all of them time the same prepared
 	// stream of each batch in turn.
-	type timing struct {
-		ms    *mem.System
-		core  *pipeline.Core
-		res   *Result
-		sp    *runSampler
-		model *energy.Model
-	}
 	tms := make([]timing, len(variants))
 	for v := range variants {
 		o, arch := &variants[v], arches[v]
@@ -373,9 +395,11 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 		return &local, nil
 	}
 	po := prepProbe()
-	for k, units := 0, plan.unitCount(len(batches)); k < units; k++ {
+	for u := range batches {
+		if !plan.active(u) {
+			continue
+		}
 		t0 := po.clock()
-		u := plan.unit(k)
 		b = &batches[u]
 		var bs *trace.BatchStream
 		var err error
@@ -404,33 +428,16 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 			totalBatchOps += bs.BatchOps
 		}
 		for v := range tms {
-			tm := &tms[v]
-			if !tm.sp.timed(u) {
-				tm.sp.warm(tm.core, tm.ms, bs.Uops)
-				continue
-			}
-			prev := tm.ms.Stats()
-			tm.ms.MCU.Add(&bs.MCU)
-			tm.ms.ResetTiming()
-			st := tm.core.Run(tm.ms, bs.Uops)
-			st.Mem = st.Mem.Delta(&prev)
-			tm.res.Stats.Accumulate(&st)
-			for j := 0; j < bs.Requests; j++ {
-				tm.res.Latency.Add(float64(st.Cycles))
-			}
-			tm.sp.observe(&st, bs.Requests)
+			tms[v].run(u, bs.Uops, bs.Requests, &bs.MCU)
 		}
 		po.unit(t0, t1)
 	}
 	out := make([]*Result, len(tms))
 	for v := range tms {
-		tm := &tms[v]
 		if totalBatchOps > 0 {
-			tm.res.SIMTEff = float64(totalScalar) / (float64(totalBatchOps) * float64(size))
+			tms[v].res.SIMTEff = float64(totalScalar) / (float64(totalBatchOps) * float64(size))
 		}
-		tm.sp.finish(tm.res)
-		tm.res.Energy = tm.model.Compute(&tm.res.Stats, tm.res.FreqGHz)
-		out[v] = tm.res
+		out[v] = tms[v].finish()
 	}
 	return out, nil
 }

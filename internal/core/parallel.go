@@ -343,8 +343,9 @@ func (sw *sweepCaches) abort() {
 // ChipStudyParallel runs the chip-level comparison behind Figures 10,
 // 14, 19, 20 and 21 for every service of the suite on a worker pool:
 // one cell per service, which generates the service's requests once and
-// runs the CPU, the SMT-8 CPU and the RPU in turn on one working set of
-// prep scratch and cores. withGPU adds the Ampere-like GPU model
+// runs the CPU and the SMT-8 CPU together on one interpretation of each
+// request, then the RPU, on one working set of prep scratch and cores.
+// withGPU adds the Ampere-like GPU model
 // (§V-A3), whose column times the RPU's prepared batches: the two
 // architectures share the L1 geometry a preparation depends on. As in
 // every study, workers <= 0 uses one worker per CPU and workers == 1
@@ -360,6 +361,7 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 	}
 	svcs := suite.Services
 	opts := DefaultOptions()
+	scalarArches := []Arch{ArchCPU, ArchSMT8}
 	arches, variants := []Arch{ArchRPU}, []Options{opts}
 	if withGPU {
 		arches, variants = append(arches, ArchGPU), append(variants, opts)
@@ -370,13 +372,11 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 		reqs := genRequests(svc, requests, seed)
 		ws, sys := &workSet{}, &systems[w]
 		row := ChipRow{Service: svc.Name}
-		var err error
-		if row.CPU, err = runScalar(svc, reqs, opts, ws, sys); err != nil {
+		scalar, err := runScalar(svc, reqs, scalarArches, opts, ws, sys)
+		if err != nil {
 			return row, err
 		}
-		if row.SMT, err = runSMT(svc, reqs, opts, ws, sys); err != nil {
-			return row, err
-		}
+		row.CPU, row.SMT = scalar[0], scalar[1]
 		batched, err := runBatched(svc, reqs, arches, variants, ws, sys)
 		if err != nil {
 			return row, err

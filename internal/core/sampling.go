@@ -33,13 +33,12 @@ func (o *Options) sampleConfig() sample.Config {
 	return sample.Default()
 }
 
-// runSampler drives one run's sampling: which units exist, which are
-// timed, and the accumulation/extrapolation of the estimate. All
-// methods are nil-safe and a nil sampler reproduces the unsampled
-// loop exactly.
+// runSampler drives one run's sampling: which units are prepared,
+// which of those are timed, and the accumulation/extrapolation of the
+// estimate. All methods are nil-safe and a nil sampler reproduces the
+// unsampled loop exactly.
 type runSampler struct {
-	cfg    sample.Config
-	active []int // original indices of timed + warmup units, ascending
+	cfg sample.Config
 	// forceTimed promotes one unit to the timed role when the sampling
 	// grid (last unit of each Period window) lands on no unit at all —
 	// a population smaller than one window; -1 otherwise.
@@ -59,36 +58,25 @@ func newRunSampler(cfg sample.Config, units, requests int) *runSampler {
 		cfg:        cfg,
 		forceTimed: -1,
 		meter:      sample.NewMeter(cfg, units, requests, sampleMetricNames),
-		active:     make([]int, 0, units),
 	}
 	if units < cfg.Period {
 		sp.forceTimed = units - 1
 	}
+	skipped := 0
 	for i := 0; i < units; i++ {
-		if cfg.Role(i) != sample.RoleSkip || i == sp.forceTimed {
-			sp.active = append(sp.active, i)
+		if !sp.active(i) {
+			skipped++
 		}
 	}
-	sp.po = sampleProbe(cfg, units-len(sp.active))
+	sp.po = sampleProbe(cfg, skipped)
 	return sp
 }
 
-// unitCount returns how many units the prep-then-time loop walks: all n
-// when sampling is off, only the active (timed + warmup) ones when
-// on — skipped units are never prepared at all.
-func (sp *runSampler) unitCount(n int) int {
-	if sp == nil {
-		return n
-	}
-	return len(sp.active)
-}
-
-// unit maps the loop's dense index back to the original unit.
-func (sp *runSampler) unit(k int) int {
-	if sp == nil {
-		return k
-	}
-	return sp.active[k]
+// active reports whether the run prepares original unit i: every unit
+// when sampling is off, only the timed and warmup ones when on —
+// skipped units are never prepared at all.
+func (sp *runSampler) active(i int) bool {
+	return sp == nil || i == sp.forceTimed || sp.cfg.Role(i) != sample.RoleSkip
 }
 
 // timed reports whether original unit i takes the full timing path.
@@ -142,6 +130,8 @@ func (sp *runSampler) finish(res *Result) {
 
 // WriteSampling renders the sampling estimates of a sampled chip
 // study: the timed/total unit split and per-metric 95% relative CIs.
+// A run that timed one unit of several has no interval estimate, and
+// its CIs read n/a; one that timed its only unit measured it exactly.
 // It prints nothing when no result carries an estimate, so unsampled
 // study output is unchanged.
 func WriteSampling(w io.Writer, rows []ChipRow) {
@@ -160,6 +150,9 @@ func WriteSampling(w io.Writer, rows []ChipRow) {
 				header = true
 			}
 			ci := func(name string) string {
+				if e.Timed < 2 && e.Timed < e.Units {
+					return "n/a"
+				}
 				return fmt.Sprintf("±%.2f%%", 100*e.Metric(name).RelCI95)
 			}
 			fmt.Fprintf(w, "%-18s %-8s %6d/%-5d %10s %10s %10s %10s\n",

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"simr/internal/obs"
@@ -163,5 +165,55 @@ func TestSamplingDefaultPinned(t *testing.T) {
 	}
 	if res.Sampled != nil {
 		t.Fatal("explicit Period 1 did not override the pinned default")
+	}
+}
+
+// TestWriteSamplingSingleUnit: a run whose population is smaller than
+// one period times a single unit, which gives no interval estimate, so
+// its row reads n/a instead of a ±0.00% certainty. A run that timed
+// several units keeps its intervals, and one whose only unit was timed
+// measured it exactly.
+func TestWriteSamplingSingleUnit(t *testing.T) {
+	svc := uservices.NewSuite().Get("memc")
+	reqs := genRequests(svc, 48, 7)
+	run := func(arch Arch, cfg sample.Config) *Result {
+		opts := DefaultOptions()
+		opts.Sample = cfg
+		res, err := RunService(arch, svc, reqs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one := sample.Config{Period: 1<<32 + 1, Warmup: 1}
+	row := ChipRow{Service: svc.Name, CPU: run(ArchCPU, one), SMT: run(ArchSMT8, one)}
+	for _, res := range []*Result{row.CPU, row.SMT} {
+		if res.Sampled == nil || res.Sampled.Timed != 1 {
+			t.Fatalf("%v: want one timed unit, got estimate %+v", res.Arch, res.Sampled)
+		}
+	}
+	var buf bytes.Buffer
+	WriteSampling(&buf, []ChipRow{row})
+	out := buf.String()
+	if strings.Contains(out, "±") || strings.Count(out, "n/a") != 8 {
+		t.Fatalf("single-unit rows must read n/a in every CI column:\n%s", out)
+	}
+
+	row = ChipRow{Service: svc.Name, CPU: run(ArchCPU, sample.Config{Period: 4, Warmup: 1})}
+	buf.Reset()
+	WriteSampling(&buf, []ChipRow{row})
+	if out := buf.String(); strings.Contains(out, "n/a") || !strings.Contains(out, "±") {
+		t.Fatalf("a run with %d timed units must print its CIs:\n%s", row.CPU.Sampled.Timed, out)
+	}
+
+	reqs = reqs[:smtWays] // one SMT-8 group
+	row = ChipRow{Service: svc.Name, SMT: run(ArchSMT8, one)}
+	if e := row.SMT.Sampled; e == nil || e.Units != 1 || e.Timed != 1 {
+		t.Fatalf("want the one group timed, got estimate %+v", e)
+	}
+	buf.Reset()
+	WriteSampling(&buf, []ChipRow{row})
+	if out := buf.String(); strings.Contains(out, "n/a") || strings.Count(out, "±0.00%") != 4 {
+		t.Fatalf("a run that timed its whole population must print exact CIs:\n%s", out)
 	}
 }

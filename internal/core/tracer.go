@@ -25,24 +25,25 @@ type tracer struct {
 	traces [][]isa.TraceOp
 }
 
-// request returns the scalar trace of req run as lane tid with the
-// given stack base and heap policy against an L1 of banks banks.
-func (t *tracer) request(req *uservices.Request, tid int, stackBase uint64, policy alloc.Policy, banks int) ([]isa.TraceOp, error) {
+// request returns the scalar trace of req run as thread tid with the
+// given stack base and heap policy against an L1 of banks banks,
+// interpreted into lane buffer lane.
+func (t *tracer) request(req *uservices.Request, lane, tid int, stackBase uint64, policy alloc.Policy, banks int) ([]isa.TraceOp, error) {
 	if t.tc != nil {
 		return t.tc.Request(req, tid, stackBase, policy, lineBytes, banks)
 	}
 	if t.ctx == nil {
 		t.ctx = uservices.NewTraceCtx()
 	}
-	for len(t.bufs) <= tid {
+	for len(t.bufs) <= lane {
 		t.bufs = append(t.bufs, nil)
 	}
 	t.arena.Reset(tid, policy, lineBytes, banks)
-	ops, err := t.svc.TraceInto(t.ctx, req, tid, stackBase, &t.arena, t.bufs[tid])
+	ops, err := t.svc.TraceInto(t.ctx, req, tid, stackBase, &t.arena, t.bufs[lane])
 	if err != nil {
 		return nil, err
 	}
-	t.bufs[tid] = ops
+	t.bufs[lane] = ops
 	return ops, nil
 }
 
@@ -51,7 +52,7 @@ func (t *tracer) request(req *uservices.Request, tid int, stackBase uint64, poli
 func (t *tracer) batch(reqs []uservices.Request, sg *alloc.StackGroup, policy alloc.Policy, banks int) ([][]isa.TraceOp, error) {
 	t.traces = t.traces[:0]
 	for i := range reqs {
-		tr, err := t.request(&reqs[i], i, sg.StackBase(i), policy, banks)
+		tr, err := t.request(&reqs[i], i, i, sg.StackBase(i), policy, banks)
 		if err != nil {
 			return nil, err
 		}

@@ -53,7 +53,7 @@ func TestSlotPrepAllocs(t *testing.T) {
 	var ub uopBuilder
 	cpuSG := alloc.NewStackGroup(0, 1, false)
 	scalar := func() {
-		ops, err := tr.request(&reqs[0], 0, cpuSG.StackBase(0), alloc.PolicyCPU, 1)
+		ops, err := tr.request(&reqs[0], 0, 0, cpuSG.StackBase(0), alloc.PolicyCPU, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,17 +79,19 @@ func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread int) []pipeline.Uop 
 	uops := b.carve(len(trace))
 	b.addrRoom(len(trace))
 	for i := range trace {
-		b.scalarUop(&uops[i], &trace[i], thread)
+		b.scalarUop(&uops[i], &trace[i], thread, 0)
 	}
 	return uops
 }
 
 // smtUops builds the SMT core's stream straight from its threads'
-// scalar traces: ops are taken round-robin, one per unfinished thread
-// per turn, trace t's uops are tagged thread t, and dependency indices
-// are remapped from each trace into the merged stream as it is built.
-// The result equals mergeSMT over scalarUops of every trace without
-// building the per-thread streams.
+// scalar traces, each traced as thread 0 of the CPU layout: ops are
+// taken round-robin, one per unfinished thread per turn, trace t's
+// uops are tagged thread t with their heap and stack addresses moved
+// up t stacks (into thread t's arena and stack; see prepSlot.smt), and
+// dependency indices are remapped from each trace into the merged
+// stream as it is built. The result equals mergeSMT over scalarUops of
+// the threads' own traces without building the per-thread streams.
 func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
 	remap, cursor, total := mergeScratch(b, traces)
 	merged := b.carve(total)
@@ -102,7 +104,7 @@ func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
 				continue
 			}
 			u := &merged[k]
-			b.scalarUop(u, &tr[c], t)
+			b.scalarUop(u, &tr[c], t, uint64(t)*alloc.StackSize)
 			if u.Dep1 >= 0 {
 				u.Dep1 = remap[t][u.Dep1]
 			}
@@ -117,10 +119,11 @@ func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
 	return merged
 }
 
-// scalarUop fills u from the scalar trace op: identity address
-// translation, one active lane, the given thread tag. The caller must
-// have made addrRoom for the op's address.
-func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int) {
+// scalarUop fills u from the scalar trace op: one active lane, the
+// given thread tag, and identity address translation of the op's
+// address after moving a heap or stack address up by shift bytes. The
+// caller must have made addrRoom for the op's address.
+func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int, shift uint64) {
 	// Field stores (not a struct literal) so the compiler writes the
 	// arena slot in place instead of building and copying a stack
 	// temporary per uop; carve reuses chunk memory, so every field
@@ -136,8 +139,12 @@ func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int) {
 	u.Taken = op.Taken
 	u.Thread = thread
 	if op.Class.IsMem() {
+		a := op.Addr
+		if a >= alloc.HeapBase {
+			a += shift
+		}
 		l := len(b.addrs)
-		b.addrs = append(b.addrs, op.Addr)
+		b.addrs = append(b.addrs, a)
 		u.Accesses = b.addrs[l : l+1 : l+1]
 	}
 }

@@ -42,7 +42,7 @@ func benchBatchOps(b *testing.B) ([]simt.BatchOp, *alloc.StackGroup) {
 }
 
 // BenchmarkScalarUops measures the scalar trace -> uop conversion that
-// runScalar/runSMT perform once per request; allocs/op is the headline
+// runScalar performs once per request for the CPU; allocs/op is the headline
 // (one reset per request, zero per-op allocations once warm).
 func BenchmarkScalarUops(b *testing.B) {
 	tr := benchScalarTrace(b)

@@ -3,6 +3,7 @@ package core
 import (
 	"simr/internal/alloc"
 	"simr/internal/batch"
+	"simr/internal/isa"
 	"simr/internal/pipeline"
 	"simr/internal/simt"
 	"simr/internal/trace"
@@ -10,9 +11,10 @@ import (
 )
 
 // workSet is the prep and timing scratch of one study cell: the prep
-// slot and the pipeline cores its runs take one run after another. A
-// cell that runs one service on several architectures — the chip
-// study's CPU, SMT-8, RPU and GPU — grows each buffer once, to what the
+// slot its runs take one run after another, and the pipeline cores,
+// one per model a run times at once. A cell that runs one service on
+// several architectures — the chip study's CPU and SMT-8 together,
+// then RPU and GPU together — grows each buffer once, to what the
 // service's largest request or batch needs, instead of once per run.
 // Scratch owned by a cell, not by the worker that runs it, keeps a
 // study's allocation independent of which cells each worker took. A
@@ -25,14 +27,23 @@ type workSet struct {
 }
 
 // prepSlot is a run's prep scratch: the tracer that interprets its
-// requests, the builder its uops are carved from and the SIMT engine's
-// lock-step scratch. A stream the slot prepares stays valid until the
-// slot prepares the next one.
+// requests, the builder its uops are carved from, the SIMT engine's
+// lock-step scratch and, for the CPU side, the current group of
+// requests with the traces taken of them so far. A stream the slot
+// prepares stays valid until the slot prepares the next one.
 type prepSlot struct {
 	tr tracer
 	ub uopBuilder
 	sc simt.Scratch
+
+	group  []uservices.Request
+	traced uint // bit i: traces[i] holds group[i]'s trace
+	traces [smtWays][]isa.TraceOp
 }
+
+// cpuStack is the stack top of the CPU layout, the one stack of
+// alloc.NewStackGroup(0, 1, false).
+const cpuStack = alloc.StackRegion + alloc.StackSize
 
 // slot returns the set's prep slot, set to trace svc's requests through
 // tc (nil interprets them).
@@ -63,10 +74,30 @@ func (ws *workSet) core(i int, cfg pipeline.Config) *pipeline.Core {
 	return ws.cores[i]
 }
 
-// scalar traces req as the only thread of the one-stack group sg and
-// builds its uops: one unit of the CPU run.
-func (p *prepSlot) scalar(req *uservices.Request, sg *alloc.StackGroup) ([]pipeline.Uop, error) {
-	tr, err := p.tr.request(req, 0, sg.StackBase(0), alloc.PolicyCPU, 1)
+// setGroup makes group, at most smtWays requests, the slot's current
+// CPU-side group, none of them traced yet.
+func (p *prepSlot) setGroup(group []uservices.Request) {
+	p.group, p.traced = group, 0
+}
+
+// cpuTrace returns the trace of the group's request i in the CPU
+// layout — thread 0 on the cpuStack stack, the CPU heap policy, one
+// bank — interpreting it into lane buffer i on the group's first ask.
+func (p *prepSlot) cpuTrace(i int) ([]isa.TraceOp, error) {
+	if p.traced&(1<<i) == 0 {
+		tr, err := p.tr.request(&p.group[i], i, 0, cpuStack, alloc.PolicyCPU, 1)
+		if err != nil {
+			return nil, err
+		}
+		p.traces[i], p.traced = tr, p.traced|1<<i
+	}
+	return p.traces[i], nil
+}
+
+// scalar builds the CPU's uops of the group's request i: one unit of
+// the CPU run.
+func (p *prepSlot) scalar(i int) ([]pipeline.Uop, error) {
+	tr, err := p.cpuTrace(i)
 	if err != nil {
 		return nil, err
 	}
@@ -74,16 +105,22 @@ func (p *prepSlot) scalar(req *uservices.Request, sg *alloc.StackGroup) ([]pipel
 	return p.ub.scalarUops(tr, 0), nil
 }
 
-// smt traces group's request t as SMT thread t on sg's stack t and
-// builds the threads' round-robin merged stream: one unit of the SMT-8
-// run.
-func (p *prepSlot) smt(group []uservices.Request, sg *alloc.StackGroup) ([]pipeline.Uop, error) {
-	traces, err := p.tr.batch(group, sg, alloc.PolicyCPU, 1)
-	if err != nil {
-		return nil, err
+// smt builds the group's round-robin merged SMT-8 stream, thread t
+// running request t on stack t of an 8-way group and heap arena t:
+// one unit of the SMT-8 run. It builds the stream from the group's
+// CPU-layout traces. Thread t's stack and heap arena sit t stacks
+// above thread 0's (alloc.ArenaSize == alloc.StackSize), and each of
+// its traces equals the CPU layout's with every heap and stack address
+// moved up by that much (TestSMTRelocation checks every bundled
+// service), so smtUops relocates the addresses as it merges.
+func (p *prepSlot) smt() ([]pipeline.Uop, error) {
+	for i := range p.group {
+		if _, err := p.cpuTrace(i); err != nil {
+			return nil, err
+		}
 	}
 	p.ub.reset()
-	return p.ub.smtUops(traces), nil
+	return p.ub.smtUops(p.traces[:len(p.group)]), nil
 }
 
 // batch traces b's requests on a stack group laid out for them, runs

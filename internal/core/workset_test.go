@@ -8,6 +8,7 @@ import (
 	"simr/internal/alloc"
 	"simr/internal/batch"
 	"simr/internal/pipeline"
+	"simr/internal/sample"
 	"simr/internal/simt"
 	"simr/internal/trace"
 	"simr/internal/uservices"
@@ -15,10 +16,11 @@ import (
 
 // TestCellScratchAllocs: a chip cell's working set, warmed by one pass
 // over a service's requests, allocates nothing on a second pass through
-// CPU, SMT-8 and RPU prep — every request traced and built, every
-// SMT-8 group merged, every RPU batch lock-stepped and built — and the
-// Reset of its cores to each architecture. The first pass grows every
-// buffer to what the service's largest request and batch need.
+// CPU-side and RPU prep — every group of 8 set, every request traced
+// once and built for the CPU, every SMT-8 stream merged from the same
+// traces, every RPU batch lock-stepped and built — and the Reset of its
+// cores to each architecture. The first pass grows every buffer to what
+// the service's largest request and batch need.
 func TestCellScratchAllocs(t *testing.T) {
 	suite := uservices.NewSuite()
 	for _, name := range []string{"memc", "hdsearch-leaf"} {
@@ -31,20 +33,19 @@ func TestCellScratchAllocs(t *testing.T) {
 
 		ws := &workSet{}
 		p := ws.slot(svc, nil)
-		cpuSG := alloc.NewStackGroup(0, 1, false)
-		smtSG := alloc.NewStackGroup(0, 8, false)
 		var bs trace.BatchStream
 		pass := func() {
 			for _, a := range []Arch{ArchCPU, ArchSMT8, ArchRPU, ArchGPU} {
 				ws.core(0, PipelineConfig(a))
 			}
-			for i := range reqs {
-				if _, err := p.scalar(&reqs[i], cpuSG); err != nil {
-					t.Fatal(err)
+			for off := 0; off < len(reqs); off += smtWays {
+				p.setGroup(reqs[off:min(off+smtWays, len(reqs))])
+				for i := range p.group {
+					if _, err := p.scalar(i); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			for off := 0; off < len(reqs); off += 8 {
-				if _, err := p.smt(reqs[off:min(off+8, len(reqs))], smtSG); err != nil {
+				if _, err := p.smt(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -61,25 +62,79 @@ func TestCellScratchAllocs(t *testing.T) {
 	}
 }
 
-// TestSMTUopsMatchMerge: the SMT-8 stream built straight from the
-// threads' traces equals the round-robin merge of their per-thread uop
-// streams, for full groups and a short last one of uneven traces.
+// TestSMTRelocation pins the invariant the CPU side's shared
+// interpretation rests on: every request of every bundled service,
+// traced as SMT-8 thread t (tid t, stack t of an 8-way group, heap
+// arena t), equals its CPU-layout trace (tid 0, the one stack of a
+// 1-way group, arena 0) with every heap and stack address moved up
+// t·StackSize bytes and nothing else changed. Thread t's arena sits
+// t·ArenaSize above arena 0, so the move is one shift only while the
+// two sizes agree.
+func TestSMTRelocation(t *testing.T) {
+	if alloc.StackSize != alloc.ArenaSize {
+		t.Fatalf("StackSize %d != ArenaSize %d: an SMT thread's heap and stack move by different amounts",
+			alloc.StackSize, alloc.ArenaSize)
+	}
+	smtSG := alloc.NewStackGroup(0, smtWays, false)
+	for _, suite := range []*uservices.Suite{uservices.NewSuite(), uservices.NewGPGPUSuite()} {
+		for _, svc := range suite.Services {
+			reqs := append(genRequests(svc, 400, 7), genRequests(svc, 400, 42)...)
+			cpu, smt := tracer{svc: svc}, tracer{svc: svc}
+			for r := range reqs {
+				tid := r % smtWays
+				base, err := cpu.request(&reqs[r], 0, 0, cpuStack, alloc.PolicyCPU, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				own, err := smt.request(&reqs[r], 0, tid, smtSG.StackBase(tid), alloc.PolicyCPU, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(base) != len(own) {
+					t.Fatalf("%s request %d: %d ops as thread %d, %d in the CPU layout", svc.Name, r, len(own), tid, len(base))
+				}
+				for i := range base {
+					want := base[i]
+					if want.Addr >= alloc.HeapBase {
+						want.Addr += uint64(tid) * alloc.StackSize
+					}
+					if own[i] != want {
+						t.Fatalf("%s request %d op %d as thread %d: %+v, want the CPU layout's %+v relocated: %+v",
+							svc.Name, r, i, tid, own[i], base[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSMTUopsMatchMerge: the SMT-8 stream built from the threads'
+// CPU-layout traces equals the round-robin merge of the per-thread uop
+// streams of the traces each thread takes in its own layout, for full
+// groups and a short last one of uneven traces.
 func TestSMTUopsMatchMerge(t *testing.T) {
 	svc := uservices.NewSuite().Get("hdsearch-leaf")
 	reqs := genRequests(svc, 13, 9)
-	sg := alloc.NewStackGroup(0, 8, false)
-	tr := tracer{svc: svc}
+	sg := alloc.NewStackGroup(0, smtWays, false)
+	own := tracer{svc: svc}
+	var p prepSlot
+	p.tr.svc = svc
 	for _, group := range [][]uservices.Request{reqs[:8], reqs[8:]} {
-		traces, err := tr.batch(group, sg, alloc.PolicyCPU, 1)
+		traces, err := own.batch(group, sg, alloc.PolicyCPU, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var direct, perThread uopBuilder
+		var perThread uopBuilder
 		streams := make([][]pipeline.Uop, len(traces))
 		for i, ops := range traces {
 			streams[i] = perThread.scalarUops(ops, i)
 		}
-		if got, want := direct.smtUops(traces), perThread.mergeSMT(streams); !reflect.DeepEqual(got, want) {
+		p.setGroup(group)
+		got, err := p.smt()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perThread.mergeSMT(streams); !reflect.DeepEqual(got, want) {
 			t.Fatalf("group of %d: smtUops differs from mergeSMT over scalarUops", len(group))
 		}
 	}
@@ -97,13 +152,14 @@ func TestSMTUopsMatchMerge(t *testing.T) {
 func TestPrepPipelineDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
 	run := func(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options, ws *workSet, sys *sysList) (*Result, error) {
+		var res []*Result
+		var err error
 		switch arch {
-		case ArchCPU:
-			return runScalar(svc, reqs, opts, ws, sys)
-		case ArchSMT8:
-			return runSMT(svc, reqs, opts, ws, sys)
+		case ArchCPU, ArchSMT8:
+			res, err = runScalar(svc, reqs, []Arch{arch}, opts, ws, sys)
+		default:
+			res, err = runBatched(svc, reqs, []Arch{arch}, []Options{opts}, ws, sys)
 		}
-		res, err := runBatched(svc, reqs, []Arch{arch}, []Options{opts}, ws, sys)
 		if err != nil {
 			return nil, err
 		}
@@ -151,6 +207,72 @@ func TestPrepPipelineDeterminism(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestScalarArchesShareInterpretation: CPU and SMT-8 timed together on
+// one interpretation of each request, in either order, get exactly the
+// Results each gets alone from RunService, field for field. The cases
+// cover the unsampled loop, sampling (warmup runs, and a population
+// below one period that forces one timed unit), CPU prefetching (which
+// must reach the CPU's hierarchy only) and runs served from a trace
+// cache and a batch-stream cache; the request count leaves a short
+// last group.
+func TestScalarArchesShareInterpretation(t *testing.T) {
+	suite := uservices.NewSuite()
+	cases := []struct {
+		name   string
+		mutate func(*Options, *uservices.Service)
+	}{
+		{"base", func(*Options, *uservices.Service) {}},
+		{"sample4", func(o *Options, _ *uservices.Service) { o.Sample = sample.Config{Period: 4, Warmup: 1} }},
+		{"sample3:2", func(o *Options, _ *uservices.Service) { o.Sample = sample.Config{Period: 3, Warmup: 2} }},
+		{"sample-one-unit", func(o *Options, _ *uservices.Service) { o.Sample = sample.Config{Period: 1 << 32, Warmup: 1} }},
+		{"prefetch", func(o *Options, _ *uservices.Service) { o.CPUPrefetch = true }},
+		{"caches", func(o *Options, svc *uservices.Service) {
+			o.Traces = trace.NewCache(svc, trace.NewBudget(0))
+			o.BatchStreams = trace.NewBatchCache(trace.NewBudget(0))
+		}},
+	}
+	orders := [][]Arch{{ArchCPU, ArchSMT8}, {ArchSMT8, ArchCPU}}
+	ws, sys := &workSet{}, &sysList{}
+	for _, name := range []string{"memc", "uniqueid", "hdsearch-leaf"} {
+		svc := suite.Get(name)
+		reqs := genRequests(svc, 45, 11)
+		for _, c := range cases {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				opts := DefaultOptions()
+				c.mutate(&opts, svc)
+				for _, arches := range orders {
+					together, err := runScalar(svc, reqs, arches, opts, ws, sys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, arch := range arches {
+						alone, err := RunService(arch, svc, reqs, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(together[i], alone) {
+							t.Fatalf("%v timed beside %v differs from %v alone", arch, arches, arch)
+						}
+						if arch != ArchSMT8 || !opts.CPUPrefetch {
+							continue
+						}
+						plain := opts
+						plain.CPUPrefetch = false
+						if ref, err := RunService(arch, svc, reqs, plain); err != nil || !reflect.DeepEqual(together[i], ref) {
+							t.Fatalf("CPUPrefetch changed the SMT-8 result (err %v)", err)
+						}
+					}
+				}
+			})
+		}
+	}
+	for _, bad := range [][]Arch{{ArchCPU, ArchCPU}, {ArchSMT8, ArchSMT8}, {ArchRPU}, {ArchCPU, ArchGPU}} {
+		if _, err := runScalar(suite.Get("memc"), genRequests(suite.Get("memc"), 8, 1), bad, DefaultOptions(), nil, nil); err == nil {
+			t.Errorf("runScalar accepted architectures %v", bad)
 		}
 	}
 }

@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzCoalesce checks the MCU's structural invariants for arbitrary
 // lane address patterns: at least one access when any lane is active,
-// never more accesses than lane word-granules, and broadcast detection
-// exact.
+// never more accesses than lane word-granules, broadcast detection
+// exact, and the same result as grouping every word (coalesceRef).
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(4))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(8))
@@ -42,6 +42,7 @@ func FuzzCoalesce(f *testing.F) {
 		if st.Emitted != uint64(len(acc)) || st.LaneAccesses != uint64(total) {
 			t.Fatalf("stats inconsistent: %+v vs %d/%d", st, len(acc), total)
 		}
+		checkCoalesceRef(t, &sc, lanes, 32)
 	})
 }
 

@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // Pattern classifies what the memory coalescing unit detected for one
 // batch memory instruction.
 type Pattern uint8
@@ -151,53 +153,55 @@ func AppendCoalesce(dst []uint64, sc *CoalesceScratch, laneAddrs [][]uint64, lin
 		return append(dst, first*wordBytes&^uint64(lineBytes-1)), PatternBroadcast
 	}
 
-	// Group distinct words per line (first-occurrence order, duplicate
-	// words ignored) and check each line's words form a consecutive run.
+	// Group the distinct words per line (lines in first-touch order) and
+	// check each line's words form a consecutive run. A word outside its
+	// line's [min, max] is new and a word inside a run without gaps was
+	// seen, so only a word inside a gapped run scans the words seen so
+	// far. Coalescing must save an access, so grouping stops once the
+	// lines reach the active lane count: the op is divergent whatever
+	// the remaining words are.
 	wordsPerLine := uint64(lineBytes / wordBytes)
 	sc.words = sc.words[:0]
 	sc.runs = sc.runs[:0]
+group:
 	for _, as := range laneAddrs {
 		for _, a := range as {
 			w := a / wordBytes
-			dup := false
-			for _, seen := range sc.words {
-				if seen == w {
-					dup = true
+			la := w / wordsPerLine
+			var r *lineRun
+			for i := range sc.runs {
+				if sc.runs[i].line == la {
+					r = &sc.runs[i]
 					break
 				}
 			}
-			if dup {
-				continue
+			switch {
+			case r == nil:
+				sc.runs = append(sc.runs, lineRun{line: la, min: w, max: w, count: 1})
+				if len(sc.runs) == active {
+					break group
+				}
+			case w < r.min:
+				r.min = w
+				r.count++
+			case w > r.max:
+				r.max = w
+				r.count++
+			case r.max-r.min+1 == uint64(r.count) || slices.Contains(sc.words, w):
+				continue // seen
+			default:
+				r.count++
 			}
 			sc.words = append(sc.words, w)
-			la := w / wordsPerLine
-			found := false
-			for i := range sc.runs {
-				if r := &sc.runs[i]; r.line == la {
-					if w < r.min {
-						r.min = w
-					}
-					if w > r.max {
-						r.max = w
-					}
-					r.count++
-					found = true
-					break
-				}
-			}
-			if !found {
-				sc.runs = append(sc.runs, lineRun{line: la, min: w, max: w, count: 1})
-			}
 		}
 	}
-	consecutive := true
-	for i := range sc.runs {
+	coalesce := len(sc.runs) < active
+	for i := 0; coalesce && i < len(sc.runs); i++ {
 		if r := &sc.runs[i]; r.max-r.min+1 != uint64(r.count) {
-			consecutive = false
-			break
+			coalesce = false
 		}
 	}
-	if consecutive && len(sc.runs) < active {
+	if coalesce {
 		for i := range sc.runs {
 			dst = append(dst, sc.runs[i].line*uint64(lineBytes))
 		}

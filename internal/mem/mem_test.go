@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -254,6 +256,159 @@ func TestQuickCoalesceBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// coalesceRef is the MCU's rule spelled out with maps and no early
+// exit: broadcast when every word is the same, coalesced when every
+// touched line holds a consecutive run of distinct words and there are
+// fewer lines than active lanes, divergent otherwise.
+func coalesceRef(lanes [][]uint64, lineBytes int) ([]uint64, Pattern, MCUStats) {
+	var st MCUStats
+	active := 0
+	seen := map[uint64]bool{}
+	var words []uint64 // distinct, first-occurrence order
+	for _, as := range lanes {
+		if len(as) > 0 {
+			active++
+		}
+		for _, a := range as {
+			if w := a / wordBytes; !seen[w] {
+				seen[w] = true
+				words = append(words, w)
+			}
+		}
+	}
+	st.LaneAccesses = uint64(active)
+	if active == 0 {
+		return nil, PatternDivergent, st
+	}
+	if len(words) == 1 {
+		st.Broadcast, st.Emitted = 1, 1
+		return []uint64{words[0] * wordBytes &^ uint64(lineBytes-1)}, PatternBroadcast, st
+	}
+	var lines []uint64 // first-touch order
+	perLine := map[uint64][]uint64{}
+	for _, w := range words {
+		l := w * wordBytes / uint64(lineBytes)
+		if _, ok := perLine[l]; !ok {
+			lines = append(lines, l)
+		}
+		perLine[l] = append(perLine[l], w)
+	}
+	consecutive := true
+	for _, l := range lines {
+		lo, hi := perLine[l][0], perLine[l][0]
+		for _, w := range perLine[l] {
+			lo, hi = min(lo, w), max(hi, w)
+		}
+		if hi-lo+1 != uint64(len(perLine[l])) {
+			consecutive = false
+		}
+	}
+	var out []uint64
+	if consecutive && len(lines) < active {
+		for _, l := range lines {
+			out = append(out, l*uint64(lineBytes))
+		}
+		st.Coalesced, st.Emitted = 1, uint64(len(lines))
+		return out, PatternCoalesced, st
+	}
+	for _, as := range lanes {
+		if len(as) > 0 {
+			out = append(out, as[0]&^(wordBytes-1))
+		}
+	}
+	st.Divergent, st.Emitted = 1, uint64(active)
+	return out, PatternDivergent, st
+}
+
+// checkCoalesceRef fails t when AppendCoalesce and coalesceRef differ
+// on lanes in emitted addresses, pattern or MCUStats.
+func checkCoalesceRef(t *testing.T, sc *CoalesceScratch, lanes [][]uint64, lineBytes int) {
+	t.Helper()
+	var st MCUStats
+	got, pat := AppendCoalesce(nil, sc, lanes, lineBytes, &st)
+	want, wantPat, wantSt := coalesceRef(lanes, lineBytes)
+	if pat != wantPat || st != wantSt || !slices.Equal(got, want) {
+		t.Fatalf("lanes %v: got %v %v %+v, full grouping gives %v %v %+v",
+			lanes, got, pat, st, want, wantPat, wantSt)
+	}
+}
+
+// TestCoalesceMatchesFullGrouping: the coalescer, which stops grouping
+// once the touched lines reach the active lane count, emits the same
+// addresses, pattern and counts as grouping every word. The lanes mix
+// inactive lanes, multi-granule accesses, duplicate words and address
+// spans from one line to many, so every pattern and the early exit at
+// every position occur.
+func TestCoalesceMatchesFullGrouping(t *testing.T) {
+	var sc CoalesceScratch
+	// Directed cases: a gapped run filled in later and then re-read, a
+	// word below a run's min, duplicates inside and outside runs, a
+	// 2-granule lane straddling lines, and lines reaching the active
+	// count at the last word.
+	for _, lanes := range [][][]uint64{
+		{{0}, {8}, {4}, {8}, {4}, {0}},
+		{{0}, {8}, {0}, {8}},
+		{{8}, {4}, {0}, {12}},
+		{{16}, {0}, {8}, {4}, {12}, {4}},
+		{{28, 32}, {36}, {24}},
+		{{0}, {32}, {64}, {96}},
+		{{0}, nil, {32}, nil, {4}},
+		{{0, 4}, {0, 4}, {64, 68}},
+	} {
+		checkCoalesceRef(t, &sc, lanes, 32)
+	}
+	r := rand.New(rand.NewSource(1))
+	patterns := map[Pattern]int{}
+	for iter := 0; iter < 20000; iter++ {
+		lineBytes := 32 << r.Intn(3)
+		span := uint64(4) << r.Intn(10) // bytes the lanes' addresses spread over
+		base := uint64(r.Intn(1<<20)) &^ 3
+		stride := uint64(r.Intn(3)) * 4
+		lanes := make([][]uint64, 1+r.Intn(32))
+		for i := range lanes {
+			if r.Intn(6) == 0 {
+				continue // inactive lane
+			}
+			a := base + (uint64(i)*stride+uint64(r.Int63n(int64(span))))&^3
+			if r.Intn(2) == 0 {
+				a = base + uint64(i)*stride // a strided lane: coalescible runs
+			}
+			for g := 0; g < 1+r.Intn(2); g++ {
+				lanes[i] = append(lanes[i], a+uint64(g)*4)
+			}
+		}
+		checkCoalesceRef(t, &sc, lanes, lineBytes)
+		_, pat, _ := coalesceRef(lanes, lineBytes)
+		patterns[pat]++
+	}
+	for _, p := range []Pattern{PatternBroadcast, PatternCoalesced, PatternDivergent} {
+		if patterns[p] == 0 {
+			t.Errorf("no case gave pattern %v: %v", p, patterns)
+		}
+	}
+}
+
+// TestTLBNonPow2Geometry: a bank count and page size that are not
+// powers of two take the dividing index path.
+func TestTLBNonPow2Geometry(t *testing.T) {
+	tlb := NewTLB(TLBConfig{EntriesPerBank: 2, Banks: 3, MissLatCycles: 40, PageBytes: 6000})
+	for _, c := range []struct {
+		addr uint64
+		bank int
+		lat  uint64
+	}{
+		{0, 4, 40},    // bank 1, page 0: cold
+		{5999, 1, 0},  // bank 1, page 0 again
+		{6000, 7, 40}, // bank 1, page 1
+		{5999, 0, 40}, // bank 0 holds no page yet
+		{6001, 4, 0},  // bank 1, page 1 again
+	} {
+		if lat := tlb.Lookup(c.addr, c.bank); lat != c.lat {
+			t.Fatalf("Lookup(%d, %d) = %d, want %d", c.addr, c.bank, lat, c.lat)
+		}
 	}
 }
 

@@ -89,20 +89,30 @@ func NewTLB(cfg TLBConfig) *TLB {
 	return t
 }
 
+// index returns the TLB bank that serves cacheBank and addr's page
+// number, dividing only for a bank count or page size that is not a
+// power of two.
+func (t *TLB) index(addr uint64, cacheBank int) (bank int, page uint64) {
+	if t.banksPow2 {
+		bank = cacheBank & t.bankMask
+	} else {
+		bank = cacheBank % t.cfg.Banks
+	}
+	if t.pagePow2 {
+		page = addr >> t.pageShift
+	} else {
+		page = addr / t.cfg.PageBytes
+	}
+	return bank, page
+}
+
 // Lookup translates addr through the TLB bank that serves the given
 // cache bank; it returns the added latency (0 on hit, the walk penalty
 // on a miss, with the entry filled).
 func (t *TLB) Lookup(addr uint64, cacheBank int) uint64 {
 	t.tick++
 	t.Stats.Accesses++
-	b := cacheBank % t.cfg.Banks
-	if t.banksPow2 {
-		b = cacheBank & t.bankMask
-	}
-	page := addr / t.cfg.PageBytes
-	if t.pagePow2 {
-		page = addr >> t.pageShift
-	}
+	b, page := t.index(addr, cacheBank)
 	pages, used := t.pages[b], t.used[b]
 	for i, p := range pages {
 		if p == page {
@@ -141,14 +151,7 @@ func (t *TLB) Lookup(addr uint64, cacheBank int) uint64 {
 // nothing.
 func (t *TLB) Warm(addr uint64, cacheBank int) {
 	t.tick++
-	b := cacheBank % t.cfg.Banks
-	if t.banksPow2 {
-		b = cacheBank & t.bankMask
-	}
-	page := addr / t.cfg.PageBytes
-	if t.pagePow2 {
-		page = addr >> t.pageShift
-	}
+	b, page := t.index(addr, cacheBank)
 	pages, used := t.pages[b], t.used[b]
 	for i, p := range pages {
 		if p == page {

@@ -157,7 +157,10 @@ type Metric struct {
 	// Mean is the per-unit sample mean over the timed units.
 	Mean float64 `json:"mean_per_unit"`
 	// RelCI95 is the 95% confidence half-interval relative to the
-	// mean (0 when the mean is 0 or fewer than two units were timed).
+	// mean: 0 when the mean is 0, and also 0 when fewer than two units
+	// were timed. Unless that one unit was the whole population, the
+	// interval is then unknown rather than zero, and
+	// core.WriteSampling prints n/a for it.
 	RelCI95 float64 `json:"rel_ci95"`
 }
 

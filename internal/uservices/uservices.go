@@ -90,15 +90,16 @@ func (s *Service) Generate(r *rand.Rand, n int) []Request {
 
 // Trace executes the request's program for thread tid and returns the
 // scalar dynamic trace. stackBase is the thread's stack segment top and
-// heap its arena. The request stream is seeded through seedrng, which
-// emits exactly rand.New(rand.NewSource(req.Seed)) without re-paying
-// the source warmup on every interpretation of the same request.
+// heap its arena. The request's rng is a seedrng source, which emits
+// exactly rand.New(rand.NewSource(req.Seed)) but computes each word of
+// the source's seeded state only when a draw first reads it, instead
+// of paying the source's full seeding warm-up on every interpretation.
 func (s *Service) Trace(req *Request, tid int, stackBase uint64, heap isa.Heap) ([]isa.TraceOp, error) {
 	return s.TraceInto(NewTraceCtx(), req, tid, stackBase, heap, nil)
 }
 
-// NewTraceCtx returns a reusable context for TraceInto whose rng is
-// seedrng-backed.
+// NewTraceCtx returns a reusable context for TraceInto. Its rng is a
+// seedrng source, which TraceInto reseeds from each request's seed.
 func NewTraceCtx() *isa.Ctx { return &isa.Ctx{Rand: seedrng.New(0)} }
 
 // TraceInto is Trace on caller-owned state, for callers that interpret
