@@ -1,11 +1,10 @@
 // Command benchjson runs the trajectory studies and appends one
 // machine-readable entry per study to its BENCH_<study>.json file: the
 // tail-at-scale sweep (BENCH_queuesim.json), the service-graph
-// saturation sweep (BENCH_graphs.json), the batch-stream cache study
-// (BENCH_batchcache.json) and sampled-vs-full simulation
-// (BENCH_sampling.json). Studies that time equivalent computations
-// against each other also byte-compare their outputs, so a trajectory
-// only ever records speedups of equivalent computations.
+// saturation sweep (BENCH_graphs.json) and the batch-stream cache
+// study (BENCH_batchcache.json). The cache study byte-compares the
+// outputs of the configurations it times against each other, so its
+// trajectory only ever records speedups of equivalent computations.
 //
 // Usage:
 //
@@ -18,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"runtime"
 	"time"
@@ -27,38 +25,8 @@ import (
 	"simr/internal/core"
 	"simr/internal/obs"
 	"simr/internal/queuesim"
-	"simr/internal/sample"
 	"simr/internal/uservices"
 )
-
-// SamplingMetric is one headline metric's sampled-vs-full error over
-// the chip-study cells.
-type SamplingMetric struct {
-	Name string `json:"name"`
-	// GeoMeanErr is exp(mean(ln(1+|err|)))-1 over the cells.
-	GeoMeanErr float64 `json:"geomean_err"`
-	MaxErr     float64 `json:"max_err"`
-	// MeanRelCI averages the estimate's own reported 95% CI, so the
-	// trajectory records predicted next to realised error.
-	MeanRelCI float64 `json:"mean_rel_ci95"`
-}
-
-// SamplingEntry is one sampled-vs-full trajectory point, written to
-// BENCH_sampling.json.
-type SamplingEntry struct {
-	Timestamp  string           `json:"timestamp"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Workers    int              `json:"workers"`
-	Requests   int              `json:"requests"`
-	Seed       int64            `json:"seed"`
-	Sample     string           `json:"sample"`
-	FullSec    float64          `json:"full_s"`
-	SampledSec float64          `json:"sampled_s"`
-	Speedup    float64          `json:"speedup"`
-	TimedUnits int              `json:"timed_units"`
-	TotalUnits int              `json:"total_units"`
-	Metrics    []SamplingMetric `json:"metrics"`
-}
 
 // BatchCacheEntry is one batch-stream-cache trajectory point, written
 // to BENCH_batchcache.json: the §V-A1 sensitivity study, whose
@@ -66,20 +34,19 @@ type SamplingEntry struct {
 // replay the baseline's batch streams and whose layout ablations and
 // CPU prefetcher run replay its scalar traces, timed with no caches,
 // with the scalar trace cache only, and with both caches (the
-// default), plus a sampled run with both. The three unsampled runs are
-// byte-compared, so the trajectory only ever records speedups of
-// equivalent computations. Entries written before the timing sweep
-// stopped caching (it now prepares each batch once for all eight of a
-// service's variants) timed that sweep instead.
+// default). The three runs are byte-compared, so the trajectory only
+// ever records speedups of equivalent computations. Entries written
+// before the timing sweep stopped caching (it now prepares each batch
+// once for all eight of a service's variants) timed that sweep
+// instead; entries written before sampled timing simulation was
+// deleted also carry a sampled run (sample, batchcache_sampled_s,
+// speedup_sampled_vs_nocache).
 type BatchCacheEntry struct {
 	Timestamp  string `json:"timestamp"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
 	Requests   int    `json:"requests"`
 	Seed       int64  `json:"seed"`
-	// Sample is the config of the sampled run (the unsampled runs
-	// record their own trajectory fields).
-	Sample string `json:"sample"`
 	// NoCacheSec runs with scalar trace caching and batch-stream
 	// caching both off: every cell interprets, merges and builds every
 	// batch, into its slots' own buffers.
@@ -92,18 +59,12 @@ type BatchCacheEntry struct {
 	// cache on top of the scalar trace cache (the ablations that only
 	// retime the baseline replay its prepared batches).
 	BatchCacheSec float64 `json:"batchcache_s"`
-	// SampledSec runs the default configuration plus sampled timing
-	// (Sample).
-	SampledSec float64 `json:"batchcache_sampled_s"`
 	// SpeedupVsScalar is ScalarCacheSec / BatchCacheSec.
 	SpeedupVsScalar float64 `json:"speedup_vs_scalarcache"`
 	// SpeedupVsNoCache is NoCacheSec / BatchCacheSec.
 	SpeedupVsNoCache float64 `json:"speedup_vs_nocache"`
-	// SpeedupSampled is NoCacheSec / SampledSec (caches + sampling
-	// stacked against the uncached full-timing baseline).
-	SpeedupSampled float64 `json:"speedup_sampled_vs_nocache"`
-	// Identical reports whether the three unsampled runs rendered
-	// byte-identical sweeps.
+	// Identical reports whether the three runs rendered byte-identical
+	// sweeps.
 	Identical bool `json:"outputs_identical"`
 	// Metrics snapshots the both-caches run's obs registry
 	// (trace.cache and trace.batchcache hits/misses/bypassed/bytes_hwm
@@ -185,9 +146,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	workers := flag.Int("workers", 8, "sweep worker goroutines")
 	seconds := flag.Float64("seconds", 1, "simulated seconds per syssim load point")
-	cacheSample := flag.String("cachesample", "4:3", "sample config for the batch-cache study's stacked run (PERIOD[:WARMUP])")
 	only := flag.String("only", "", "run a single study and skip the rest (supported: queuesim)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Sample|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Interrupt)
 	flag.Parse()
 	if *only != "" && *only != "queuesim" {
 		log.Fatalf("-only %q: unsupported study (supported: queuesim)", *only)
@@ -197,14 +157,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer stop()
-	scfg := sample.Default()
-	// Every study but the sampled-vs-full one runs unsampled; the
-	// -sample flag chooses the config that study measures (default
-	// 4:1).
-	sample.SetDefault(sample.Config{})
-	if !scfg.Sampling() {
-		scfg = sample.Config{Period: 4, Warmup: 1}
-	}
 
 	suite := uservices.NewSuite()
 	stamp := time.Now().UTC().Format(time.RFC3339)
@@ -237,17 +189,13 @@ func main() {
 	}
 	fmt.Println("appended to BENCH_graphs.json")
 
-	ccfg, err := sample.Parse(*cacheSample)
-	if err != nil || !ccfg.Sampling() {
-		log.Fatalf("-cachesample %q: need PERIOD[:WARMUP] with PERIOD > 1", *cacheSample)
-	}
-	be := benchBatchCache(suite, *requests, *seed, *workers, ccfg)
+	be := benchBatchCache(suite, *requests, *seed, *workers)
 	be.Timestamp = stamp
 	be.GoMaxProcs = gomaxprocs
-	fmt.Printf("%-22s nocache %7.3fs  scalar %7.3fs  batch %7.3fs  sampled %7.3fs\n",
-		"batchcache-sensitivity", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec, be.SampledSec)
-	fmt.Printf("%-22s vs scalar %.2fx  vs nocache %.2fx  sampled vs nocache %.2fx  identical=%v\n",
-		"", be.SpeedupVsScalar, be.SpeedupVsNoCache, be.SpeedupSampled, be.Identical)
+	fmt.Printf("%-22s nocache %7.3fs  scalar %7.3fs  batch %7.3fs\n",
+		"batchcache-sensitivity", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec)
+	fmt.Printf("%-22s vs scalar %.2fx  vs nocache %.2fx  identical=%v\n",
+		"", be.SpeedupVsScalar, be.SpeedupVsNoCache, be.Identical)
 	if !be.Identical {
 		log.Fatal("batchcache-sensitivity: outputs differ across cache configurations")
 	}
@@ -255,126 +203,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("appended to BENCH_batchcache.json")
-
-	se := benchSampling(suite, *requests, *seed, *workers, scfg)
-	se.Timestamp = stamp
-	se.GoMaxProcs = gomaxprocs
-	se.Workers = *workers
-	se.Requests = *requests
-	se.Seed = *seed
-	fmt.Printf("%-22s full %7.3fs  sampled %7.3fs  speedup %.2fx  timed %d/%d\n",
-		"sampling-"+se.Sample, se.FullSec, se.SampledSec, se.Speedup, se.TimedUnits, se.TotalUnits)
-	for _, m := range se.Metrics {
-		fmt.Printf("  %-20s geomean err %6.2f%%  max err %6.2f%%  reported CI %6.2f%%\n",
-			m.Name, 100*m.GeoMeanErr, 100*m.MaxErr, 100*m.MeanRelCI)
-	}
-	if err := appendJSON("BENCH_sampling.json", se); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("appended to BENCH_sampling.json")
-}
-
-// benchSampling times the Figure 19 chip study fully simulated and
-// under the given sampling config, then compares the two on the
-// headline metrics (requests/joule and mean latency) cell by cell.
-// Both runs use the same worker pool and seed; the sampled run's own
-// CI estimates ride along so the trajectory records predicted next to
-// realised error.
-func benchSampling(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) SamplingEntry {
-	run := func() []core.ChipRow {
-		rows, err := core.ChipStudyParallel(suite, requests, seed, false, workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rows
-	}
-	sample.SetDefault(sample.Config{})
-	t0 := time.Now()
-	full := run()
-	fullSec := time.Since(t0).Seconds()
-
-	sample.SetDefault(scfg)
-	t1 := time.Now()
-	sampled := run()
-	sampledSec := time.Since(t1).Seconds()
-	sample.SetDefault(sample.Config{})
-
-	entry := SamplingEntry{
-		Sample:     scfg.String(),
-		FullSec:    fullSec,
-		SampledSec: sampledSec,
-		Speedup:    fullSec / sampledSec,
-	}
-
-	type accum struct {
-		logSum float64
-		maxErr float64
-		ciSum  float64
-		n      int
-	}
-	metrics := []struct {
-		name string
-		val  func(r *core.Result) float64
-		ci   func(e *sample.Estimate) float64
-	}{
-		{"req_per_joule", (*core.Result).ReqPerJoule,
-			func(e *sample.Estimate) float64 { return e.MaxRelCI() }},
-		{"mean_latency", (*core.Result).AvgLatencySec,
-			func(e *sample.Estimate) float64 { return e.Metric("cycles").RelCI95 }},
-	}
-	accums := make([]accum, len(metrics))
-	for i := range full {
-		pairs := [][2]*core.Result{
-			{full[i].CPU, sampled[i].CPU},
-			{full[i].SMT, sampled[i].SMT},
-			{full[i].RPU, sampled[i].RPU},
-			{full[i].GPU, sampled[i].GPU},
-		}
-		for _, p := range pairs {
-			if p[0] == nil || p[1] == nil {
-				continue
-			}
-			if est := p[1].Sampled; est != nil {
-				entry.TimedUnits += est.Timed
-				entry.TotalUnits += est.Units
-			}
-			for k, m := range metrics {
-				ref := m.val(p[0])
-				if ref == 0 {
-					continue
-				}
-				err := math.Abs(m.val(p[1])-ref) / ref
-				a := &accums[k]
-				a.logSum += math.Log1p(err)
-				if err > a.maxErr {
-					a.maxErr = err
-				}
-				if est := p[1].Sampled; est != nil {
-					a.ciSum += m.ci(est)
-				}
-				a.n++
-			}
-		}
-	}
-	for k, m := range metrics {
-		a := accums[k]
-		sm := SamplingMetric{Name: m.name}
-		if a.n > 0 {
-			sm.GeoMeanErr = math.Expm1(a.logSum / float64(a.n))
-			sm.MaxErr = a.maxErr
-			sm.MeanRelCI = a.ciSum / float64(a.n)
-		}
-		entry.Metrics = append(entry.Metrics, sm)
-	}
-	return entry
 }
 
 // benchBatchCache times the §V-A1 sensitivity study — the sweep whose
 // cells replay batch streams: its timing-only ablations retime the
-// baseline's prepared batches — under three cache configurations plus
-// a sampled run, byte-comparing the unsampled outputs: no caches, the
-// scalar-trace cache alone, and both caches (the default).
-func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) BatchCacheEntry {
+// baseline's prepared batches — under three cache configurations,
+// byte-comparing their outputs: no caches, the scalar-trace cache
+// alone, and both caches (the default).
+func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int) BatchCacheEntry {
 	run := func() (float64, []byte) {
 		var buf bytes.Buffer
 		t0 := time.Now()
@@ -407,17 +243,6 @@ func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers i
 		Metrics:          reg.Snapshot(),
 	}
 	obs.Disable()
-
-	// Sampled timing stacks multiplicatively on the caches: warm units
-	// replay cached streams through the functional path and skipped
-	// units cost nothing. Its output legitimately differs (it is an
-	// estimate), so it is timed but not byte-compared.
-	sample.SetDefault(scfg)
-	sampledSec, _ := run()
-	sample.SetDefault(sample.Config{})
-	entry.Sample = scfg.String()
-	entry.SampledSec = sampledSec
-	entry.SpeedupSampled = noSec / sampledSec
 	return entry
 }
 

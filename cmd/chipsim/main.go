@@ -46,7 +46,7 @@ func main() {
 	gpu := flag.Bool("gpu", true, "include the GPU design point")
 	jsonOut := flag.Bool("json", false, "emit the chip study as JSON instead of tables")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Cache|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Cache|cli.Interrupt)
 	flag.Parse()
 	if err := checkSelectors(*fig, *table); err != nil {
 		log.Fatal(err)
@@ -173,9 +173,6 @@ func main() {
 		fmt.Println("Figure 21: latency-component metrics (RPU relative to CPU)")
 		core.WriteFig21(os.Stdout, rows)
 	}
-	// Prints nothing unless the study ran sampled (Period > 1), so
-	// default output is unchanged.
-	core.WriteSampling(os.Stdout, rows)
 }
 
 // checkSelectors rejects a -fig or -table value that names nothing

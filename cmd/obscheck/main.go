@@ -6,21 +6,16 @@
 // load). CI runs it against the bench-smoke outputs; exit status 0
 // means the files are well-formed.
 //
-// It also validates BENCH_sampling.json trajectories (-sampling):
-// each entry must be self-describing (gomaxprocs, sample config),
-// carry positive wall-clock pairs, and report finite non-negative
-// per-metric errors with a timed-units split consistent with the
-// population.
-//
-// It likewise validates BENCH_queuesim.json trajectories (-queuesim):
+// It also validates BENCH_queuesim.json trajectories (-queuesim):
 // every tail-at-scale entry must carry well-formed sweep points with
 // positive loads and wall clocks, ordered latency percentiles, and
 // completion accounting that never exceeds arrivals.
 //
 // And BENCH_batchcache.json trajectories (-batchcache): every entry
-// must be self-describing, carry positive wall clocks for all four
-// cache configurations, internally consistent speedup ratios, and
-// byte-identical unsampled outputs.
+// must be self-describing, carry positive wall clocks for all three
+// cache configurations (and for the sampled run that entries written
+// before sampled simulation was deleted also carry), internally
+// consistent speedup ratios, and byte-identical outputs.
 //
 // And BENCH_graphs.json trajectories (-graphs): every service-graph
 // entry must carry uniquely named graphs with positive saturation
@@ -28,7 +23,7 @@
 //
 // Usage:
 //
-//	obscheck [-metrics out.json] [-trace out.trace.json] [-sampling BENCH_sampling.json] [-queuesim BENCH_queuesim.json] [-graphs BENCH_graphs.json] [-batchcache BENCH_batchcache.json]
+//	obscheck [-metrics out.json] [-trace out.trace.json] [-queuesim BENCH_queuesim.json] [-graphs BENCH_graphs.json] [-batchcache BENCH_batchcache.json]
 package main
 
 import (
@@ -43,13 +38,12 @@ import (
 func main() {
 	metrics := flag.String("metrics", "", "metrics snapshot JSON to validate")
 	trace := flag.String("trace", "", "Chrome-trace JSON to validate")
-	sampling := flag.String("sampling", "", "BENCH_sampling.json trajectory to validate")
 	qsim := flag.String("queuesim", "", "BENCH_queuesim.json trajectory to validate")
 	graphs := flag.String("graphs", "", "BENCH_graphs.json trajectory to validate")
 	bcache := flag.String("batchcache", "", "BENCH_batchcache.json trajectory to validate")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *sampling == "" && *qsim == "" && *graphs == "" && *bcache == "" {
-		log.Fatal("obscheck: give -metrics, -trace, -sampling, -queuesim, -graphs and/or -batchcache")
+	if *metrics == "" && *trace == "" && *qsim == "" && *graphs == "" && *bcache == "" {
+		log.Fatal("obscheck: give -metrics, -trace, -queuesim, -graphs and/or -batchcache")
 	}
 	if *metrics != "" {
 		if err := checkMetrics(*metrics); err != nil {
@@ -62,12 +56,6 @@ func main() {
 			log.Fatalf("obscheck: %s: %v", *trace, err)
 		}
 		fmt.Printf("%s: trace ok\n", *trace)
-	}
-	if *sampling != "" {
-		if err := checkSampling(*sampling); err != nil {
-			log.Fatalf("obscheck: %s: %v", *sampling, err)
-		}
-		fmt.Printf("%s: sampling trajectory ok\n", *sampling)
 	}
 	if *qsim != "" {
 		if err := checkQueuesim(*qsim); err != nil {
@@ -91,8 +79,10 @@ func main() {
 
 // checkBatchCache enforces the BENCH_batchcache.json schema benchjson
 // writes: an array of cache-configuration timing entries whose speedup
-// ratios match their wall clocks and whose unsampled runs rendered
-// byte-identically.
+// ratios match their wall clocks and whose runs rendered
+// byte-identically. An entry that names a sampled run (sample, from
+// before sampled simulation was deleted) must time it consistently
+// too; one that does not must carry no sampled timings.
 func checkBatchCache(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -129,22 +119,29 @@ func checkBatchCache(path string) error {
 		if e.Requests < 1 {
 			return fmt.Errorf("entry %d: requests %d", i, e.Requests)
 		}
-		if e.Sample == "" || e.Sample == "off" {
-			return fmt.Errorf("entry %d: sampled run config %q", i, e.Sample)
-		}
-		for _, v := range []float64{e.NoCacheSec, e.ScalarCacheSec, e.BatchCacheSec, e.SampledSec} {
-			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("entry %d: non-positive wall clock %v", i, v)
-			}
-		}
-		checks := []struct {
+		type ratio struct {
 			name      string
 			num, den  float64
 			announced float64
-		}{
+		}
+		walls := []float64{e.NoCacheSec, e.ScalarCacheSec, e.BatchCacheSec}
+		checks := []ratio{
 			{"speedup_vs_scalarcache", e.ScalarCacheSec, e.BatchCacheSec, e.SpeedupVsScalar},
 			{"speedup_vs_nocache", e.NoCacheSec, e.BatchCacheSec, e.SpeedupVsNoCache},
-			{"speedup_sampled_vs_nocache", e.NoCacheSec, e.SampledSec, e.SpeedupSampled},
+		}
+		switch {
+		case e.Sample == "off":
+			return fmt.Errorf("entry %d: sampled run config %q", i, e.Sample)
+		case e.Sample != "":
+			walls = append(walls, e.SampledSec)
+			checks = append(checks, ratio{"speedup_sampled_vs_nocache", e.NoCacheSec, e.SampledSec, e.SpeedupSampled})
+		case e.SampledSec != 0 || e.SpeedupSampled != 0:
+			return fmt.Errorf("entry %d: sampled timings without a sampled run config", i)
+		}
+		for _, v := range walls {
+			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("entry %d: non-positive wall clock %v", i, v)
+			}
 		}
 		for _, c := range checks {
 			want := c.num / c.den
@@ -153,7 +150,7 @@ func checkBatchCache(path string) error {
 			}
 		}
 		if !e.Identical {
-			return fmt.Errorf("entry %d: unsampled outputs were not byte-identical", i)
+			return fmt.Errorf("entry %d: outputs were not byte-identical", i)
 		}
 	}
 	return nil
@@ -391,78 +388,6 @@ func checkMetrics(path string) error {
 			}
 			if _, ok := sc.Gauges["bytes_hwm"]; !ok {
 				return fmt.Errorf("scope %s: missing gauge bytes_hwm", sc.Name)
-			}
-		}
-	}
-	return nil
-}
-
-// checkSampling enforces the BENCH_sampling.json schema benchjson
-// writes: an array of self-describing sampled-vs-full entries.
-func checkSampling(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var entries []struct {
-		Timestamp  string  `json:"timestamp"`
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Workers    int     `json:"workers"`
-		Requests   int     `json:"requests"`
-		Sample     string  `json:"sample"`
-		FullSec    float64 `json:"full_s"`
-		SampledSec float64 `json:"sampled_s"`
-		Speedup    float64 `json:"speedup"`
-		TimedUnits int     `json:"timed_units"`
-		TotalUnits int     `json:"total_units"`
-		Metrics    []struct {
-			Name       string  `json:"name"`
-			GeoMeanErr float64 `json:"geomean_err"`
-			MaxErr     float64 `json:"max_err"`
-			MeanRelCI  float64 `json:"mean_rel_ci95"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return fmt.Errorf("not a sampling trajectory: %w", err)
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("no entries recorded")
-	}
-	for i, e := range entries {
-		if e.Timestamp == "" {
-			return fmt.Errorf("entry %d: missing timestamp", i)
-		}
-		if e.GoMaxProcs < 1 {
-			return fmt.Errorf("entry %d: gomaxprocs %d", i, e.GoMaxProcs)
-		}
-		if e.Requests < 1 {
-			return fmt.Errorf("entry %d: requests %d", i, e.Requests)
-		}
-		if e.Sample == "" || e.Sample == "off" {
-			return fmt.Errorf("entry %d: sample config %q", i, e.Sample)
-		}
-		if e.FullSec <= 0 || e.SampledSec <= 0 || e.Speedup <= 0 {
-			return fmt.Errorf("entry %d: non-positive timings %v/%v/%v",
-				i, e.FullSec, e.SampledSec, e.Speedup)
-		}
-		if e.TimedUnits < 1 || e.TimedUnits > e.TotalUnits {
-			return fmt.Errorf("entry %d: timed units %d of %d", i, e.TimedUnits, e.TotalUnits)
-		}
-		if len(e.Metrics) == 0 {
-			return fmt.Errorf("entry %d: no metrics", i)
-		}
-		for _, m := range e.Metrics {
-			if m.Name == "" {
-				return fmt.Errorf("entry %d: metric with empty name", i)
-			}
-			for _, v := range []float64{m.GeoMeanErr, m.MaxErr, m.MeanRelCI} {
-				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("entry %d: metric %s has bad value %v", i, m.Name, v)
-				}
-			}
-			if m.GeoMeanErr > m.MaxErr {
-				return fmt.Errorf("entry %d: metric %s geomean %v exceeds max %v",
-					i, m.Name, m.GeoMeanErr, m.MaxErr)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func main() {
 	requests := flag.Int("requests", 240, "requests per service for -bench")
 	seed := flag.Int64("seed", 42, "workload seed for -bench")
 	parallel := flag.Int("parallel", 0, "worker goroutines for -bench (0 = one per CPU)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Interrupt)
 	flag.Parse()
 	_, stop, err := cf.Start()
 	if err != nil {

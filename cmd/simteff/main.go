@@ -24,7 +24,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload random seed")
 	fig := flag.Int("fig", 11, "figure to print: 4 (naive only) or 11 (all policies)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Interrupt)
 	flag.Parse()
 	if *fig != 4 && *fig != 11 {
 		log.Fatalf("unknown figure %d (want 4 or 11)", *fig)

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"strings"
 
 	"simr/internal/cli"
@@ -18,6 +19,24 @@ import (
 	"simr/internal/obs"
 	"simr/internal/queuesim"
 )
+
+// checkGrid rejects a sweep with no load points, or a non-positive or
+// non-finite -seconds or -max: those would print only the table
+// headers, or rows of zeros, and exit 0.
+func checkGrid(points int, seconds, maxQPS float64) error {
+	if points < 1 {
+		return fmt.Errorf("-points %d: need at least one load point", points)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"seconds", seconds}, {"max", maxQPS}} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("-%s %v: need a positive, finite value", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 func main() {
 	seconds := flag.Float64("seconds", 4, "simulated seconds per load point")
@@ -40,6 +59,9 @@ func main() {
 	drain := flag.Float64("drain", 2, "tail mode: drain horizon (seconds past the arrival window)")
 	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Interrupt)
 	flag.Parse()
+	if err := checkGrid(*points, *seconds, *maxQPS); err != nil {
+		log.Fatal(err)
+	}
 	_, stop, err := cf.Start()
 	if err != nil {
 		log.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"simr/internal/alloc"
-	"simr/internal/cli"
 	"simr/internal/mem"
 	"simr/internal/simt"
 	"simr/internal/uservices"
@@ -30,13 +29,7 @@ func main() {
 	static := flag.Bool("static", false, "print the static program listing (disassembly) instead of traces")
 	limit := flag.Int("limit", 64, "max instructions to print")
 	seed := flag.Int64("seed", 1, "workload seed")
-	cf := cli.Register(flag.CommandLine, cli.Sample)
 	flag.Parse()
-	_, stop, err := cf.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stop()
 
 	suite := uservices.NewSuite()
 	svc := suite.Get(*service)

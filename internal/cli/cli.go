@@ -2,7 +2,7 @@
 // share. A command registers the flag groups it honours before
 // flag.Parse and calls Start once after it:
 //
-//	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Sample)
+//	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Cache)
 //	flag.Parse()
 //	_, stop, err := cf.Start()
 //	if err != nil {
@@ -30,7 +30,6 @@ import (
 
 	"simr/internal/core"
 	"simr/internal/obs"
-	"simr/internal/sample"
 )
 
 // Group selects what Register sets up; combine groups with |.
@@ -44,9 +43,6 @@ const (
 	// (a Chrome-trace / Perfetto JSON timeline). With neither given
 	// the obs hub stays disabled and every instrument is a no-op.
 	Metrics
-	// Sample registers -sample, the sampled-simulation default every
-	// cycle-level chip study picks up (see internal/sample).
-	Sample
 	// Cache registers -batchcache and -cachebudget, the sweep-cache
 	// knobs. Both change only wall clock and memory.
 	Cache
@@ -64,7 +60,6 @@ type Flags struct {
 	memProfile *string
 	metrics    *string
 	trace      *string
-	sample     *string
 	batchCache *bool
 	cacheMiB   *int
 }
@@ -81,10 +76,6 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 		f.metrics = fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on exit")
 		f.trace = fs.String("trace", "", "write a Chrome-trace (Perfetto) JSON timeline to this file on exit")
 	}
-	if groups&Sample != 0 {
-		f.sample = fs.String("sample", "off",
-			"sampled timing simulation: 'off', PERIOD (warmup 1) or PERIOD:WARMUP — time every PERIOD-th batch, functionally warm WARMUP batches before each, skip the rest (1 = time everything)")
-	}
 	if groups&Cache != 0 {
 		f.batchCache = fs.Bool("batchcache", true,
 			"memoize post-merge batch uop streams across sweep cells (outputs are byte-identical on or off)")
@@ -94,10 +85,9 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 	return f
 }
 
-// Start installs the parsed flags: the sampling default and the cache
-// settings, then the interrupt context, the CPU profile and the obs
-// hub. ctx is the context core.RunCells
-// sweeps honour: with Interrupt it is done after the first SIGINT or
+// Start installs the parsed flags: the cache settings, then the
+// interrupt context, the CPU profile and the obs hub. ctx is the
+// context core.RunCells sweeps honour: with Interrupt it is done after the first SIGINT or
 // SIGTERM (or once stop runs), otherwise it is never done. stop undoes
 // the setup in reverse order, writing the heap profile, the metrics
 // snapshot and the trace (errors go to stderr). stop is never nil and
@@ -106,13 +96,6 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 // the error.
 func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
 	ctx = context.Background()
-	if f.sample != nil {
-		cfg, err := sample.Parse(*f.sample)
-		if err != nil {
-			return ctx, func() {}, err
-		}
-		sample.SetDefault(cfg)
-	}
 	if f.batchCache != nil {
 		core.SetBatchCaching(*f.batchCache)
 		core.SetCacheBudget(int64(*f.cacheMiB) << 20)

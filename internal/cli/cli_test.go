@@ -15,7 +15,6 @@ import (
 
 	"simr/internal/core"
 	"simr/internal/obs"
-	"simr/internal/sample"
 )
 
 // start registers groups on a fresh flag set, parses args and starts
@@ -41,10 +40,9 @@ func TestRegisterOnlyRequestedGroups(t *testing.T) {
 		{Interrupt, ""},
 		{Profile, "cpuprofile memprofile"},
 		{Metrics, "metrics trace"},
-		{Sample, "sample"},
 		{Cache, "batchcache cachebudget"},
-		{Profile | Metrics | Sample | Cache | Interrupt,
-			"batchcache cachebudget cpuprofile memprofile metrics sample trace"},
+		{Profile | Metrics | Cache | Interrupt,
+			"batchcache cachebudget cpuprofile memprofile metrics trace"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		Register(fs, c.groups)
@@ -131,10 +129,6 @@ func TestStartErrorReturnsNoopStop(t *testing.T) {
 	if _, err := core.RunCells(2, 1, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatalf("interrupt context left installed after a failed Start: %v", err)
 	}
-
-	if _, _, err := start(t, Sample, "-sample", "bogus"); err == nil {
-		t.Fatal("Start accepted -sample bogus")
-	}
 }
 
 func TestStartSuccessWritesProfiles(t *testing.T) {
@@ -168,20 +162,6 @@ func TestStartEmptyPathsNoop(t *testing.T) {
 	stop()
 	if ctx.Err() != nil {
 		t.Fatal("context done without the Interrupt group")
-	}
-}
-
-// TestStartInstallsSample checks Start installs -sample as the
-// process-wide sampling default.
-func TestStartInstallsSample(t *testing.T) {
-	defer sample.SetDefault(sample.Config{})
-	_, stop, err := start(t, Sample, "-sample", "4:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	if got := sample.Default(); got != (sample.Config{Period: 4, Warmup: 2}) {
-		t.Fatalf("sample default %+v after -sample 4:2", got)
 	}
 }
 

@@ -5,10 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"simr/internal/alloc"
-	"simr/internal/batch"
-	"simr/internal/sample"
-	"simr/internal/simt"
 	"simr/internal/trace"
 	"simr/internal/uservices"
 )
@@ -187,74 +183,5 @@ func TestBatchCacheRunServiceHits(t *testing.T) {
 	dst := bc.Stats()
 	if dst.Drops != 1 || dst.Bytes != 0 {
 		t.Fatalf("after drop: drops=%d bytes=%d, want 1/0", dst.Drops, dst.Bytes)
-	}
-}
-
-// TestSIMTEffSampledTimedUnitsOnly is the regression test for the
-// sampled-run consistency fix: SIMTEff must be computed from the timed
-// units only (the subpopulation every other Result field extrapolates
-// from), not from all batches. The expected value is derived
-// independently by lock-stepping exactly the batches the sampling grid
-// times.
-func TestSIMTEffSampledTimedUnitsOnly(t *testing.T) {
-	suite := uservices.NewSuite()
-	svc := suite.Get("memc")
-	reqs := genRequests(svc, 96, 7)
-	const size = 32
-	cfg := sample.Config{Period: 2, Warmup: 1}
-
-	opts := DefaultOptions()
-	opts.BatchSize = size
-	opts.Sample = cfg
-	res, err := RunService(ArchRPU, svc, reqs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batches := batch.Form(reqs, size, opts.Policy)
-	if len(batches) < 2 {
-		t.Fatalf("need >=2 batches to distinguish timed from warm units, got %d", len(batches))
-	}
-	timedAny := false
-	scalar, ops := 0, 0
-	var sc simt.Scratch
-	for i, b := range batches {
-		if cfg.Role(i) != sample.RoleTimed {
-			continue
-		}
-		timedAny = true
-		sg := alloc.NewStackGroup(0, len(b.Requests), opts.StackInterleave)
-		traces, err := svc.TraceBatch(b.Requests, sg, opts.AllocPolicy, lineBytes, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, err := simt.RunMinSPPCWith(&sc, traces, size, opts.Spin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar += merged.ScalarOps
-		ops += len(merged.Ops)
-	}
-	if !timedAny {
-		t.Fatal("sampling grid timed no unit; pick a different population")
-	}
-	want := float64(scalar) / (float64(ops) * float64(size))
-	if res.SIMTEff != want {
-		t.Fatalf("sampled SIMTEff = %v, want %v (timed units only)", res.SIMTEff, want)
-	}
-
-	// Timing every unit (Period 1) must agree with the unsampled run.
-	opts.Sample = sample.Config{Period: 1}
-	every, err := RunService(ArchRPU, svc, reqs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Sample = sample.Config{}
-	full, err := RunService(ArchRPU, svc, reqs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if every.SIMTEff != full.SIMTEff {
-		t.Fatalf("period-1 SIMTEff %v differs from unsampled %v", every.SIMTEff, full.SIMTEff)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"simr/internal/energy"
 	"simr/internal/mem"
 	"simr/internal/pipeline"
-	"simr/internal/sample"
 	"simr/internal/simt"
 	"simr/internal/stats"
 	"simr/internal/trace"
@@ -57,15 +56,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; every run prepares sequentially.
 	PrepLookahead int
-	// Sample selects SMARTS-style sampled timing simulation (see
-	// internal/sample): every Sample.Period-th unit is fully timed,
-	// Sample.Warmup units before each timed one run a functional
-	// warmup pass, and the rest are skipped, with aggregate statistics
-	// extrapolated under reported confidence intervals. The zero value
-	// defers to the process-wide default installed by sample.SetDefault
-	// (the drivers' -sample flag); Period 1 times every unit and is
-	// bit-identical to the unsampled path.
-	Sample sample.Config
 }
 
 // DefaultOptions is the paper's baseline RPU configuration. Spin points
@@ -99,17 +89,9 @@ type Result struct {
 	// Latency samples one service latency per request, in cycles.
 	Latency *stats.Sample
 	// SIMTEff is the weighted SIMT control efficiency (1 for scalar).
-	// Under sampled simulation it is computed from the timed units
-	// only — the same subpopulation Stats extrapolates from — so every
-	// Result field describes one consistent sample; full runs time
-	// every unit and are unaffected.
 	SIMTEff float64
 	// FreqGHz converts cycles to seconds.
 	FreqGHz float64
-	// Sampled carries the sampling estimate when sampled timing
-	// simulation skipped work (Period > 1); nil for full runs, so
-	// unsampled results are unchanged.
-	Sampled *sample.Estimate
 }
 
 // AvgLatencySec returns the mean per-request service latency.
@@ -170,24 +152,18 @@ func newResult(arch Arch, svc *uservices.Service, n int) *Result {
 }
 
 // timing is one architecture's timing model in a run: its memory
-// hierarchy, core, sampler, energy model and Result.
+// hierarchy, core, energy model and Result.
 type timing struct {
 	ms    *mem.System
 	core  *pipeline.Core
 	res   *Result
-	sp    *runSampler
 	model *energy.Model
 }
 
-// run times unit u — the stream uops, serving reqs requests — on the
-// model, or warms the model with it when the sampler does not time u.
-// A non-nil mcu is the stream's MCU count delta, applied to ms.MCU
-// inside the unit's stats window.
-func (tm *timing) run(u int, uops []pipeline.Uop, reqs int, mcu *mem.MCUStats) {
-	if !tm.sp.timed(u) {
-		tm.sp.warm(tm.core, tm.ms, uops)
-		return
-	}
+// run times one unit — the stream uops, serving reqs requests — on the
+// model. A non-nil mcu is the stream's MCU count delta, applied to
+// ms.MCU inside the unit's stats window.
+func (tm *timing) run(uops []pipeline.Uop, reqs int, mcu *mem.MCUStats) {
 	prev := tm.ms.Stats()
 	if mcu != nil {
 		tm.ms.MCU.Add(mcu)
@@ -199,12 +175,10 @@ func (tm *timing) run(u int, uops []pipeline.Uop, reqs int, mcu *mem.MCUStats) {
 	for j := 0; j < reqs; j++ {
 		tm.res.Latency.Add(float64(st.Cycles))
 	}
-	tm.sp.observe(&st, reqs)
 }
 
-// finish extrapolates a sampled run's Result and prices its energy.
+// finish prices the run's energy.
 func (tm *timing) finish() *Result {
-	tm.sp.finish(tm.res)
 	tm.res.Energy = tm.model.Compute(&tm.res.Stats, tm.res.FreqGHz)
 	return tm.res
 }
@@ -226,22 +200,20 @@ const smtWays = 8
 // requests in groups of 8 and traces each request once, just before
 // the first model that needs it: the CPU times the group's requests
 // one by one, and the SMT-8 core then times the stream prepSlot.smt
-// builds from the same traces. With sampling, each model times, warms
-// or skips its own units — requests for the CPU, groups for SMT-8 —
-// and a request neither needs is never traced. Of the options only
-// Traces, BatchStreams, Sample and, on the CPU, CPUPrefetch apply (the
-// scalar cores are not RPU configurations).
+// builds from the same traces. Of the options only Traces,
+// BatchStreams and, on the CPU, CPUPrefetch apply (the scalar cores
+// are not RPU configurations).
 func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, opts Options, ws *workSet, sys *sysList) ([]*Result, error) {
 	groups := (len(reqs) + smtWays - 1) / smtWays
 	tms := make([]timing, len(arches))
 	var cpu, smt *timing
 	for v, arch := range arches {
-		tm, units := &tms[v], len(reqs)
+		tm := &tms[v]
 		switch {
 		case arch == ArchCPU && cpu == nil:
 			cpu = tm
 		case arch == ArchSMT8 && smt == nil:
-			smt, units = tm, groups
+			smt = tm
 		default:
 			return nil, fmt.Errorf("core: architectures %v are not distinct scalar architectures", arches)
 		}
@@ -252,7 +224,6 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, 
 		}
 		tm.core = ws.core(v, PipelineConfig(arch))
 		tm.res = newResult(arch, svc, len(reqs))
-		tm.sp = newRunSampler(opts.sampleConfig(), units, len(reqs))
 		tm.model = EnergyModel(arch)
 	}
 
@@ -280,20 +251,17 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, 
 		p.setGroup(group)
 		if cpu != nil {
 			for i := range group {
-				if !cpu.sp.active(first + i) {
-					continue
-				}
 				t0 := po.clock()
 				uops, err := p.scalar(i)
 				if err != nil {
 					return nil, err
 				}
 				t1 := po.clock()
-				cpu.run(first+i, uops, 1, nil)
+				cpu.run(uops, 1, nil)
 				po.unit(t0, t1)
 			}
 		}
-		if smt == nil || !smt.sp.active(g) {
+		if smt == nil {
 			continue
 		}
 		t0 := po.clock()
@@ -311,7 +279,7 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, 
 			return nil, err
 		}
 		t1 := po.clock()
-		smt.run(g, bs.Uops, bs.Requests, nil)
+		smt.run(bs.Uops, bs.Requests, nil)
 		po.unit(t0, t1)
 	}
 	out := make([]*Result, len(tms))
@@ -334,7 +302,7 @@ var memConfig = MemConfig
 // and GPU architectures with one L1 line size and bank count, and
 // options that differ from variants[0] only in the timing knobs (Lanes,
 // MajorityVote, AtomicsAtL3). Each variant gets its own core, memory
-// hierarchy, sampler and Result, in variants order.
+// hierarchy and Result, in variants order.
 func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch, variants []Options, ws *workSet, sys *sysList) ([]*Result, error) {
 	if err := checkVariants(arches, variants); err != nil {
 		return nil, err
@@ -366,12 +334,8 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 		tm.core = ws.core(v, cfgP)
 		tm.res = newResult(arch, svc, len(reqs))
 		tm.res.Batches = len(batches)
-		tm.sp = newRunSampler(o.sampleConfig(), len(batches), len(reqs))
 		tm.model = EnergyModel(arch)
 	}
-	// Every variant samples the same units (checkVariants holds Sample
-	// equal), so the first sampler plans the prep walk for all.
-	plan := tms[0].sp
 
 	// Preparation — trace fetch, lock-step merge, uop build — writes
 	// only the slot's scratch and the stream's MCUStats delta, so one
@@ -396,9 +360,6 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 	}
 	po := prepProbe()
 	for u := range batches {
-		if !plan.active(u) {
-			continue
-		}
 		t0 := po.clock()
 		b = &batches[u]
 		var bs *trace.BatchStream
@@ -419,16 +380,10 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 			return nil, err
 		}
 		t1 := po.clock()
-		if plan.timed(u) {
-			// SIMT efficiency accumulates over timed units only — the
-			// subpopulation Stats extrapolates from — so sampled runs
-			// report one consistent Result; unsampled runs time every
-			// unit and are unchanged.
-			totalScalar += bs.ScalarOps
-			totalBatchOps += bs.BatchOps
-		}
+		totalScalar += bs.ScalarOps
+		totalBatchOps += bs.BatchOps
 		for v := range tms {
-			tms[v].run(u, bs.Uops, bs.Requests, &bs.MCU)
+			tms[v].run(bs.Uops, bs.Requests, &bs.MCU)
 		}
 		po.unit(t0, t1)
 	}
@@ -485,8 +440,6 @@ func checkVariants(arches []Arch, variants []Options) error {
 			field = "UseIPDOM"
 		case (o.Spin == nil) != (base.Spin == nil) || o.Spin != nil && *o.Spin != *base.Spin:
 			field = "Spin"
-		case o.Sample != base.Sample:
-			field = "Sample"
 		case o.Traces != base.Traces:
 			field = "Traces"
 		case o.BatchStreams != base.BatchStreams:

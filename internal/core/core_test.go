@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -12,7 +13,7 @@ import (
 	"simr/internal/alloc"
 	"simr/internal/batch"
 	"simr/internal/mem"
-	"simr/internal/sample"
+	"simr/internal/simt"
 	"simr/internal/trace"
 	"simr/internal/uservices"
 )
@@ -410,6 +411,55 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSamplingDeterminism keeps the name of the sampled-simulation
+// contract, which checked that a sampler timing every unit left the
+// Result unchanged. With sampled timing deleted every run times every
+// unit, and what stays of that contract is checked here for every
+// service, reconvergence/spin variant and both multi-unit
+// architectures: each of the 96 requests contributes one latency, and a
+// second run is identical to the first, field for field.
+func TestSamplingDeterminism(t *testing.T) {
+	suite := uservices.NewSuite()
+	variants := []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"base", func(o *Options) {}},
+		{"ipdom", func(o *Options) { o.UseIPDOM = true }},
+		{"tightspin", func(o *Options) { o.Spin = &simt.SpinConfig{Window: 4, MinAtomics: 1, Grant: 4} }},
+	}
+	const requests = 96
+	for _, svc := range suite.Services {
+		reqs := genRequests(svc, requests, 7)
+		for _, arch := range []Arch{ArchRPU, ArchSMT8} {
+			for _, v := range variants {
+				if v.name != "base" && arch != ArchRPU {
+					continue // reconvergence/spin options only shape RPU runs
+				}
+				t.Run(fmt.Sprintf("%s/%v/%s", svc.Name, arch, v.name), func(t *testing.T) {
+					run := func() *Result {
+						opts := DefaultOptions()
+						opts.BatchSize = 8 // 12 units per run
+						v.mutate(&opts)
+						res, err := RunService(arch, svc, reqs, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					first := run()
+					if first.Requests != requests || first.Latency.Len() != requests {
+						t.Fatalf("%d requests with %d latencies, want %d timed", first.Requests, first.Latency.Len(), requests)
+					}
+					if !reflect.DeepEqual(first, run()) {
+						t.Fatal("a second run differs from the first")
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestPerServiceEfficiencyBands pins each service's optimized SIMT
 // efficiency to a band around the measured full-scale value, so
 // workload regressions surface immediately.
@@ -528,7 +578,6 @@ func TestRunBatchedVariants(t *testing.T) {
 		{"UseIPDOM", "UseIPDOM", func(o *Options) { o.UseIPDOM = true }},
 		{"Spin", "Spin", func(o *Options) { o.Spin = &spin }},
 		{"Spin nil", "Spin", func(o *Options) { o.Spin = nil }},
-		{"Sample", "Sample", func(o *Options) { o.Sample = sample.Config{Period: 2} }},
 		{"Traces", "Traces", func(o *Options) { o.Traces = trace.NewCache(svc, trace.NewBudget(0)) }},
 		{"BatchStreams", "BatchStreams", func(o *Options) { o.BatchStreams = trace.NewBatchCache(trace.NewBudget(0)) }},
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"io"
-
-	"simr/internal/sample"
 )
 
 // ResultJSON is the machine-readable summary of one (architecture,
@@ -31,9 +29,6 @@ type ResultJSON struct {
 		Memory      float64 `json:"memory"`
 		Static      float64 `json:"static"`
 	} `json:"energy_joules"`
-	// Sampled is present only when the run used sampled timing
-	// simulation with Period > 1, so unsampled JSON is unchanged.
-	Sampled *sample.Estimate `json:"sampled,omitempty"`
 }
 
 // Summary converts a Result to its JSON form.
@@ -54,7 +49,6 @@ func (r *Result) Summary() ResultJSON {
 		L1Accesses:     r.Stats.Mem.L1.Accesses,
 		L1MPKI:         r.L1MPKI(),
 		DRAMAccesses:   r.Stats.Mem.DRAMAccesses,
-		Sampled:        r.Sampled,
 	}
 	out.EnergyJoules.FrontendOoO = r.Energy.FrontendOoO
 	out.EnergyJoules.Exec = r.Energy.Exec

@@ -1,16 +1,15 @@
 // Observability probes for the hot orchestration layers: the RunCells
-// sweep worker pool (per-cell wall clock, worker utilization), each
+// sweep worker pool (per-cell wall clock, worker utilization) and each
 // run's prep-then-time loop (time spent preparing units against time
-// spent timing them) and sampled runs. Probes resolve to nil when no
-// obs hub is installed, and every hook is a no-op on a nil probe, so
-// the disabled hot path costs one pointer test and zero allocations.
+// spent timing them). Probes resolve to nil when no obs hub is
+// installed, and every hook is a no-op on a nil probe, so the disabled
+// hot path costs one pointer test and zero allocations.
 package core
 
 import (
 	"time"
 
 	"simr/internal/obs"
-	"simr/internal/sample"
 )
 
 // cellsObs instruments one RunCells invocation.
@@ -75,70 +74,12 @@ func (p *cellsObs) finish(start time.Time) {
 	p.wallNS.Add(time.Since(start).Nanoseconds())
 }
 
-// sampleObs instruments one sampled run (scope "core.sample").
-type sampleObs struct {
-	runs    *obs.Counter // sampled runs started
-	timed   *obs.Counter // fully timed units
-	warmed  *obs.Counter // functionally warmed units
-	skipped *obs.Counter // units never prepared
-	warmNS  *obs.Counter // time inside the warmup fast path
-	period  *obs.Gauge   // widest sampling period seen
-}
-
-// sampleProbe resolves the sampling instruments, or nil when
-// observability is disabled or the config times every unit; skipped
-// is known at planning time.
-func sampleProbe(cfg sample.Config, skipped int) *sampleObs {
-	if !obs.Enabled() || !cfg.Sampling() {
-		return nil
-	}
-	sc := obs.Default().Scope("core.sample")
-	p := &sampleObs{
-		runs:    sc.Counter("runs"),
-		timed:   sc.Counter("timed_units"),
-		warmed:  sc.Counter("warmed_units"),
-		skipped: sc.Counter("skipped_units"),
-		warmNS:  sc.Counter("warm_ns"),
-		period:  sc.Gauge("period_hwm"),
-	}
-	p.runs.Inc()
-	p.skipped.Add(int64(skipped))
-	p.period.SetMax(int64(cfg.Period))
-	return p
-}
-
-// clock returns time.Now on a live probe and the zero time on a nil
-// one.
-func (p *sampleObs) clock() time.Time {
-	if p == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// timedUnit counts one fully timed unit.
-func (p *sampleObs) timedUnit() {
-	if p == nil {
-		return
-	}
-	p.timed.Inc()
-}
-
-// warmUnit counts one functionally warmed unit and its wall clock.
-func (p *sampleObs) warmUnit(start time.Time) {
-	if p == nil {
-		return
-	}
-	p.warmed.Inc()
-	p.warmNS.Add(time.Since(start).Nanoseconds())
-}
-
 // prepObs instruments one run's prep-then-time loop (scope
 // "core.prep").
 type prepObs struct {
-	units     *obs.Counter // units prepared and then timed or warmed
+	units     *obs.Counter // units prepared and then timed
 	prepNS    *obs.Counter // time spent preparing units
-	consumeNS *obs.Counter // time spent timing or warming prepared units
+	consumeNS *obs.Counter // time spent timing prepared units
 }
 
 // prepProbe resolves the prep-loop instruments and counts one run, or
@@ -165,8 +106,8 @@ func (p *prepObs) clock() time.Time {
 	return time.Now()
 }
 
-// unit records one unit prepared from prepStart and timed or warmed
-// from consumeStart until now.
+// unit records one unit prepared from prepStart and timed from
+// consumeStart until now.
 func (p *prepObs) unit(prepStart, consumeStart time.Time) {
 	if p == nil {
 		return

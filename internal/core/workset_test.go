@@ -8,7 +8,6 @@ import (
 	"simr/internal/alloc"
 	"simr/internal/batch"
 	"simr/internal/pipeline"
-	"simr/internal/sample"
 	"simr/internal/simt"
 	"simr/internal/trace"
 	"simr/internal/uservices"
@@ -214,11 +213,9 @@ func TestPrepPipelineDeterminism(t *testing.T) {
 // TestScalarArchesShareInterpretation: CPU and SMT-8 timed together on
 // one interpretation of each request, in either order, get exactly the
 // Results each gets alone from RunService, field for field. The cases
-// cover the unsampled loop, sampling (warmup runs, and a population
-// below one period that forces one timed unit), CPU prefetching (which
-// must reach the CPU's hierarchy only) and runs served from a trace
-// cache and a batch-stream cache; the request count leaves a short
-// last group.
+// cover the plain loop, CPU prefetching (which must reach the CPU's
+// hierarchy only) and runs served from a trace cache and a
+// batch-stream cache; the request count leaves a short last group.
 func TestScalarArchesShareInterpretation(t *testing.T) {
 	suite := uservices.NewSuite()
 	cases := []struct {
@@ -226,9 +223,6 @@ func TestScalarArchesShareInterpretation(t *testing.T) {
 		mutate func(*Options, *uservices.Service)
 	}{
 		{"base", func(*Options, *uservices.Service) {}},
-		{"sample4", func(o *Options, _ *uservices.Service) { o.Sample = sample.Config{Period: 4, Warmup: 1} }},
-		{"sample3:2", func(o *Options, _ *uservices.Service) { o.Sample = sample.Config{Period: 3, Warmup: 2} }},
-		{"sample-one-unit", func(o *Options, _ *uservices.Service) { o.Sample = sample.Config{Period: 1 << 32, Warmup: 1} }},
 		{"prefetch", func(o *Options, _ *uservices.Service) { o.CPUPrefetch = true }},
 		{"caches", func(o *Options, svc *uservices.Service) {
 			o.Traces = trace.NewCache(svc, trace.NewBudget(0))

@@ -47,20 +47,6 @@ func (s *CacheStats) Sub(o *CacheStats) {
 	s.BankConflicts -= o.BankConflicts
 }
 
-// AddScaled adds o's counts scaled by f (rounded to nearest) into s —
-// the extrapolation step of sampled simulation.
-func (s *CacheStats) AddScaled(o *CacheStats, f float64) {
-	s.Accesses += scaleCount(o.Accesses, f)
-	s.Misses += scaleCount(o.Misses, f)
-	s.Writebacks += scaleCount(o.Writebacks, f)
-	s.BankConflicts += scaleCount(o.BankConflicts, f)
-}
-
-// scaleCount rounds v*f to the nearest integer count.
-func scaleCount(v uint64, f float64) uint64 {
-	return uint64(float64(v)*f + 0.5)
-}
-
 // MPKI returns misses per thousand of the given instruction count.
 func (s CacheStats) MPKI(instrs uint64) float64 {
 	if instrs == 0 {
@@ -210,40 +196,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 	if writeback {
 		c.Stats.Writebacks++
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
-	return false, writeback
-}
-
-// Warm performs Access's tag-state transition — LRU bump on hit,
-// write-allocate with LRU victim choice on miss — without touching
-// Stats, for the functional-warmup path of sampled simulation. The
-// LRU tick still advances so recency order matches a timed access.
-func (c *Cache) Warm(addr uint64, write bool) (hit, writeback bool) {
-	c.tick++
-	tag := addr >> c.lineShift
-	set := c.set(tag)
-	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
-
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].used = c.tick
-			if write {
-				ways[i].dirty = true
-			}
-			return true, false
-		}
-	}
-	victim := 0
-	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].used < ways[victim].used {
-			victim = i
-		}
-	}
-	writeback = ways[victim].valid && ways[victim].dirty
 	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
 	return false, writeback
 }

@@ -61,16 +61,6 @@ func (s *MCUStats) Sub(o *MCUStats) {
 	s.Emitted -= o.Emitted
 }
 
-// AddScaled adds o's counts scaled by f (rounded to nearest) into s —
-// the extrapolation step of sampled simulation.
-func (s *MCUStats) AddScaled(o *MCUStats, f float64) {
-	s.Broadcast += scaleCount(o.Broadcast, f)
-	s.Coalesced += scaleCount(o.Coalesced, f)
-	s.Divergent += scaleCount(o.Divergent, f)
-	s.LaneAccesses += scaleCount(o.LaneAccesses, f)
-	s.Emitted += scaleCount(o.Emitted, f)
-}
-
 // wordBytes is the coalescing word granularity.
 const wordBytes = 4
 

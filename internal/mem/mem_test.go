@@ -48,17 +48,28 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheWritebackOnDirtyEvict: a write miss allocates its line
+// dirty (write-allocate), so evicting it reports a writeback, while
+// evicting a clean line does not.
 func TestCacheWritebackOnDirtyEvict(t *testing.T) {
 	c := smallCache()
 	sets := uint64(c.sets)
-	c.Access(0, true) // dirty
+	if hit, _ := c.Access(0, true); hit { // dirty fill
+		t.Fatal("cold write hit")
+	}
+	if !c.Probe(0) {
+		t.Fatal("write miss did not allocate its line")
+	}
 	c.Access(sets*32, false)
 	_, wb := c.Access(2*sets*32, false) // evicts dirty line 0
 	if !wb {
 		t.Fatal("expected writeback of dirty LRU line")
 	}
-	if c.Stats.Writebacks != 1 {
-		t.Fatalf("writebacks = %d", c.Stats.Writebacks)
+	if _, wb := c.Access(3*sets*32, false); wb { // evicts clean line sets*32
+		t.Fatal("clean victim reported a writeback")
+	}
+	if c.Stats.Accesses != 4 || c.Stats.Misses != 4 || c.Stats.Writebacks != 1 {
+		t.Fatalf("stats %+v, want 4 accesses, 4 misses, 1 writeback", c.Stats)
 	}
 }
 
@@ -135,17 +146,28 @@ func TestTLBHitMiss(t *testing.T) {
 	}
 }
 
+// TestTLBLRUWithinBank: a bank fills to capacity, a hit refreshes its
+// entry (and moves it to the front of the scan), and a miss in a full
+// bank evicts the least recently used entry wherever it sits — here
+// the middle one, after the refreshes reordered the bank.
 func TestTLBLRUWithinBank(t *testing.T) {
-	tlb := NewTLB(TLBConfig{EntriesPerBank: 2, Banks: 1, MissLatCycles: 40})
-	tlb.Lookup(0*PageBytes, 0)
-	tlb.Lookup(1*PageBytes, 0)
-	tlb.Lookup(0*PageBytes, 0) // refresh page 0
-	tlb.Lookup(2*PageBytes, 0) // evicts page 1
-	if lat := tlb.Lookup(0*PageBytes, 0); lat != 0 {
-		t.Fatal("page 0 evicted unexpectedly")
+	tlb := NewTLB(TLBConfig{EntriesPerBank: 3, Banks: 1, MissLatCycles: 40})
+	for _, c := range []struct {
+		page uint64
+		lat  uint64
+	}{
+		{0, 40}, {1, 40}, {2, 40}, // fill
+		{2, 0}, {0, 0}, // refresh pages 2 and 0; page 1 is now LRU
+		{3, 40},                // evicts page 1
+		{0, 0}, {2, 0}, {3, 0}, // the survivors hit
+		{1, 40}, // page 1 was evicted
+	} {
+		if lat := tlb.Lookup(c.page*PageBytes, 0); lat != c.lat {
+			t.Fatalf("page %d: latency %d, want %d", c.page, lat, c.lat)
+		}
 	}
-	if lat := tlb.Lookup(1*PageBytes, 0); lat == 0 {
-		t.Fatal("page 1 should have been evicted")
+	if tlb.Stats.Accesses != 10 || tlb.Stats.Misses != 5 {
+		t.Fatalf("stats %+v, want 10 accesses, 5 misses", tlb.Stats)
 	}
 }
 

@@ -32,13 +32,6 @@ func (s *PrefetchStats) Sub(o *PrefetchStats) {
 	s.Useful -= o.Useful
 }
 
-// AddScaled adds o's counts scaled by f (rounded to nearest) into s —
-// the extrapolation step of sampled simulation.
-func (s *PrefetchStats) AddScaled(o *PrefetchStats, f float64) {
-	s.Issued += scaleCount(o.Issued, f)
-	s.Useful += scaleCount(o.Useful, f)
-}
-
 // Accuracy returns useful / issued.
 func (s PrefetchStats) Accuracy() float64 {
 	if s.Issued == 0 {

@@ -69,20 +69,6 @@ func (s SysStats) Delta(prev *SysStats) SysStats {
 	return out
 }
 
-// AddScaled adds o's counts scaled by f (rounded to nearest) into s —
-// the extrapolation step of sampled simulation.
-func (s *SysStats) AddScaled(o *SysStats, f float64) {
-	s.L1.AddScaled(&o.L1, f)
-	s.L2.AddScaled(&o.L2, f)
-	s.L3.AddScaled(&o.L3, f)
-	s.TLB.AddScaled(&o.TLB, f)
-	s.MCU.AddScaled(&o.MCU, f)
-	s.DRAMAccesses += scaleCount(o.DRAMAccesses, f)
-	s.DRAMBytes += scaleCount(o.DRAMBytes, f)
-	s.AtomicL3 += scaleCount(o.AtomicL3, f)
-	s.PF.AddScaled(&o.PF, f)
-}
-
 // mshrMax caps the number of outstanding fills tracked before the
 // table is pruned (and, if still saturated, recycled wholesale).
 const mshrMax = 4096
@@ -327,35 +313,6 @@ func (s *System) Access(addr uint64, write, atomic bool, t uint64) uint64 {
 		s.mshrScratch = keep[:0]
 	}
 	return done
-}
-
-// Warm performs one data access's replacement-state transitions —
-// TLB fill, L1/L2/L3 tag updates with writeback propagation — without
-// timing, MSHR, prefetcher, DRAM-bandwidth or statistics effects: the
-// functional-warmup path of sampled simulation, which keeps the
-// hierarchy state a later timed run observes realistically warm at a
-// fraction of Access's cost. Zero allocations in the steady state.
-func (s *System) Warm(addr uint64, write, atomic bool) {
-	if atomic && s.cfg.AtomicsAtL3 {
-		s.L3.Warm(s.L3.LineAddr(addr), true)
-		return
-	}
-	s.TLB.Warm(addr, s.L1.Bank(addr))
-	la := s.L1.LineAddr(addr)
-	hit, wb := s.L1.Warm(la, write)
-	if wb {
-		s.L2.Warm(s.L2.LineAddr(la), true)
-	}
-	if hit {
-		return
-	}
-	hit2, wb2 := s.L2.Warm(s.L2.LineAddr(la), false)
-	if wb2 {
-		s.L3.Warm(s.L3.LineAddr(la), true)
-	}
-	if !hit2 {
-		s.L3.Warm(s.L3.LineAddr(la), false)
-	}
 }
 
 // ResetTiming clears bank/DRAM/MSHR timing state while keeping cache

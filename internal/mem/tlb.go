@@ -39,13 +39,6 @@ func (s *TLBStats) Sub(o *TLBStats) {
 	s.Misses -= o.Misses
 }
 
-// AddScaled adds o's counts scaled by f (rounded to nearest) into s —
-// the extrapolation step of sampled simulation.
-func (s *TLBStats) AddScaled(o *TLBStats, f float64) {
-	s.Accesses += scaleCount(o.Accesses, f)
-	s.Misses += scaleCount(o.Misses, f)
-}
-
 // TLB is a banked, fully-associative (within bank), LRU TLB.
 type TLB struct {
 	cfg TLBConfig
@@ -142,40 +135,6 @@ func (t *TLB) Lookup(addr uint64, cacheBank int) uint64 {
 	pages[victim] = page
 	used[victim] = t.tick
 	return t.cfg.MissLatCycles
-}
-
-// Warm performs Lookup's state transition — move-to-front on hit,
-// fill or LRU replace on miss — without touching Stats, for the
-// functional-warmup path of sampled simulation. Fills append within
-// the preallocated per-bank capacity, so the steady state allocates
-// nothing.
-func (t *TLB) Warm(addr uint64, cacheBank int) {
-	t.tick++
-	b, page := t.index(addr, cacheBank)
-	pages, used := t.pages[b], t.used[b]
-	for i, p := range pages {
-		if p == page {
-			used[i] = t.tick
-			if i > 0 {
-				pages[0], pages[i] = pages[i], pages[0]
-				used[0], used[i] = used[i], used[0]
-			}
-			return
-		}
-	}
-	if len(pages) < t.cfg.EntriesPerBank {
-		t.pages[b] = append(pages, page)
-		t.used[b] = append(used, t.tick)
-		return
-	}
-	victim := 0
-	for i := 1; i < len(used); i++ {
-		if used[i] < used[victim] {
-			victim = i
-		}
-	}
-	pages[victim] = page
-	used[victim] = t.tick
 }
 
 // Reset clears contents and statistics.

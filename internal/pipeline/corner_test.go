@@ -137,34 +137,6 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmZeroAllocs checks the functional-warmup fast path: once the
-// memory hierarchy's tables are sized, Core.Warm over a mixed
-// load/store/branch stream must be allocation-free.
-func TestWarmZeroAllocs(t *testing.T) {
-	c := NewCore(testCfg())
-	ms := testMem()
-	uops := make([]Uop, 256)
-	for i := range uops {
-		switch i % 4 {
-		case 0:
-			uops[i] = Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1,
-				Accesses: []uint64{uint64(i) * 64}}
-		case 1:
-			uops[i] = Uop{Class: isa.Store, Dep1: -1, Dep2: -1, ActiveLanes: 1,
-				Accesses: []uint64{uint64(i) * 128}}
-		case 2:
-			uops[i] = Uop{Class: isa.Branch, Dep1: -1, Dep2: -1, ActiveLanes: 1,
-				PC: 0x40, Taken: i%8 < 4}
-		default:
-			uops[i] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1}
-		}
-	}
-	c.Warm(ms, uops)
-	if n := testing.AllocsPerRun(10, func() { c.Warm(ms, uops) }); n != 0 {
-		t.Fatalf("Core.Warm allocates %.1f times per pass, want 0", n)
-	}
-}
-
 // BenchmarkRunSMTPartitioned measures the partitioned-ROB dispatch path
 // on a reused core — the configuration the ROB ring hoist targets.
 // Allocations are reported so regressions in the hot loop show up.
@@ -183,20 +155,5 @@ func BenchmarkRunSMTPartitioned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Run(ms, uops)
-	}
-}
-
-// BenchmarkWarm measures the functional-warmup fast path against
-// BenchmarkRunScalar's full timing simulation of a comparable stream.
-func BenchmarkWarm(b *testing.B) {
-	c := NewCore(testCfg())
-	ms := testMem()
-	uops := benchUops(4096, 1)
-	c.Warm(ms, uops)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Warm(ms, uops)
 	}
 }

@@ -525,28 +525,3 @@ func (s *Stats) Accumulate(o *Stats) {
 	s.LoadLatSum += o.LoadLatSum
 	s.Mem.Add(&o.Mem)
 }
-
-// AddScaled adds o's counters scaled by f (rounded to nearest) into s
-// — the extrapolation step of sampled simulation, which projects the
-// timed subpopulation's aggregate onto the skipped remainder.
-func (s *Stats) AddScaled(o *Stats, f float64) {
-	s.Cycles += scale64(o.Cycles, f)
-	s.Uops += scale64(o.Uops, f)
-	s.ScalarOps += scale64(o.ScalarOps, f)
-	for c := range s.UopsByClass {
-		s.UopsByClass[c] += scale64(o.UopsByClass[c], f)
-		s.LaneOpsByClass[c] += scale64(o.LaneOpsByClass[c], f)
-	}
-	s.Branches += scale64(o.Branches, f)
-	s.Mispredicts += scale64(o.Mispredicts, f)
-	s.FlushedLanes += scale64(o.FlushedLanes, f)
-	s.IssueSlots += scale64(o.IssueSlots, f)
-	s.LoadCount += scale64(o.LoadCount, f)
-	s.LoadLatSum += scale64(o.LoadLatSum, f)
-	s.Mem.AddScaled(&o.Mem, f)
-}
-
-// scale64 rounds v*f to the nearest integer count.
-func scale64(v uint64, f float64) uint64 {
-	return uint64(float64(v)*f + 0.5)
-}

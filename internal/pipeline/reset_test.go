@@ -112,7 +112,7 @@ func seededStream(rc resetConfig, seed uint64, n int) []Uop {
 	return uops
 }
 
-// TestCoreResetMatchesFresh: a core dirtied by a stream under one
+// TestCoreResetMatchesFresh: a core dirtied by two streams under one
 // configuration and then Reset to another — more or fewer SMT threads,
 // scalar or SIMT, out-of-order or in-order — runs a seeded stream to
 // exactly the Stats a fresh NewCore gives. Chip cells reuse one core
@@ -125,7 +125,7 @@ func TestCoreResetMatchesFresh(t *testing.T) {
 		for _, dirty := range cfgs {
 			c := NewCore(dirty.cfg)
 			c.Run(testMem(), seededStream(dirty, 11, 9000))
-			c.Warm(testMem(), seededStream(dirty, 13, 2000))
+			c.Run(testMem(), seededStream(dirty, 13, 2000))
 			c.Reset(rc.cfg)
 			if got := c.Run(testMem(), measured); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s after %s: Reset core gives\n%+v\nfresh core gives\n%+v", rc.cfg.Name, dirty.cfg.Name, got, want)

@@ -20,7 +20,7 @@
 // (core's uopBuilder chunks and simt.Scratch) are reused per slot, so a
 // retained stream must never alias them. On first build the cache deep
 // copies the stream into a cache-owned arena (clone) and serves only
-// that copy; consumers — pipeline.Core.Run and Warm — treat uop slices
+// that copy; its consumer, pipeline.Core.Run, treats uop slices
 // and their Accesses as immutable. Caching never changes results: a hit
 // returns exactly the stream a fresh build would produce, so study
 // output stays byte-identical with the cache on or off.
