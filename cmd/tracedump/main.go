@@ -31,8 +31,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "tracedump: -n must be at least 1, got %d\n", *n)
+		os.Exit(1)
+	}
 	suite := uservices.NewSuite()
-	svc := suite.Get(*service)
+	svc := suite.Lookup(*service)
+	if svc == nil {
+		fmt.Fprintf(os.Stderr, "tracedump: unknown service %q (have %s)\n", *service, strings.Join(suite.Names(), ", "))
+		os.Exit(1)
+	}
 	if *static {
 		for _, api := range svc.APIs {
 			svc.Program(api).Disassemble(os.Stdout)

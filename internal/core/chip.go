@@ -160,16 +160,16 @@ type timing struct {
 	model *energy.Model
 }
 
-// run times one unit — the stream uops, serving reqs requests — on the
+// run times one unit — the stream s, serving reqs requests — on the
 // model. A non-nil mcu is the stream's MCU count delta, applied to
 // ms.MCU inside the unit's stats window.
-func (tm *timing) run(uops []pipeline.Uop, reqs int, mcu *mem.MCUStats) {
+func (tm *timing) run(s pipeline.Stream, reqs int, mcu *mem.MCUStats) {
 	prev := tm.ms.Stats()
 	if mcu != nil {
 		tm.ms.MCU.Add(mcu)
 	}
 	tm.ms.ResetTiming()
-	st := tm.core.Run(tm.ms, uops)
+	st := tm.core.Run(tm.ms, s)
 	st.Mem = st.Mem.Delta(&prev)
 	tm.res.Stats.Accumulate(&st)
 	for j := 0; j < reqs; j++ {
@@ -237,11 +237,11 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, 
 		local trace.BatchStream
 	)
 	build := func() (*trace.BatchStream, error) {
-		uops, err := p.smt()
+		s, err := p.smt()
 		if err != nil {
 			return nil, err
 		}
-		local = trace.BatchStream{Uops: uops, Requests: len(p.group)}
+		local = trace.BatchStream{Stream: s, Requests: len(p.group)}
 		return &local, nil
 	}
 	po := prepProbe()
@@ -252,12 +252,12 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, 
 		if cpu != nil {
 			for i := range group {
 				t0 := po.clock()
-				uops, err := p.scalar(i)
+				s, err := p.scalar(i)
 				if err != nil {
 					return nil, err
 				}
 				t1 := po.clock()
-				cpu.run(uops, 1, nil)
+				cpu.run(s, 1, nil)
 				po.unit(t0, t1)
 			}
 		}
@@ -279,7 +279,7 @@ func runScalar(svc *uservices.Service, reqs []uservices.Request, arches []Arch, 
 			return nil, err
 		}
 		t1 := po.clock()
-		smt.run(bs.Uops, bs.Requests, nil)
+		smt.run(bs.Stream, bs.Requests, nil)
 		po.unit(t0, t1)
 	}
 	out := make([]*Result, len(tms))
@@ -383,7 +383,7 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 		totalScalar += bs.ScalarOps
 		totalBatchOps += bs.BatchOps
 		for v := range tms {
-			tms[v].run(bs.Uops, bs.Requests, &bs.MCU)
+			tms[v].run(bs.Stream, bs.Requests, &bs.MCU)
 		}
 		po.unit(t0, t1)
 	}

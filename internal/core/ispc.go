@@ -95,8 +95,9 @@ func scalarFallback(op *simt.BatchOp) bool {
 }
 
 // ispcUops lowers the lock-step batch stream onto the SIMD pipeline.
-func ispcUops(ops []simt.BatchOp) []pipeline.Uop {
+func ispcUops(ops []simt.BatchOp) pipeline.Stream {
 	uops := make([]pipeline.Uop, 0, len(ops)*2)
+	var addrs []uint64
 	// remap tracks each batch op's last lowered uop for dependencies.
 	remap := make([]int32, len(ops))
 	dep := func(d int32) int32 {
@@ -107,7 +108,6 @@ func ispcUops(ops []simt.BatchOp) []pipeline.Uop {
 	}
 	for i := range ops {
 		op := &ops[i]
-		lanes := op.ActiveLanes()
 
 		if scalarFallback(op) {
 			// Per-lane scalar expansion: full frontend cost per lane.
@@ -116,14 +116,14 @@ func ispcUops(ops []simt.BatchOp) []pipeline.Uop {
 					continue
 				}
 				u := pipeline.Uop{
-					PC:          op.PC,
-					Class:       op.Class,
-					Dep1:        dep(op.Dep1),
-					Dep2:        dep(op.Dep2),
-					ActiveLanes: 1,
+					PC:    op.PC,
+					Class: op.Class,
+					Dep1:  dep(op.Dep1),
+					Dep2:  dep(op.Dep2),
 				}
 				if op.Class.IsMem() {
-					u.Accesses = []uint64{op.Addrs[t]}
+					u.Acc, u.NAcc = uint32(len(addrs)), 1
+					addrs = append(addrs, op.Addrs[t])
 				}
 				uops = append(uops, u)
 			}
@@ -132,11 +132,10 @@ func ispcUops(ops []simt.BatchOp) []pipeline.Uop {
 		}
 
 		u := pipeline.Uop{
-			PC:          op.PC,
-			Dep1:        dep(op.Dep1),
-			Dep2:        dep(op.Dep2),
-			ActiveLanes: lanes,
-			Mask:        op.Mask,
+			PC:   op.PC,
+			Dep1: dep(op.Dep1),
+			Dep2: dep(op.Dep2),
+			Mask: op.Mask,
 		}
 		switch {
 		case op.Class == isa.Branch && op.TakenMask != 0 && op.TakenMask != op.Mask:
@@ -146,15 +145,17 @@ func ispcUops(ops []simt.BatchOp) []pipeline.Uop {
 		case op.Class.IsMem():
 			// Gather/scatter: one access per active lane, uncoalesced.
 			u.Class = op.Class
+			u.Acc = uint32(len(addrs))
 			for t := 0; t < 64; t++ {
 				if op.Mask&(1<<uint(t)) != 0 {
-					u.Accesses = append(u.Accesses, op.Addrs[t])
+					addrs = append(addrs, op.Addrs[t])
 				}
 			}
+			u.NAcc = uint16(len(addrs) - int(u.Acc))
 		case op.Class == isa.Branch:
+			// Uniform branch: the batch votes on TakenMask.
 			u.Class = isa.Branch
 			u.TakenMask = op.TakenMask
-			u.Taken = op.TakenMask == op.Mask
 		default:
 			// Vectorised compute: integer/FP lanes become SIMD work.
 			u.Class = isa.Simd
@@ -162,5 +163,5 @@ func ispcUops(ops []simt.BatchOp) []pipeline.Uop {
 		uops = append(uops, u)
 		remap[i] = int32(len(uops) - 1)
 	}
-	return uops
+	return pipeline.Stream{Uops: uops, Addrs: addrs}
 }

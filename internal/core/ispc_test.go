@@ -36,11 +36,12 @@ func TestISPCUopsLowering(t *testing.T) {
 		{PC: 12, Class: isa.Atomic, Mask: 0x03, Addrs: []uint64{16, 24}, Size: 8, Dep1: -1, Dep2: -1},
 		{PC: 16, Class: isa.Branch, Mask: 0xFF, TakenMask: 0xFF, Dep1: -1, Dep2: -1}, // uniform -> stays a branch
 	}
-	uops := ispcUops(ops)
+	s := ispcUops(ops)
+	uops := s.Uops
 
 	// Op 0: PC 0 hits the 1-in-7 integer fallback -> 8 scalar uops.
-	if uops[0].ActiveLanes != 1 {
-		t.Fatalf("expected scalar expansion for PC 0, got lanes=%d", uops[0].ActiveLanes)
+	if uops[0].Lanes() != 1 {
+		t.Fatalf("expected scalar expansion for PC 0, got lanes=%d", uops[0].Lanes())
 	}
 	// Find the predicate op (was the divergent branch).
 	var pred, uni, atomics, gather int
@@ -58,13 +59,13 @@ func TestISPCUopsLowering(t *testing.T) {
 			uni++
 		case u.PC == 12:
 			atomics++
-			if u.ActiveLanes != 1 {
+			if u.Lanes() != 1 {
 				t.Fatal("atomic not scalarized")
 			}
 		case u.PC == 8:
 			gather++
-			if len(u.Accesses) != 4 {
-				t.Fatalf("gather has %d accesses, want one per active lane", len(u.Accesses))
+			if acc := s.Accesses(&u); len(acc) != 4 {
+				t.Fatalf("gather has %d accesses, want one per active lane", len(acc))
 			}
 		}
 	}
@@ -78,7 +79,7 @@ func TestISPCDepRemapping(t *testing.T) {
 		{PC: 20, Class: isa.Atomic, Mask: 0x03, Addrs: []uint64{8, 16}, Size: 8, Dep1: -1, Dep2: -1},
 		{PC: 24, Class: isa.FAlu, Mask: 0x03, Dep1: 0, Dep2: -1},
 	}
-	uops := ispcUops(ops)
+	uops := ispcUops(ops).Uops
 	// The atomic expands to 2 scalar uops; the FALU's dep must point at
 	// the LAST of them (indices 0,1 -> dep 1).
 	last := uops[len(uops)-1]

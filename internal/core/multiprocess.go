@@ -184,7 +184,7 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 		key []byte
 	)
 	tr := tracer{svc: svc, tc: opts.Traces}
-	mkUops := func(rs []uservices.Request, thread int) ([]pipeline.Uop, error) {
+	mkUops := func(rs []uservices.Request, thread uint8) (pipeline.Stream, error) {
 		sg := alloc.NewStackGroup(0, len(rs), opts.StackInterleave)
 		var local trace.BatchStream
 		build := func() (*trace.BatchStream, error) {
@@ -196,19 +196,19 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 			if err != nil {
 				return nil, err
 			}
-			local.Uops = ub.batchUops(merged.Ops, sg, opts.StackInterleave, &local.MCU)
+			local.Stream = ub.batchUops(merged.Ops, sg, opts.StackInterleave, &local.MCU)
 			local.ScalarOps = merged.ScalarOps
 			local.BatchOps = len(merged.Ops)
 			local.Requests = len(rs)
 			return &local, nil
 		}
-		var uops []pipeline.Uop
+		var s pipeline.Stream
 		if opts.BatchStreams == nil {
 			st, err := build()
 			if err != nil {
-				return nil, err
+				return pipeline.Stream{}, err
 			}
-			uops = st.Uops
+			s = st.Stream
 		} else {
 			// The study always lock-steps with MinSP-PC, so the key
 			// says ipdom=false regardless of opts.UseIPDOM.
@@ -217,16 +217,16 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 				lineBytes, cfgM.L1.Banks, alloc.StackRegion)
 			st, err := opts.BatchStreams.Get(key, build)
 			if err != nil {
-				return nil, err
+				return pipeline.Stream{}, err
 			}
 			// The stream may be cache-owned (immutable): copy it into
 			// the local arena before overwriting Thread below.
-			uops = ub.copyUops(st.Uops)
+			s = ub.copyUops(st.Stream)
 		}
-		for i := range uops {
-			uops[i].Thread = thread
+		for i := range s.Uops {
+			s.Uops[i].Thread = thread
 		}
-		return uops, nil
+		return s, nil
 	}
 
 	a, err := mkUops(reqs[:size], 0)
@@ -251,7 +251,7 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 	cfgI.ROBPerThread = cfgP.ROB / 2
 	ms2 := mem.NewSystem(cfgM)
 	core2 := pipeline.NewCore(cfgI)
-	merged := ub.mergeSMT([][]pipeline.Uop{a, b})
+	merged := ub.mergeSMT([]pipeline.Stream{a, b})
 	si := core2.Run(ms2, merged)
 
 	return &MultiBatchResult{SequentialCycles: seq, InterleavedCycles: si.Cycles}, nil

@@ -79,7 +79,7 @@ func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []st
 	} else {
 		svcs = make([]*uservices.Service, len(services))
 		for i, name := range services {
-			if svcs[i] = findService(suite, name); svcs[i] == nil {
+			if svcs[i] = suite.Lookup(name); svcs[i] == nil {
 				return fmt.Errorf("core: unknown service %q (have %s)", name, strings.Join(suite.Names(), ", "))
 			}
 		}
@@ -108,16 +108,6 @@ func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []st
 		return err
 	}
 	return writeSensitivity(w, services, pairs)
-}
-
-// findService returns the suite's service with the given name, or nil.
-func findService(suite *uservices.Suite, name string) *uservices.Service {
-	for _, svc := range suite.Services {
-		if svc.Name == name {
-			return svc
-		}
-	}
-	return nil
 }
 
 // writeSensitivity renders the §V-A1 report from a precomputed grid

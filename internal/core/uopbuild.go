@@ -8,19 +8,21 @@ import (
 	"simr/internal/simt"
 )
 
-// uopBuilder converts trace/batch-op streams into pipeline uops without
-// per-op allocations: uops and their Accesses slices are carved out of
-// growing chunk arenas, and the per-op lane expansion reuses flat
+// uopBuilder converts trace/batch-op streams into pipeline streams
+// without per-op allocations: uops and their addresses are carved out
+// of growing chunk arenas, and the per-op lane expansion reuses flat
 // buffers. Streams built between two reset calls may all stay alive at
-// once (MultiBatchStudy keeps 2): when a chunk fills, a
-// fresh one is started and earlier streams keep pointing into the old
-// chunk, whose values are never rewritten. reset recycles only the
-// current chunks, so it must not be called while a previously built
-// stream is still in use. A builder must not be shared between
-// goroutines.
+// once (MultiBatchStudy keeps 2): when a chunk fills, a fresh one is
+// started and earlier streams keep pointing into the old chunk, whose
+// values are never rewritten. reset recycles only the current chunks,
+// so it must not be called while a previously built stream is still in
+// use. A builder must not be shared between goroutines.
 type uopBuilder struct {
 	uops  []pipeline.Uop // current uop chunk
-	addrs []uint64       // current chunk backing Uop.Accesses
+	addrs []uint64       // current address chunk
+	// start is where the stream being built begins in addrs; its uops'
+	// Acc offsets count from there.
+	start int
 
 	laneBuf []uint64   // flat per-op lane granule storage
 	lanes   [][]uint64 // per-lane views into laneBuf
@@ -58,30 +60,55 @@ func (b *uopBuilder) carve(n int) []pipeline.Uop {
 	return b.uops[l : l+n : l+n]
 }
 
-// addrRoom guarantees the address arena can absorb n more words without
-// relocating (so Accesses slices handed out mid-stream stay current).
+// begin starts a new stream's address array at the end of the arena.
+func (b *uopBuilder) begin() {
+	b.start = len(b.addrs)
+}
+
+// addrRoom guarantees the address arena can absorb n more words of the
+// current stream. A stream's addresses must sit in one array, so when a
+// fresh chunk is started the stream's addresses so far move over with
+// it; Acc offsets count from the stream's start, so they stay valid.
 func (b *uopBuilder) addrRoom(n int) {
 	if cap(b.addrs)-len(b.addrs) < n {
+		cur := b.addrs[b.start:]
 		c := 2 * cap(b.addrs)
 		if c < 1<<14 {
 			c = 1 << 14
 		}
-		if c < n {
-			c = n
+		if c < len(cur)+n {
+			c = len(cur) + n
 		}
-		b.addrs = make([]uint64, 0, c)
+		b.addrs = append(make([]uint64, 0, c), cur...)
+		b.start = 0
 	}
 }
 
-// scalarUops converts a scalar trace into pipeline uops with identity
-// address translation (no interleaving, no coalescing).
-func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread int) []pipeline.Uop {
+// setAcc points u at the addresses appended to the current stream
+// since the arena held l words. A uop issues at most one address per
+// 4-byte word its lanes touch: at most 64 lanes of 65 words (a 255-byte
+// access), far below NAcc's 65535.
+func (b *uopBuilder) setAcc(u *pipeline.Uop, l int) {
+	u.Acc, u.NAcc = uint32(l-b.start), uint16(len(b.addrs)-l)
+}
+
+// stream returns the current stream: uops and the addresses appended
+// since begin.
+func (b *uopBuilder) stream(uops []pipeline.Uop) pipeline.Stream {
+	end := len(b.addrs)
+	return pipeline.Stream{Uops: uops, Addrs: b.addrs[b.start:end:end]}
+}
+
+// scalarUops converts a scalar trace into a pipeline stream with
+// identity address translation (no interleaving, no coalescing).
+func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread uint8) pipeline.Stream {
 	uops := b.carve(len(trace))
+	b.begin()
 	b.addrRoom(len(trace))
 	for i := range trace {
 		b.scalarUop(&uops[i], &trace[i], thread, 0)
 	}
-	return uops
+	return b.stream(uops)
 }
 
 // smtUops builds the SMT core's stream straight from its threads'
@@ -92,9 +119,10 @@ func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread int) []pipeline.Uop 
 // dependency indices are remapped from each trace into the merged
 // stream as it is built. The result equals mergeSMT over scalarUops of
 // the threads' own traces without building the per-thread streams.
-func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
-	remap, cursor, total := mergeScratch(b, traces)
+func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) pipeline.Stream {
+	remap, cursor, total := mergeScratch(b, traces, func(tr []isa.TraceOp) int { return len(tr) })
 	merged := b.carve(total)
+	b.begin()
 	b.addrRoom(total)
 	k := 0
 	for k < total {
@@ -104,7 +132,7 @@ func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
 				continue
 			}
 			u := &merged[k]
-			b.scalarUop(u, &tr[c], t, uint64(t)*alloc.StackSize)
+			b.scalarUop(u, &tr[c], uint8(t), uint64(t)*alloc.StackSize)
 			if u.Dep1 >= 0 {
 				u.Dep1 = remap[t][u.Dep1]
 			}
@@ -116,14 +144,15 @@ func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) []pipeline.Uop {
 			k++
 		}
 	}
-	return merged
+	return b.stream(merged)
 }
 
-// scalarUop fills u from the scalar trace op: one active lane, the
-// given thread tag, and identity address translation of the op's
-// address after moving a heap or stack address up by shift bytes. The
-// caller must have made addrRoom for the op's address.
-func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int, shift uint64) {
+// scalarUop fills u from the scalar trace op: one active lane (Mask
+// 0), the branch outcome in TakenMask bit 0, the given thread tag, and
+// identity address translation of the op's address after moving a
+// heap or stack address up by shift bytes. The caller must have made
+// addrRoom for the op's address.
+func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread uint8, shift uint64) {
 	// Field stores (not a struct literal) so the compiler writes the
 	// arena slot in place instead of building and copying a stack
 	// temporary per uop; carve reuses chunk memory, so every field
@@ -132,11 +161,12 @@ func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int, shi
 	u.Class = op.Class
 	u.Dep1 = op.Dep1
 	u.Dep2 = op.Dep2
-	u.Accesses = nil
-	u.ActiveLanes = 1
+	u.Acc, u.NAcc = 0, 0
 	u.Mask = 0
 	u.TakenMask = 0
-	u.Taken = op.Taken
+	if op.Taken {
+		u.TakenMask = 1
+	}
 	u.Thread = thread
 	if op.Class.IsMem() {
 		a := op.Addr
@@ -145,7 +175,7 @@ func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int, shi
 		}
 		l := len(b.addrs)
 		b.addrs = append(b.addrs, a)
-		u.Accesses = b.addrs[l : l+1 : l+1]
+		b.setAcc(u, l)
 	}
 }
 
@@ -156,8 +186,9 @@ func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread int, shi
 // at a per-batch delta (applied to the memory system in batch order by
 // the consumer) rather than live counters — the build pass itself must
 // stay pure so batches can be prepared ahead on worker goroutines.
-func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interleave bool, mcu *mem.MCUStats) []pipeline.Uop {
+func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interleave bool, mcu *mem.MCUStats) pipeline.Stream {
 	uops := b.carve(len(ops))
+	b.begin()
 	for i := range ops {
 		op := &ops[i]
 		// In-place field stores for the same reason as scalarUops.
@@ -166,11 +197,9 @@ func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interle
 		u.Class = op.Class
 		u.Dep1 = op.Dep1
 		u.Dep2 = op.Dep2
-		u.Accesses = nil
-		u.ActiveLanes = op.ActiveLanes()
+		u.Acc, u.NAcc = 0, 0
 		u.Mask = op.Mask
 		u.TakenMask = op.TakenMask
-		u.Taken = false
 		u.Thread = 0
 		if op.Class.IsMem() {
 			b.laneBuf = b.laneBuf[:0]
@@ -192,22 +221,21 @@ func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interle
 			b.addrRoom(len(b.laneBuf))
 			l := len(b.addrs)
 			b.addrs, _ = mem.AppendCoalesce(b.addrs, &b.csc, b.lanes, lineBytes, mcu)
-			u.Accesses = b.addrs[l:len(b.addrs):len(b.addrs)]
+			b.setAcc(u, l)
 		}
 	}
-	return uops
+	return b.stream(uops)
 }
 
-// copyUops clones a read-only uop stream into the builder's arena so
-// the caller may mutate the copies (streams served by the batch cache
-// are cache-owned and immutable). The copies' Accesses slices keep
-// aliasing the source's address arena — they are read-only in every
-// consumer, so sharing them is safe and avoids duplicating the
-// addresses.
-func (b *uopBuilder) copyUops(src []pipeline.Uop) []pipeline.Uop {
-	dst := b.carve(len(src))
-	copy(dst, src)
-	return dst
+// copyUops clones a read-only stream's uops into the builder's arena
+// so the caller may mutate the copies (streams served by the batch
+// cache are cache-owned and immutable). The copy shares the source's
+// address array: it is read-only in every consumer, so sharing it is
+// safe and avoids duplicating the addresses.
+func (b *uopBuilder) copyUops(src pipeline.Stream) pipeline.Stream {
+	dst := b.carve(len(src.Uops))
+	copy(dst, src.Uops)
+	return pipeline.Stream{Uops: dst, Addrs: src.Addrs}
 }
 
 // appendGranules expands one lane's access into the 4-byte words it
@@ -227,20 +255,33 @@ func appendGranules(dst []uint64, addr uint64, size int) []uint64 {
 	return dst
 }
 
-// mergeSMT interleaves per-thread uop streams round-robin and remaps
-// dependency indices into the merged stream. The input streams are not
-// modified; the merged stream is carved from the builder's arena.
-func (b *uopBuilder) mergeSMT(streams [][]pipeline.Uop) []pipeline.Uop {
-	remap, cursor, total := mergeScratch(b, streams)
+// mergeSMT interleaves per-thread streams round-robin, remaps
+// dependency indices into the merged stream and copies each uop's
+// addresses into the merged stream's array in merged order. The input
+// streams are not modified; the merged stream is carved from the
+// builder's arenas.
+func (b *uopBuilder) mergeSMT(streams []pipeline.Stream) pipeline.Stream {
+	remap, cursor, total := mergeScratch(b, streams, func(s pipeline.Stream) int { return len(s.Uops) })
 	merged := b.carve(total)
+	b.begin()
+	words := 0
+	for _, s := range streams {
+		words += len(s.Addrs)
+	}
+	b.addrRoom(words)
 	k := 0
 	for k < total {
 		for t, s := range streams {
-			if cursor[t] >= len(s) {
+			if cursor[t] >= len(s.Uops) {
 				continue
 			}
 			dst := &merged[k]
-			*dst = s[cursor[t]]
+			*dst = s.Uops[cursor[t]]
+			if dst.NAcc > 0 {
+				l := len(b.addrs)
+				b.addrs = append(b.addrs, s.Accesses(dst)...)
+				b.setAcc(dst, l)
+			}
 			if dst.Dep1 >= 0 {
 				dst.Dep1 = remap[t][dst.Dep1]
 			}
@@ -252,15 +293,16 @@ func (b *uopBuilder) mergeSMT(streams [][]pipeline.Uop) []pipeline.Uop {
 			k++
 		}
 	}
-	return merged
+	return b.stream(merged)
 }
 
 // mergeScratch returns a round-robin merge's working storage from b
-// for streams: per-stream views of one remap buffer (stream index ->
-// merged index), zeroed cursors and the streams' total length.
-func mergeScratch[T any](b *uopBuilder, streams [][]T) (remap [][]int32, cursor []int, total int) {
+// for streams, stream t holding length(streams[t]) elements:
+// per-stream views of one remap buffer (stream index -> merged index),
+// zeroed cursors and the streams' total length.
+func mergeScratch[T any](b *uopBuilder, streams []T, length func(T) int) (remap [][]int32, cursor []int, total int) {
 	for _, s := range streams {
-		total += len(s)
+		total += length(s)
 	}
 	if cap(b.remapBuf) < total {
 		b.remapBuf = make([]int32, max(total, 2*cap(b.remapBuf)))
@@ -273,8 +315,9 @@ func mergeScratch[T any](b *uopBuilder, streams [][]T) (remap [][]int32, cursor 
 	cursor = b.cursor[:len(streams)]
 	off := 0
 	for t, s := range streams {
-		remap[t] = b.remapBuf[off : off+len(s) : off+len(s)]
-		off += len(s)
+		n := length(s)
+		remap[t] = b.remapBuf[off : off+n : off+n]
+		off += n
 		cursor[t] = 0
 	}
 	return remap, cursor, total

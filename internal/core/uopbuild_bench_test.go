@@ -52,7 +52,7 @@ func BenchmarkScalarUops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ub.reset()
 		uops := ub.scalarUops(tr, 0)
-		if len(uops) != len(tr) {
+		if len(uops.Uops) != len(tr) {
 			b.Fatal("length mismatch")
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkBatchUops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ub.reset()
 		uops := ub.batchUops(ops, sg, true, &mcu)
-		if len(uops) != len(ops) {
+		if len(uops.Uops) != len(ops) {
 			b.Fatal("length mismatch")
 		}
 	}

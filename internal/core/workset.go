@@ -96,10 +96,10 @@ func (p *prepSlot) cpuTrace(i int) ([]isa.TraceOp, error) {
 
 // scalar builds the CPU's uops of the group's request i: one unit of
 // the CPU run.
-func (p *prepSlot) scalar(i int) ([]pipeline.Uop, error) {
+func (p *prepSlot) scalar(i int) (pipeline.Stream, error) {
 	tr, err := p.cpuTrace(i)
 	if err != nil {
-		return nil, err
+		return pipeline.Stream{}, err
 	}
 	p.ub.reset()
 	return p.ub.scalarUops(tr, 0), nil
@@ -113,10 +113,10 @@ func (p *prepSlot) scalar(i int) ([]pipeline.Uop, error) {
 // its traces equals the CPU layout's with every heap and stack address
 // moved up by that much (TestSMTRelocation checks every bundled
 // service), so smtUops relocates the addresses as it merges.
-func (p *prepSlot) smt() ([]pipeline.Uop, error) {
+func (p *prepSlot) smt() (pipeline.Stream, error) {
 	for i := range p.group {
 		if _, err := p.cpuTrace(i); err != nil {
-			return nil, err
+			return pipeline.Stream{}, err
 		}
 	}
 	p.ub.reset()
@@ -151,6 +151,6 @@ func (p *prepSlot) batch(b *batch.Batch, o *Options, size, banks int, reconv map
 		BatchOps:  len(merged.Ops),
 		Requests:  len(b.Requests),
 	}
-	bs.Uops = p.ub.batchUops(merged.Ops, sg, o.StackInterleave, &bs.MCU)
+	bs.Stream = p.ub.batchUops(merged.Ops, sg, o.StackInterleave, &bs.MCU)
 	return nil
 }

@@ -124,9 +124,9 @@ func TestSMTUopsMatchMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		var perThread uopBuilder
-		streams := make([][]pipeline.Uop, len(traces))
+		streams := make([]pipeline.Stream, len(traces))
 		for i, ops := range traces {
-			streams[i] = perThread.scalarUops(ops, i)
+			streams[i] = perThread.scalarUops(ops, uint8(i))
 		}
 		p.setGroup(group)
 		got, err := p.smt()

@@ -60,3 +60,20 @@ func BenchmarkCoalesceScratch(b *testing.B) {
 		dst, _ = AppendCoalesce(dst[:0], &sc, lanes, 32, &st)
 	}
 }
+
+// BenchmarkCacheAccessL2Random looks up random lines of an RPU-sized L2
+// (2 MiB, 8 ways, 32-byte lines: 8192 sets) drawn from twice its
+// capacity, so about half the accesses miss and evict. The tag store
+// is far larger than a host L1 and each access lands in a random set,
+// so the time per access is dominated by the host memory the set scan
+// touches.
+func BenchmarkCacheAccessL2Random(b *testing.B) {
+	c := NewCache(CacheConfig{Name: "l2", SizeBytes: 2 << 20, Ways: 8, LineBytes: 32, Banks: 2, LatCycles: 20})
+	const lines = 2 * (2 << 20) / 32
+	x := uint64(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		c.Access((x>>20)%lines*32, i%4 == 0)
+	}
+}

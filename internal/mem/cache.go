@@ -63,16 +63,22 @@ func (s CacheStats) HitRate() float64 {
 	return 1 - float64(s.Misses)/float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
+// Tag-word flags. A tag word is the line tag (addr >> lineShift) with
+// tagValid set and, for a modified line, tagDirty; 0 is an empty way.
+// LineBytes >= 4 keeps the top two bits of every tag clear for them.
+const (
+	tagValid uint64 = 1 << 63
+	tagDirty uint64 = 1 << 62
+)
 
 // Cache is a banked, set-associative, write-allocate, write-back cache.
 // Lines are interleaved over banks at line granularity, as in the RPU's
 // multi-bank L1 (which is why TLB entries must be duplicated per bank).
+//
+// The tag store is split: tags holds one word per way (flags folded
+// in), so a lookup scans a set's ways as one contiguous run (one
+// 64-byte host line for 8 ways), and used holds the LRU timestamps the
+// victim choice reads. A simulated line costs 16 bytes of host memory.
 type Cache struct {
 	cfg  CacheConfig
 	sets int
@@ -85,28 +91,33 @@ type Cache struct {
 	bankMask  uint64
 	setsPow2  bool
 	banksPow2 bool
-	lines     []line // sets × ways
-	tick      uint64
-	bankFree  []uint64 // next cycle each bank can accept an access
-	Stats     CacheStats
+	tags      []uint64 // sets × ways tag words; 0 is an empty way
+	// used holds each way's LRU timestamp: the tick of its last access,
+	// 0 exactly when the way is empty (the first access is tick 1).
+	used     []uint64
+	tick     uint64
+	bankFree []uint64 // next cycle each bank can accept an access
+	Stats    CacheStats
 }
 
 // NewCache builds a cache from cfg; the shape must divide evenly and
-// the line size must be a power of two (LineAddr masks on it).
+// the line size must be a power of two (LineAddr masks on it) of at
+// least 4 bytes (the tag word's top two bits hold the line's flags).
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
 	}
 	sets := cfg.Sets()
 	if sets == 0 || cfg.SizeBytes%(cfg.Ways*cfg.LineBytes) != 0 ||
-		cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		cfg.LineBytes < 4 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %q shape invalid: size=%d ways=%d line=%d",
 			cfg.Name, cfg.SizeBytes, cfg.Ways, cfg.LineBytes))
 	}
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
-		lines:    make([]line, sets*cfg.Ways),
+		tags:     make([]uint64, sets*cfg.Ways),
+		used:     make([]uint64, sets*cfg.Ways),
 		bankFree: make([]uint64, cfg.Banks),
 	}
 	for 1<<c.lineShift < cfg.LineBytes {
@@ -161,70 +172,70 @@ func (c *Cache) BankTime(addr uint64, t uint64) uint64 {
 	return start
 }
 
+// locate returns the index of addr's set's first way in tags and used,
+// and addr's valid tag word.
+func (c *Cache) locate(addr uint64) (base int, key uint64) {
+	tag := addr >> c.lineShift
+	return c.set(tag) * c.cfg.Ways, tag | tagValid
+}
+
+// find returns the way of the set starting at base holding key, or -1.
+func (c *Cache) find(base int, key uint64) int {
+	for i, w := range c.tags[base : base+c.cfg.Ways] {
+		if w&^tagDirty == key {
+			return base + i
+		}
+	}
+	return -1
+}
+
 // Access looks up addr; on a miss the line is allocated (write-allocate)
 // and the evicted dirty line counts as a writeback. Returns hit and
 // whether a dirty line was written back.
 func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 	c.tick++
 	c.Stats.Accesses++
-	tag := addr >> c.lineShift
-	set := c.set(tag)
-	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
-
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].used = c.tick
-			if write {
-				ways[i].dirty = true
-			}
-			return true, false
+	base, key := c.locate(addr)
+	if i := c.find(base, key); i >= 0 {
+		c.used[i] = c.tick
+		if write {
+			c.tags[i] |= tagDirty
 		}
+		return true, false
 	}
 	c.Stats.Misses++
-	// Choose LRU victim.
-	victim := 0
-	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].used < ways[victim].used {
-			victim = i
+	// Choose the LRU victim; an empty way (used 0) ends the search.
+	used := c.used[base : base+c.cfg.Ways]
+	victim, oldest := 0, used[0]
+	for i := 1; i < len(used) && oldest != 0; i++ {
+		if used[i] < oldest {
+			victim, oldest = i, used[i]
 		}
 	}
-	writeback = ways[victim].valid && ways[victim].dirty
+	victim += base
+	writeback = c.tags[victim]&tagDirty != 0
 	if writeback {
 		c.Stats.Writebacks++
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
+	if write {
+		key |= tagDirty
+	}
+	c.tags[victim] = key
+	c.used[victim] = c.tick
 	return false, writeback
 }
 
 // MarkDirty sets the dirty bit on addr's line if resident, without
 // counting an access.
 func (c *Cache) MarkDirty(addr uint64) {
-	tag := addr >> c.lineShift
-	set := c.set(tag)
-	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].dirty = true
-			return
-		}
+	if i := c.find(c.locate(addr)); i >= 0 {
+		c.tags[i] |= tagDirty
 	}
 }
 
 // Probe reports whether addr is resident without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.lineShift
-	set := c.set(tag)
-	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.locate(addr)) >= 0
 }
 
 // ResetTiming clears bank timing state (between independent runs that
@@ -235,7 +246,8 @@ func (c *Cache) ResetTiming() {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	clear(c.tags)
+	clear(c.used)
 	clear(c.bankFree)
 	c.tick = 0
 	c.Stats = CacheStats{}

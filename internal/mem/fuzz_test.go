@@ -47,10 +47,14 @@ func FuzzCoalesce(f *testing.F) {
 }
 
 // FuzzCacheAccess checks that the cache never loses the line it just
-// inserted and that stats stay consistent.
+// inserted and that stats stay consistent, and that the split tag store
+// agrees with refCache on an operation sequence decoded from raw (two
+// bytes per op: kind and line) for the geometry geom selects from
+// equivGeometries.
 func FuzzCacheAccess(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, false)
-	f.Fuzz(func(t *testing.T, raw []byte, write bool) {
+	f.Add([]byte{1, 2, 3}, false, uint8(0))
+	f.Add([]byte{1, 9, 0, 9, 4, 0, 2, 9, 1, 200, 3, 9}, true, uint8(4))
+	f.Fuzz(func(t *testing.T, raw []byte, write bool, geom uint8) {
 		c := smallCache()
 		for _, b := range raw {
 			addr := uint64(b) * 32
@@ -62,5 +66,17 @@ func FuzzCacheAccess(f *testing.F) {
 		if c.Stats.Misses > c.Stats.Accesses {
 			t.Fatalf("more misses than accesses: %+v", c.Stats)
 		}
+
+		// Lines spaced so that each byte value lands in the same set
+		// as its neighbours a few apart: small inputs still overflow
+		// sets and evict.
+		cfg := equivGeometries[int(geom)%len(equivGeometries)]
+		stride := uint64(cfg.Sets()*cfg.LineBytes) / 4
+		ops := make([]cacheOp, len(raw)/2)
+		for i := range ops {
+			kind, line := raw[2*i], raw[2*i+1]
+			ops[i] = cacheOp{kind: kind % 5, addr: uint64(line) * stride}
+		}
+		checkCacheEquiv(t, cfg, ops)
 	})
 }

@@ -250,6 +250,42 @@ func TestCoalesceZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNewCacheRejectsBadShape: NewCache panics on a geometry it cannot
+// model: sets that do not divide evenly, a line size that is not a
+// power of two, or one below 4 bytes (the tag word's top two bits hold
+// the line's flags).
+func TestNewCacheRejectsBadShape(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{Name: "uneven", SizeBytes: 1000, Ways: 2, LineBytes: 32},
+		{Name: "line48", SizeBytes: 48 * 64, Ways: 2, LineBytes: 48},
+		{Name: "line2", SizeBytes: 1024, Ways: 2, LineBytes: 2},
+		{Name: "line1", SizeBytes: 1024, Ways: 2, LineBytes: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewCache(%+v) did not panic", cfg.Name, cfg)
+				}
+			}()
+			NewCache(cfg)
+		}()
+	}
+	NewCache(CacheConfig{Name: "line4", SizeBytes: 1024, Ways: 2, LineBytes: 4})
+}
+
+// TestCacheAccessAllocs: a cache lookup, hit or miss with eviction,
+// allocates nothing.
+func TestCacheAccessAllocs(t *testing.T) {
+	c := smallCache()
+	i := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Access(i*96, i%3 == 0)
+		i++
+	}); n != 0 {
+		t.Fatalf("Cache.Access allocates %.1f/op", n)
+	}
+}
+
 func TestCoalesceEmpty(t *testing.T) {
 	acc, _ := Coalesce([][]uint64{nil, nil}, 32, nil, nil)
 	if acc != nil {

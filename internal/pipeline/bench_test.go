@@ -6,9 +6,9 @@ import (
 	"simr/internal/isa"
 )
 
-func benchUops(n int, lanes int) []Uop {
-	uops := make([]Uop, n)
-	for i := range uops {
+func benchUops(n int, mask uint64) Stream {
+	var s Stream
+	for i := 0; i < n; i++ {
 		cls := isa.IAlu
 		switch i % 7 {
 		case 3:
@@ -16,24 +16,37 @@ func benchUops(n int, lanes int) []Uop {
 		case 5:
 			cls = isa.Store
 		}
-		u := Uop{Class: cls, Dep1: -1, Dep2: -1, ActiveLanes: lanes, PC: uint64(i) * 4}
+		u := Uop{Class: cls, Dep1: -1, Dep2: -1, Mask: mask, PC: uint64(i) * 4}
 		if i%4 == 0 && i > 0 {
 			u.Dep1 = int32(i - 1)
 		}
 		if cls.IsMem() {
-			u.Accesses = []uint64{uint64(i) * 64 % (1 << 20)}
+			s = appendUop(s, u, uint64(i)*64%(1<<20))
+		} else {
+			s = appendUop(s, u)
 		}
-		uops[i] = u
 	}
-	return uops
+	return s
+}
+
+// benchRun times s on one reused core and memory system, each Reset
+// before every run, so the measurement is Core.Run and the memory
+// accesses it makes, not the allocation and clearing of fresh cache
+// arrays.
+func benchRun(b *testing.B, cfg Config, s Stream) {
+	c, ms := NewCore(cfg), testMem()
+	b.SetBytes(int64(len(s.Uops)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Reset(cfg)
+		ms.Reset()
+		c.Run(ms, s)
+	}
 }
 
 func BenchmarkRunScalar(b *testing.B) {
-	uops := benchUops(4096, 1)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		NewCore(testCfg()).Run(testMem(), uops)
-	}
+	benchRun(b, testCfg(), benchUops(4096, 0))
 }
 
 // BenchmarkRunLongTrace guards the slotTable sliding window: a long
@@ -45,24 +58,16 @@ func BenchmarkRunLongTrace(b *testing.B) {
 	const n = 1 << 18
 	uops := make([]Uop, n)
 	for i := range uops {
-		uops[i] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1, PC: uint64(i) * 4}
+		uops[i] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, PC: uint64(i) * 4}
 		if i%4 == 0 && i > 0 {
 			uops[i].Dep1 = int32(i - 1)
 		}
 	}
-	b.SetBytes(n)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewCore(testCfg()).Run(testMem(), uops)
-	}
+	benchRun(b, testCfg(), Stream{Uops: uops})
 }
 
 func BenchmarkRunBatch(b *testing.B) {
 	cfg := testCfg()
 	cfg.Lanes = 8
-	uops := benchUops(4096, 32)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		NewCore(cfg).Run(testMem(), uops)
-	}
+	benchRun(b, cfg, benchUops(4096, 1<<32-1))
 }

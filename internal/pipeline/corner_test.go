@@ -9,14 +9,12 @@ import (
 // smtUops builds an interleaved multi-thread stream with a cold load on
 // thread 0 so ROB occupancy (partitioned or unified) becomes the
 // binding constraint once the miss stalls retirement.
-func smtUops(n, threads int) []Uop {
-	uops := make([]Uop, n)
-	for i := range uops {
-		uops[i] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: i % threads}
+func smtUops(n, threads int) Stream {
+	s := appendUop(Stream{}, load, 1<<30)
+	for i := 1; i < n; i++ {
+		s = appendUop(s, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, Thread: uint8(i % threads)})
 	}
-	uops[0] = Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: 0,
-		Accesses: []uint64{1 << 30}}
-	return uops
+	return s
 }
 
 // TestPartitionedROBSingleThreadMatchesUnified pins the ring-buffer
@@ -24,14 +22,14 @@ func smtUops(n, threads int) []Uop {
 // single-thread stream, a per-thread window of k must stall dispatch at
 // exactly the same points as a unified ROB of k entries.
 func TestPartitionedROBSingleThreadMatchesUnified(t *testing.T) {
-	uops := smtUops(120, 1)
+	s := smtUops(120, 1)
 	for _, k := range []int{4, 8, 32} {
 		cu := testCfg()
 		cu.ROB = k
-		unified := NewCore(cu).Run(testMem(), uops)
+		unified := NewCore(cu).Run(testMem(), s)
 		cp := testCfg()
 		cp.ROBPerThread = k
-		part := NewCore(cp).Run(testMem(), uops)
+		part := NewCore(cp).Run(testMem(), s)
 		if part.Cycles != unified.Cycles {
 			t.Fatalf("window %d: partitioned %d cycles, unified %d", k, part.Cycles, unified.Cycles)
 		}
@@ -43,21 +41,18 @@ func TestPartitionedROBSingleThreadMatchesUnified(t *testing.T) {
 // apart in thread 0's own stream, so per-thread windows of 8 let the
 // misses overlap while a unified 8-entry ROB serialises them.
 func TestPartitionedROBGivesEachThreadOwnWindow(t *testing.T) {
-	var uops []Uop
-	uops = append(uops, Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: 0,
-		Accesses: []uint64{1 << 30}})
+	s := appendUop(Stream{}, load, 1<<30)
 	for i := 1; i < 12; i++ {
-		uops = append(uops, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: i % 2})
+		s = appendUop(s, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, Thread: uint8(i % 2)})
 	}
-	uops = append(uops, Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: 0,
-		Accesses: []uint64{1<<30 + 8192}})
+	s = appendUop(s, load, 1<<30+8192)
 
 	cu := testCfg()
 	cu.ROB = 8
-	unified := NewCore(cu).Run(testMem(), uops)
+	unified := NewCore(cu).Run(testMem(), s)
 	cp := testCfg()
 	cp.ROBPerThread = 8
-	part := NewCore(cp).Run(testMem(), uops)
+	part := NewCore(cp).Run(testMem(), s)
 	if part.Cycles+100 > unified.Cycles {
 		t.Fatalf("partitioned (8/thread) %d cycles, unified (8) %d: misses not overlapping",
 			part.Cycles, unified.Cycles)
@@ -71,12 +66,12 @@ func TestNoSpeculationStallsFetch(t *testing.T) {
 	n := 200
 	uops := make([]Uop, n)
 	for i := range uops {
-		uops[i] = Uop{Class: isa.Branch, Dep1: -1, Dep2: -1, ActiveLanes: 1, PC: 0x40, Taken: true}
+		uops[i] = Uop{Class: isa.Branch, Dep1: -1, Dep2: -1, PC: 0x40, TakenMask: 1}
 	}
-	spec := NewCore(testCfg()).Run(testMem(), uops)
+	spec := NewCore(testCfg()).Run(testMem(), Stream{Uops: uops})
 	cfg := testCfg()
 	cfg.NoSpeculation = true
-	nospec := NewCore(cfg).Run(testMem(), uops)
+	nospec := NewCore(cfg).Run(testMem(), Stream{Uops: uops})
 	if nospec.Cycles < 2*spec.Cycles {
 		t.Fatalf("NoSpeculation %d cycles vs speculative %d: fetch not stalling on branches",
 			nospec.Cycles, spec.Cycles)
@@ -89,21 +84,20 @@ func TestNoSpeculationStallsFetch(t *testing.T) {
 // latency on top of the miss. Without the fence — or out of order —
 // the chain overlaps the miss and only in-order retirement remains.
 func TestFenceOnlyOrdersInOrder(t *testing.T) {
-	mk := func(fence bool) []Uop {
-		uops := []Uop{
-			{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1 << 30}},
-			{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1},
-		}
+	mk := func(fence bool) Stream {
+		s := appendUop(Stream{}, load, 1<<30)
 		if fence {
-			uops[1] = Uop{Class: isa.Fence, Dep1: 0, Dep2: -1, ActiveLanes: 1}
+			s = appendUop(s, Uop{Class: isa.Fence, Dep1: 0, Dep2: -1})
+		} else {
+			s = appendUop(s, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1})
 		}
 		// A dependent chain that does NOT read the fence: only the
 		// in-order issue barrier can delay it.
-		uops = append(uops, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1})
+		s = appendUop(s, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1})
 		for i := 0; i < 100; i++ {
-			uops = append(uops, Uop{Class: isa.IAlu, Dep1: int32(len(uops) - 1), Dep2: -1, ActiveLanes: 1})
+			s = appendUop(s, Uop{Class: isa.IAlu, Dep1: int32(len(s.Uops) - 1), Dep2: -1})
 		}
-		return uops
+		return s
 	}
 	inorder := testCfg()
 	inorder.InOrder = true
@@ -129,10 +123,10 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	cfg.ROBPerThread = 8
 	c := NewCore(cfg)
 	ms := testMem()
-	uops := smtUops(256, 8)
-	uops[0] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1} // ALU-only: keep mem out
-	c.Run(ms, uops)
-	if n := testing.AllocsPerRun(10, func() { c.Run(ms, uops) }); n != 0 {
+	s := smtUops(256, 8)
+	s.Uops[0] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1} // ALU-only: keep mem out
+	c.Run(ms, s)
+	if n := testing.AllocsPerRun(10, func() { c.Run(ms, s) }); n != 0 {
 		t.Fatalf("Core.Run steady state allocates %.1f times per run, want 0", n)
 	}
 }
@@ -145,15 +139,15 @@ func BenchmarkRunSMTPartitioned(b *testing.B) {
 	cfg.ROBPerThread = 16
 	c := NewCore(cfg)
 	ms := testMem()
-	uops := benchUops(4096, 1)
-	for i := range uops {
-		uops[i].Thread = i % 8
+	s := benchUops(4096, 0)
+	for i := range s.Uops {
+		s.Uops[i].Thread = uint8(i % 8)
 	}
-	c.Run(ms, uops)
+	c.Run(ms, s)
 	b.SetBytes(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Run(ms, uops)
+		c.Run(ms, s)
 	}
 }

@@ -19,25 +19,50 @@ import (
 
 // Uop is one instruction presented to the timing model: a scalar
 // instruction (CPU), or a batch instruction with its active mask and
-// coalesced physical accesses (RPU/GPU).
+// coalesced physical accesses (RPU/GPU). It is 40 bytes: the timing
+// core reads one per simulated instruction, so its width is host
+// memory traffic.
 type Uop struct {
-	PC         uint64
-	Class      isa.Class
+	PC uint64
+	// Mask is a batch instruction's active-lane mask, 0 for a scalar
+	// one. The uop's active lane count is popcount(Mask), or 1 when
+	// Mask is 0.
+	Mask uint64
+	// TakenMask has a bit set per lane whose branch was taken. For a
+	// scalar branch (Mask 0) bit 0 is the outcome.
+	TakenMask  uint64
 	Dep1, Dep2 int32 // producer uop indices in the same stream, -1 none
-	// Accesses are the physical addresses this uop issues to the L1
-	// (already MCU-coalesced for batch mode). The slice is borrowed
-	// from the producer's arena (core.uopBuilder) and may alias other
-	// uops' storage: Core.Run and every other consumer must treat it
-	// as read-only and must not retain it past the run.
-	Accesses []uint64
-	// ActiveLanes is the active thread count (1 for scalar mode).
-	ActiveLanes int
-	// Mask and TakenMask carry branch vote information in batch mode.
-	Mask, TakenMask uint64
-	// Taken is the scalar branch outcome.
-	Taken bool
+	// Acc and NAcc locate the physical addresses this uop issues to
+	// the L1 (already MCU-coalesced for batch mode): the stream's
+	// Addrs[Acc : Acc+NAcc].
+	Acc   uint32
+	NAcc  uint16
+	Class isa.Class
 	// Thread tags the SMT stream the uop belongs to.
-	Thread int
+	Thread uint8
+}
+
+// Lanes returns the uop's active lane count: popcount(Mask), or 1 for
+// a scalar uop.
+func (u *Uop) Lanes() int {
+	if u.Mask == 0 {
+		return 1
+	}
+	return popcount(u.Mask)
+}
+
+// Stream is a uop stream and the one address array its uops' Acc and
+// NAcc index. Producers (core's uop builder, the batch cache) may
+// share a stream's slices between consumers: Core.Run and every other
+// consumer treat both as read-only.
+type Stream struct {
+	Uops  []Uop
+	Addrs []uint64
+}
+
+// Accesses returns the L1 addresses of uop u of the stream.
+func (s Stream) Accesses(u *Uop) []uint64 {
+	return s.Addrs[u.Acc : u.Acc+uint32(u.NAcc)]
 }
 
 // Config describes one core's pipeline.
@@ -306,9 +331,10 @@ func (c *Core) Reset(cfg Config) {
 // timing statistics. The memory system's state (cache contents, bank
 // timing) persists across calls, modelling back-to-back requests on a
 // warm core.
-func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
+func (c *Core) Run(ms *mem.System, s Stream) Stats {
 	cfg := c.Cfg
 	var st Stats
+	uops := s.Uops
 
 	n := len(uops)
 	if cap(c.sc.completion) < n {
@@ -336,13 +362,11 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 	// so the dispatch loop below only indexes (no appends or makes on
 	// the hot path, and zero allocations in the steady state).
 	if cfg.ROBPerThread > 0 {
-		maxThread := 0
+		var maxThread uint8
 		for i := range uops {
-			if t := uops[i].Thread; t > maxThread {
-				maxThread = t
-			}
+			maxThread = max(maxThread, uops[i].Thread)
 		}
-		for maxThread >= len(c.sc.threads) {
+		for int(maxThread) >= len(c.sc.threads) {
 			c.sc.threads = append(c.sc.threads, robRing{})
 		}
 		for t := range c.sc.threads {
@@ -390,9 +414,10 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 
 		// Issue: one token per sub-batch group (execution classes widen
 		// over the lanes); memory instructions occupy one LSQ row.
+		lanes := u.Lanes()
 		tokens := 1
-		if u.ActiveLanes > cfg.Lanes && !u.Class.IsMem() {
-			tokens = (u.ActiveLanes + cfg.Lanes - 1) / cfg.Lanes
+		if lanes > cfg.Lanes && !u.Class.IsMem() {
+			tokens = (lanes + cfg.Lanes - 1) / cfg.Lanes
 		}
 		issue := ready
 		for k := 0; k < tokens; k++ {
@@ -406,7 +431,7 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 		switch u.Class {
 		case isa.Load, isa.Atomic:
 			done = issue
-			for _, a := range u.Accesses {
+			for _, a := range s.Accesses(u) {
 				if t := ms.Access(a, false, u.Class == isa.Atomic, issue); t > done {
 					done = t
 				}
@@ -416,14 +441,14 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 		case isa.Store:
 			// Stores retire from the store queue off the critical path,
 			// but still update cache state and traffic now.
-			for _, a := range u.Accesses {
+			for _, a := range s.Accesses(u) {
 				ms.Access(a, true, false, issue)
 			}
 			done = issue + 1
 		case isa.Branch:
 			done = issue + cfg.BranchLat
 			st.Branches++
-			actual := u.Taken
+			actual := u.TakenMask&1 != 0
 			if u.Mask != 0 {
 				actual = c.voteOutcome(u)
 				// Lanes disagreeing with the batch direction flush at
@@ -475,10 +500,6 @@ func (c *Core) Run(ms *mem.System, uops []Uop) Stats {
 		// Accounting.
 		st.Uops++
 		st.UopsByClass[u.Class]++
-		lanes := u.ActiveLanes
-		if lanes <= 0 {
-			lanes = 1
-		}
 		st.ScalarOps += uint64(lanes)
 		st.LaneOpsByClass[u.Class] += uint64(lanes)
 	}

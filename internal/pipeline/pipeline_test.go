@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"simr/internal/isa"
 	"simr/internal/mem"
@@ -35,7 +37,7 @@ func testCfg() Config {
 func alus(n int, dep bool) []Uop {
 	uops := make([]Uop, n)
 	for i := range uops {
-		uops[i] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1}
+		uops[i] = Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1}
 		if dep && i > 0 {
 			uops[i].Dep1 = int32(i - 1)
 		}
@@ -43,9 +45,21 @@ func alus(n int, dep bool) []Uop {
 	return uops
 }
 
+// appendUop appends u to s, issuing accesses to addrs.
+func appendUop(s Stream, u Uop, addrs ...uint64) Stream {
+	u.Acc, u.NAcc = uint32(len(s.Addrs)), uint16(len(addrs))
+	s.Addrs = append(s.Addrs, addrs...)
+	s.Uops = append(s.Uops, u)
+	return s
+}
+
+// load is a scalar load uop with no dependencies; appendUop gives it
+// its addresses.
+var load = Uop{Class: isa.Load, Dep1: -1, Dep2: -1}
+
 func TestIndependentOpsReachIssueWidth(t *testing.T) {
 	c := NewCore(testCfg())
-	st := c.Run(testMem(), alus(400, false))
+	st := c.Run(testMem(), Stream{Uops: alus(400, false)})
 	if ipc := st.IPC(); ipc < 3.0 {
 		t.Fatalf("independent ALU IPC %.2f, want near issue width 4", ipc)
 	}
@@ -53,7 +67,7 @@ func TestIndependentOpsReachIssueWidth(t *testing.T) {
 
 func TestSerialChainBoundByLatency(t *testing.T) {
 	c := NewCore(testCfg())
-	st := c.Run(testMem(), alus(400, true))
+	st := c.Run(testMem(), Stream{Uops: alus(400, true)})
 	if ipc := st.IPC(); ipc > 1.05 {
 		t.Fatalf("serial chain IPC %.2f, want <= ~1", ipc)
 	}
@@ -61,7 +75,7 @@ func TestSerialChainBoundByLatency(t *testing.T) {
 	cfg := testCfg()
 	cfg.IALULat = 4
 	c4 := NewCore(cfg)
-	st4 := c4.Run(testMem(), alus(400, true))
+	st4 := c4.Run(testMem(), Stream{Uops: alus(400, true)})
 	if r := float64(st4.Cycles) / float64(st.Cycles); r < 3.0 {
 		t.Fatalf("4-cycle ALU chain only %.2fx slower", r)
 	}
@@ -70,10 +84,10 @@ func TestSerialChainBoundByLatency(t *testing.T) {
 func TestOoOIssueOvertakesStalledLoad(t *testing.T) {
 	// A cold load followed by many independent ALUs: the ALUs must not
 	// wait for the load (out-of-order issue).
-	uops := []Uop{{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1 << 30}}}
-	uops = append(uops, alus(100, false)...)
+	s := appendUop(Stream{}, load, 1<<30)
+	s.Uops = append(s.Uops, alus(100, false)...)
 	c := NewCore(testCfg())
-	st := c.Run(testMem(), uops)
+	st := c.Run(testMem(), s)
 	// Serial would be ~200+ (DRAM) + 25; OoO overlaps: cycles ≈ load
 	// completion (retire is in order behind the load).
 	if st.Cycles > 300 {
@@ -88,11 +102,11 @@ func TestROBLimitsOverlap(t *testing.T) {
 	// Two cold loads to different lines separated by more than ROB
 	// entries cannot overlap; closer than ROB they can.
 	mk := func(gap int) uint64 {
-		uops := []Uop{{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1 << 30}}}
-		uops = append(uops, alus(gap, false)...)
-		uops = append(uops, Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1<<30 + 4096}})
+		s := appendUop(Stream{}, load, 1<<30)
+		s.Uops = append(s.Uops, alus(gap, false)...)
+		s = appendUop(s, load, 1<<30+4096)
 		c := NewCore(testCfg())
-		st := c.Run(testMem(), uops)
+		st := c.Run(testMem(), s)
 		return st.Cycles
 	}
 	near, far := mk(10), mk(200) // ROB=64
@@ -109,10 +123,10 @@ func TestBranchMispredictRedirect(t *testing.T) {
 	x := uint32(0x9e3779b9)
 	for i := range uops {
 		x = x*1664525 + 1013904223
-		uops[i] = Uop{Class: isa.Branch, Dep1: -1, Dep2: -1, ActiveLanes: 1, PC: 0x40, Taken: x&0x10000 != 0}
+		uops[i] = Uop{Class: isa.Branch, Dep1: -1, Dep2: -1, PC: 0x40, TakenMask: uint64(x>>16) & 1}
 	}
 	c := NewCore(testCfg())
-	st := c.Run(testMem(), uops)
+	st := c.Run(testMem(), Stream{Uops: uops})
 	if st.Branches != uint64(n) {
 		t.Fatalf("branches %d", st.Branches)
 	}
@@ -121,10 +135,10 @@ func TestBranchMispredictRedirect(t *testing.T) {
 	}
 	// A well-predicted stream must be much faster.
 	for i := range uops {
-		uops[i].Taken = true
+		uops[i].TakenMask = 1
 	}
 	c2 := NewCore(testCfg())
-	st2 := c2.Run(testMem(), uops)
+	st2 := c2.Run(testMem(), Stream{Uops: uops})
 	if st2.Cycles >= st.Cycles {
 		t.Fatalf("predicted branches not faster: %d vs %d", st2.Cycles, st.Cycles)
 	}
@@ -158,13 +172,74 @@ func TestSubBatchInterleavingTokens(t *testing.T) {
 	cfg := testCfg()
 	cfg.Lanes = 8
 	c := NewCore(cfg)
-	uops := []Uop{{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 32, Mask: (1 << 32) - 1}}
-	st := c.Run(testMem(), uops)
+	uops := []Uop{{Class: isa.IAlu, Dep1: -1, Dep2: -1, Mask: (1 << 32) - 1}}
+	st := c.Run(testMem(), Stream{Uops: uops})
 	if st.IssueSlots != 4 {
 		t.Fatalf("32 lanes over 8 = %d tokens, want 4", st.IssueSlots)
 	}
 	if st.ScalarOps != 32 || st.Uops != 1 {
 		t.Fatalf("op accounting: scalar=%d uops=%d", st.ScalarOps, st.Uops)
+	}
+}
+
+// TestUopSize pins the uop's host width: Core.Run reads one uop per
+// simulated instruction, so every byte here is memory traffic.
+func TestUopSize(t *testing.T) {
+	if n := unsafe.Sizeof(Uop{}); n != 40 {
+		t.Fatalf("Uop is %d bytes, want 40", n)
+	}
+}
+
+// TestRunLanesFromMask: a uop's lane count is popcount(Mask), or 1 for
+// a scalar uop (Mask 0). Compute uops take one issue token per Lanes
+// lanes; memory uops take one LSQ row whatever their width.
+func TestRunLanesFromMask(t *testing.T) {
+	cfg := testCfg()
+	cfg.Lanes = 4
+	for _, c := range []struct {
+		class         isa.Class
+		mask          uint64
+		tokens, lanes uint64
+	}{
+		{isa.IAlu, 0, 1, 1},
+		{isa.IAlu, 1 << 40, 1, 1},
+		{isa.IAlu, 0xF, 1, 4},
+		{isa.IAlu, 0x1F, 2, 5},
+		{isa.Simd, 0xF0F0F0F0, 4, 16},
+		{isa.Load, 0xF0F0F0F0, 1, 16},
+	} {
+		s := appendUop(Stream{}, Uop{Class: c.class, Dep1: -1, Dep2: -1, Mask: c.mask}, 1<<20)
+		st := NewCore(cfg).Run(testMem(), s)
+		if st.IssueSlots != c.tokens || st.ScalarOps != c.lanes || st.LaneOpsByClass[c.class] != c.lanes {
+			t.Errorf("%v mask %#x: %d tokens, %d lane ops; want %d, %d",
+				c.class, c.mask, st.IssueSlots, st.ScalarOps, c.tokens, c.lanes)
+		}
+	}
+}
+
+// TestScalarBranchTakenBit: a scalar branch's outcome is TakenMask bit
+// 0. Pseudo-random outcomes in bit 0 defeat the predictors; the same
+// pattern in bit 1 leaves every outcome not taken, exactly like a
+// stream with no taken bits.
+func TestScalarBranchTakenBit(t *testing.T) {
+	branches := func(taken func(x uint32) uint64) Stream {
+		uops := make([]Uop, 200)
+		x := uint32(0x9e3779b9)
+		for i := range uops {
+			x = x*1664525 + 1013904223
+			uops[i] = Uop{Class: isa.Branch, Dep1: -1, Dep2: -1, PC: 0x40, TakenMask: taken(x)}
+		}
+		return Stream{Uops: uops}
+	}
+	bit0 := NewCore(testCfg()).Run(testMem(), branches(func(x uint32) uint64 { return uint64(x>>16) & 1 }))
+	bit1 := NewCore(testCfg()).Run(testMem(), branches(func(x uint32) uint64 { return uint64(x>>16) & 1 << 1 }))
+	never := NewCore(testCfg()).Run(testMem(), branches(func(uint32) uint64 { return 0 }))
+	if !reflect.DeepEqual(bit1, never) {
+		t.Fatalf("TakenMask bit 1 changed a scalar branch:\n%+v\nvs never taken\n%+v", bit1, never)
+	}
+	if bit0.Mispredicts < 50 || bit0.Mispredicts <= never.Mispredicts {
+		t.Fatalf("bit-0 outcomes mispredict %d times, never-taken %d: bit 0 not read",
+			bit0.Mispredicts, never.Mispredicts)
 	}
 }
 
@@ -175,9 +250,9 @@ func TestMajorityVoting(t *testing.T) {
 	// 3 of 4 lanes taken: majority says taken; one lane flushes.
 	uops := []Uop{{
 		Class: isa.Branch, Dep1: -1, Dep2: -1,
-		ActiveLanes: 4, Mask: 0xF, TakenMask: 0x7, PC: 0x200,
+		Mask: 0xF, TakenMask: 0x7, PC: 0x200,
 	}}
-	st := c.Run(testMem(), uops)
+	st := c.Run(testMem(), Stream{Uops: uops})
 	if st.FlushedLanes != 1 {
 		t.Fatalf("flushed lanes %d, want 1", st.FlushedLanes)
 	}
@@ -186,13 +261,13 @@ func TestMajorityVoting(t *testing.T) {
 	cfg.MajorityVote = false
 	c2 := NewCore(cfg)
 	uops[0].TakenMask = 0x8 // only lane 3 taken; lane 0 not taken -> outcome false
-	st2 := c2.Run(testMem(), uops)
+	st2 := c2.Run(testMem(), Stream{Uops: uops})
 	if st2.FlushedLanes != 1 {
 		t.Fatalf("lane-0 outcome flushes %d", st2.FlushedLanes)
 	}
 	uops[0].TakenMask = 0xE // lanes 1-3 taken, lane 0 not: outcome false, flush 3
 	c3 := NewCore(cfg)
-	st3 := c3.Run(testMem(), uops)
+	st3 := c3.Run(testMem(), Stream{Uops: uops})
 	if st3.FlushedLanes != 3 {
 		t.Fatalf("lane-0 flushes %d, want 3", st3.FlushedLanes)
 	}
@@ -202,18 +277,16 @@ func TestInOrderIssueSerialises(t *testing.T) {
 	// Two independent load+use pairs: an OoO core overlaps both cold
 	// misses; an in-order core cannot issue the second load past the
 	// first stalled use, so the misses serialise end to end.
-	uops := []Uop{
-		{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1 << 30}},
-		{Class: isa.IAlu, Dep1: 0, Dep2: -1, ActiveLanes: 1},
-		{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1<<30 + 8192}},
-		{Class: isa.IAlu, Dep1: 2, Dep2: -1, ActiveLanes: 1},
-	}
+	s := appendUop(Stream{}, load, 1<<30)
+	s = appendUop(s, Uop{Class: isa.IAlu, Dep1: 0, Dep2: -1})
+	s = appendUop(s, load, 1<<30+8192)
+	s = appendUop(s, Uop{Class: isa.IAlu, Dep1: 2, Dep2: -1})
 
 	cfg := testCfg()
 	cfg.InOrder = true
 	cfg.NoSpeculation = true
-	st := NewCore(cfg).Run(testMem(), uops)
-	ooo := NewCore(testCfg()).Run(testMem(), uops)
+	st := NewCore(cfg).Run(testMem(), s)
+	ooo := NewCore(testCfg()).Run(testMem(), s)
 	if st.Cycles <= ooo.Cycles+20 {
 		t.Fatalf("in-order (%d) not meaningfully slower than OoO (%d)", st.Cycles, ooo.Cycles)
 	}
@@ -224,15 +297,11 @@ func TestSMTPartitionedROB(t *testing.T) {
 	cfg.ROBPerThread = 8
 	c := NewCore(cfg)
 	// Two threads, interleaved; thread 0 has a cold load then filler.
-	var uops []Uop
-	for i := 0; i < 60; i++ {
-		u := Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: i % 2}
-		if i == 0 {
-			u = Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: 0, Accesses: []uint64{1 << 30}}
-		}
-		uops = append(uops, u)
+	s := appendUop(Stream{}, load, 1<<30)
+	for i := 1; i < 60; i++ {
+		s = appendUop(s, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1, Thread: uint8(i % 2)})
 	}
-	st := c.Run(testMem(), uops)
+	st := c.Run(testMem(), s)
 	if st.Cycles == 0 {
 		t.Fatal("no cycles")
 	}
@@ -240,9 +309,9 @@ func TestSMTPartitionedROB(t *testing.T) {
 
 func TestStoresOffCriticalPath(t *testing.T) {
 	c := NewCore(testCfg())
-	uops := []Uop{{Class: isa.Store, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1 << 30}}}
-	uops = append(uops, alus(20, false)...)
-	st := c.Run(testMem(), uops)
+	s := appendUop(Stream{}, Uop{Class: isa.Store, Dep1: -1, Dep2: -1}, 1<<30)
+	s.Uops = append(s.Uops, alus(20, false)...)
+	st := c.Run(testMem(), s)
 	if st.Cycles > 60 {
 		t.Fatalf("store miss blocked retirement: %d cycles", st.Cycles)
 	}
@@ -251,8 +320,8 @@ func TestStoresOffCriticalPath(t *testing.T) {
 func TestAccumulate(t *testing.T) {
 	c := NewCore(testCfg())
 	ms := testMem()
-	a := c.Run(ms, alus(50, false))
-	b := c.Run(ms, alus(50, false))
+	a := c.Run(ms, Stream{Uops: alus(50, false)})
+	b := c.Run(ms, Stream{Uops: alus(50, false)})
 	var total Stats
 	total.Accumulate(&a)
 	total.Accumulate(&b)
@@ -263,13 +332,12 @@ func TestAccumulate(t *testing.T) {
 
 // memUops builds a load stream spread over distinct lines so every run
 // generates real cache traffic.
-func memUops(n int, stride uint64) []Uop {
-	uops := make([]Uop, n)
-	for i := range uops {
-		uops[i] = Uop{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1,
-			Accesses: []uint64{uint64(i) * stride}}
+func memUops(n int, stride uint64) Stream {
+	var s Stream
+	for i := 0; i < n; i++ {
+		s = appendUop(s, load, uint64(i)*stride)
 	}
-	return uops
+	return s
 }
 
 // TestAccumulateMemDeltas is the regression test for the old
@@ -343,8 +411,8 @@ func TestSlotTableWindow(t *testing.T) {
 func TestQuickCyclesMonotone(t *testing.T) {
 	f := func(n uint8) bool {
 		a := int(n%100) + 1
-		c1 := NewCore(testCfg()).Run(testMem(), alus(a, false))
-		c2 := NewCore(testCfg()).Run(testMem(), alus(a+10, false))
+		c1 := NewCore(testCfg()).Run(testMem(), Stream{Uops: alus(a, false)})
+		c2 := NewCore(testCfg()).Run(testMem(), Stream{Uops: alus(a+10, false)})
 		return c2.Cycles >= c1.Cycles && c1.Cycles >= uint64(a/4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -367,10 +435,10 @@ func TestPredictorTrains(t *testing.T) {
 
 func TestSyscallLatencyCharged(t *testing.T) {
 	cfg := testCfg()
-	fast := NewCore(cfg).Run(testMem(), alus(5, true))
-	uops := append([]Uop{{Class: isa.Syscall, Dep1: -1, Dep2: -1, ActiveLanes: 1}}, alus(5, true)...)
+	fast := NewCore(cfg).Run(testMem(), Stream{Uops: alus(5, true)})
+	uops := append([]Uop{{Class: isa.Syscall, Dep1: -1, Dep2: -1}}, alus(5, true)...)
 	uops[1].Dep1 = 0 // first ALU waits for the syscall
-	slow := NewCore(cfg).Run(testMem(), uops)
+	slow := NewCore(cfg).Run(testMem(), Stream{Uops: uops})
 	if slow.Cycles < fast.Cycles+cfg.SyscallLat/2 {
 		t.Fatalf("syscall latency not on critical path: %d vs %d", slow.Cycles, fast.Cycles)
 	}
@@ -379,12 +447,10 @@ func TestSyscallLatencyCharged(t *testing.T) {
 func TestFenceOrdersInOrderCore(t *testing.T) {
 	cfg := testCfg()
 	cfg.InOrder = true
-	uops := []Uop{
-		{Class: isa.Load, Dep1: -1, Dep2: -1, ActiveLanes: 1, Accesses: []uint64{1 << 30}},
-		{Class: isa.Fence, Dep1: 0, Dep2: -1, ActiveLanes: 1},
-		{Class: isa.IAlu, Dep1: -1, Dep2: -1, ActiveLanes: 1},
-	}
-	st := NewCore(cfg).Run(testMem(), uops)
+	s := appendUop(Stream{}, load, 1<<30)
+	s = appendUop(s, Uop{Class: isa.Fence, Dep1: 0, Dep2: -1})
+	s = appendUop(s, Uop{Class: isa.IAlu, Dep1: -1, Dep2: -1})
+	st := NewCore(cfg).Run(testMem(), s)
 	if st.Cycles < 150 {
 		t.Fatalf("fence did not order behind the cold load: %d cycles", st.Cycles)
 	}

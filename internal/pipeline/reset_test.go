@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/bits"
 	"reflect"
 	"testing"
 
@@ -64,17 +63,18 @@ func resetConfigs() []resetConfig {
 // gains confidence) or follow the seed (so gshare history matters).
 // Uops round-robin over rc.threads threads; batch-mode configs get
 // random active and taken masks.
-func seededStream(rc resetConfig, seed uint64, n int) []Uop {
+func seededStream(rc resetConfig, seed uint64, n int) Stream {
 	x := seed
 	next := func() uint64 {
 		x = x*6364136223846793005 + 1442695040888963407
 		return x >> 16
 	}
 	classes := []isa.Class{isa.IAlu, isa.IAlu, isa.FAlu, isa.Simd, isa.Load, isa.Load, isa.Store, isa.Atomic, isa.Fence, isa.Syscall}
-	uops := make([]Uop, n)
+	var s Stream
 	trip := make([]uint64, 4)
-	for i := range uops {
-		u := Uop{Dep1: -1, Dep2: -1, ActiveLanes: 1, Thread: i % rc.threads}
+	for i := 0; i < n; i++ {
+		u := Uop{Dep1: -1, Dep2: -1, Thread: uint8(i % rc.threads)}
+		var addrs []uint64
 		r := next()
 		if i > 0 && r%3 != 0 {
 			u.Dep1 = int32(i - 1 - int(r>>8)%min(i, 24))
@@ -89,27 +89,29 @@ func seededStream(rc resetConfig, seed uint64, n int) []Uop {
 			if b < 2 {
 				// A counted loop of 5 + b iterations.
 				trip[b]++
-				u.Taken = trip[b]%uint64(5+b) != 0
+				if trip[b]%uint64(5+b) != 0 {
+					u.TakenMask = 1
+				}
 			} else {
-				u.Taken = r>>30&1 == 1
+				u.TakenMask = r >> 30 & 1
 			}
 		} else {
 			u.Class = classes[int(r>>32)%len(classes)]
 			u.PC = 0x1000 + uint64(i%512)*4
 			if u.Class.IsMem() {
-				u.Accesses = []uint64{0x100000 + (r>>20)%(96<<10)&^7, 0x300000 + uint64(i)*8}
+				addrs = []uint64{0x100000 + (r>>20)%(96<<10)&^7, 0x300000 + uint64(i)*8}
 			}
 		}
 		if rc.cfg.Lanes > 1 {
 			u.Mask = next() | 1<<63
-			u.ActiveLanes = bits.OnesCount64(u.Mask)
+			u.TakenMask = 0
 			if u.Class == isa.Branch {
 				u.TakenMask = next() & u.Mask
 			}
 		}
-		uops[i] = u
+		s = appendUop(s, u, addrs...)
 	}
-	return uops
+	return s
 }
 
 // TestCoreResetMatchesFresh: a core dirtied by two streams under one

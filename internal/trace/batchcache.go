@@ -20,13 +20,14 @@
 // (core's uopBuilder chunks and simt.Scratch) are reused per slot, so a
 // retained stream must never alias them. On first build the cache deep
 // copies the stream into a cache-owned arena (clone) and serves only
-// that copy; its consumer, pipeline.Core.Run, treats uop slices
-// and their Accesses as immutable. Caching never changes results: a hit
+// that copy; its consumer, pipeline.Core.Run, treats a stream's uops
+// and addresses as immutable. Caching never changes results: a hit
 // returns exactly the stream a fresh build would produce, so study
 // output stays byte-identical with the cache on or off.
 package trace
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -58,11 +59,11 @@ const (
 // BatchStream is one memoized post-merge preparation product: the
 // merged uop stream plus everything the consumer needs to account for
 // it. A stream returned by BatchCache.Get on a hit is cache-owned and
-// strictly read-only — Uops and every Uop.Accesses slice alias the
-// cache's arena, never a builder's scratch.
+// strictly read-only — its Uops and Addrs are the cache's own arrays,
+// never a builder's scratch.
 type BatchStream struct {
-	// Uops is the merged stream the timing core runs. Read-only.
-	Uops []pipeline.Uop
+	// Stream is the merged stream the timing core runs. Read-only.
+	pipeline.Stream
 	// MCU is the coalescer-count delta the uop build produced; the
 	// consumer applies it to the memory system before Run.
 	MCU mem.MCUStats
@@ -74,53 +75,22 @@ type BatchStream struct {
 	BatchOps int
 	// Requests is the number of requests the stream serves.
 	Requests int
-
-	// addrs backs the cloned Uops' Accesses slices (nil on
-	// builder-local streams, whose Accesses alias the builder arena).
-	addrs []uint64
 }
 
 // RetainedBytes returns the stream's retained-memory cost: the uop
-// array, the flattened address arena behind Accesses, and the fixed
-// header overhead.
+// array, the address array and the fixed header overhead.
 func (s *BatchStream) RetainedBytes() int64 {
-	words := len(s.addrs)
-	if s.addrs == nil {
-		for i := range s.Uops {
-			words += len(s.Uops[i].Accesses)
-		}
-	}
-	return uopBytes*int64(len(s.Uops)) + 8*int64(words) + batchStreamBytes
+	return uopBytes*int64(len(s.Uops)) + 8*int64(len(s.Addrs)) + batchStreamBytes
 }
 
-// clone deep copies the stream into cache-owned memory: one exact-size
-// uop array plus one flat address arena that the copied Accesses slices
-// are re-pointed into. The source (typically aliasing a builder's
-// reused slot arena) is not retained.
+// clone deep copies the stream into cache-owned memory: copies of the
+// uop array and of the address array. The source (typically aliasing a
+// builder's reused slot arena) is not retained.
 func (s *BatchStream) clone() *BatchStream {
-	words := 0
-	for i := range s.Uops {
-		words += len(s.Uops[i].Accesses)
-	}
-	c := &BatchStream{
-		MCU:       s.MCU,
-		ScalarOps: s.ScalarOps,
-		BatchOps:  s.BatchOps,
-		Requests:  s.Requests,
-		Uops:      make([]pipeline.Uop, len(s.Uops)),
-		addrs:     make([]uint64, 0, words),
-	}
-	copy(c.Uops, s.Uops)
-	for i := range c.Uops {
-		u := &c.Uops[i]
-		if u.Accesses == nil {
-			continue
-		}
-		l := len(c.addrs)
-		c.addrs = append(c.addrs, u.Accesses...)
-		u.Accesses = c.addrs[l:len(c.addrs):len(c.addrs)]
-	}
-	return c
+	c := *s
+	c.Uops = slices.Clone(s.Uops)
+	c.Addrs = slices.Clone(s.Addrs)
+	return &c
 }
 
 // appendU64 little-endian packs v.

@@ -15,18 +15,18 @@ import (
 	"simr/internal/uservices"
 )
 
-// testStream builds a stream whose Accesses alias the given arena, the
-// way a uopBuilder-produced stream aliases its slot chunks.
+// testStream builds a stream whose address array is the given arena,
+// the way a uopBuilder-produced stream aliases its slot chunks.
 func testStream(arena []uint64) *BatchStream {
 	uops := make([]pipeline.Uop, 4)
 	for i := range uops {
 		uops[i].PC = uint64(0x1000 + 4*i)
-		uops[i].ActiveLanes = 8
+		uops[i].Mask = 0xFF
 	}
-	uops[1].Accesses = arena[0:2:2]
-	uops[3].Accesses = arena[2:3:3]
+	uops[1].Acc, uops[1].NAcc = 0, 2
+	uops[3].Acc, uops[3].NAcc = 2, 1
 	return &BatchStream{
-		Uops:      uops,
+		Stream:    pipeline.Stream{Uops: uops, Addrs: arena},
 		ScalarOps: 123,
 		BatchOps:  4,
 		Requests:  8,
@@ -163,8 +163,8 @@ func TestBatchCacheCloneOwnership(t *testing.T) {
 		t.Fatalf("hit stream has %d uops, want %d", len(hit.Uops), len(want.Uops))
 	}
 	for i := range want.Uops {
-		if hit.Uops[i].PC != want.Uops[i].PC ||
-			!reflect.DeepEqual(hit.Uops[i].Accesses, want.Uops[i].Accesses) {
+		if hit.Uops[i] != want.Uops[i] ||
+			!reflect.DeepEqual(hit.Accesses(&hit.Uops[i]), want.Accesses(&want.Uops[i])) {
 			t.Fatalf("uop %d corrupted by builder-arena reuse: %+v", i, hit.Uops[i])
 		}
 	}
@@ -306,7 +306,7 @@ func TestBatchCacheRace(t *testing.T) {
 				// Read the stream the way a consumer would.
 				sum := uint64(0)
 				for j := range st.Uops {
-					for _, a := range st.Uops[j].Accesses {
+					for _, a := range st.Accesses(&st.Uops[j]) {
 						sum += a
 					}
 				}

@@ -140,13 +140,19 @@ type Suite struct {
 	byName   map[string]*Service
 }
 
-// Get returns a service by name.
+// Get returns a service by name; it panics on an unknown name (use
+// Lookup for names from user input).
 func (s *Suite) Get(name string) *Service {
-	svc, ok := s.byName[name]
-	if !ok {
+	svc := s.Lookup(name)
+	if svc == nil {
 		panic(fmt.Sprintf("uservices: unknown service %q", name))
 	}
 	return svc
+}
+
+// Lookup returns the service with the given name, or nil.
+func (s *Suite) Lookup(name string) *Service {
+	return s.byName[name]
 }
 
 // Names lists the services in canonical (paper Figure) order.
