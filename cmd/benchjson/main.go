@@ -1,18 +1,15 @@
 // Command benchjson runs the trajectory studies and appends one
 // machine-readable entry per study to its BENCH_<study>.json file: the
-// tail-at-scale sweep (BENCH_queuesim.json), the service-graph
-// saturation sweep (BENCH_graphs.json) and the batch-stream cache
-// study (BENCH_batchcache.json). The cache study byte-compares the
-// outputs of the configurations it times against each other, so its
-// trajectory only ever records speedups of equivalent computations.
+// tail-at-scale sweep (BENCH_queuesim.json) and the service-graph
+// saturation sweep (BENCH_graphs.json). BENCH_batchcache.json holds
+// the history of a retired study that timed the sweep trace caches.
 //
 // Usage:
 //
-//	benchjson [-requests 240] [-seed 42] [-workers 8] [-seconds 1] [-only queuesim]
+//	benchjson [-seed 42] [-workers 8] [-seconds 1] [-only queuesim]
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,54 +20,8 @@ import (
 
 	"simr/internal/cli"
 	"simr/internal/core"
-	"simr/internal/obs"
 	"simr/internal/queuesim"
-	"simr/internal/uservices"
 )
-
-// BatchCacheEntry is one batch-stream-cache trajectory point, written
-// to BENCH_batchcache.json: the §V-A1 sensitivity study, whose
-// timing-only ablations (32 lanes, atomics at L1, no majority voting)
-// replay the baseline's batch streams and whose layout ablations and
-// CPU prefetcher run replay its scalar traces, timed with no caches,
-// with the scalar trace cache only, and with both caches (the
-// default). The three runs are byte-compared, so the trajectory only
-// ever records speedups of equivalent computations. Entries written
-// before the timing sweep stopped caching (it now prepares each batch
-// once for all eight of a service's variants) timed that sweep
-// instead; entries written before sampled timing simulation was
-// deleted also carry a sampled run (sample, batchcache_sampled_s,
-// speedup_sampled_vs_nocache).
-type BatchCacheEntry struct {
-	Timestamp  string `json:"timestamp"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
-	Requests   int    `json:"requests"`
-	Seed       int64  `json:"seed"`
-	// NoCacheSec runs with scalar trace caching and batch-stream
-	// caching both off: every cell interprets, merges and builds every
-	// batch, into its slots' own buffers.
-	NoCacheSec float64 `json:"nocache_s"`
-	// ScalarCacheSec runs with batch-stream caching off, so the sweep
-	// caches scalar traces: each request is interpreted once per lane
-	// position and every cell still merges and builds every batch.
-	ScalarCacheSec float64 `json:"scalarcache_s"`
-	// BatchCacheSec runs the default configuration: the batch-stream
-	// cache on top of the scalar trace cache (the ablations that only
-	// retime the baseline replay its prepared batches).
-	BatchCacheSec float64 `json:"batchcache_s"`
-	// SpeedupVsScalar is ScalarCacheSec / BatchCacheSec.
-	SpeedupVsScalar float64 `json:"speedup_vs_scalarcache"`
-	// SpeedupVsNoCache is NoCacheSec / BatchCacheSec.
-	SpeedupVsNoCache float64 `json:"speedup_vs_nocache"`
-	// Identical reports whether the three runs rendered byte-identical
-	// sweeps.
-	Identical bool `json:"outputs_identical"`
-	// Metrics snapshots the both-caches run's obs registry
-	// (trace.cache and trace.batchcache hits/misses/bypassed/bytes_hwm
-	// and the core.prep and core.runcells scopes).
-	Metrics obs.Snapshot `json:"metrics"`
-}
 
 // QueuesimPoint is one (mode, offered load) cell of the tail-at-scale
 // study: completion accounting, the latency tail, and the arena
@@ -142,7 +93,6 @@ type GraphsEntry struct {
 }
 
 func main() {
-	requests := flag.Int("requests", 240, "requests per service for the chip-study measurements")
 	seed := flag.Int64("seed", 42, "workload seed")
 	workers := flag.Int("workers", 8, "sweep worker goroutines")
 	seconds := flag.Float64("seconds", 1, "simulated seconds per syssim load point")
@@ -158,7 +108,6 @@ func main() {
 	}
 	defer stop()
 
-	suite := uservices.NewSuite()
 	stamp := time.Now().UTC().Format(time.RFC3339)
 	gomaxprocs := runtime.GOMAXPROCS(0)
 
@@ -188,62 +137,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("appended to BENCH_graphs.json")
-
-	be := benchBatchCache(suite, *requests, *seed, *workers)
-	be.Timestamp = stamp
-	be.GoMaxProcs = gomaxprocs
-	fmt.Printf("%-22s nocache %7.3fs  scalar %7.3fs  batch %7.3fs\n",
-		"batchcache-sensitivity", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec)
-	fmt.Printf("%-22s vs scalar %.2fx  vs nocache %.2fx  identical=%v\n",
-		"", be.SpeedupVsScalar, be.SpeedupVsNoCache, be.Identical)
-	if !be.Identical {
-		log.Fatal("batchcache-sensitivity: outputs differ across cache configurations")
-	}
-	if err := appendJSON("BENCH_batchcache.json", be); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("appended to BENCH_batchcache.json")
-}
-
-// benchBatchCache times the §V-A1 sensitivity study — the sweep whose
-// cells replay batch streams: its timing-only ablations retime the
-// baseline's prepared batches — under three cache configurations,
-// byte-comparing their outputs: no caches, the scalar-trace cache
-// alone, and both caches (the default).
-func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int) BatchCacheEntry {
-	run := func() (float64, []byte) {
-		var buf bytes.Buffer
-		t0 := time.Now()
-		if err := core.SensitivityStudyParallel(&buf, suite, nil, requests, seed, workers); err != nil {
-			log.Fatal(err)
-		}
-		return time.Since(t0).Seconds(), buf.Bytes()
-	}
-	core.SetTraceCaching(false)
-	core.SetBatchCaching(false)
-	noSec, noOut := run()
-
-	core.SetTraceCaching(true)
-	scalarSec, scalarOut := run()
-
-	reg := obs.NewRegistry()
-	obs.Enable(reg, nil)
-	core.SetBatchCaching(true)
-	batchSec, batchOut := run()
-	entry := BatchCacheEntry{
-		Workers:          workers,
-		Requests:         requests,
-		Seed:             seed,
-		NoCacheSec:       noSec,
-		ScalarCacheSec:   scalarSec,
-		BatchCacheSec:    batchSec,
-		SpeedupVsScalar:  scalarSec / batchSec,
-		SpeedupVsNoCache: noSec / batchSec,
-		Identical:        bytes.Equal(noOut, scalarOut) && bytes.Equal(scalarOut, batchOut),
-		Metrics:          reg.Snapshot(),
-	}
-	obs.Disable()
-	return entry
 }
 
 // benchQueuesim sweeps the tail-at-scale engine over the 100x

@@ -46,7 +46,7 @@ func main() {
 	gpu := flag.Bool("gpu", true, "include the GPU design point")
 	jsonOut := flag.Bool("json", false, "emit the chip study as JSON instead of tables")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Cache|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Interrupt)
 	flag.Parse()
 	if err := checkSelectors(*fig, *table); err != nil {
 		log.Fatal(err)
@@ -109,7 +109,6 @@ func main() {
 	}
 	if *timing {
 		fmt.Println("RPU timing-knob sweep: lanes {8,32} x majority vote x atomics placement")
-		fmt.Println("(timing knobs share prepared batch streams; see EXPERIMENTS.md, batch-stream caching)")
 		rows, err := core.TimingSweepParallel(suite, *requests, *seed, *parallel)
 		if err != nil {
 			log.Fatal(err)

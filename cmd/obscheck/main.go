@@ -11,19 +11,13 @@
 // positive loads and wall clocks, ordered latency percentiles, and
 // completion accounting that never exceeds arrivals.
 //
-// And BENCH_batchcache.json trajectories (-batchcache): every entry
-// must be self-describing, carry positive wall clocks for all three
-// cache configurations (and for the sampled run that entries written
-// before sampled simulation was deleted also carry), internally
-// consistent speedup ratios, and byte-identical outputs.
-//
 // And BENCH_graphs.json trajectories (-graphs): every service-graph
 // entry must carry uniquely named graphs with positive saturation
 // loads and a speedup that equals the recorded RPU/CPU ratio.
 //
 // Usage:
 //
-//	obscheck [-metrics out.json] [-trace out.trace.json] [-queuesim BENCH_queuesim.json] [-graphs BENCH_graphs.json] [-batchcache BENCH_batchcache.json]
+//	obscheck [-metrics out.json] [-trace out.trace.json] [-queuesim BENCH_queuesim.json] [-graphs BENCH_graphs.json]
 package main
 
 import (
@@ -40,10 +34,9 @@ func main() {
 	trace := flag.String("trace", "", "Chrome-trace JSON to validate")
 	qsim := flag.String("queuesim", "", "BENCH_queuesim.json trajectory to validate")
 	graphs := flag.String("graphs", "", "BENCH_graphs.json trajectory to validate")
-	bcache := flag.String("batchcache", "", "BENCH_batchcache.json trajectory to validate")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *qsim == "" && *graphs == "" && *bcache == "" {
-		log.Fatal("obscheck: give -metrics, -trace, -queuesim, -graphs and/or -batchcache")
+	if *metrics == "" && *trace == "" && *qsim == "" && *graphs == "" {
+		log.Fatal("obscheck: give -metrics, -trace, -queuesim and/or -graphs")
 	}
 	if *metrics != "" {
 		if err := checkMetrics(*metrics); err != nil {
@@ -69,91 +62,6 @@ func main() {
 		}
 		fmt.Printf("%s: graphs trajectory ok\n", *graphs)
 	}
-	if *bcache != "" {
-		if err := checkBatchCache(*bcache); err != nil {
-			log.Fatalf("obscheck: %s: %v", *bcache, err)
-		}
-		fmt.Printf("%s: batchcache trajectory ok\n", *bcache)
-	}
-}
-
-// checkBatchCache enforces the BENCH_batchcache.json schema benchjson
-// writes: an array of cache-configuration timing entries whose speedup
-// ratios match their wall clocks and whose runs rendered
-// byte-identically. An entry that names a sampled run (sample, from
-// before sampled simulation was deleted) must time it consistently
-// too; one that does not must carry no sampled timings.
-func checkBatchCache(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var entries []struct {
-		Timestamp        string  `json:"timestamp"`
-		GoMaxProcs       int     `json:"gomaxprocs"`
-		Workers          int     `json:"workers"`
-		Requests         int     `json:"requests"`
-		Sample           string  `json:"sample"`
-		NoCacheSec       float64 `json:"nocache_s"`
-		ScalarCacheSec   float64 `json:"scalarcache_s"`
-		BatchCacheSec    float64 `json:"batchcache_s"`
-		SampledSec       float64 `json:"batchcache_sampled_s"`
-		SpeedupVsScalar  float64 `json:"speedup_vs_scalarcache"`
-		SpeedupVsNoCache float64 `json:"speedup_vs_nocache"`
-		SpeedupSampled   float64 `json:"speedup_sampled_vs_nocache"`
-		Identical        bool    `json:"outputs_identical"`
-	}
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return fmt.Errorf("not a batchcache trajectory: %w", err)
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("no entries recorded")
-	}
-	for i, e := range entries {
-		if e.Timestamp == "" {
-			return fmt.Errorf("entry %d: missing timestamp", i)
-		}
-		if e.GoMaxProcs < 1 {
-			return fmt.Errorf("entry %d: gomaxprocs %d", i, e.GoMaxProcs)
-		}
-		if e.Requests < 1 {
-			return fmt.Errorf("entry %d: requests %d", i, e.Requests)
-		}
-		type ratio struct {
-			name      string
-			num, den  float64
-			announced float64
-		}
-		walls := []float64{e.NoCacheSec, e.ScalarCacheSec, e.BatchCacheSec}
-		checks := []ratio{
-			{"speedup_vs_scalarcache", e.ScalarCacheSec, e.BatchCacheSec, e.SpeedupVsScalar},
-			{"speedup_vs_nocache", e.NoCacheSec, e.BatchCacheSec, e.SpeedupVsNoCache},
-		}
-		switch {
-		case e.Sample == "off":
-			return fmt.Errorf("entry %d: sampled run config %q", i, e.Sample)
-		case e.Sample != "":
-			walls = append(walls, e.SampledSec)
-			checks = append(checks, ratio{"speedup_sampled_vs_nocache", e.NoCacheSec, e.SampledSec, e.SpeedupSampled})
-		case e.SampledSec != 0 || e.SpeedupSampled != 0:
-			return fmt.Errorf("entry %d: sampled timings without a sampled run config", i)
-		}
-		for _, v := range walls {
-			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("entry %d: non-positive wall clock %v", i, v)
-			}
-		}
-		for _, c := range checks {
-			want := c.num / c.den
-			if math.Abs(c.announced-want) > 1e-9*want {
-				return fmt.Errorf("entry %d: %s says %v, wall clocks say %v", i, c.name, c.announced, want)
-			}
-		}
-		if !e.Identical {
-			return fmt.Errorf("entry %d: outputs were not byte-identical", i)
-		}
-	}
-	return nil
 }
 
 // checkQueuesim enforces the BENCH_queuesim.json schema benchjson

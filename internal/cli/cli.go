@@ -2,7 +2,7 @@
 // share. A command registers the flag groups it honours before
 // flag.Parse and calls Start once after it:
 //
-//	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Cache)
+//	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics)
 //	flag.Parse()
 //	_, stop, err := cf.Start()
 //	if err != nil {
@@ -14,7 +14,9 @@
 // command runs picks them up without per-command plumbing; stop undoes
 // them in reverse order and writes the files the flags asked for. With
 // every flag at its default, study output is byte-identical to a run
-// that never called Start.
+// that never called Start. No flag tunes preparation: the sweep trace
+// caches, and with them -batchcache and -cachebudget, are gone, and
+// every study cell prepares its own requests.
 package cli
 
 import (
@@ -43,9 +45,6 @@ const (
 	// (a Chrome-trace / Perfetto JSON timeline). With neither given
 	// the obs hub stays disabled and every instrument is a no-op.
 	Metrics
-	// Cache registers -batchcache and -cachebudget, the sweep-cache
-	// knobs. Both change only wall clock and memory.
-	Cache
 	// Interrupt registers no flag: SIGINT and SIGTERM cancel
 	// core.RunCells sweeps at the next cell boundary instead of
 	// killing the process mid-cell.
@@ -60,8 +59,6 @@ type Flags struct {
 	memProfile *string
 	metrics    *string
 	trace      *string
-	batchCache *bool
-	cacheMiB   *int
 }
 
 // Register adds the flags of groups to fs (flag.CommandLine in a
@@ -76,17 +73,10 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 		f.metrics = fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on exit")
 		f.trace = fs.String("trace", "", "write a Chrome-trace (Perfetto) JSON timeline to this file on exit")
 	}
-	if groups&Cache != 0 {
-		f.batchCache = fs.Bool("batchcache", true,
-			"memoize post-merge batch uop streams across sweep cells (outputs are byte-identical on or off)")
-		f.cacheMiB = fs.Int("cachebudget", 0,
-			"shared trace+batch cache budget in MiB (0 = default 512)")
-	}
 	return f
 }
 
-// Start installs the parsed flags: the cache settings, then the
-// interrupt context, the CPU profile and the obs hub. ctx is the
+// Start installs the parsed flags: the interrupt context, the CPU profile and the obs hub. ctx is the
 // context core.RunCells sweeps honour: with Interrupt it is done after the first SIGINT or
 // SIGTERM (or once stop runs), otherwise it is never done. stop undoes
 // the setup in reverse order, writing the heap profile, the metrics
@@ -96,10 +86,6 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 // the error.
 func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
 	ctx = context.Background()
-	if f.batchCache != nil {
-		core.SetBatchCaching(*f.batchCache)
-		core.SetCacheBudget(int64(*f.cacheMiB) << 20)
-	}
 
 	var stops []func()
 	stop = func() {

@@ -40,9 +40,7 @@ func TestRegisterOnlyRequestedGroups(t *testing.T) {
 		{Interrupt, ""},
 		{Profile, "cpuprofile memprofile"},
 		{Metrics, "metrics trace"},
-		{Cache, "batchcache cachebudget"},
-		{Profile | Metrics | Cache | Interrupt,
-			"batchcache cachebudget cpuprofile memprofile metrics trace"},
+		{Profile | Metrics | Interrupt, "cpuprofile memprofile metrics trace"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		Register(fs, c.groups)

@@ -40,16 +40,20 @@ type Options struct {
 	// L1 (Table III ablation: prefetchers are ineffective on
 	// microservice heaps).
 	CPUPrefetch bool
-	// Traces optionally supplies the sweep's shared scalar-trace cache
-	// (see internal/trace); nil interprets every request fresh. Results
-	// are byte-identical either way.
+	// Traces optionally supplies a scalar-trace cache (see
+	// internal/trace) that RunService reads; nil interprets every
+	// request fresh. Results are byte-identical either way. No study
+	// sets it: the only reader is the cold/warm prep probe in
+	// bench/phaseb.go, and the field goes with internal/trace at the
+	// next change to bench/.
 	Traces *trace.Cache
-	// BatchStreams optionally supplies the sweep's shared batch-stream
-	// cache memoizing the post-merge preparation product (merged uop
-	// stream + MCU delta + op counts) across cells that differ only in
-	// timing-model knobs; nil prepares every batch fresh. Cached
-	// streams are cache-owned and read-only. Results are byte-identical
-	// either way.
+	// BatchStreams optionally supplies a batch-stream cache memoizing
+	// the post-merge preparation product (merged uop stream + MCU
+	// delta + op counts) that RunService reads; nil prepares every
+	// batch fresh. Cached streams are cache-owned and read-only.
+	// Results are byte-identical either way. As with Traces, the only
+	// reader is bench/phaseb.go's prep probe, and the field goes with
+	// internal/trace at the next change to bench/.
 	BatchStreams *trace.BatchCache
 	// PrepLookahead is ignored: every run prepares its units one after
 	// another, each just before the timing core runs it.
@@ -72,6 +76,24 @@ func DefaultOptions() Options {
 		AtomicsAtL3:     true,
 		Spin:            &spin,
 	}
+}
+
+// validate rejects options a run would otherwise replace with its
+// defaults or misread: a negative BatchSize or Lanes (zero selects the
+// tuned batch size and the configured lane count), and a Policy or
+// AllocPolicy that names no policy.
+func (o *Options) validate() error {
+	switch {
+	case o.BatchSize < 0:
+		return fmt.Errorf("core: Options.BatchSize %d is negative (0 selects the service's tuned size)", o.BatchSize)
+	case o.Lanes < 0:
+		return fmt.Errorf("core: Options.Lanes %d is negative (0 selects the configured lane count)", o.Lanes)
+	case o.Policy > batch.PerAPIArgSize:
+		return fmt.Errorf("core: Options.Policy %d names no batching policy", o.Policy)
+	case o.AllocPolicy > alloc.PolicySIMR:
+		return fmt.Errorf("core: Options.AllocPolicy %d names no heap allocation policy", o.AllocPolicy)
+	}
+	return nil
 }
 
 // Result is one (architecture, service) chip-level measurement.
@@ -122,8 +144,15 @@ func (r *Result) L1MPKI() float64 {
 // returns the aggregated measurement. CPU runs the requests
 // sequentially; SMT-8 runs them in groups of 8; RPU/GPU batch them via
 // the SIMR-aware server and run them in lock-step. Each call builds
-// its own prep scratch, core and memory hierarchy.
+// its own prep scratch, core and memory hierarchy. An empty request
+// list and options that validate rejects are errors.
 func RunService(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Options) (*Result, error) {
+	if len(reqs) == 0 {
+		return nil, fmt.Errorf("core: no requests to run on %v", arch)
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	var res []*Result
 	var err error
 	switch arch {
@@ -398,18 +427,23 @@ func runBatched(svc *uservices.Service, reqs []uservices.Request, arches []Arch,
 }
 
 // checkVariants rejects a variant list runBatched cannot prepare once:
-// an empty one, one whose architectures are not batched (RPU or GPU),
-// do not pair one-to-one with the options or lay out heap arenas and
-// coalesce for another L1 line size or bank count than arches[0], or
-// one whose options differ from the first in any field that shapes the
-// prepared batch streams (batch size and stack layout included) or how
-// they are walked.
+// an empty one, one holding options that validate rejects, one whose
+// architectures are not batched (RPU or GPU), do not pair one-to-one
+// with the options or lay out heap arenas and coalesce for another L1
+// line size or bank count than arches[0], or one whose options differ
+// from the first in any field that shapes the prepared batch streams
+// (batch size and stack layout included) or how they are walked.
 func checkVariants(arches []Arch, variants []Options) error {
 	if len(variants) == 0 {
 		return fmt.Errorf("core: no timing variants to run")
 	}
 	if len(arches) != len(variants) {
 		return fmt.Errorf("core: %d architectures for %d timing variants", len(arches), len(variants))
+	}
+	for i := range variants {
+		if err := variants[i].validate(); err != nil {
+			return fmt.Errorf("%w (timing variant %d)", err, i)
+		}
 	}
 	l1 := memConfig(arches[0]).L1
 	for i, a := range arches {

@@ -664,3 +664,53 @@ func TestRunBatchedVariants(t *testing.T) {
 		})
 	}
 }
+
+// TestRunServiceRejectsBadOptions: RunService reports an error instead
+// of running its defaults (or misreading the options) for an empty
+// request list, a negative batch size or lane count and a policy
+// number that names no policy, on every architecture; runBatched
+// rejects the same options in any timing variant. Zero batch size and
+// lane count still select the defaults.
+func TestRunServiceRejectsBadOptions(t *testing.T) {
+	svc := uservices.NewSuite().Get("memc")
+	reqs := genRequests(svc, 16, 7)
+	cases := []struct {
+		name, want string
+		reqs       []uservices.Request
+		mutate     func(*Options)
+	}{
+		{"no requests", "no requests", nil, func(*Options) {}},
+		{"empty requests", "no requests", reqs[:0], func(*Options) {}},
+		{"BatchSize -3", "BatchSize", reqs, func(o *Options) { o.BatchSize = -3 }},
+		{"Lanes -1", "Lanes", reqs, func(o *Options) { o.Lanes = -1 }},
+		{"Policy 99", "Policy", reqs, func(o *Options) { o.Policy = 99 }},
+		{"Policy 3", "Policy", reqs, func(o *Options) { o.Policy = batch.PerAPIArgSize + 1 }},
+		{"AllocPolicy 99", "AllocPolicy", reqs, func(o *Options) { o.AllocPolicy = 99 }},
+		{"AllocPolicy 2", "AllocPolicy", reqs, func(o *Options) { o.AllocPolicy = alloc.PolicySIMR + 1 }},
+	}
+	for _, c := range cases {
+		opts := DefaultOptions()
+		c.mutate(&opts)
+		for arch := Arch(0); int(arch) < NumArchs; arch++ {
+			res, err := RunService(arch, svc, c.reqs, opts)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s on %v: got %v, %v; want an error naming %s", c.name, arch, res, err, c.want)
+			}
+		}
+		if len(c.reqs) == 0 {
+			continue
+		}
+		res, err := runBatched(svc, reqs, []Arch{ArchRPU, ArchRPU}, []Options{opts, opts}, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "variant 0") {
+			t.Errorf("%s as timing variants: got %v, %v; want an error naming %s in variant 0", c.name, res, err, c.want)
+		}
+	}
+
+	zero := DefaultOptions()
+	zero.BatchSize, zero.Lanes = 0, 0
+	for _, arch := range []Arch{ArchCPU, ArchRPU} {
+		if _, err := RunService(arch, svc, reqs, zero); err != nil {
+			t.Errorf("zero BatchSize and Lanes on %v rejected: %v", arch, err)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"simr/internal/batch"
 	"simr/internal/simt"
 	"simr/internal/stats"
-	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -26,12 +25,12 @@ type EffRow struct {
 }
 
 // efficiencyOf lock-steps all batches of a policy and returns weighted
-// SIMT efficiency. tc may be nil to interpret traces fresh.
-func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p batch.Policy, ipdom bool, tc *trace.Cache) (float64, error) {
+// SIMT efficiency.
+func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p batch.Policy, ipdom bool) (float64, error) {
 	reconv := svc.BranchReconv()
 	scalar, ops := 0, 0
 	var sc simt.Scratch
-	tr := tracer{svc: svc, tc: tc}
+	tr := tracer{svc: svc}
 	spin := simt.DefaultSpin
 	for _, b := range batch.Form(reqs, size, p) {
 		sg := alloc.NewStackGroup(0, len(b.Requests), true)

@@ -11,10 +11,13 @@ import (
 	"simr/internal/uservices"
 )
 
-// The fixtures in testdata/ were written at commit 10397ce, before chip
-// preparation moved onto slot-owned tracers and the sweeps stopped
-// caching products no other cell reads. They are frozen: a change that
-// moves a byte changes simulation output and must say why.
+// The chip and timing fixtures in testdata/ were written at commit
+// 10397ce, before chip preparation moved onto slot-owned tracers and
+// the sweeps stopped caching products no other cell reads; the
+// sensitivity, efficiency and Figure 15 fixtures at commit df322ae,
+// while those studies still shared scalar traces and batch streams
+// through per-sweep caches. They are frozen: a change that moves a
+// byte changes simulation output and must say why.
 
 // renderChipGolden renders a chip study the way the fixture holds it:
 // Figures 10, 14, 19, 20 and 21, then the JSON summary, whose floats
@@ -138,4 +141,37 @@ func TestCellReuseDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGoldenSweeps: the sensitivity grid, the Figure 4/11 efficiency
+// study and the Figure 15 MPKI study, each over every service, render
+// their frozen fixtures byte for byte.
+func TestGoldenSweeps(t *testing.T) {
+	suite := uservices.NewSuite()
+	const requests, seed, workers = 96, 7, 2
+	t.Run("sensitivity", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := SensitivityStudyParallel(&buf, suite, nil, requests, seed, workers); err != nil {
+			t.Fatal(err)
+		}
+		checkGoldenFile(t, "testdata/golden_sens.txt", buf.Bytes())
+	})
+	t.Run("efficiency", func(t *testing.T) {
+		rows, err := EfficiencyStudyParallel(suite, requests, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		WriteEfficiency(&buf, rows)
+		checkGoldenFile(t, "testdata/golden_eff.txt", buf.Bytes())
+	})
+	t.Run("fig15", func(t *testing.T) {
+		rows, err := MPKIStudyParallel(suite, requests, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		WriteFig15(&buf, rows)
+		checkGoldenFile(t, "testdata/golden_fig15.txt", buf.Bytes())
+	})
 }

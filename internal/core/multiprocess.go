@@ -8,7 +8,6 @@ import (
 	"simr/internal/mem"
 	"simr/internal/pipeline"
 	"simr/internal/simt"
-	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -166,7 +165,10 @@ func (r *MultiBatchResult) Speedup() float64 {
 // sequentially and then interleaved (round-robin per batch
 // instruction, each batch with a private half of the ROB), returning
 // both runtimes. The paper leaves multi-batch scheduling as future
-// work; this quantifies its headroom at nanosecond-scale stalls.
+// work; this quantifies its headroom at nanosecond-scale stalls. Of
+// the options only BatchSize, AllocPolicy, StackInterleave and Spin
+// apply: the study always lock-steps with MinSP-PC and times the
+// default RPU.
 func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Options) (*MultiBatchResult, error) {
 	size := opts.BatchSize
 	if size <= 0 {
@@ -179,50 +181,21 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 	cfgM := MemConfig(ArchRPU)
 
 	var (
-		ub  uopBuilder // never reset: streams a and b stay alive together
-		sc  simt.Scratch
-		key []byte
+		ub uopBuilder // never reset: streams a and b stay alive together
+		sc simt.Scratch
 	)
-	tr := tracer{svc: svc, tc: opts.Traces}
+	tr := tracer{svc: svc}
 	mkUops := func(rs []uservices.Request, thread uint8) (pipeline.Stream, error) {
 		sg := alloc.NewStackGroup(0, len(rs), opts.StackInterleave)
-		var local trace.BatchStream
-		build := func() (*trace.BatchStream, error) {
-			traces, err := tr.batch(rs, sg, opts.AllocPolicy, cfgM.L1.Banks)
-			if err != nil {
-				return nil, err
-			}
-			merged, err := simt.RunMinSPPCWith(&sc, traces, size, opts.Spin)
-			if err != nil {
-				return nil, err
-			}
-			local.Stream = ub.batchUops(merged.Ops, sg, opts.StackInterleave, &local.MCU)
-			local.ScalarOps = merged.ScalarOps
-			local.BatchOps = len(merged.Ops)
-			local.Requests = len(rs)
-			return &local, nil
+		traces, err := tr.batch(rs, sg, opts.AllocPolicy, cfgM.L1.Banks)
+		if err != nil {
+			return pipeline.Stream{}, err
 		}
-		var s pipeline.Stream
-		if opts.BatchStreams == nil {
-			st, err := build()
-			if err != nil {
-				return pipeline.Stream{}, err
-			}
-			s = st.Stream
-		} else {
-			// The study always lock-steps with MinSP-PC, so the key
-			// says ipdom=false regardless of opts.UseIPDOM.
-			key = trace.AppendBatchKey(key[:0], trace.KeyBatch, rs, size,
-				false, opts.Spin, opts.AllocPolicy, opts.StackInterleave,
-				lineBytes, cfgM.L1.Banks, alloc.StackRegion)
-			st, err := opts.BatchStreams.Get(key, build)
-			if err != nil {
-				return pipeline.Stream{}, err
-			}
-			// The stream may be cache-owned (immutable): copy it into
-			// the local arena before overwriting Thread below.
-			s = ub.copyUops(st.Stream)
+		merged, err := simt.RunMinSPPCWith(&sc, traces, size, opts.Spin)
+		if err != nil {
+			return pipeline.Stream{}, err
 		}
+		s := ub.batchUops(merged.Ops, sg, opts.StackInterleave, nil)
 		for i := range s.Uops {
 			s.Uops[i].Thread = thread
 		}

@@ -25,10 +25,9 @@ func TestPrepProbeDisabledAllocs(t *testing.T) {
 }
 
 // TestObsStudyCounters: with the hub enabled, a small study populates
-// the runcells/prep scopes, the scalar-trace cache of a study that
-// caches scalar traces populates the cache scope, and the snapshots
-// carry coherent values. The chip study runs one cell per service and
-// caches nothing, so it makes no trace-cache lookups.
+// the runcells/prep scopes and the snapshots carry coherent values.
+// Every study prepares its own requests, so neither the chip study nor
+// the efficiency study makes a trace-cache lookup.
 func TestObsStudyCounters(t *testing.T) {
 	defer obs.Disable()
 	scopes := func(reg *obs.Registry) (obs.Snapshot, map[string]obs.ScopeSnapshot) {
@@ -65,9 +64,15 @@ func TestObsStudyCounters(t *testing.T) {
 	if pp.Counters["units"] <= 0 || pp.Counters["prep_ns"] <= 0 || pp.Counters["consume_ns"] <= 0 {
 		t.Fatalf("prep loop timing not recorded: %+v", pp.Counters)
 	}
-	if tc := byName["trace.cache"]; tc.Counters["hits"]+tc.Counters["misses"]+tc.Counters["bypassed"] != 0 {
-		t.Fatalf("no-GPU chip study consulted the scalar-trace cache: %+v", tc.Counters)
+	noLookups := func(study string, byName map[string]obs.ScopeSnapshot) {
+		t.Helper()
+		for _, name := range []string{"trace.cache", "trace.batchcache"} {
+			if c := byName[name].Counters; c["hits"]+c["misses"]+c["bypassed"] != 0 {
+				t.Fatalf("%s consulted %s: %+v", study, name, c)
+			}
+		}
 	}
+	noLookups("chip study", byName)
 
 	reg = obs.NewRegistry()
 	obs.Enable(reg, nil)
@@ -75,19 +80,10 @@ func TestObsStudyCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, byName = scopes(reg)
-	tc, ok := byName["trace.cache"]
-	if !ok {
-		t.Fatalf("trace.cache scope missing; scopes %v", names(snap))
+	if got, want := byName["core.runcells"].Counters["cells"], int64(4*len(suite.Services)); got != want {
+		t.Fatalf("efficiency study ran %d cells, want %d; scopes %v", got, want, names(snap))
 	}
-	if tc.Counters["hits"] <= 0 || tc.Counters["misses"] <= 0 {
-		t.Fatalf("trace cache counters not recorded: %+v", tc.Counters)
-	}
-	if tc.Counters["drops"] < int64(len(suite.Services)) {
-		t.Fatalf("drops %d, want >= one per service", tc.Counters["drops"])
-	}
-	if tc.Gauges["bytes_hwm"] <= 0 {
-		t.Fatalf("bytes high-water mark not recorded: %+v", tc.Gauges)
-	}
+	noLookups("efficiency study", byName)
 }
 
 // TestObsDoesNotPerturbStudy: enabling observability must leave study

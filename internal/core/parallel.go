@@ -1,17 +1,19 @@
 // Worker-pool sweep runner. Every paper study is a grid of independent
-// cells — a (service, configuration) pair, or in the chip study and the
-// timing sweep a whole service, whose runs share one preparation of
-// each batch — and the sweeps fan out over a bounded pool of
-// goroutines. The pool is the chip side's only parallelism: inside a
-// cell, each run prepares a unit and then times it, one unit after
-// another, as the paper's trace-then-time methodology does. A worker
-// runs its cells one at a time, so the chip study and the timing sweep
+// cells — a (service, configuration) pair, or in the chip study, the
+// sensitivity grid and the timing sweep a whole service, whose runs
+// share one preparation of each batch where their options allow — and
+// the sweeps fan out over a bounded pool of goroutines. No cell reads
+// another's products: each generates its service's requests and
+// prepares them itself. The pool is the chip side's only parallelism:
+// inside a cell, each run prepares a unit and then times it, one unit
+// after another, as the paper's trace-then-time methodology does. A
+// worker runs its cells one at a time, so the whole-service studies
 // keep each worker's memory hierarchies (sysList) and Reset them for
-// its next cell instead of building fresh ones; a chip cell also runs
-// its architectures on one working set of prep scratch and cores
-// (workSet) that it owns. Results are aggregated in input order
-// regardless of completion order, which keeps every figure and CSV
-// byte-identical to the sequential path.
+// its next cell instead of building fresh ones; a chip or sensitivity
+// cell also runs its architectures on one working set of prep scratch
+// and cores (workSet) that it owns. Results are aggregated in input
+// order regardless of completion order, which keeps every figure and
+// CSV byte-identical to the sequential path.
 package core
 
 import (
@@ -24,7 +26,6 @@ import (
 
 	"simr/internal/batch"
 	"simr/internal/mem"
-	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -202,142 +203,11 @@ func checkRequests(requests int) error {
 }
 
 // genRequests regenerates a service's request stream from the study
-// seed. Regeneration from the same seed is deterministic, so a cell
-// sees the exact stream the sequential loop produced whether it
-// generates its own copy or shares one through sweepCaches.
+// seed. Regeneration from the same seed is deterministic, so every
+// cell of a study that generates its own copy sees the exact stream
+// the sequential loop produced.
 func genRequests(svc *uservices.Service, requests int, seed int64) []uservices.Request {
 	return svc.Generate(rand.New(rand.NewSource(seed)), requests)
-}
-
-// disableTraceCache turns off trace caching (and request-stream
-// sharing) for the whole package; the determinism tests flip it to
-// compare cached sweeps against fresh interpretation byte for byte.
-var disableTraceCache bool
-
-// disableBatchCache turns off batch-stream caching for the whole
-// package; the determinism tests (and the drivers' -batchcache=false)
-// flip it to compare memoized sweeps against fresh preparation byte
-// for byte.
-var disableBatchCache bool
-
-// cacheBudgetBytes overrides the shared per-sweep cache byte budget
-// (0 = trace.DefaultBudgetBytes). The scalar trace cache and the
-// batch-stream cache draw on the same budget.
-var cacheBudgetBytes int64
-
-// SetTraceCaching enables or disables the sweep-wide scalar-trace
-// cache (and request-stream sharing). Results are byte-identical
-// either way; only wall clock changes. Not safe to flip concurrently
-// with a running study.
-func SetTraceCaching(on bool) { disableTraceCache = !on }
-
-// SetBatchCaching enables or disables the sweep-wide batch-stream
-// cache (the drivers' -batchcache flag). Results are byte-identical
-// either way; only wall clock changes. Not safe to flip concurrently
-// with a running study.
-func SetBatchCaching(on bool) { disableBatchCache = !on }
-
-// SetCacheBudget pins the byte budget the per-sweep caches (scalar
-// traces + batch streams together) may retain; <= 0 restores
-// trace.DefaultBudgetBytes. Over-budget entries are served but not
-// retained, so results are byte-identical at any budget.
-func SetCacheBudget(bytes int64) { cacheBudgetBytes = bytes }
-
-// sweepCaches owns one shared request stream per service of a sweep
-// and, where the driver asks for them, one trace.Cache and one
-// trace.BatchCache per service, all drawing on a single byte budget.
-// Cells of the same service share the caches and the stream (all
-// read-only); a per-service countdown drops both caches — returning
-// their bytes to the budget — as soon as the service's last cell
-// finishes, so long sweeps never hold every service's traces and
-// streams at once.
-type sweepCaches struct {
-	svcs    []*uservices.Service
-	budget  *trace.Budget
-	caches  []*trace.Cache
-	bcaches []*trace.BatchCache
-	reqs    [][]uservices.Request
-	once    []sync.Once
-	left    []atomic.Int32
-}
-
-// newSweepCaches builds the per-service caches for a sweep in which
-// every service is evaluated by cellsPer cells. scalar and batch say
-// whether the sweep hands its cells a scalar-trace cache and a
-// batch-stream cache: a driver asks only for a product that another
-// cell of the same sweep reads (TestSweepCachesAreRead holds every
-// driver to that), since a cache nobody reads only copies and retains.
-// SetTraceCaching and SetBatchCaching can still turn either off.
-func newSweepCaches(svcs []*uservices.Service, cellsPer int, scalar, batch bool) *sweepCaches {
-	sw := &sweepCaches{
-		svcs:    svcs,
-		budget:  trace.NewBudget(cacheBudgetBytes),
-		caches:  make([]*trace.Cache, len(svcs)),
-		bcaches: make([]*trace.BatchCache, len(svcs)),
-		reqs:    make([][]uservices.Request, len(svcs)),
-		once:    make([]sync.Once, len(svcs)),
-		left:    make([]atomic.Int32, len(svcs)),
-	}
-	for i, svc := range svcs {
-		if scalar && !disableTraceCache {
-			sw.caches[i] = trace.NewCache(svc, sw.budget)
-		}
-		if batch && !disableBatchCache {
-			sw.bcaches[i] = trace.NewBatchCache(sw.budget)
-		}
-		sw.left[i].Store(int32(cellsPer))
-	}
-	if sweepBuilt != nil {
-		sweepBuilt(sw)
-	}
-	return sw
-}
-
-// sweepBuilt, when set, is handed every sweep's caches as they are
-// built; the cache-use tests read their counters after the sweep.
-var sweepBuilt func(*sweepCaches)
-
-// cache returns service s's trace cache (nil when the sweep does not
-// cache scalar traces, which makes every consumer interpret fresh).
-func (sw *sweepCaches) cache(s int) *trace.Cache { return sw.caches[s] }
-
-// batchCache returns service s's batch-stream cache (nil when the
-// sweep does not cache batch streams, which makes every consumer
-// prepare fresh).
-func (sw *sweepCaches) batchCache(s int) *trace.BatchCache { return sw.bcaches[s] }
-
-// requests returns service s's shared request stream, generating it on
-// first use. The stream is read-only for all cells.
-func (sw *sweepCaches) requests(s, n int, seed int64) []uservices.Request {
-	if disableTraceCache {
-		return genRequests(sw.svcs[s], n, seed)
-	}
-	sw.once[s].Do(func() { sw.reqs[s] = genRequests(sw.svcs[s], n, seed) })
-	return sw.reqs[s]
-}
-
-// done marks one of service s's cells finished and drops the service's
-// caches when the last one completes.
-func (sw *sweepCaches) done(s int) {
-	if sw.left[s].Add(-1) == 0 {
-		sw.caches[s].Drop()
-		sw.bcaches[s].Drop()
-	}
-}
-
-// abort drops every service's cache. Drivers call it on the sweep's
-// error path: cells abandoned by RunCells never call done, so without
-// the drain a failed sweep would strand each undropped cache's bytes
-// against the shared trace.Budget for as long as the sweep's results
-// stay reachable. Drop is idempotent, so racing a straggler cell's own
-// done is harmless.
-func (sw *sweepCaches) abort() {
-	for _, c := range sw.caches {
-		c.Drop()
-	}
-	for _, c := range sw.bcaches {
-		c.Drop()
-	}
 }
 
 // ChipStudyParallel runs the chip-level comparison behind Figures 10,
@@ -350,8 +220,7 @@ func (sw *sweepCaches) abort() {
 // architectures share the L1 geometry a preparation depends on. As in
 // every study, workers <= 0 uses one worker per CPU and workers == 1
 // runs the cells in order on the caller. Each worker reuses its memory
-// hierarchies from cell to cell. No cell reads another's products, so
-// the study caches nothing.
+// hierarchies from cell to cell.
 //
 // Cells are as large as a service's work, so from three workers up the
 // largest service's cell bounds the study's wall clock.
@@ -392,11 +261,8 @@ func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU
 // EfficiencyStudyParallel reproduces Figures 4 and 11 on a worker pool:
 // SIMT control efficiency per service under naive, per-API and
 // per-API+argument-size batching (MinSP-PC), plus the ideal stack-based
-// IPDOM reference, at batch 32. One cell per (service, policy variant).
-//
-// The policy variants share scalar traces wherever they place a request
-// at the same batch position, so scalar traces are cached; the merged
-// streams differ by policy and reconvergence scheme, so they are not.
+// IPDOM reference, at batch 32. One cell per (service, policy variant);
+// each cell generates its service's requests and traces them itself.
 func EfficiencyStudyParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]EffRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
@@ -412,15 +278,11 @@ func EfficiencyStudyParallel(suite *uservices.Suite, requests int, seed int64, w
 		{batch.PerAPIArgSize, true},
 	}
 	nv := len(variants)
-	sw := newSweepCaches(svcs, nv, true, false)
 	cells, err := RunCells(len(svcs)*nv, workers, func(i int) (float64, error) {
-		s := i / nv
-		defer sw.done(s)
-		v := variants[i%nv]
-		return efficiencyOf(svcs[s], sw.requests(s, requests, seed), 32, v.policy, v.ipdom, sw.cache(s))
+		svc, v := svcs[i/nv], variants[i%nv]
+		return efficiencyOf(svc, genRequests(svc, requests, seed), 32, v.policy, v.ipdom)
 	})
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	rows := make([]EffRow, len(svcs))
@@ -438,11 +300,8 @@ func EfficiencyStudyParallel(suite *uservices.Suite, requests int, seed int64, w
 
 // MPKIStudyParallel reproduces Figure 15 on a worker pool: L1 MPKI of
 // the single-threaded CPU (64 KB L1) vs the RPU (256 KB L1) at batch
-// sizes 32/16/8/4. One cell per (service, configuration).
-//
-// The batch sizes place many requests at the same lane, so scalar
-// traces are cached; no two cells form the same batch, so batch streams
-// are not.
+// sizes 32/16/8/4. One cell per (service, configuration); each cell
+// generates its service's requests and traces them itself.
 func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]MPKIRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
@@ -450,14 +309,10 @@ func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers
 	svcs := suite.Services
 	sizes := []int{32, 16, 8, 4}
 	nc := 1 + len(sizes) // CPU + one per batch size
-	sw := newSweepCaches(svcs, nc, true, false)
 	cells, err := RunCells(len(svcs)*nc, workers, func(i int) (*Result, error) {
-		s := i / nc
-		defer sw.done(s)
-		svc := svcs[s]
-		reqs := sw.requests(s, requests, seed)
+		svc := svcs[i/nc]
+		reqs := genRequests(svc, requests, seed)
 		opts := DefaultOptions()
-		opts.Traces = sw.cache(s)
 		if i%nc == 0 {
 			return RunService(ArchCPU, svc, reqs, opts)
 		}
@@ -465,7 +320,6 @@ func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers
 		return RunService(ArchRPU, svc, reqs, opts)
 	})
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	rows := make([]MPKIRow, len(svcs))
@@ -486,15 +340,11 @@ type BatchSweepRow struct {
 }
 
 // BatchSweep runs the CPU baseline plus an RPU run per batch size over
-// the same requests on a worker pool (the §III-B3 tuning space). As in
-// MPKIStudyParallel, the sizes share scalar traces but no batch stream, so
-// only scalar traces are cached.
+// the same requests on a worker pool (the §III-B3 tuning space). Each
+// cell traces the requests itself.
 func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
-	sw := newSweepCaches([]*uservices.Service{svc}, 1+len(sizes), true, false)
 	cells, err := RunCells(1+len(sizes), workers, func(i int) (*Result, error) {
-		defer sw.done(0)
 		opts := DefaultOptions()
-		opts.Traces = sw.cache(0)
 		if i == 0 {
 			return RunService(ArchCPU, svc, reqs, opts)
 		}
@@ -502,7 +352,6 @@ func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, w
 		return RunService(ArchRPU, svc, reqs, opts)
 	})
 	if err != nil {
-		sw.abort()
 		return nil, nil, err
 	}
 	rows := make([]BatchSweepRow, len(sizes))
@@ -520,8 +369,8 @@ type MultiBatchRow struct {
 }
 
 // MultiBatchSweep runs MultiBatchStudy for every service in the suite
-// on a worker pool (two tuned-size batches per service). Each service
-// is one cell, so nothing is cached or shared.
+// on a worker pool (two tuned-size batches per service), one cell per
+// service.
 func MultiBatchSweep(suite *uservices.Suite, seed int64, workers int) ([]MultiBatchRow, error) {
 	svcs := suite.Services
 	cells, err := RunCells(len(svcs), workers, func(i int) (*MultiBatchResult, error) {

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"simr/internal/alloc"
+	"simr/internal/obs"
 	"simr/internal/uservices"
 )
 
@@ -258,11 +258,11 @@ func TestStudyBadInputs(t *testing.T) {
 		return SensitivityStudyParallel(io.Discard, suite, []string{"memc", "nosuch"}, 16, 3, 2)
 	}})
 
-	defer func() { sweepBuilt = nil }()
+	defer obs.Disable()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ran := false
-			sweepBuilt = func(*sweepCaches) { ran = true }
+			reg := obs.NewRegistry()
+			obs.Enable(reg, nil)
 			var err error
 			func() {
 				defer func() {
@@ -275,39 +275,11 @@ func TestStudyBadInputs(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want an error naming %s", err, c.want)
 			}
-			if ran {
-				t.Fatal("the study built its sweep before rejecting the input")
+			for _, sc := range reg.Snapshot().Scopes {
+				if sc.Name == "core.runcells" && sc.Counters["calls"] != 0 {
+					t.Fatal("the study started its sweep before rejecting the input")
+				}
 			}
 		})
-	}
-}
-
-// TestSweepCachesAbort is the regression test for the error-path leak:
-// cells abandoned by RunCells never call done, so without abort a
-// failed sweep strands its cache bytes against the shared budget.
-func TestSweepCachesAbort(t *testing.T) {
-	suite := uservices.NewSuite()
-	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user")}
-	sw := newSweepCaches(svcs, 2, true, true)
-	for s := range svcs {
-		reqs := sw.requests(s, 8, 3)
-		sg := alloc.NewStackGroup(0, len(reqs), true)
-		for i := range reqs {
-			if _, err := sw.cache(s).Request(&reqs[i], i, sg.StackBase(i), alloc.PolicySIMR, 32, 8); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sw.cache(s).Stats().Bytes == 0 {
-			t.Fatalf("service %d cached nothing", s)
-		}
-	}
-	// One of service 0's two cells finishes before the sweep fails; the
-	// other cells are abandoned and never call done.
-	sw.done(0)
-	sw.abort()
-	for s := range svcs {
-		if got := sw.cache(s).Stats().Bytes; got != 0 {
-			t.Fatalf("service %d still holds %d bytes after abort", s, got)
-		}
 	}
 }

@@ -4,43 +4,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"simr/internal/alloc"
-	"simr/internal/trace"
 	"simr/internal/uservices"
 )
-
-// runVariant executes one mutated option set.
-func runVariant(arch Arch, svc *uservices.Service, reqs []uservices.Request, mutate func(*Options), tc *trace.Cache, bc *trace.BatchCache) (*Result, error) {
-	ov := DefaultOptions()
-	ov.Traces = tc
-	ov.BatchStreams = bc
-	mutate(&ov)
-	return RunService(arch, svc, reqs, ov)
-}
-
-// sensBase memoizes one service's baseline runs: every RPU ablation
-// compares against the identical baseline RunService result (same
-// service, same request stream, same default options), so computing it
-// once per (service, architecture) and sharing the Result across cells
-// is byte-identical and saves nearly half the study's simulation work.
-// Results are only ever read after the owning cell's Once completes.
-type sensBase struct {
-	once [NumArchs]sync.Once
-	res  [NumArchs]*Result
-	err  [NumArchs]error
-}
-
-func (b *sensBase) get(arch Arch, svc *uservices.Service, reqs []uservices.Request, tc *trace.Cache, bc *trace.BatchCache) (*Result, error) {
-	b.once[arch].Do(func() {
-		ob := DefaultOptions()
-		ob.Traces = tc
-		ob.BatchStreams = bc
-		b.res[arch], b.err[arch] = RunService(arch, svc, reqs, ob)
-	})
-	return b.res[arch], b.err[arch]
-}
 
 // sensPair is one ablation's (baseline, variant) measurement: the cell
 // type of the grid SensitivityStudyParallel computes and
@@ -49,26 +16,15 @@ type sensPair struct {
 	Base, Variant *Result
 }
 
-// sensMutations lists the §V-A1 ablations in report order; each becomes
-// one row of worker-pool cells.
-var sensMutations = []struct {
-	arch   Arch
-	mutate func(*Options)
-}{
-	{ArchRPU, func(o *Options) { o.Lanes = 32 }},
-	{ArchRPU, func(o *Options) { o.AtomicsAtL3 = false }},
-	{ArchRPU, func(o *Options) { o.AllocPolicy = alloc.PolicyCPU }},
-	{ArchRPU, func(o *Options) { o.MajorityVote = false }},
-	{ArchRPU, func(o *Options) { o.UseIPDOM = true }},
-	{ArchRPU, func(o *Options) { o.StackInterleave = false }},
-	{ArchCPU, func(o *Options) { o.CPUPrefetch = true }},
-}
-
 // SensitivityStudyParallel reproduces the §V-A1 sensitivity analyses
 // on the named services (all of the suite's when services is empty) and
-// writes the report. Every (ablation, service) pair is computed on a
-// worker pool, then the report sections are rendered in order from the
-// precomputed grid, so the text is identical at any worker count.
+// writes the report. Each service is one cell of a worker pool (see
+// sensCell), then the report sections are rendered in order from the
+// precomputed grid, so the text is identical at any worker count. Each
+// worker reuses its memory hierarchies from cell to cell.
+//
+// Cells are as large as a service's work, so from three workers up the
+// largest service's cell bounds the study's wall clock.
 func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []string, requests int, seed int64, workers int) error {
 	if err := checkRequests(requests); err != nil {
 		return err
@@ -84,38 +40,84 @@ func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []st
 			}
 		}
 	}
-	ns := len(svcs)
-	// Both caches are read: the timing-only ablations replay the
-	// baseline's batch streams, and the layout ablations that rebuild
-	// them (IPDOM, interleave off) and the CPU prefetcher replay its
-	// scalar traces.
-	sw := newSweepCaches(svcs, len(sensMutations), true, true)
-	bases := make([]sensBase, ns)
-	pairs, err := RunCells(len(sensMutations)*ns, workers, func(i int) (sensPair, error) {
-		m := sensMutations[i/ns]
-		s := i % ns
-		defer sw.done(s)
-		reqs := sw.requests(s, requests, seed)
-		b, err := bases[s].get(m.arch, svcs[s], reqs, sw.cache(s), sw.batchCache(s))
-		if err != nil {
-			return sensPair{}, err
-		}
-		v, err := runVariant(m.arch, svcs[s], reqs, m.mutate, sw.cache(s), sw.batchCache(s))
-		return sensPair{b, v}, err
+	systems := make([]sysList, cellWorkers(len(svcs), workers))
+	cells, err := runCells(len(svcs), workers, func(w, s int) ([]sensPair, error) {
+		svc := svcs[s]
+		return sensCell(svc, genRequests(svc, requests, seed), &workSet{}, &systems[w])
 	})
 	if err != nil {
-		sw.abort()
 		return err
 	}
-	return writeSensitivity(w, services, pairs)
+	return writeSensitivity(w, services, cells)
+}
+
+// sensCell runs one service's seven §V-A1 ablations on reqs and returns
+// them in report order, each paired with its baseline. The RPU baseline
+// and the three timing-only ablations (32 lanes, atomics in the L1,
+// lane-0 branch outcome) time one preparation of each batch; the
+// layout ablations (CPU heap allocator, IPDOM reconvergence, stack
+// interleave off) each prepare their own, and the CPU runs with and
+// without its prefetcher. Every run uses the cell's working set ws and
+// the worker's memory hierarchies sys.
+func sensCell(svc *uservices.Service, reqs []uservices.Request, ws *workSet, sys *sysList) ([]sensPair, error) {
+	base := DefaultOptions()
+	rpu := func(mutate ...func(*Options)) ([]*Result, error) {
+		arches := make([]Arch, len(mutate))
+		variants := make([]Options, len(mutate))
+		for v, m := range mutate {
+			arches[v], variants[v] = ArchRPU, base
+			m(&variants[v])
+		}
+		return runBatched(svc, reqs, arches, variants, ws, sys)
+	}
+	timing, err := rpu(
+		func(*Options) {},
+		func(o *Options) { o.Lanes = 32 },
+		func(o *Options) { o.AtomicsAtL3 = false },
+		func(o *Options) { o.MajorityVote = false },
+	)
+	if err != nil {
+		return nil, err
+	}
+	var layout [3]*Result
+	for i, m := range []func(*Options){
+		func(o *Options) { o.AllocPolicy = alloc.PolicyCPU },
+		func(o *Options) { o.UseIPDOM = true },
+		func(o *Options) { o.StackInterleave = false },
+	} {
+		res, err := rpu(m)
+		if err != nil {
+			return nil, err
+		}
+		layout[i] = res[0]
+	}
+	var cpu [2]*Result
+	for i, prefetch := range []bool{false, true} {
+		o := base
+		o.CPUPrefetch = prefetch
+		res, err := runScalar(svc, reqs, []Arch{ArchCPU}, o, ws, sys)
+		if err != nil {
+			return nil, err
+		}
+		cpu[i] = res[0]
+	}
+	b := timing[0]
+	return []sensPair{
+		{b, timing[1]}, // 32 lanes
+		{b, timing[2]}, // atomics in the L1
+		{b, layout[0]}, // CPU heap allocator
+		{b, timing[3]}, // lane-0 branch outcome
+		{b, layout[1]}, // IPDOM reconvergence
+		{b, layout[2]}, // stack interleave off
+		{cpu[0], cpu[1]},
+	}, nil
 }
 
 // writeSensitivity renders the §V-A1 report from a precomputed grid
-// indexed pairs[section*len(services)+s], section in sensMutations
-// order and services[s] naming column s.
-func writeSensitivity(w io.Writer, services []string, pairs []sensPair) error {
-	ns := len(services)
-	pair := func(section, s int) sensPair { return pairs[section*ns+s] }
+// indexed cells[s][section], section in sensCell's report order and
+// services[s] naming service s.
+func writeSensitivity(w io.Writer, services []string, cells [][]sensPair) error {
+	pair := func(section, s int) sensPair { return cells[s][section] }
 
 	// 1. Sub-batch interleaving: 8 SIMT lanes vs full 32-lane width.
 	fmt.Fprintln(w, "-- sub-batch interleaving: 8 lanes vs full 32 lanes (paper: ~4% loss, up to 10% UniqueID)")

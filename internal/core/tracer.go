@@ -7,15 +7,15 @@ import (
 	"simr/internal/uservices"
 )
 
-// tracer is one prep slot's source of scalar traces. With a sweep trace
-// cache it serves the cache's shared, read-only traces; without one it
-// interprets into buffers it owns — one per lane, so a batch's traces
-// stay valid together — reusing one context (with its seedrng-backed
-// rng) and one heap arena across requests, so a warmed tracer
-// allocates nothing and copies no trace. A trace it returns stays
-// valid until the same lane is traced again. A tracer must not be
-// shared between goroutines; tracer{svc: svc, tc: tc} is ready to use,
-// and a nil tc interprets every request.
+// tracer is one prep slot's source of scalar traces. With a trace
+// cache (Options.Traces) it serves the cache's shared, read-only
+// traces; without one it interprets into buffers it owns — one per
+// lane, so a batch's traces stay valid together — reusing one context
+// (with its seedrng-backed rng) and one heap arena across requests, so
+// a warmed tracer allocates nothing and copies no trace. A trace it
+// returns stays valid until the same lane is traced again. A tracer
+// must not be shared between goroutines; tracer{svc: svc, tc: tc} is
+// ready to use, and a nil tc interprets every request.
 type tracer struct {
 	svc    *uservices.Service
 	tc     *trace.Cache

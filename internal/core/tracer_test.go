@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -84,67 +83,6 @@ func TestSlotPrepAllocs(t *testing.T) {
 		c.fn()
 		if n := testing.AllocsPerRun(20, c.fn); n != 0 {
 			t.Errorf("%s: warmed uncached prep allocates %v allocs/op, want 0", c.name, n)
-		}
-	}
-}
-
-// TestSweepCachesAreRead: every cache a sweep driver hands its cells is
-// read by some other cell (hits > 0), so no driver retains products
-// nobody reuses, and each driver hands out exactly the caches its cell
-// grid reads (scalar traces, batch streams).
-func TestSweepCachesAreRead(t *testing.T) {
-	suite := uservices.NewSuite()
-	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user"), suite.Get("hdsearch-leaf")}
-	sub := &uservices.Suite{Services: svcs}
-	const (
-		requests = 64
-		seed     = 3
-		workers  = 2
-	)
-	drivers := []struct {
-		name          string
-		scalar, batch bool
-		run           func() error
-	}{
-		{"chip", false, false, func() error { _, err := ChipStudyParallel(sub, requests, seed, false, workers); return err }},
-		{"chip+gpu", false, false, func() error { _, err := ChipStudyParallel(sub, requests, seed, true, workers); return err }},
-		{"timing", false, false, func() error { _, err := TimingSweepParallel(sub, requests, seed, workers); return err }},
-		{"efficiency", true, false, func() error { _, err := EfficiencyStudyParallel(sub, requests, seed, workers); return err }},
-		{"mpki", true, false, func() error { _, err := MPKIStudyParallel(sub, requests, seed, workers); return err }},
-		{"sensitivity", true, true, func() error { return SensitivityStudyParallel(io.Discard, sub, nil, requests, seed, workers) }},
-		{"multibatch", false, false, func() error { _, err := MultiBatchSweep(sub, seed, workers); return err }},
-		{"batchsweep", true, false, func() error {
-			_, _, err := BatchSweep(svcs[0], genRequests(svcs[0], requests, seed), []int{32, 16, 8}, workers)
-			return err
-		}},
-	}
-	defer func() { sweepBuilt = nil }()
-	for _, d := range drivers {
-		var built []*sweepCaches
-		sweepBuilt = func(sw *sweepCaches) { built = append(built, sw) }
-		if err := d.run(); err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
-		scalar, batch := false, false
-		for _, sw := range built {
-			for s, svc := range sw.svcs {
-				if c := sw.cache(s); c != nil {
-					scalar = true
-					if c.Stats().Hits == 0 {
-						t.Errorf("%s: %s's scalar-trace cache was never read: %+v", d.name, svc.Name, c.Stats())
-					}
-				}
-				if c := sw.batchCache(s); c != nil {
-					batch = true
-					if c.Stats().Hits == 0 {
-						t.Errorf("%s: %s's batch-stream cache was never read: %+v", d.name, svc.Name, c.Stats())
-					}
-				}
-			}
-		}
-		if scalar != d.scalar || batch != d.batch {
-			t.Errorf("%s caches scalar traces=%v, batch streams=%v; want %v, %v",
-				d.name, scalar, batch, d.scalar, d.batch)
 		}
 	}
 }

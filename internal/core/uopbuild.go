@@ -182,8 +182,8 @@ func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread uint8, s
 // batchUops converts the lock-step batch stream into pipeline uops:
 // stack addresses are physically interleaved via the batch's stack
 // group (when enabled) and every memory instruction passes through the
-// MCU coalescer. The coalescer's counts go to mcu, which callers point
-// at a per-batch delta (applied to the memory system in batch order by
+// MCU coalescer. The coalescer's counts go to mcu (nil discards
+// them), which callers point at a per-batch delta (applied to the memory system in batch order by
 // the consumer) rather than live counters — the build pass itself must
 // stay pure so batches can be prepared ahead on worker goroutines.
 func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interleave bool, mcu *mem.MCUStats) pipeline.Stream {
@@ -225,17 +225,6 @@ func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interle
 		}
 	}
 	return b.stream(uops)
-}
-
-// copyUops clones a read-only stream's uops into the builder's arena
-// so the caller may mutate the copies (streams served by the batch
-// cache are cache-owned and immutable). The copy shares the source's
-// address array: it is read-only in every consumer, so sharing it is
-// safe and avoids duplicating the addresses.
-func (b *uopBuilder) copyUops(src pipeline.Stream) pipeline.Stream {
-	dst := b.carve(len(src.Uops))
-	copy(dst, src.Uops)
-	return pipeline.Stream{Uops: dst, Addrs: src.Addrs}
 }
 
 // appendGranules expands one lane's access into the 4-byte words it
