@@ -1,6 +1,7 @@
 // Command chipsim runs the chip-level CPU vs CPU-SMT8 vs RPU (vs GPU)
 // comparison and prints the paper's evaluation artifacts:
 //
+//	-fig 5    off-chip DRAM bandwidth and thread scaling (analytic)
 //	-fig 10   CPU dynamic energy breakdown per pipeline stage
 //	-fig 14   RPU L1 accesses normalized to the CPU
 //	-fig 15   L1 MPKI, CPU vs RPU at batch sizes 32/16/8/4
@@ -14,8 +15,9 @@
 //	-sensitivity   §V-A1 ablations
 //	-timing   RPU timing-knob sweep (lanes x vote x atomics placement)
 //
-// With no selector, all figures are printed. An unknown -fig or -table
-// is an error, reported before anything runs.
+// With no selector, all simulated figures are printed (Figure 5, an
+// analytic table, only on request). An unknown -fig or -table is an
+// error, reported before anything runs.
 package main
 
 import (
@@ -35,7 +37,7 @@ import (
 func main() {
 	requests := flag.Int("requests", core.DefaultRequests, "requests per service (paper: 2400)")
 	seed := flag.Int64("seed", 42, "workload random seed")
-	fig := flag.Int("fig", 0, "print a single figure (10, 14, 15, 19, 20, 21)")
+	fig := flag.Int("fig", 0, "print a single figure (5, 10, 14, 15, 19, 20, 21)")
 	table := flag.Int("table", 0, "print a table (4, 5, 6 or 7)")
 	sensitivity := flag.Bool("sensitivity", false, "run the sensitivity ablations")
 	ispc := flag.Bool("ispc", false, "run the §VI-A SPMD-on-SIMD (ISPC) comparison")
@@ -57,6 +59,12 @@ func main() {
 	}
 	defer stop()
 
+	if *fig == 5 {
+		fmt.Println("Figure 5: off-chip DRAM bandwidth and thread scaling")
+		core.WriteFig5(os.Stdout, core.Fig5Scaling())
+		fmt.Println("\n(paper: up to 256 threads/socket with DDR5, 512 with DDR6/HBM)")
+		return
+	}
 	suite := uservices.NewSuite()
 
 	if *table == 4 {
@@ -178,9 +186,9 @@ func main() {
 // chipsim prints (0 selects no single figure or table).
 func checkSelectors(fig, table int) error {
 	switch fig {
-	case 0, 10, 14, 15, 19, 20, 21:
+	case 0, 5, 10, 14, 15, 19, 20, 21:
 	default:
-		return fmt.Errorf("unknown -fig %d (want 10, 14, 15, 19, 20 or 21)", fig)
+		return fmt.Errorf("unknown -fig %d (want 5, 10, 14, 15, 19, 20 or 21)", fig)
 	}
 	switch table {
 	case 0, 4, 5, 6, 7:

@@ -204,8 +204,8 @@ type tailSweepConfig struct {
 // overload-policy counters per load point, plus the total simulated
 // event count. Every column is simulation output, so rows stay
 // byte-identical at any -parallel; wall-clock events/sec (the arena
-// engine's figure of merit) is measured by cmd/benchjson instead,
-// where per-run wall time is expected trajectory data.
+// engine's figure of merit) is left to the benchmark in bench/, which
+// records it as the queuesim.ns_per_event layer metric.
 func sweepTail(tc tailSweepConfig, qps []float64, parallel int) error {
 	if tc.graph != nil {
 		fmt.Printf("Service graph %q at %.0fx scale (tail-at-scale engine, %s arrivals)\n",

@@ -15,6 +15,8 @@ import (
 
 	"simr/internal/core"
 	"simr/internal/obs"
+	"simr/internal/queuesim"
+	"simr/internal/uservices"
 )
 
 // start registers groups on a fresh flag set, parses args and starts
@@ -107,6 +109,122 @@ func TestStartWritesMetricsAndTrace(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &evs); err != nil || len(evs) != 1 {
 		t.Fatalf("trace file invalid: %v %s", err, raw)
+	}
+}
+
+// TestStudyArtifactsWellFormed runs a small chip study and a two-point
+// Figure 22 sweep under -metrics and -trace, as chipsim and syssim do,
+// and checks both files: a snapshot with named scopes (the chip
+// sweep's and every sweep cell's station scopes among them),
+// non-negative counters and histograms whose buckets sum to their
+// count, and a trace that is a JSON array of events, each with a
+// string name, a phase and a numeric timestamp (the shape
+// chrome://tracing and Perfetto load).
+func TestStudyArtifactsWellFormed(t *testing.T) {
+	dir := t.TempDir()
+	mPath := filepath.Join(dir, "m.json")
+	tPath := filepath.Join(dir, "t.json")
+	_, stop, err := start(t, Metrics, "-metrics", mPath, "-trace", tPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, chipErr := core.ChipStudyParallel(uservices.NewSuite(), 24, 7, false, 0)
+	loads := []float64{5000, 10000}
+	_, sweepErr := core.RunCells(len(loads), 0, func(i int) (*queuesim.TailMetrics, error) {
+		cfg := queuesim.DefaultConfig()
+		cfg.QPS = loads[i]
+		cfg.Seconds = 0.5
+		cfg.Warmup = 0.125
+		cfg.Seed = 7
+		cfg.Monitor = &queuesim.Monitor{Reg: obs.Default(), Sink: obs.Trace(),
+			Label: queuesim.CellLabel("cpu", cfg.QPS), PID: 100 + i, MinDT: 1}
+		return queuesim.Run(cfg), nil
+	})
+	stop()
+	if chipErr != nil || sweepErr != nil {
+		t.Fatalf("chip study: %v; sweep: %v", chipErr, sweepErr)
+	}
+
+	var snap struct {
+		Scopes []struct {
+			Name       string           `json:"name"`
+			Counters   map[string]int64 `json:"counters"`
+			Histograms map[string]struct {
+				Bounds []float64 `json:"bounds"`
+				Counts []int64   `json:"counts"`
+				Count  int64     `json:"count"`
+			} `json:"histograms"`
+		} `json:"scopes"`
+	}
+	raw, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("metrics file is not a snapshot: %v", err)
+	}
+	if len(snap.Scopes) == 0 {
+		t.Fatal("no scopes recorded")
+	}
+	scopes := map[string]bool{}
+	for _, sc := range snap.Scopes {
+		if sc.Name == "" {
+			t.Fatal("scope with empty name")
+		}
+		scopes[sc.Name] = true
+		for name, v := range sc.Counters {
+			if name == "" || v < 0 {
+				t.Errorf("scope %s: counter %q = %d", sc.Name, name, v)
+			}
+		}
+		for name, h := range sc.Histograms {
+			if len(h.Counts) != len(h.Bounds)+1 {
+				t.Errorf("scope %s: histogram %s has %d counts for %d bounds",
+					sc.Name, name, len(h.Counts), len(h.Bounds))
+			}
+			var total int64
+			for i, c := range h.Counts {
+				if c < 0 {
+					t.Errorf("scope %s: histogram %s bucket %d is %d", sc.Name, name, i, c)
+				}
+				total += c
+			}
+			if total != h.Count {
+				t.Errorf("scope %s: histogram %s buckets sum to %d, count says %d",
+					sc.Name, name, total, h.Count)
+			}
+		}
+	}
+	want := []string{"core.prep", "core.runcells"}
+	for _, qps := range loads {
+		for _, station := range []string{"run", "web", "user", "mcrouter", "memcached", "storage"} {
+			want = append(want, queuesim.ScopeName(queuesim.CellLabel("cpu", qps), station))
+		}
+	}
+	for _, name := range want {
+		if !scopes[name] {
+			t.Errorf("scope %s missing", name)
+		}
+	}
+
+	var evs []map[string]any
+	raw, err = os.ReadFile(tPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &evs); err != nil {
+		t.Fatalf("trace file is not a JSON array of events: %v", err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("trace holds no events")
+	}
+	for i, e := range evs {
+		_, name := e["name"].(string)
+		ph, _ := e["ph"].(string)
+		_, ts := e["ts"].(float64)
+		if !name || ph == "" || !ts {
+			t.Fatalf("event %d lacks a string name, a phase or a numeric ts: %v", i, e)
+		}
 	}
 }
 

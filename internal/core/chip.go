@@ -80,14 +80,19 @@ func DefaultOptions() Options {
 
 // validate rejects options a run would otherwise replace with its
 // defaults or misread: a negative BatchSize or Lanes (zero selects the
-// tuned batch size and the configured lane count), and a Policy or
-// AllocPolicy that names no policy.
+// tuned batch size and the configured lane count), a BatchSize or
+// Lanes wider than the simt.MaxBatch threads an active mask holds, and
+// a Policy or AllocPolicy that names no policy.
 func (o *Options) validate() error {
 	switch {
 	case o.BatchSize < 0:
 		return fmt.Errorf("core: Options.BatchSize %d is negative (0 selects the service's tuned size)", o.BatchSize)
+	case o.BatchSize > simt.MaxBatch:
+		return fmt.Errorf("core: Options.BatchSize %d exceeds the widest batch, %d", o.BatchSize, simt.MaxBatch)
 	case o.Lanes < 0:
 		return fmt.Errorf("core: Options.Lanes %d is negative (0 selects the configured lane count)", o.Lanes)
+	case o.Lanes > simt.MaxBatch:
+		return fmt.Errorf("core: Options.Lanes %d exceeds the widest batch, %d", o.Lanes, simt.MaxBatch)
 	case o.Policy > batch.PerAPIArgSize:
 		return fmt.Errorf("core: Options.Policy %d names no batching policy", o.Policy)
 	case o.AllocPolicy > alloc.PolicySIMR:

@@ -667,10 +667,11 @@ func TestRunBatchedVariants(t *testing.T) {
 
 // TestRunServiceRejectsBadOptions: RunService reports an error instead
 // of running its defaults (or misreading the options) for an empty
-// request list, a negative batch size or lane count and a policy
-// number that names no policy, on every architecture; runBatched
-// rejects the same options in any timing variant. Zero batch size and
-// lane count still select the defaults.
+// request list, a negative batch size or lane count, a batch size or
+// lane count wider than simt.MaxBatch and a policy number that names
+// no policy, on every architecture; runBatched rejects the same
+// options in any timing variant. Zero batch size and lane count still
+// select the defaults, and 3 lanes (ceil(active/3) issue tokens) run.
 func TestRunServiceRejectsBadOptions(t *testing.T) {
 	svc := uservices.NewSuite().Get("memc")
 	reqs := genRequests(svc, 16, 7)
@@ -683,6 +684,8 @@ func TestRunServiceRejectsBadOptions(t *testing.T) {
 		{"empty requests", "no requests", reqs[:0], func(*Options) {}},
 		{"BatchSize -3", "BatchSize", reqs, func(o *Options) { o.BatchSize = -3 }},
 		{"Lanes -1", "Lanes", reqs, func(o *Options) { o.Lanes = -1 }},
+		{"BatchSize 100", "core: Options.BatchSize 100 exceeds", reqs, func(o *Options) { o.BatchSize = 100 }},
+		{"Lanes 100", "core: Options.Lanes 100 exceeds", reqs, func(o *Options) { o.Lanes = 100 }},
 		{"Policy 99", "Policy", reqs, func(o *Options) { o.Policy = 99 }},
 		{"Policy 3", "Policy", reqs, func(o *Options) { o.Policy = batch.PerAPIArgSize + 1 }},
 		{"AllocPolicy 99", "AllocPolicy", reqs, func(o *Options) { o.AllocPolicy = 99 }},
@@ -711,6 +714,16 @@ func TestRunServiceRejectsBadOptions(t *testing.T) {
 	for _, arch := range []Arch{ArchCPU, ArchRPU} {
 		if _, err := RunService(arch, svc, reqs, zero); err != nil {
 			t.Errorf("zero BatchSize and Lanes on %v rejected: %v", arch, err)
+		}
+	}
+	for _, mutate := range []func(*Options){
+		func(o *Options) { o.Lanes = 3 },
+		func(o *Options) { o.BatchSize, o.Lanes = simt.MaxBatch, simt.MaxBatch },
+	} {
+		opts := DefaultOptions()
+		mutate(&opts)
+		if _, err := RunService(ArchRPU, svc, reqs, opts); err != nil {
+			t.Errorf("BatchSize %d, Lanes %d rejected: %v", opts.BatchSize, opts.Lanes, err)
 		}
 	}
 }

@@ -29,9 +29,9 @@ import (
 	"simr/internal/uservices"
 )
 
-// DefaultWorkers is the worker count used when a study is given
+// defaultWorkers is the worker count used when a study is given
 // workers <= 0: one per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // interruptCtx is the process-wide cancellation context the drivers
 // install via SetInterrupt (SIGINT/SIGTERM). RunCells polls it between
@@ -61,19 +61,20 @@ func interrupted() error {
 }
 
 // RunCells evaluates fn(0..n-1) on a pool of workers and returns the
-// results in input order. workers <= 0 selects DefaultWorkers;
+// results in input order. workers <= 0 selects defaultWorkers;
 // workers == 1 runs inline with no goroutines (the sequential path).
 // On error the lowest-index error among completed cells is returned
-// and remaining cells are abandoned.
+// and remaining cells are abandoned. A cell that panics fails with an
+// error naming its index and the panic value.
 func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return runCells(n, workers, func(_, i int) (T, error) { return fn(i) })
 }
 
 // cellWorkers is the number of workers runCells starts for n cells:
-// workers, or DefaultWorkers when workers <= 0, capped at n.
+// workers, or defaultWorkers when workers <= 0, capped at n.
 func cellWorkers(n, workers int) int {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = defaultWorkers()
 	}
 	return min(workers, n)
 }
@@ -97,7 +98,7 @@ func runCells[T any](n, workers int, fn func(w, i int) (T, error)) ([]T, error) 
 				return nil, err
 			}
 			t0 := po.clock()
-			v, err := fn(0, i)
+			v, err := runCell(fn, 0, i)
 			if err != nil {
 				return nil, err
 			}
@@ -128,7 +129,7 @@ func runCells[T any](n, workers int, fn func(w, i int) (T, error)) ([]T, error) 
 				var v T
 				err := interrupted()
 				if err == nil {
-					v, err = fn(w, i)
+					v, err = runCell(fn, w, i)
 				}
 				if err != nil {
 					mu.Lock()
@@ -149,6 +150,17 @@ func runCells[T any](n, workers int, fn func(w, i int) (T, error)) ([]T, error) 
 		return nil, first
 	}
 	return out, nil
+}
+
+// runCell evaluates one cell, turning a panic into the cell's error so
+// that it fails the sweep instead of the process.
+func runCell[T any](fn func(w, i int) (T, error), w, i int) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: sweep cell %d panicked: %v", i, r)
+		}
+	}()
+	return fn(w, i)
 }
 
 // sysList is one sweep worker's idle memory hierarchies. A run takes a

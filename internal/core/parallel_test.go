@@ -53,6 +53,33 @@ func TestRunCellsError(t *testing.T) {
 	}
 }
 
+// TestRunCellsPanicIsError: a cell that panics, inline or on a worker
+// goroutine, fails the sweep with an error naming the cell and the
+// panic value. It is the lowest-index error even when a later cell
+// also fails.
+func TestRunCellsPanicIsError(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		const at = 5
+		out, err := RunCells(64, workers, func(i int) (int, error) {
+			switch i {
+			case at:
+				panic("cell on fire")
+			case at + 1:
+				return 0, errors.New("later error")
+			}
+			return i, nil
+		})
+		if err == nil || out != nil {
+			t.Fatalf("workers=%d: got %v, %v; want an error", workers, out, err)
+		}
+		for _, want := range []string{fmt.Sprintf("cell %d", at), "cell on fire"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers=%d: error %q does not name %q", workers, err, want)
+			}
+		}
+	}
+}
+
 // TestRunCellsInterrupt covers the commands' SIGINT/SIGTERM path: an
 // installed context that is done aborts RunCells with its error before
 // any cell runs, a cancel seen mid-sweep lets no later cell start (at

@@ -46,7 +46,8 @@ func checkConservation(t *testing.T, m *TailMetrics, label string) {
 
 // TestTailConservation: with a sufficient drain every measured arrival
 // resolves as exactly one completion or failure, across modes and with
-// every policy knob engaged at once.
+// every policy knob engaged at once, and the latency tail is ordered
+// p50 <= p99 <= p999.
 func TestTailConservation(t *testing.T) {
 	for _, tc := range []struct {
 		label string
@@ -74,6 +75,10 @@ func TestTailConservation(t *testing.T) {
 		checkConservation(t, m, tc.label)
 		if m.Events == 0 || m.InFlightHWM == 0 {
 			t.Fatalf("%s: missing engine accounting: %+v", tc.label, m)
+		}
+		p50, p99, p999 := m.Latency.Percentile(50), m.Latency.Percentile(99), m.Latency.Percentile(99.9)
+		if !(p50 <= p99 && p99 <= p999) {
+			t.Fatalf("%s: tail out of order: p50 %.2f p99 %.2f p999 %.2f", tc.label, p50, p99, p999)
 		}
 	}
 }

@@ -502,6 +502,63 @@ func TestGraphDeterminism(t *testing.T) {
 	}
 }
 
+// TestGraphKnees pins the Figure 22-style saturation knee of every
+// bundled graph, on the CPU system and on the RPU with batch splitting:
+// the last load of a shared 12-point grid before the first point that
+// Saturated flags against the p99 at the grid's lowest load. The RPU
+// sustains 4x (fan-out-heavy hotel and iot, capped by their unoffloaded
+// front ends) to 8x (composepost and media) the CPU's load, the
+// paper's "requests sustained per machine" result over each graph.
+// Each mode's sweep stops at its first saturated point.
+func TestGraphKnees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps every graph's load grid up to its knee in two modes")
+	}
+	loads := []float64{2000, 4000, 8000, 12000, 16000, 24000, 32000,
+		48000, 64000, 96000, 128000, 192000}
+	// Knee QPS per graph: {cpu, rpu-split}.
+	want := map[string][2]float64{
+		"social":      {16000, 64000},
+		"composepost": {24000, 192000},
+		"hotel":       {32000, 128000},
+		"media":       {24000, 192000},
+		"iot":         {32000, 128000},
+	}
+	if len(want) != len(GraphNames()) {
+		t.Fatalf("knees pinned for %d graphs, %d bundled", len(want), len(GraphNames()))
+	}
+	for _, name := range GraphNames() {
+		for mode, rpu := range []bool{false, true} {
+			var base, knee float64
+			for j, qps := range loads {
+				spec, err := GraphByName(name, DefaultConfig())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				c := DefaultConfig()
+				c.QPS = qps
+				c.Seconds = 0.5
+				c.Warmup = 0.125
+				c.Drain = 5
+				c.Seed = 42
+				c.RPU = rpu
+				c.Split = rpu
+				m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: spec})
+				if j == 0 {
+					base = m.Latency.Percentile(99)
+				}
+				if m.Saturated(base) {
+					break
+				}
+				knee = qps
+			}
+			if knee != want[name][mode] {
+				t.Errorf("%s rpu=%v: knee %v QPS, want %v", name, rpu, knee, want[name][mode])
+			}
+		}
+	}
+}
+
 // TestFanoutRejectionConservation: queue-cap rejections inside fan-out
 // legs abandon the parent try without losing or double-counting the
 // logical request — the rejectLeg/legEnd path under real load.

@@ -8,6 +8,7 @@ import (
 
 	"simr/internal/alloc"
 	"simr/internal/isa"
+	"simr/internal/obs"
 	"simr/internal/uservices"
 )
 
@@ -172,5 +173,59 @@ func TestCacheConcurrentRequestAndDrop(t *testing.T) {
 	}
 	if got := budget.left.Load(); got != DefaultBudgetBytes {
 		t.Fatalf("budget after concurrent Drop = %d, want %d (no leak, no double-release)", got, int64(DefaultBudgetBytes))
+	}
+}
+
+// TestCacheScopeContract pins the registry scopes both caches report
+// under while the obs hub is installed: "trace.cache" and
+// "trace.batchcache" each carry the counters hits, misses, bypassed,
+// drops and dropped_bytes and the gauge bytes_hwm, mirroring the
+// cache's own Stats.
+func TestCacheScopeContract(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Enable(reg, nil)
+	defer obs.Disable()
+
+	svc, reqs := testService(t)
+	c := NewCache(svc, nil)
+	for pass := 0; pass < 2; pass++ { // miss, then hit
+		if _, err := c.Request(&reqs[0], 0, 1<<40, alloc.PolicySIMR, 64, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bc := NewBatchCache(nil)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := bc.Get(testKey(1), func() (*BatchStream, error) { return testStream([]uint64{1, 2}), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cst, bst := c.Stats(), bc.Stats()
+	c.Drop()
+	bc.Drop()
+
+	want := map[string]Stats{
+		"trace.cache":      {Hits: cst.Hits, Misses: cst.Misses, Drops: 1, BytesHWM: cst.BytesHWM},
+		"trace.batchcache": {Hits: bst.Hits, Misses: bst.Misses, Drops: 1, BytesHWM: bst.BytesHWM},
+	}
+	for _, sc := range reg.Snapshot().Scopes {
+		w, ok := want[sc.Name]
+		if !ok {
+			continue
+		}
+		delete(want, sc.Name)
+		for name, v := range map[string]uint64{"hits": w.Hits, "misses": w.Misses, "bypassed": 0, "drops": w.Drops} {
+			if got, ok := sc.Counters[name]; !ok || uint64(got) != v {
+				t.Errorf("%s: counter %s = %d (present %v), want %d", sc.Name, name, got, ok, v)
+			}
+		}
+		if got, ok := sc.Counters["dropped_bytes"]; !ok || got != w.BytesHWM {
+			t.Errorf("%s: counter dropped_bytes = %d (present %v), want %d", sc.Name, got, ok, w.BytesHWM)
+		}
+		if got, ok := sc.Gauges["bytes_hwm"]; !ok || got != w.BytesHWM || got <= 0 {
+			t.Errorf("%s: gauge bytes_hwm = %d (present %v), want %d > 0", sc.Name, got, ok, w.BytesHWM)
+		}
+	}
+	for name := range want {
+		t.Errorf("scope %s missing from the snapshot", name)
 	}
 }

@@ -38,6 +38,7 @@ table=(
 	"multiproc.txt|chipsim -multiprocess"
 	"multibatch.txt|chipsim -multibatch"
 	"composepost.txt|syssim -composepost -seconds 3 -max 80000 -points 8"
+	"fig5.txt|chipsim -fig 5"
 )
 
 dir=$(cd "$(dirname "$0")" && pwd)
