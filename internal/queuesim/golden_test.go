@@ -22,9 +22,10 @@ type goldenCell struct {
 
 // goldenLine renders every TailMetrics field by name, floats in
 // shortest round-trip form and the latency sample as the sha256 of its
-// GobEncode (every observation's bits, in insertion order, plus the
-// sorted flag), so two runs with equal lines are equal under
-// reflect.DeepEqual. Walking the fields by reflection means a field
+// GobEncode (a flag byte that is always 0, the count, then every
+// observation's bits, in insertion order because nothing has queried a
+// percentile of a fresh result), so two runs with equal lines are equal
+// under reflect.DeepEqual. Walking the fields by reflection means a field
 // added to TailMetrics changes every line until the fixtures carry it.
 func goldenLine(m *TailMetrics) string {
 	var b strings.Builder

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -43,12 +44,23 @@ func (m *Mean) Sum() float64 { return m.sum }
 // Count returns the number of observations.
 func (m *Mean) Count() int { return m.n }
 
-// Sample accumulates observations for percentile queries. It retains all
-// samples; the system simulator records at most a few hundred thousand
-// request latencies per sweep point, which is well within budget.
+// Sample accumulates observations for percentile queries. It retains
+// every observation, 8 bytes each: a tail-mode load point records up to
+// a few million request latencies (2.6 M in the benchmark's
+// tail-overload workload).
+//
+// The observations stay in insertion order until the first Percentile
+// call. From then on their order is unspecified: Percentile reorders
+// them in place, and GobEncode writes whatever order they are in.
 type Sample struct {
-	vals   []float64
-	sorted bool
+	vals []float64
+	sum  float64 // of vals in insertion order, so Mean ignores reordering
+	// settled holds, ascending, ranks that earlier Percentile calls put
+	// in place: vals[r] is the r-th smallest observation, with no larger
+	// one before it and no smaller one after it. The first nsettled
+	// entries count; Add clears them.
+	settled  [8]int
+	nsettled int
 }
 
 // NewSample returns a Sample with capacity hint n. Non-positive hints
@@ -63,46 +75,46 @@ func NewSample(n int) *Sample {
 // Add records one observation.
 func (s *Sample) Add(v float64) {
 	s.vals = append(s.vals, v)
-	s.sorted = false
+	s.sum += v
+	s.nsettled = 0
 }
 
 // Len returns the number of recorded observations.
 func (s *Sample) Len() int { return len(s.vals) }
 
-// Mean returns the arithmetic mean of the recorded observations.
+// Mean returns the arithmetic mean of the recorded observations, summed
+// in insertion order, so a Percentile call does not change it.
 func (s *Sample) Mean() float64 {
 	if len(s.vals) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
+	return s.sum / float64(len(s.vals))
 }
 
-// Max returns the largest recorded observation, or 0 when empty.
+// Max returns the largest recorded observation, or 0 when empty. NaN
+// observations are ignored unless every observation is NaN, so Max
+// agrees with Percentile(100) whether or not a query came first.
 func (s *Sample) Max() float64 {
-	max := 0.0
-	for i, v := range s.vals {
-		if i == 0 || v > max {
+	if len(s.vals) == 0 {
+		return 0
+	}
+	max := math.NaN()
+	for _, v := range s.vals {
+		if v > max || max != max {
 			max = v
 		}
 	}
 	return max
 }
 
-// GobEncode serializes the sample: a sorted flag, the count, then every
-// observation in insertion order as raw float64 bits. The queuesim
-// golden-grid fingerprints hash these bytes, and its tests read the
-// observations back from them.
+// GobEncode serializes the sample: a flag byte (always 0; it once
+// marked a sorted sample), the count, then every observation in its
+// current order as raw float64 bits. The queuesim golden-grid
+// fingerprints hash these bytes, and its tests read the observations
+// back from them.
 func (s *Sample) GobEncode() ([]byte, error) {
 	buf := make([]byte, 0, 9+8*len(s.vals))
-	if s.sorted {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, 0)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(s.vals)))
 	for _, v := range s.vals {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
@@ -110,30 +122,171 @@ func (s *Sample) GobEncode() ([]byte, error) {
 	return buf, nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank interpolation. Returns 0 when no samples were recorded.
+// Percentile returns the p-th percentile (0 <= p <= 100), interpolating
+// linearly between the two nearest ranks of the sorted observations.
+// Returns 0 when no samples were recorded and NaN when p is NaN. The
+// ordering is sort.Float64s's: a NaN observation ranks below every
+// number.
+//
+// Rather than sort the sample, it selects in place the one or two ranks
+// it reads. Ranks that earlier queries settled bound the part of the
+// sample a later query searches, so p50, p99 and p99.9 together cost
+// about one and a half selections over the whole sample, and a repeated
+// rank costs none.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.vals) == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(s.vals)
-		s.sorted = true
+	if p != p {
+		return math.NaN()
 	}
+	rank := float64(len(s.vals) - 1)
 	if p <= 0 {
-		return s.vals[0]
+		rank = 0
+	} else if p < 100 {
+		rank *= p / 100
 	}
-	if p >= 100 {
-		return s.vals[len(s.vals)-1]
-	}
-	rank := p / 100 * float64(len(s.vals)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	s.settle(lo)
+	x := s.vals[lo] // settling hi may move it when no room is left to record lo
 	if lo == hi {
-		return s.vals[lo]
+		return x
 	}
+	s.settle(hi)
 	frac := rank - float64(lo)
-	return s.vals[lo]*(1-frac) + s.vals[hi]*frac
+	return x*(1-frac) + s.vals[hi]*frac
+}
+
+// settle puts the k-th smallest observation at vals[k], searching only
+// between the settled ranks that bracket k, and records k as settled
+// while there is room. When k is the first rank of that range, as the
+// upper neighbour of a just-settled rank is, it is the range's minimum:
+// one scan finds it.
+func (s *Sample) settle(k int) {
+	a, b, i := 0, len(s.vals), 0
+	for ; i < s.nsettled; i++ {
+		r := s.settled[i]
+		if r == k {
+			return
+		}
+		if r > k {
+			b = r
+			break
+		}
+		a = r + 1
+	}
+	v := s.vals[a:b]
+	if k == a {
+		m := 0
+		for j := 1; j < len(v); j++ {
+			if less(v[j], v[m]) {
+				m = j
+			}
+		}
+		v[0], v[m] = v[m], v[0]
+	} else {
+		selectRank(v, k-a)
+	}
+	if s.nsettled < len(s.settled) {
+		copy(s.settled[i+1:s.nsettled+1], s.settled[i:s.nsettled])
+		s.settled[i] = k
+		s.nsettled++
+	}
+}
+
+// less is sort.Float64s's order: a NaN ranks below every number.
+func less(x, y float64) bool { return x < y || (x != x && y == y) }
+
+// selectRank reorders v so that v[k] holds the value sort.Float64s
+// would put there, with no larger value before it and no smaller one
+// after it. It is quickselect: expected O(len(v)) and allocation-free.
+// Each partition that keeps more than 7/8 of the range spends one of
+// log2(len(v)) credits; with none left, or with at most a dozen values
+// left, it sorts the remaining range, so the worst case stays
+// O(n log n).
+func selectRank(v []float64, k int) {
+	a, b := 0, len(v)
+	credits := bits.Len(uint(len(v)))
+	for b-a > 12 && credits > 0 {
+		n := b - a
+		w := v[a:b]
+		pivot := choosePivot(w)
+		if pivot != pivot {
+			// Every NaN ranks first and equal: gather them at the front.
+			q := a
+			for j := a; j < b; j++ {
+				if v[j] != v[j] {
+					v[q], v[j] = v[j], v[q]
+					q++
+				}
+			}
+			if k < q {
+				return
+			}
+			a = q
+		} else {
+			// v[a:p] < pivot == v[p] <= v[p+1:b].
+			p := a + partitionBelow(w, pivot)
+			switch {
+			case k < p:
+				b = p
+			case k == p:
+				return
+			default:
+				a = p + 1
+			}
+		}
+		if 8*(b-a) > 7*n {
+			credits--
+		}
+	}
+	sort.Float64s(v[a:b])
+}
+
+// choosePivot moves a pivot to v[0] (v holds more than a dozen values)
+// and returns it: the median of the values at the quartiles, which
+// splits sorted, reversed and organ-pipe inputs well.
+func choosePivot(v []float64) float64 {
+	n := len(v)
+	m := n / 2
+	order3(v, n/4, m, n-1-n/4)
+	v[0], v[m] = v[m], v[0]
+	return v[0]
+}
+
+// order3 sorts v[i], v[j], v[k] in place.
+func order3(v []float64, i, j, k int) {
+	if less(v[j], v[i]) {
+		v[i], v[j] = v[j], v[i]
+	}
+	if less(v[k], v[j]) {
+		v[j], v[k] = v[k], v[j]
+		if less(v[j], v[i]) {
+			v[i], v[j] = v[j], v[i]
+		}
+	}
+}
+
+// partitionBelow moves the pivot at v[0] to index p and every value that
+// ranks below it (a NaN does, pivot not being NaN) before p, and
+// returns p. It is Lomuto's scheme without a data-dependent branch:
+// written as an add of 0 or 1, the comparison compiles to a flag set
+// rather than a jump, so random data costs no branch mispredictions.
+func partitionBelow(v []float64, pivot float64) int {
+	i := 1
+	for j := 1; j < len(v); j++ {
+		t := v[j]
+		v[j] = v[i]
+		v[i] = t
+		d := 0
+		if !(pivot <= t) {
+			d = 1
+		}
+		i += d
+	}
+	v[0], v[i-1] = v[i-1], v[0]
+	return i - 1
 }
 
 // GeoMean returns the geometric mean of vs, skipping non-positive
