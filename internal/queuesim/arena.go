@@ -8,8 +8,9 @@ package queuesim
 // slice leaves behind, and a slot pointer stays valid while later
 // slots are handed out.
 
-// Arena pages hold 1<<arenaPageBits slots; at the 56-byte ereq and
-// ebatch a page is exactly seven 8 KiB heap pages.
+// Arena pages hold 1<<arenaPageBits slots: a page of 32-byte ereq is
+// 32 KiB, of 24-byte ereqExt 24 KiB, and of 56-byte ebatch exactly
+// seven 8 KiB heap pages.
 const (
 	arenaPageBits = 10
 	arenaPageLen  = 1 << arenaPageBits

@@ -3,7 +3,9 @@
 // in-flight requests) are as cheap as the 1x Figure 22 sweep. The
 // scenario comes from a compiled GraphSpec (graph.go) walked by the
 // generic executor (exec.go). Requests and batches live in paged,
-// index-addressed arenas, station queues are paged FIFOs of packed
+// index-addressed arenas (a request's policy, closed-loop and fan-out
+// fields in a side arena that only runs reading them allocate),
+// station queues are paged FIFOs of packed
 // (index, generation) words (arena.go), and every hop is a typed event
 // dispatched through the Sim's non-boxing O(1) scheduler (a calendar
 // queue, FIFO lanes for wire hops and arrivals, and a hierarchical
@@ -58,24 +60,34 @@ const (
 )
 
 // ereq is one pooled request (or request copy: a retry or hedge, or a
-// fan-out leg).
+// fan-out leg): the 32 bytes every run reads, so two slots share each
+// host cache line and none straddles two.
 type ereq struct {
 	arrive float64 // first arrival of the logical request (latency origin)
 	enq    float64 // submission time at the current station
 	gen    uint32  // advances on free; stale events compare against it
-	user   int32   // closed-loop user index, -1 for open loop
-	twin   int32   // hedge partner slot, -1 when none
-	parent int32   // fan-out parent slot (sync legs), -1 otherwise
-	pgen   uint32  // parent's generation when the leg was spawned
-	joins  int32   // outstanding sync legs (fan-out parents)
+	// parent is a sync leg's fan-out parent slot (-1 otherwise) and a
+	// dead slot's free-list link.
+	parent int32
+	coins  uint16 // per-request coin draws (generic executor)
+	stage  int8
+	tries  uint8
+	flags  uint8
+}
+
+// ereqExt is the side record of request slot i: the fields only
+// policies, closed-loop users and fan-out read. It lives in a second
+// arena indexed by the same slot number, which exists only when the
+// run can read it (see needsExt).
+type ereqExt struct {
+	user  int32  // closed-loop user index, -1 for open loop
+	twin  int32  // hedge partner slot, -1 when none
+	pgen  uint32 // parent's generation when the leg was spawned
+	joins int32  // outstanding sync legs (fan-out parents)
 	// hTimeout/hHedge are the armed per-try timeout and hedge timers,
 	// cleared when they fire and cancelled when the slot is freed.
 	hTimeout TimerID
 	hHedge   TimerID
-	coins    uint16 // per-request coin draws (generic executor)
-	stage    int8
-	tries    uint8
-	flags    uint8
 }
 
 // ebatch is one pooled RPU batch (or batch fan-out leg).
@@ -224,6 +236,11 @@ type engine struct {
 	reqs    arena[ereq]
 	reqFree int32 // last released request slot, -1 when none
 	live    int
+	// ext holds each request slot's side record and grows in lockstep
+	// with reqs, but only when hasExt (see needsExt); the policy,
+	// closed-loop and fan-out paths that read it run only then.
+	ext    arena[ereqExt]
+	hasExt bool
 
 	// staleEvents counts dispatched timer events whose generation check
 	// failed (or whose target was already dead/launched) — the no-ops
@@ -345,6 +362,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	e.endMs = cfg.Seconds * 1000
 	e.warmupMs = cfg.Warmup * 1000
 	e.arr = cfg.Arrivals.withDefaults(e.endMs)
+	e.hasExt = needsExt(&e.pol, e.arr.Process, g)
 	e.netHop = g.netHop
 	if e.netHop <= 0 {
 		e.netHop = cfg.NetHop
@@ -503,12 +521,30 @@ func (e *engine) handle(kind uint8, a, b int32) {
 
 // --- request arena ---
 
+// needsExt reports whether a run can read the request side records: a
+// timeout, hedge or queue cap (and with them retries), closed-loop
+// users, or a request stage that fans out into legs.
+func needsExt(pol *PolicyConfig, proc ArrivalProcess, g *cgraph) bool {
+	if pol.TimeoutMs > 0 || pol.HedgeMs > 0 || pol.QueueCap > 0 || proc == ArrClosed {
+		return true
+	}
+	for i := range g.stages {
+		if len(g.stages[i].fanout) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func (e *engine) alloc() int32 {
 	idx := e.reqFree
 	if idx >= 0 {
 		e.reqFree = e.reqs.at(idx).parent
 	} else {
 		idx = e.reqs.grow()
+		if e.hasExt {
+			e.ext.grow()
+		}
 	}
 	e.live++
 	if e.live > e.m.InFlightHWM {
@@ -520,17 +556,21 @@ func (e *engine) alloc() int32 {
 
 func (e *engine) free(idx int32) {
 	r := e.reqs.at(idx)
-	// The slot's armed timers can never fire usefully once the
-	// generation advances; deschedule them instead of leaving stale
-	// no-op pops behind. (The retry timer is never cancelled: a slot
-	// backing off has the retry event as its driver, which frees it.)
-	if r.hTimeout != 0 {
-		e.sim.Cancel(r.hTimeout)
-		r.hTimeout = 0
-	}
-	if r.hHedge != 0 {
-		e.sim.Cancel(r.hHedge)
-		r.hHedge = 0
+	if e.hasExt {
+		x := e.ext.at(idx)
+		// The slot's armed timers can never fire usefully once the
+		// generation advances; deschedule them instead of leaving stale
+		// no-op pops behind. (The retry timer is never cancelled: a slot
+		// backing off has the retry event as its driver, which frees it.)
+		if x.hTimeout != 0 {
+			e.sim.Cancel(x.hTimeout)
+			x.hTimeout = 0
+		}
+		if x.hHedge != 0 {
+			e.sim.Cancel(x.hHedge)
+			x.hHedge = 0
+		}
+		x.twin = -1
 	}
 	r.gen++
 	// Clear the outcome state alongside flags: a hedge armed against a
@@ -538,7 +578,6 @@ func (e *engine) free(idx int32) {
 	// its stale coins must not leak into the hedge copy.
 	r.flags = 0
 	r.coins = 0
-	r.twin = -1
 	// A dead slot's parent is the free-list link; every alloc site
 	// overwrites it.
 	r.parent = e.reqFree
@@ -571,10 +610,13 @@ func (e *engine) issue(user int32) {
 	r := e.reqs.at(idx)
 	now := e.sim.now
 	r.arrive = now
-	r.user = user
-	r.twin = -1
 	r.parent = -1
-	r.joins = 0
+	if e.hasExt {
+		x := e.ext.at(idx)
+		x.user = user
+		x.twin = -1
+		x.joins = 0
+	}
 	r.tries = 0
 	r.flags = 0
 	r.coins = 0
@@ -594,7 +636,7 @@ func (e *engine) issue(user int32) {
 	// would copy a request that may already have resolved, or hedge
 	// whichever request reuses the slot.
 	if e.pol.HedgeMs > 0 && r.gen == gen {
-		r.hHedge = e.sim.AtTimer(e.pol.HedgeMs, ekHedge, idx, int32(gen))
+		e.ext.at(idx).hHedge = e.sim.AtTimer(e.pol.HedgeMs, ekHedge, idx, int32(gen))
 	}
 }
 
@@ -602,8 +644,7 @@ func (e *engine) issue(user int32) {
 // graph entry (stage 0 is entered directly, as in Run).
 func (e *engine) launchTry(idx int32) {
 	if e.pol.TimeoutMs > 0 {
-		r := e.reqs.at(idx)
-		r.hTimeout = e.sim.AtTimer(e.pol.TimeoutMs, ekTimeout, idx, int32(r.gen))
+		e.ext.at(idx).hTimeout = e.sim.AtTimer(e.pol.TimeoutMs, ekTimeout, idx, int32(e.reqs.at(idx).gen))
 	}
 	e.enter(idx, e.g.entry)
 }
@@ -676,23 +717,28 @@ func (e *engine) dispatchNext(st *estation) {
 // the slot.
 func (e *engine) complete(idx int32) {
 	r := e.reqs.at(idx)
-	if r.twin >= 0 {
-		t := e.reqs.at(r.twin)
-		if t.twin == idx {
-			t.twin = -1
-			t.flags |= rfDead // the loser's driver collects it
-			if r.flags&rfHedge != 0 {
-				e.m.HedgeWins++
+	user := int32(-1)
+	if e.hasExt {
+		x := e.ext.at(idx)
+		if x.twin >= 0 {
+			t := e.ext.at(x.twin)
+			if t.twin == idx {
+				t.twin = -1
+				e.reqs.at(x.twin).flags |= rfDead // the loser's driver collects it
+				if r.flags&rfHedge != 0 {
+					e.m.HedgeWins++
+				}
 			}
+			x.twin = -1
 		}
-		r.twin = -1
+		user = x.user
 	}
 	if r.arrive >= e.warmupMs && r.arrive <= e.endMs {
 		e.m.Completed++
 		e.m.Latency.Add(e.sim.now - r.arrive)
 	}
-	if r.user >= 0 {
-		e.think(r.user)
+	if user >= 0 {
+		e.think(user)
 	}
 	e.free(idx)
 }
@@ -706,7 +752,7 @@ func (e *engine) onTimeout(idx, gen int32) {
 		e.staleEvents++
 		return
 	}
-	r.hTimeout = 0 // this firing consumes the slot's armed timeout
+	e.ext.at(idx).hTimeout = 0 // this firing consumes the slot's armed timeout
 	if r.flags&rfDead != 0 {
 		e.staleEvents++
 		return
@@ -721,31 +767,31 @@ func (e *engine) onTimeout(idx, gen int32) {
 // timeout is not the driver and leaves the dead slot for its queue
 // entry / in-service event / outstanding legs to collect.
 func (e *engine) abandonTry(idx int32, isDriver bool) {
-	r := e.reqs.at(idx)
+	r, x := e.reqs.at(idx), e.ext.at(idx)
 	r.flags |= rfDead
 	// r.tries < 255 saturates the uint8 counter: with MaxRetries ≥ 255
 	// it would wrap to 0 and retry forever.
 	if int(r.tries) < e.pol.MaxRetries && r.tries < math.MaxUint8 {
 		e.m.Retried++
 		n := e.alloc()
-		c := e.reqs.at(n)
+		c, cx := e.reqs.at(n), e.ext.at(n)
 		c.arrive = r.arrive
-		c.user = r.user
 		c.tries = r.tries + 1
 		c.flags = r.flags & rfHedge
 		c.coins = r.coins
-		c.twin = -1
 		c.parent = -1
-		c.joins = 0
+		cx.user = x.user
+		cx.twin = -1
+		cx.joins = 0
 		// A hedge pair survives a retry: relink so the first completion
 		// still cancels the other copy.
-		if r.twin >= 0 {
-			t := e.reqs.at(r.twin)
+		if x.twin >= 0 {
+			t := e.ext.at(x.twin)
 			if t.twin == idx {
 				t.twin = n
-				c.twin = r.twin
+				cx.twin = x.twin
 			}
-			r.twin = -1
+			x.twin = -1
 		}
 		// The retry rides the wheel too, but keeps no handle: the timer
 		// is the backing-off slot's driver and must always fire (it
@@ -762,22 +808,22 @@ func (e *engine) abandonTry(idx int32, isDriver bool) {
 // failTry resolves a logical request as failed — unless a live hedge
 // twin remains, in which case the survivor carries it alone.
 func (e *engine) failTry(idx int32) {
-	r := e.reqs.at(idx)
+	r, x := e.reqs.at(idx), e.ext.at(idx)
 	survivor := false
-	if r.twin >= 0 {
-		t := e.reqs.at(r.twin)
-		if t.twin == idx && t.flags&rfDead == 0 {
+	if x.twin >= 0 {
+		t := e.ext.at(x.twin)
+		if t.twin == idx && e.reqs.at(x.twin).flags&rfDead == 0 {
 			survivor = true
 			t.twin = -1
 		}
-		r.twin = -1
+		x.twin = -1
 	}
 	if !survivor {
 		if r.arrive >= e.warmupMs && r.arrive <= e.endMs {
 			e.m.Failed++
 		}
-		if r.user >= 0 {
-			e.think(r.user)
+		if x.user >= 0 {
+			e.think(x.user)
 		}
 	}
 }
@@ -801,23 +847,24 @@ func (e *engine) onHedge(idx, gen int32) {
 		e.staleEvents++
 		return
 	}
-	r.hHedge = 0 // this firing consumes the slot's armed hedge
-	if r.flags&rfDead != 0 || r.twin >= 0 {
+	x := e.ext.at(idx)
+	x.hHedge = 0 // this firing consumes the slot's armed hedge
+	if r.flags&rfDead != 0 || x.twin >= 0 {
 		e.staleEvents++
 		return
 	}
 	e.m.Hedged++
 	n := e.alloc()
-	c := e.reqs.at(n)
+	c, cx := e.reqs.at(n), e.ext.at(n)
 	c.arrive = r.arrive
-	c.user = r.user
 	c.tries = 0
 	c.flags = rfHedge
 	c.coins = r.coins
-	c.twin = idx
 	c.parent = -1
-	c.joins = 0
-	r.twin = n
+	cx.user = x.user
+	cx.twin = idx
+	cx.joins = 0
+	x.twin = n
 	e.launchTry(n)
 }
 

@@ -267,10 +267,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // TestTailScaleMillionInFlight: the 100x Figure 22 analog overdriven
 // past capacity must carry a standing population of at least a million
 // in-flight requests and still produce a full tail profile, allocating
-// about its live set: at most 128 bytes over the whole run per request
-// at the in-flight peak (a 56-byte slot, its queue word and event, its
-// latency sample). Arenas and queues that grew by copying allocated
-// about 384.
+// about its live set: at most 64 bytes over the whole run per request
+// at the in-flight peak (a 32-byte slot, its queue word and event, its
+// latency sample; a policy-free open-loop run keeps no side record).
+// A 56-byte slot measures 77 B, so the bound catches the slot growing
+// back; arenas and queues that grew by copying measured about 384.
 func TestTailScaleMillionInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tail-at-scale stress skipped in -short")
@@ -288,8 +289,10 @@ func TestTailScaleMillionInFlight(t *testing.T) {
 	if m.InFlightHWM < 1_000_000 {
 		t.Fatalf("in-flight high-water mark %d, want >= 1e6", m.InFlightHWM)
 	}
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.InFlightHWM); per > 128 {
-		t.Fatalf("run allocated %.0f B per request at the in-flight peak (%d), want <= 128",
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.InFlightHWM)
+	t.Logf("run allocated %.1f B per request at the in-flight peak (%d)", per, m.InFlightHWM)
+	if per > 64 {
+		t.Fatalf("run allocated %.0f B per request at the in-flight peak (%d), want <= 64",
 			per, m.InFlightHWM)
 	}
 	if m.Completed == 0 {

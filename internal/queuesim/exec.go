@@ -24,7 +24,7 @@ func (e *engine) enter(idx, stage int32) {
 		// (parent < 0) always run to their join.
 		if r.parent >= 0 {
 			p := e.reqs.at(r.parent)
-			if p.gen != r.pgen || p.flags&rfDead != 0 {
+			if p.gen != e.ext.at(idx).pgen || p.flags&rfDead != 0 {
 				e.legEnd(idx)
 				return
 			}
@@ -99,7 +99,7 @@ func (e *engine) spawnLegs(idx int32, s *cstage) {
 			sync++
 		}
 	}
-	r.joins = sync
+	e.ext.at(idx).joins = sync
 	for i := range s.fanout {
 		ed := &s.fanout[i]
 		if !ed.taken(coins) {
@@ -111,27 +111,27 @@ func (e *engine) spawnLegs(idx int32, s *cstage) {
 			return
 		}
 		li := e.alloc()
-		l := e.reqs.at(li)
+		l, lx := e.reqs.at(li), e.ext.at(li)
 		l.arrive = arrive
-		l.user = -1
-		l.twin = -1
 		l.tries = 0
 		l.coins = coins
 		l.flags = rfLeg
-		l.joins = 0
+		lx.user = -1
+		lx.twin = -1
+		lx.joins = 0
 		if ed.async {
 			l.parent = -1
-			l.pgen = 0
+			lx.pgen = 0
 		} else {
 			l.parent = idx
-			l.pgen = gen
+			lx.pgen = gen
 		}
 		e.followEdge(li, ed)
 	}
 	if r.gen != gen {
 		return // parent abandoned by a rejected leg during the launch loop
 	}
-	if r.joins == 0 {
+	if e.ext.at(idx).joins == 0 {
 		// No sync legs (all async or none taken): continue immediately.
 		e.followEdge(idx, pickEdge(s.next, coins))
 	}
@@ -141,18 +141,17 @@ func (e *engine) spawnLegs(idx int32, s *cstage) {
 // join count, and — when this was the last outstanding sync leg —
 // either advances the parent or collects it if it died while waiting.
 func (e *engine) legEnd(li int32) {
-	l := e.reqs.at(li)
-	pi, pgen := l.parent, l.pgen
+	pi, pgen := e.reqs.at(li).parent, e.ext.at(li).pgen
 	e.free(li)
 	if pi < 0 {
 		return // async leg: nobody waits
 	}
-	p := e.reqs.at(pi)
+	p, px := e.reqs.at(pi), e.ext.at(pi)
 	if p.gen != pgen {
 		return // parent slot already recycled
 	}
-	p.joins--
-	if p.joins > 0 {
+	px.joins--
+	if px.joins > 0 {
 		return
 	}
 	if p.flags&rfDead != 0 {
@@ -169,7 +168,7 @@ func (e *engine) rejectLeg(li int32) {
 	l := e.reqs.at(li)
 	if l.parent >= 0 {
 		p := e.reqs.at(l.parent)
-		if p.gen == l.pgen && p.flags&rfDead == 0 {
+		if p.gen == e.ext.at(li).pgen && p.flags&rfDead == 0 {
 			// Not the driver: the outstanding legs collectively are.
 			e.abandonTry(l.parent, false)
 		}
