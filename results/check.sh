@@ -24,16 +24,16 @@ case "${1:-}" in
 	;;
 esac
 
-# file | command (binaries from cmd/ and examples/, built below)
+# file | command (chipsim and syssim binaries, built below)
 table=(
-	"fig4.txt|simteff -fig 4"
-	"fig11.txt|simteff -fig 11"
+	"fig4.txt|chipsim -fig 4"
+	"fig11.txt|chipsim -fig 11"
 	"chip.txt|chipsim"
 	"fig15.txt|chipsim -fig 15 -requests 960"
 	"fig22.txt|syssim"
 	"sens.txt|chipsim -sensitivity -requests 640"
 	"ispc.txt|chipsim -ispc -requests 960"
-	"gpgpu.txt|gpgpu -requests 960"
+	"gpgpu.txt|chipsim -gpgpu -requests 960 -seed 3"
 	"tab5.txt|chipsim -table 5"
 	"multiproc.txt|chipsim -multiprocess"
 	"multibatch.txt|chipsim -multibatch"
@@ -44,7 +44,7 @@ table=(
 dir=$(cd "$(dirname "$0")" && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-(cd "$dir/.." && go build -o "$tmp/bin/" ./cmd/chipsim ./cmd/simteff ./cmd/syssim ./examples/gpgpu)
+(cd "$dir/.." && go build -o "$tmp/bin/" ./cmd/chipsim ./cmd/syssim)
 
 failed=0
 for row in "${table[@]}"; do

@@ -16,18 +16,12 @@
 //   - a McPAT-style energy/area model, and
 //   - a uqsim-style system-level queueing simulator.
 //
-// The facade exports only what the examples, the benchmark and the
-// quick start below call, plus the types those calls return; the
-// remaining studies and knobs are reached through the cmd/ drivers.
-//
-// Quick start:
-//
-//	suite := simr.NewSuite()
-//	svc := suite.Get("memc")
-//	reqs := svc.Generate(rand.New(rand.NewSource(1)), 2400)
-//	cpu, _ := simr.RunService(simr.ArchCPU, svc, reqs, simr.DefaultOptions())
-//	rpu, _ := simr.RunService(simr.ArchRPU, svc, reqs, simr.DefaultOptions())
-//	fmt.Printf("requests/joule: %.1fx\n", rpu.ReqPerJoule()/cpu.ReqPerJoule())
+// The facade exports only what its examples and the benchmark call,
+// plus the types those calls return; the remaining studies and knobs
+// are reached through the cmd/ drivers. The examples live in
+// example_test.go and go test checks their output: ExampleRunService
+// is the quick start, ExampleBatchSweep tunes a batch size, and
+// ExampleRunSystem sweeps end-to-end load.
 package simr
 
 import (
@@ -55,8 +49,6 @@ type (
 	Options = core.Options
 	// Result is a chip-level measurement.
 	Result = core.Result
-	// ChipRow pairs one service's results across architectures.
-	ChipRow = core.ChipRow
 	// BatchSweepRow is one RPU batch-size point of a batch-tuning sweep.
 	BatchSweepRow = core.BatchSweepRow
 	// SystemConfig parameterises the end-to-end queueing scenario.
@@ -77,10 +69,6 @@ const (
 // programs and shared tables.
 func NewSuite() *Suite { return uservices.NewSuite() }
 
-// NewGPGPUSuite constructs the §VI-D data-parallel SPMD kernels
-// (saxpy, dot product, stencil) for the GPGPU-on-RPU study.
-func NewGPGPUSuite() *Suite { return uservices.NewGPGPUSuite() }
-
 // DefaultOptions returns the paper's baseline RPU configuration
 // (per-API+argument-size batching, SIMR-aware allocation, stack
 // interleaving, majority voting, atomics at L3).
@@ -90,22 +78,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // returns timing, energy and memory statistics.
 func RunService(arch Arch, svc *Service, reqs []Request, opts Options) (*Result, error) {
 	return core.RunService(arch, svc, reqs, opts)
-}
-
-// RunCells evaluates fn(0..n-1) on a bounded worker pool and returns
-// the results in input order — the primitive all parallel studies are
-// built on. workers == 1 runs inline (sequential); workers <= 0 uses
-// one worker per CPU.
-func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return core.RunCells(n, workers, fn)
-}
-
-// ChipStudyParallel runs the chip-level comparison behind Figures 10,
-// 14, 19, 20 and 21 on a worker pool (workers <= 0: one per CPU; 1:
-// sequential). Rows are identical at any worker count for the same
-// seed; requests below 1 are an error.
-func ChipStudyParallel(suite *Suite, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
-	return core.ChipStudyParallel(suite, requests, seed, withGPU, workers)
 }
 
 // BatchSweep runs the CPU baseline plus one RPU run per batch size
