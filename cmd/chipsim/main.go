@@ -59,9 +59,9 @@ func main() {
 	gpu := flag.Bool("gpu", true, "include the GPU design point")
 	flag.BoolVar(&s.json, "json", false, "emit the chip study as JSON instead of tables")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
-	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics|cli.Interrupt)
+	cf := cli.Register(flag.CommandLine)
 	flag.Parse()
-	if err := s.check(); err != nil {
+	if err := s.check(flag.CommandLine); err != nil {
 		log.Fatal(err)
 	}
 	_, stop, err := cf.Start()
@@ -214,10 +214,11 @@ type selectors struct {
 // check rejects a selection before anything runs: a -fig or -table
 // value that names nothing chipsim prints (0 selects none), more than
 // one selector, -json with anything but the chip study, -services
-// without -sensitivity, and -ispc or -gpgpu under one request (a
-// request stream cannot be sized below zero, and zero leaves every
-// ratio NaN).
-func (s selectors) check() error {
+// without -sensitivity, -ispc or -gpgpu under one request (a request
+// stream cannot be sized below zero, and zero leaves every ratio NaN),
+// and any flag set on the parsed command line fs that the selection
+// does not read (see unread).
+func (s selectors) check(fs *flag.FlagSet) error {
 	switch s.fig {
 	case 0, 4, 5, 10, 11, 14, 15, 19, 20, 21:
 	default:
@@ -250,7 +251,44 @@ func (s selectors) check() error {
 	case (s.ispc || s.gpgpu) && s.requests < 1:
 		return fmt.Errorf("requests per service must be at least 1, got %d", s.requests)
 	}
+	if name := cli.FirstSet(fs, s.unread()...); name != "" {
+		what := "the chip study"
+		switch {
+		case s.fig != 0:
+			what = fmt.Sprintf("-fig %d", s.fig)
+		case s.table != 0:
+			what = fmt.Sprintf("-table %d", s.table)
+		case len(chosen) == 1:
+			what = chosen[0]
+		}
+		return fmt.Errorf("-%s is not read by %s", name, what)
+	}
 	return nil
+}
+
+// unread lists the flags, among those only some selections read, that
+// this selection ignores: -gpu is read only by the chip study; the
+// analytic -fig 5 and the tables read no workload flag; -requests is
+// not read by -multiprocess or -multibatch (fixed batch sizes), nor
+// -parallel by -ispc, -gpgpu or -multiprocess (sequential loops).
+func (s selectors) unread() []string {
+	analytic := s.fig == 5 || s.table != 0
+	chip := !analytic && s.fig != 4 && s.fig != 11 && s.fig != 15 &&
+		!s.sensitivity && !s.ispc && !s.multiprocess && !s.multibatch && !s.timing && !s.gpgpu
+	var out []string
+	if !chip {
+		out = append(out, "gpu")
+	}
+	if analytic || s.ispc || s.gpgpu || s.multiprocess {
+		out = append(out, "parallel")
+	}
+	if analytic || s.multiprocess || s.multibatch {
+		out = append(out, "requests")
+	}
+	if analytic {
+		out = append(out, "seed")
+	}
+	return out
 }
 
 // mustRun runs reqs through svc on one core of arch with the default

@@ -1,8 +1,8 @@
 // Package cli holds the flags and process plumbing the cmd tools
-// share. A command registers the flag groups it honours before
-// flag.Parse and calls Start once after it:
+// share. A command registers them before flag.Parse and calls Start
+// once after it:
 //
-//	cf := cli.Register(flag.CommandLine, cli.Profile|cli.Metrics)
+//	cf := cli.Register(flag.CommandLine)
 //	flag.Parse()
 //	_, stop, err := cf.Start()
 //	if err != nil {
@@ -10,13 +10,20 @@
 //	}
 //	defer stop()
 //
-// Start installs the parsed settings process-wide, so every study the
-// command runs picks them up without per-command plumbing; stop undoes
-// them in reverse order and writes the files the flags asked for. With
+// Register adds -cpuprofile and -memprofile (read the files with go
+// tool pprof <binary> <file>), -metrics (an obs.Registry snapshot) and
+// -trace (a Chrome-trace / Perfetto JSON timeline). Start installs the
+// parsed settings process-wide, so every study the command runs picks
+// them up without per-command plumbing: SIGINT and SIGTERM cancel
+// core.RunCells sweeps at the next cell boundary instead of killing
+// the process mid-cell, and with neither -metrics nor -trace the obs
+// hub stays disabled and every instrument is a no-op. stop undoes them
+// in reverse order and writes the files the flags asked for. With
 // every flag at its default, study output is byte-identical to a run
-// that never called Start. No flag tunes preparation: the sweep trace
-// caches, and with them -batchcache and -cachebudget, are gone, and
-// every study cell prepares its own requests.
+// that never called Start.
+//
+// FirstSet tells a flag given on the command line from one left at its
+// default, so a command can reject a flag its selection would ignore.
 package cli
 
 import (
@@ -28,65 +35,54 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"syscall"
 
 	"simr/internal/core"
 	"simr/internal/obs"
 )
 
-// Group selects what Register sets up; combine groups with |.
-type Group uint
-
-const (
-	// Profile registers -cpuprofile and -memprofile (read the files
-	// with go tool pprof <binary> <file>).
-	Profile Group = 1 << iota
-	// Metrics registers -metrics (an obs.Registry snapshot) and -trace
-	// (a Chrome-trace / Perfetto JSON timeline). With neither given
-	// the obs hub stays disabled and every instrument is a no-op.
-	Metrics
-	// Interrupt registers no flag: SIGINT and SIGTERM cancel
-	// core.RunCells sweeps at the next cell boundary instead of
-	// killing the process mid-cell.
-	Interrupt
-)
-
-// Flags holds one command's registered flag values; a group that was
-// not registered leaves its fields nil.
+// Flags holds the registered flag values.
 type Flags struct {
-	groups     Group
 	cpuProfile *string
 	memProfile *string
 	metrics    *string
 	trace      *string
 }
 
-// Register adds the flags of groups to fs (flag.CommandLine in a
+// Register adds the shared flags to fs (flag.CommandLine in a
 // command). Call before fs is parsed.
-func Register(fs *flag.FlagSet, groups Group) *Flags {
-	f := &Flags{groups: groups}
-	if groups&Profile != 0 {
-		f.cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		f.memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+func Register(fs *flag.FlagSet) *Flags {
+	return &Flags{
+		cpuProfile: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		memProfile: fs.String("memprofile", "", "write a heap profile to this file on exit"),
+		metrics:    fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on exit"),
+		trace:      fs.String("trace", "", "write a Chrome-trace (Perfetto) JSON timeline to this file on exit"),
 	}
-	if groups&Metrics != 0 {
-		f.metrics = fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on exit")
-		f.trace = fs.String("trace", "", "write a Chrome-trace (Perfetto) JSON timeline to this file on exit")
-	}
-	return f
 }
 
-// Start installs the parsed flags: the interrupt context, the CPU profile and the obs hub. ctx is the
-// context core.RunCells sweeps honour: with Interrupt it is done after the first SIGINT or
-// SIGTERM (or once stop runs), otherwise it is never done. stop undoes
-// the setup in reverse order, writing the heap profile, the metrics
-// snapshot and the trace (errors go to stderr). stop is never nil and
-// is safe to call more than once; when Start fails it has already
-// undone its own setup, so a caller may defer stop before checking
-// the error.
-func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
-	ctx = context.Background()
+// FirstSet returns the first of names (in flag.Visit's lexical order)
+// that was set on fs's parsed command line, or "" if none was. A flag
+// given its default value explicitly counts as set.
+func FirstSet(fs *flag.FlagSet, names ...string) string {
+	first := ""
+	fs.Visit(func(f *flag.Flag) {
+		if first == "" && slices.Contains(names, f.Name) {
+			first = f.Name
+		}
+	})
+	return first
+}
 
+// Start installs the parsed flags: the interrupt context, the CPU
+// profile and the obs hub. ctx is the context core.RunCells sweeps
+// honour: it is done after the first SIGINT or SIGTERM, or once stop
+// runs. stop undoes the setup in reverse order, writing the heap
+// profile, the metrics snapshot and the trace (errors go to stderr).
+// stop is never nil and is safe to call more than once; when Start
+// fails it has already undone its own setup, so a caller may defer
+// stop before checking the error.
+func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
 	var stops []func()
 	stop = func() {
 		for i := len(stops) - 1; i >= 0; i-- {
@@ -94,24 +90,19 @@ func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
 		}
 		stops = nil
 	}
-	if f.groups&Interrupt != 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		core.SetInterrupt(ctx)
-		stops = append(stops, func() {
-			core.SetInterrupt(nil)
-			cancel()
-		})
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	core.SetInterrupt(ctx)
+	stops = append(stops, func() {
+		core.SetInterrupt(nil)
+		cancel()
+	})
+	stopProf, err := startProfile(*f.cpuProfile, *f.memProfile)
+	if err != nil {
+		stop()
+		return ctx, stop, err
 	}
-	if f.cpuProfile != nil {
-		stopProf, err := startProfile(*f.cpuProfile, *f.memProfile)
-		if err != nil {
-			stop()
-			return ctx, stop, err
-		}
-		stops = append(stops, stopProf)
-	}
-	if f.metrics != nil && (*f.metrics != "" || *f.trace != "") {
+	stops = append(stops, stopProf)
+	if *f.metrics != "" || *f.trace != "" {
 		stops = append(stops, startObs(*f.metrics, *f.trace))
 	}
 	return ctx, stop, nil

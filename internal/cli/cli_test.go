@@ -7,8 +7,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -19,44 +17,47 @@ import (
 	"simr/internal/uservices"
 )
 
-// start registers groups on a fresh flag set, parses args and starts
-// it.
-func start(t *testing.T, groups Group, args ...string) (context.Context, func(), error) {
+// start registers the shared flags on a fresh flag set, parses args
+// and starts it.
+func start(t *testing.T, args ...string) (context.Context, func(), error) {
 	t.Helper()
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := Register(fs, groups)
+	f := Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	return f.Start()
 }
 
-// TestRegisterOnlyRequestedGroups pins each group's flag names, so a
-// command registers exactly the flags it honours.
-func TestRegisterOnlyRequestedGroups(t *testing.T) {
+// TestFirstSet: only flags given on the command line count, an
+// explicit default among them, and the first is in lexical order.
+func TestFirstSet(t *testing.T) {
 	for _, c := range []struct {
-		groups Group
-		want   string
+		args  []string
+		names []string
+		want  string
 	}{
-		{0, ""},
-		{Interrupt, ""},
-		{Profile, "cpuprofile memprofile"},
-		{Metrics, "metrics trace"},
-		{Profile | Metrics | Interrupt, "cpuprofile memprofile metrics trace"},
+		{nil, []string{"a", "b"}, ""},
+		{[]string{"-c", "1"}, []string{"a", "b"}, ""},
+		{[]string{"-b", "0"}, []string{"a", "b"}, "b"},
+		{[]string{"-c", "1", "-b", "2", "-a", "3"}, []string{"b", "c"}, "b"},
+		{[]string{"-a", "3"}, nil, ""},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		Register(fs, c.groups)
-		var names []string
-		fs.VisitAll(func(fl *flag.Flag) { names = append(names, fl.Name) })
-		sort.Strings(names)
-		if got := strings.Join(names, " "); got != c.want {
-			t.Fatalf("groups %b: registered %q, want %q", c.groups, got, c.want)
+		for _, name := range []string{"a", "b", "c"} {
+			fs.Int(name, 0, "")
+		}
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := FirstSet(fs, c.names...); got != c.want {
+			t.Errorf("args %q, names %q: got %q, want %q", c.args, c.names, got, c.want)
 		}
 	}
 }
 
 func TestMetricsDisabledByDefault(t *testing.T) {
-	_, stop, err := start(t, Metrics)
+	_, stop, err := start(t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestStartWritesMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	mPath := filepath.Join(dir, "m.json")
 	tPath := filepath.Join(dir, "t.json")
-	_, stop, err := start(t, Metrics, "-metrics", mPath, "-trace", tPath)
+	_, stop, err := start(t, "-metrics", mPath, "-trace", tPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestStudyArtifactsWellFormed(t *testing.T) {
 	dir := t.TempDir()
 	mPath := filepath.Join(dir, "m.json")
 	tPath := filepath.Join(dir, "t.json")
-	_, stop, err := start(t, Metrics, "-metrics", mPath, "-trace", tPath)
+	_, stop, err := start(t, "-metrics", mPath, "-trace", tPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestStudyArtifactsWellFormed(t *testing.T) {
 // Start did before failing (here the interrupt context) is undone.
 func TestStartErrorReturnsNoopStop(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "missing-dir", "cpu.prof")
-	_, stop, err := start(t, Profile|Interrupt, "-cpuprofile", bad)
+	_, stop, err := start(t, "-cpuprofile", bad)
 	if err == nil {
 		t.Fatalf("Start with -cpuprofile %q succeeded, want error", bad)
 	}
@@ -251,7 +252,7 @@ func TestStartSuccessWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
-	_, stop, err := start(t, Profile, "-cpuprofile", cpu, "-memprofile", mem)
+	_, stop, err := start(t, "-cpuprofile", cpu, "-memprofile", mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,22 +271,27 @@ func TestStartSuccessWritesProfiles(t *testing.T) {
 	}
 }
 
+// TestStartEmptyPathsNoop: with every flag at its default, Start
+// leaves the obs hub off and its context live until stop.
 func TestStartEmptyPathsNoop(t *testing.T) {
-	ctx, stop, err := start(t, Profile|Metrics)
+	ctx, stop, err := start(t)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ctx.Err() != nil || obs.Enabled() {
+		t.Fatal("context done or obs hub enabled before any signal or flag")
+	}
 	stop()
-	if ctx.Err() != nil {
-		t.Fatal("context done without the Interrupt group")
+	if ctx.Err() == nil {
+		t.Fatal("context still live after stop")
 	}
 }
 
-// TestInterruptCancelsSweeps sends the process SIGINT under the
-// Interrupt group: the returned context must be done, sweeps must then
-// abort with context.Canceled, and after stop they run normally again.
+// TestInterruptCancelsSweeps sends the process SIGINT after Start: the
+// returned context must be done, sweeps must then abort with
+// context.Canceled, and after stop they run normally again.
 func TestInterruptCancelsSweeps(t *testing.T) {
-	ctx, stop, err := start(t, Interrupt)
+	ctx, stop, err := start(t)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func GraphByName(name string, cfg Config) (*GraphSpec, error) {
 	case "social":
 		return SocialGraph(cfg), nil
 	case "composepost":
-		return ComposePostGraph(DefaultComposePost()), nil
+		return ComposePostGraph(), nil
 	case "hotel":
 		return HotelGraph(), nil
 	case "media":
@@ -811,34 +811,16 @@ func SocialGraph(cfg Config) *GraphSpec {
 
 // ComposePostGraph is the declarative form of the Figure 3
 // compose-post path: orchestrator fan-out to four nanoservices, join,
-// then persist through storage and the cache tier. Demands come from a
-// ComposePostConfig; the RPU path batches at the orchestrator.
-func ComposePostGraph(cfg ComposePostConfig) *GraphSpec {
-	legs := func(prefix string) ([]StageSpec, []EdgeSpec) {
-		var stages []StageSpec
-		var edges []EdgeSpec
-		for _, l := range []struct {
-			name, station string
-			demand        float64
-		}{
-			{"uniq", "uniqueid", cfg.UniqueID},
-			{"urls", "urlshort", cfg.URLShorten},
-			{"text", "post-text", cfg.TextDemand},
-			{"tags", "usertag", cfg.UserTag},
-		} {
-			stages = append(stages, StageSpec{
-				Name: prefix + l.name, Station: l.station, DemandMs: l.demand,
-				Next: []EdgeSpec{{To: edgeJoin, Hop: true}}})
-			edges = append(edges, EdgeSpec{To: prefix + l.name, Hop: true})
-		}
-		return stages, edges
-	}
-	rlegs, redges := legs("")
-	blegs, bedges := legs("b")
-	spec := &GraphSpec{
+// then persist through storage and the cache tier. Its demands are
+// calibrated so the CPU system saturates in the same regime as the
+// Figure 22 study; the RPU path batches at the orchestrator, sends
+// the four RPCs per batch and joins when the slowest leg returns (the
+// fan-out analogue of reconvergence waiting).
+func ComposePostGraph() *GraphSpec {
+	return &GraphSpec{
 		Name:     "composepost",
 		Entry:    "web",
-		NetHopMs: cfg.NetHop,
+		NetHopMs: 0.06,
 		Stations: []StationSpec{
 			{Name: "web"},
 			{Name: "post-orch", BatchTier: true},
@@ -849,45 +831,51 @@ func ComposePostGraph(cfg ComposePostConfig) *GraphSpec {
 			{Name: "storage", Infinite: true},
 			{Name: "memcached", CoresMul: 0.25},
 		},
-		Stages: append([]StageSpec{
-			{Name: "web", Station: "web", DemandMs: cfg.WebDemand,
+		Stages: []StageSpec{
+			{Name: "web", Station: "web", DemandMs: 0.25,
 				Next: []EdgeSpec{{To: "orch", Hop: true}}},
-			{Name: "orch", Station: "post-orch", DemandMs: cfg.OrchDemand,
-				Fanout: redges,
-				Next:   []EdgeSpec{{To: "store"}}},
-			{Name: "store", Station: "storage", DemandMs: cfg.StorageWrite, Fixed: true,
+			{Name: "orch", Station: "post-orch", DemandMs: 1.2,
+				Fanout: []EdgeSpec{{To: "uniq", Hop: true}, {To: "urls", Hop: true},
+					{To: "text", Hop: true}, {To: "tags", Hop: true}},
+				Next: []EdgeSpec{{To: "store"}}},
+			{Name: "store", Station: "storage", DemandMs: 1.0, Fixed: true,
 				Next: []EdgeSpec{{To: "cache"}}},
-			{Name: "cache", Station: "memcached", DemandMs: cfg.CacheWrite,
+			{Name: "cache", Station: "memcached", DemandMs: 0.05,
 				Next: []EdgeSpec{{To: edgeDone}}},
-		}, rlegs...),
+			{Name: "uniq", Station: "uniqueid", DemandMs: 0.15,
+				Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+			{Name: "urls", Station: "urlshort", DemandMs: 0.25,
+				Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+			{Name: "text", Station: "post-text", DemandMs: 0.8,
+				Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+			{Name: "tags", Station: "usertag", DemandMs: 0.4,
+				Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+		},
 		Batch: &BatchSpec{
 			// Logic-tier batching: the web tier acknowledges each request
 			// individually and the batch enters the orchestrator directly
-			// (no entry hop), matching RunComposePost.
+			// (no entry hop).
 			FormAfter: "web", Entry: "borch",
-			Stages: append([]BatchStageSpec{
-				{Name: "borch", Station: "post-orch", DemandMs: cfg.OrchDemand,
-					Fanout: bedges,
-					Next:   []EdgeSpec{{To: "bstore"}}},
-				{Name: "bstore", Station: "storage", DemandMs: cfg.StorageWrite, Fixed: true,
+			Stages: []BatchStageSpec{
+				{Name: "borch", Station: "post-orch", DemandMs: 1.2,
+					Fanout: []EdgeSpec{{To: "buniq", Hop: true}, {To: "burls", Hop: true},
+						{To: "btext", Hop: true}, {To: "btags", Hop: true}},
+					Next: []EdgeSpec{{To: "bstore"}}},
+				{Name: "bstore", Station: "storage", DemandMs: 1.0, Fixed: true,
 					Next: []EdgeSpec{{To: "bcache"}}},
-				{Name: "bcache", Station: "memcached", DemandMs: cfg.CacheWrite,
+				{Name: "bcache", Station: "memcached", DemandMs: 0.05,
 					Next: []EdgeSpec{{To: edgeDone}}},
-			}, batchLegs(blegs)...),
+				{Name: "buniq", Station: "uniqueid", DemandMs: 0.15,
+					Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+				{Name: "burls", Station: "urlshort", DemandMs: 0.25,
+					Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+				{Name: "btext", Station: "post-text", DemandMs: 0.8,
+					Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+				{Name: "btags", Station: "usertag", DemandMs: 0.4,
+					Next: []EdgeSpec{{To: edgeJoin, Hop: true}}},
+			},
 		},
 	}
-	return spec
-}
-
-// batchLegs lifts request-stage leg specs into batch-stage leg specs
-// (same stations, demands and join edges).
-func batchLegs(stages []StageSpec) []BatchStageSpec {
-	out := make([]BatchStageSpec, len(stages))
-	for i, s := range stages {
-		out[i] = BatchStageSpec{Name: s.Name, Station: s.Station,
-			DemandMs: s.DemandMs, Fixed: s.Fixed, Next: s.Next}
-	}
-	return out
 }
 
 // HotelGraph is a DeathStarBench hotel-reservation scenario: frontend

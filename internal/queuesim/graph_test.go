@@ -266,25 +266,27 @@ func TestSocialClosedForm(t *testing.T) {
 // demand), the storage write and the cache write — the join waits for
 // the last leg and nothing else.
 func TestComposePostClosedForm(t *testing.T) {
+	spec := ComposePostGraph()
+	demand := map[string]float64{}
+	for _, st := range spec.Stages {
+		demand[st.Name] = st.DemandMs
+	}
+	hop := spec.NetHopMs
+	slowest := math.Max(math.Max(demand["uniq"], demand["urls"]), math.Max(demand["text"], demand["tags"]))
 	for _, mode := range closedFormModes {
 		if mode.split {
 			continue // the compose-post path has no divergence to split
 		}
-		cfg := DefaultComposePost()
-		cfg.QPS = 500
-		cfg.Seconds = 2
-		cfg.Warmup = 0.5
-		cfg.RPU = mode.rpu
-		cfg.BatchSize = 1
-		tc := cfg.tailConfig()
-		tc.Graph = fixedDemands(tc.Graph)
-		slowest := math.Max(math.Max(cfg.UniqueID, cfg.URLShorten), math.Max(cfg.TextDemand, cfg.UserTag))
-		want := cfg.WebDemand + cfg.NetHop + cfg.OrchDemand + (cfg.NetHop + slowest + cfg.NetHop) +
-			cfg.StorageWrite + cfg.CacheWrite
+		tc := composePost(500, 2, mode.rpu)
+		tc.Warmup = 0.5
+		tc.BatchSize = 1
+		tc.Graph = fixedDemands(ComposePostGraph())
+		want := demand["web"] + hop + demand["orch"] + (hop + slowest + hop) +
+			demand["store"] + demand["cache"]
 		if mode.rpu {
 			// A launched batch enters the orchestrator straight from
 			// formation (no entry hop), one hop short of the CPU path.
-			want -= cfg.NetHop
+			want -= hop
 		}
 		checkClosedForm(t, mustTail(t, tc), want, mode.label)
 	}
@@ -569,7 +571,7 @@ func TestFanoutRejectionConservation(t *testing.T) {
 	c.Warmup = 0.25
 	c.Drain = 5
 	c.Seed = 7
-	cfg := TailConfig{Config: c, Scale: 1, Graph: ComposePostGraph(DefaultComposePost()),
+	cfg := TailConfig{Config: c, Scale: 1, Graph: ComposePostGraph(),
 		Policy: PolicyConfig{TimeoutMs: 30, MaxRetries: 2, BackoffMs: 1, QueueCap: 50}}
 	m := mustTail(t, cfg)
 	if m.Rejected == 0 {

@@ -37,12 +37,9 @@ func TestSeededDeterminism(t *testing.T) {
 	compose := func() string {
 		var out string
 		for _, rpu := range []bool{false, true} {
-			cfg := DefaultComposePost()
-			cfg.QPS = 5000
-			cfg.Seconds = 1.5
+			cfg := composePost(5000, 1.5, rpu)
 			cfg.Seed = 7
-			cfg.RPU = rpu
-			out += fingerprint(RunComposePost(cfg)) + "\n"
+			out += fingerprint(mustTail(t, cfg)) + "\n"
 		}
 		return out
 	}

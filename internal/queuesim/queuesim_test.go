@@ -339,13 +339,19 @@ func TestBatchTierPlacement(t *testing.T) {
 	checkConservation(t, mustTail(t, TailConfig{Config: cpu, Scale: 1, Graph: webTierBatching(cpu)}), "webtier-cpu")
 }
 
+// composePost is a 1x compose-post load point on the engine: the
+// default configuration with ComposePostGraph in place of the social
+// graph.
+func composePost(qps, seconds float64, rpu bool) TailConfig {
+	c := DefaultConfig()
+	c.QPS, c.Seconds, c.RPU = qps, seconds, rpu
+	return TailConfig{Config: c, Scale: 1, Graph: ComposePostGraph()}
+}
+
 func TestComposePostConservation(t *testing.T) {
 	for _, rpu := range []bool{false, true} {
-		cfg := DefaultComposePost()
-		cfg.QPS = 3000
-		cfg.Seconds = 2
-		cfg.RPU = rpu
-		m := RunComposePost(cfg)
+		cfg := composePost(3000, 2, rpu)
+		m := mustTail(t, cfg)
 		measured := cfg.Seconds - cfg.Warmup
 		want := cfg.QPS * measured
 		if got := float64(m.Completed); got < want*0.9 || got > want*1.1 {
@@ -357,12 +363,8 @@ func TestComposePostConservation(t *testing.T) {
 func TestComposePostRPUHigherCapacity(t *testing.T) {
 	// Offered load past the CPU orchestrator's knee: the RPU system
 	// keeps up where the CPU saturates.
-	cfg := DefaultComposePost()
-	cfg.QPS = 60000
-	cfg.Seconds = 2
-	cpu := RunComposePost(cfg)
-	cfg.RPU = true
-	rpu := RunComposePost(cfg)
+	cpu := mustTail(t, composePost(60000, 2, false))
+	rpu := mustTail(t, composePost(60000, 2, true))
 	if cpu.UserUtil < 0.99 {
 		t.Fatalf("CPU orchestrator not saturated at 60 kQPS (util %.2f)", cpu.UserUtil)
 	}
@@ -375,10 +377,7 @@ func TestComposePostRPUHigherCapacity(t *testing.T) {
 }
 
 func TestComposePostFanoutJoins(t *testing.T) {
-	cfg := DefaultComposePost()
-	cfg.QPS = 1000
-	cfg.Seconds = 1.5
-	m := RunComposePost(cfg)
+	m := mustTail(t, composePost(1000, 1.5, false))
 	// No-load latency floor: web + orch + slowest leg (text 0.8) +
 	// storage 1.0 + cache + hops ≈ 3.6 ms; the mean must sit near it.
 	if mean := m.Latency.Mean(); mean < 2.5 || mean > 6 {

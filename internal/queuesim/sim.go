@@ -4,11 +4,12 @@
 // social-network path WebServer → User → McRouter → Memcached →
 // Storage, with multi-server FIFO stations, network hops, RPU batch
 // formation, reconvergence waiting and the §III-B5 batch-splitting
-// technique. One engine (engine.go) runs every scenario: the Figure 22
-// sweep (Run), the compose-post path (RunComposePost) and the
-// tail-at-scale studies at data-center populations (10⁶+ in-flight
-// requests) with burst/diurnal/closed-loop arrivals and
-// timeout/retry/hedge policies all walk a declarative GraphSpec.
+// technique. One engine (RunTail, engine.go) runs every scenario on a
+// declarative GraphSpec: the Figure 22 sweep (SocialGraph, the default),
+// the compose-post path (ComposePostGraph) and the tail-at-scale
+// studies at data-center populations (10⁶+ in-flight requests) with
+// burst/diurnal/closed-loop arrivals and timeout/retry/hedge policies.
+// Run wraps RunTail for a 1x Figure 22 load point.
 package queuesim
 
 import (

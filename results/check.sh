@@ -39,6 +39,8 @@ table=(
 	"multibatch.txt|chipsim -multibatch"
 	"composepost.txt|syssim -composepost -seconds 3 -max 80000 -points 8"
 	"fig5.txt|chipsim -fig 5"
+	"tail.txt|syssim -tail -scale 2 -points 4 -seconds 0.5 -seed 7 -timeout 100 -retries 1 -hedge 50 -qcap 10000"
+	"tail-hotel.txt|syssim -graph hotel -arrivals closed -scale 2 -points 2 -seconds 0.5 -seed 7"
 )
 
 dir=$(cd "$(dirname "$0")" && pwd)
