@@ -219,6 +219,9 @@ type selectors struct {
 // and any flag set on the parsed command line fs that the selection
 // does not read (see unread).
 func (s selectors) check(fs *flag.FlagSet) error {
+	if err := cli.NoArgs(fs); err != nil {
+		return err
+	}
 	switch s.fig {
 	case 0, 4, 5, 10, 11, 14, 15, 19, 20, 21:
 	default:

@@ -115,6 +115,8 @@ func TestSelectorRules(t *testing.T) {
 		{selectors{multiprocess: true}, []string{"-parallel", "1"}, "-parallel is not read by -multiprocess"},
 		{selectors{multiprocess: true}, []string{"-requests", "32"}, "-requests is not read by -multiprocess"},
 		{selectors{table: 7}, []string{"-seed", "1", "-gpu", "-requests", "1", "-parallel", "1"}, "-gpu is not read by -table 7"},
+		{selectors{fig: 5}, []string{"extra"}, `unexpected argument "extra"`},
+		{selectors{}, []string{"-gpu", "false", "-requests", "8"}, `unexpected argument "false"`},
 	}
 	for _, c := range rejectedFlags {
 		if err := c.s.check(given(t, c.args...)); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -110,6 +110,9 @@ func checkGrid(points int, seconds, maxQPS float64) error {
 // plan checks the parsed command line fs and returns the table it
 // selects and the offered loads to sweep, before any cell runs.
 func (o *options) plan(fs *flag.FlagSet) (*table, []float64, error) {
+	if err := cli.NoArgs(fs); err != nil {
+		return nil, nil, err
+	}
 	tail := o.tail || o.graph != ""
 	if o.composePost && tail {
 		return nil, nil, errors.New("-composepost sweeps its own 1x table; it takes neither -tail nor -graph")

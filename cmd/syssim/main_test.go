@@ -64,6 +64,8 @@ func TestFlagRules(t *testing.T) {
 		{[]string{"-points", "0"}, "-points 0"},
 		{[]string{"-tail", "-seconds", "NaN"}, "-seconds NaN"},
 		{[]string{"-composepost", "-max", "-1"}, "-max -1"},
+		{[]string{"-points", "1", "-seconds", "0.1", "-composepost", "false", "-points", "2"}, `unexpected argument "false"`},
+		{[]string{"-tail", "extra"}, `unexpected argument "extra"`},
 	}
 	for _, name := range tailOnly {
 		rejected = append(rejected, struct {

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"simr/internal/alloc"
+	"simr/internal/cli"
 	"simr/internal/mem"
 	"simr/internal/simt"
 	"simr/internal/uservices"
@@ -31,6 +32,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
+	if err := cli.NoArgs(flag.CommandLine); err != nil {
+		fmt.Fprintf(os.Stderr, "tracedump: %v\n", err)
+		os.Exit(1)
+	}
 	if *n < 1 {
 		fmt.Fprintf(os.Stderr, "tracedump: -n must be at least 1, got %d\n", *n)
 		os.Exit(1)

@@ -5,7 +5,8 @@
 package batch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"simr/internal/uservices"
 )
@@ -86,39 +87,50 @@ func Form(reqs []uservices.Request, size int, p Policy) []Batch {
 	if size <= 0 {
 		size = 32
 	}
+	// Buckets are numbered in first-arrival order. A first pass counts
+	// each bucket's requests, so that every bucket is carved from one
+	// array with its capacity capped at its count: filling one can
+	// never spill into the next.
 	type bucket struct {
-		key   string
-		first int
-		reqs  []uservices.Request
+		key  string
+		n    int
+		reqs []uservices.Request
 	}
-	order := map[string]*bucket{}
-	var buckets []*bucket
+	var buckets []bucket
+	index := map[string]int{}
 	for i := range reqs {
 		k := bucketKey(p, &reqs[i])
-		b, ok := order[k]
+		j, ok := index[k]
 		if !ok {
-			b = &bucket{key: k, first: i}
-			order[k] = b
-			buckets = append(buckets, b)
+			j = len(buckets)
+			index[k] = j
+			buckets = append(buckets, bucket{key: k})
 		}
+		buckets[j].n++
+	}
+	all := make([]uservices.Request, len(reqs))
+	nb, off := 0, 0
+	for j := range buckets {
+		b := &buckets[j]
+		b.reqs = all[off : off : off+b.n]
+		off += b.n
+		nb += (b.n + size - 1) / size
+	}
+	for i := range reqs {
+		b := &buckets[index[bucketKey(p, &reqs[i])]]
 		b.reqs = append(b.reqs, reqs[i])
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].first < buckets[j].first })
 	if p == PerAPIArgSize {
 		for _, b := range buckets {
-			rs := b.reqs
-			sort.SliceStable(rs, func(i, j int) bool { return rs[i].ArgBytes < rs[j].ArgBytes })
+			slices.SortStableFunc(b.reqs, func(x, y uservices.Request) int { return cmp.Compare(x.ArgBytes, y.ArgBytes) })
 		}
 	}
 
-	var out []Batch
+	out := make([]Batch, 0, nb)
 	for _, b := range buckets {
 		for off := 0; off < len(b.reqs); off += size {
-			end := off + size
-			if end > len(b.reqs) {
-				end = len(b.reqs)
-			}
-			out = append(out, Batch{Requests: b.reqs[off:end], Key: b.key})
+			end := min(off+size, len(b.reqs))
+			out = append(out, Batch{Requests: b.reqs[off:end:end], Key: b.key})
 		}
 	}
 	return out
@@ -159,7 +171,7 @@ func IsolateOutliers(reqs []uservices.Request, factor float64) (normal, outliers
 	for i := range reqs {
 		sizes[i] = reqs[i].ArgBytes
 	}
-	sort.Ints(sizes)
+	slices.Sort(sizes)
 	median := float64(sizes[len(sizes)/2])
 	limit := median * factor
 	for i := range reqs {

@@ -183,3 +183,27 @@ func TestIsolateOutliers(t *testing.T) {
 		t.Fatal("empty input")
 	}
 }
+
+// TestFormAllocs: Form counts each bucket's requests before filling
+// it and carves every bucket from one array, so forming one 2400-request
+// service's batches costs a handful of allocations, however many
+// requests there are, and each batch's capacity ends where it ends: an
+// append to one batch cannot overwrite the next.
+func TestFormAllocs(t *testing.T) {
+	for _, name := range []string{"memc", "user"} {
+		svc := uservices.NewSuite().Get(name)
+		reqs := svc.Generate(rand.New(rand.NewSource(42)), 2400)
+		for _, p := range Policies {
+			var bs []Batch
+			n := testing.AllocsPerRun(5, func() { bs = Form(reqs, svc.TunedBatch, p) })
+			if n > 6 {
+				t.Errorf("%s %v: Form allocates %v times for %d requests, want at most 6", name, p, n, len(reqs))
+			}
+			for i, b := range bs {
+				if cap(b.Requests) != len(b.Requests) {
+					t.Fatalf("%s %v: batch %d has capacity %d past its %d requests", name, p, i, cap(b.Requests), len(b.Requests))
+				}
+			}
+		}
+	}
+}

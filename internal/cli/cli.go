@@ -74,6 +74,17 @@ func FirstSet(fs *flag.FlagSet, names ...string) string {
 	return first
 }
 
+// NoArgs rejects the positional arguments left on fs's parsed command
+// line, naming the first. No command takes any, and one is usually a
+// bool flag's separate value (-gpu false), which ends flag parsing
+// there and silently drops every flag after it.
+func NoArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: only flags are accepted (write a bool flag's value as -flag=false)", fs.Arg(0))
+	}
+	return nil
+}
+
 // Start installs the parsed flags: the interrupt context, the CPU
 // profile and the obs hub. ctx is the context core.RunCells sweeps
 // honour: it is done after the first SIGINT or SIGTERM, or once stop

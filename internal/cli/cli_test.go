@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -52,6 +53,36 @@ func TestFirstSet(t *testing.T) {
 		}
 		if got := FirstSet(fs, c.names...); got != c.want {
 			t.Errorf("args %q, names %q: got %q, want %q", c.args, c.names, got, c.want)
+		}
+	}
+}
+
+// TestNoArgs: a parsed command line with no positional arguments
+// passes; one with any fails naming the first, including the value a
+// bool flag was given after a space, which ends flag parsing.
+func TestNoArgs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-b", "-n", "2"}, ""},
+		{[]string{"-b=false", "-n", "2"}, ""},
+		{[]string{"extra"}, `"extra"`},
+		{[]string{"-b", "false", "-n", "2"}, `"false"`},
+		{[]string{"-n", "2", "x", "y"}, `"x"`},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.Bool("b", false, "")
+		fs.Int("n", 0, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		err := NoArgs(fs)
+		if c.want == "" && err != nil {
+			t.Errorf("args %q rejected: %v", c.args, err)
+		} else if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("args %q: got error %v, want one naming %s", c.args, err, c.want)
 		}
 	}
 }

@@ -106,7 +106,14 @@ func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread uint8) pipeline.Stre
 	b.begin()
 	b.addrRoom(len(trace))
 	for i := range trace {
-		b.scalarUop(&uops[i], &trace[i], thread, 0)
+		op := &trace[i]
+		b.scalarUop(&uops[i], op, thread, 0)
+		if op.Dep1 != 0 {
+			uops[i].Dep1 = int32(i - int(op.Dep1))
+		}
+		if op.Dep2 != 0 {
+			uops[i].Dep2 = int32(i - int(op.Dep2))
+		}
 	}
 	return b.stream(uops)
 }
@@ -116,9 +123,10 @@ func (b *uopBuilder) scalarUops(trace []isa.TraceOp, thread uint8) pipeline.Stre
 // taken round-robin, one per unfinished thread per turn, trace t's
 // uops are tagged thread t with their heap and stack addresses moved
 // up t stacks (into thread t's arena and stack; see prepSlot.smt), and
-// dependency indices are remapped from each trace into the merged
-// stream as it is built. The result equals mergeSMT over scalarUops of
-// the threads' own traces without building the per-thread streams.
+// each dependency distance is resolved within its trace and remapped
+// into the merged stream as it is built. The result equals mergeSMT
+// over scalarUops of the threads' own traces without building the
+// per-thread streams.
 func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) pipeline.Stream {
 	remap, cursor, total := mergeScratch(b, traces, func(tr []isa.TraceOp) int { return len(tr) })
 	merged := b.carve(total)
@@ -131,13 +139,13 @@ func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) pipeline.Stream {
 			if c >= len(tr) {
 				continue
 			}
-			u := &merged[k]
-			b.scalarUop(u, &tr[c], uint8(t), uint64(t)*alloc.StackSize)
-			if u.Dep1 >= 0 {
-				u.Dep1 = remap[t][u.Dep1]
+			u, op := &merged[k], &tr[c]
+			b.scalarUop(u, op, uint8(t), uint64(t)*alloc.StackSize)
+			if op.Dep1 != 0 {
+				u.Dep1 = remap[t][c-int(op.Dep1)]
 			}
-			if u.Dep2 >= 0 {
-				u.Dep2 = remap[t][u.Dep2]
+			if op.Dep2 != 0 {
+				u.Dep2 = remap[t][c-int(op.Dep2)]
 			}
 			remap[t][c] = int32(k)
 			cursor[t]++
@@ -150,17 +158,18 @@ func (b *uopBuilder) smtUops(traces [][]isa.TraceOp) pipeline.Stream {
 // scalarUop fills u from the scalar trace op: one active lane (Mask
 // 0), the branch outcome in TakenMask bit 0, the given thread tag, and
 // identity address translation of the op's address after moving a
-// heap or stack address up by shift bytes. The caller must have made
+// heap or stack address up by shift bytes. It leaves both dependencies
+// at -1: the op's distances become stream indices only where the
+// caller knows the op's place in the stream. The caller must have made
 // addrRoom for the op's address.
 func (b *uopBuilder) scalarUop(u *pipeline.Uop, op *isa.TraceOp, thread uint8, shift uint64) {
 	// Field stores (not a struct literal) so the compiler writes the
 	// arena slot in place instead of building and copying a stack
 	// temporary per uop; carve reuses chunk memory, so every field
 	// including the unused ones must be (re)assigned.
-	u.PC = op.PC
+	u.PC = uint64(op.PC)
 	u.Class = op.Class
-	u.Dep1 = op.Dep1
-	u.Dep2 = op.Dep2
+	u.Dep1, u.Dep2 = -1, -1
 	u.Acc, u.NAcc = 0, 0
 	u.Mask = 0
 	u.TakenMask = 0

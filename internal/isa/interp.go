@@ -49,6 +49,19 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 	}
 	ctx.SP = ctx.StackBase
 
+	// depth is StackBase - SP, the stack depth every op records. Only
+	// calls and returns move SP, so setDepth refreshes it after each,
+	// rejecting a depth the 32-bit TraceOp.SP cannot hold.
+	var depth uint32
+	setDepth := func(p *Program) error {
+		d := ctx.StackBase - ctx.SP
+		if d >= MaxPC {
+			return fmt.Errorf("isa: %q reached stack depth %#x, past the 32-bit depth field", p.Name, d)
+		}
+		depth = uint32(d)
+		return nil
+	}
+
 	ops := buf[:0]
 	emit := func(in *Instr) error {
 		if len(ops) >= maxOps {
@@ -57,16 +70,16 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 		if in.Eff != nil {
 			in.Eff(ctx)
 		}
-		op := TraceOp{PC: in.PC, SP: ctx.StackBase - ctx.SP, Class: in.Class, Size: in.Size, Dep1: -1, Dep2: -1}
+		op := TraceOp{PC: uint32(in.PC), SP: depth, Class: in.Class, Size: in.Size}
 		if in.Addr != nil {
 			op.Addr = in.Addr(ctx)
 		}
-		idx := len(ops)
-		if in.Dep1 > 0 && idx >= int(in.Dep1) {
-			op.Dep1 = int32(idx - int(in.Dep1))
+		// A distance reaching before the trace's first op is dropped.
+		if len(ops) >= int(in.Dep1) {
+			op.Dep1 = in.Dep1
 		}
-		if in.Dep2 > 0 && idx >= int(in.Dep2) {
-			op.Dep2 = int32(idx - int(in.Dep2))
+		if len(ops) >= int(in.Dep2) {
+			op.Dep2 = in.Dep2
 		}
 		ops = append(ops, op)
 		return nil
@@ -76,11 +89,11 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 		if len(ops) >= maxOps {
 			return fmt.Errorf("isa: program %q exceeded %d dynamic instructions", top.Name, maxOps)
 		}
-		op := TraceOp{PC: pc, SP: ctx.StackBase - ctx.SP, Class: class, Taken: taken, Dep1: -1, Dep2: -1}
+		op := TraceOp{PC: uint32(pc), SP: depth, Class: class, Taken: taken}
 		if class == Branch && len(ops) > 0 {
 			// A conditional branch consumes the value produced just
 			// before it (compare-and-branch idiom).
-			op.Dep1 = int32(len(ops) - 1)
+			op.Dep1 = 1
 		}
 		ops = append(ops, op)
 		return nil
@@ -124,6 +137,9 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 			}
 			stack = append(stack, frame{prog: prog, ret: t.Fall})
 			ctx.SP -= t.Callee.FrameBytes
+			if err := setDepth(t.Callee); err != nil {
+				return nil, err
+			}
 			prog = t.Callee
 			blk = prog.Blocks[prog.Entry]
 		case TermRet:
@@ -134,6 +150,9 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 				return nil, fmt.Errorf("isa: %q returned with empty call stack", prog.Name)
 			}
 			ctx.SP += prog.FrameBytes
+			if err := setDepth(prog); err != nil {
+				return nil, err
+			}
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			prog = f.prog

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestWhileLoop(t *testing.T) {
@@ -118,7 +119,7 @@ func TestNestedCallsRestoreDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxDepth uint64
+	var maxDepth uint32
 	for _, op := range ops {
 		if op.SP > maxDepth {
 			maxDepth = op.SP
@@ -251,7 +252,7 @@ func TestQuickLinkPreservesOffsets(t *testing.T) {
 	}
 	f := func(base uint32) bool {
 		p := build()
-		b := uint64(base) &^ 3
+		b := uint64(base>>1) &^ 3 // below 2^31: the code must end within MaxPC
 		if _, err := Link(b, p); err != nil {
 			return false
 		}
@@ -260,7 +261,7 @@ func TestQuickLinkPreservesOffsets(t *testing.T) {
 			return false
 		}
 		for i := range ops {
-			if ops[i].PC-b != refOps[i].PC {
+			if uint64(ops[i].PC)-b != uint64(refOps[i].PC) {
 				return false
 			}
 		}
@@ -349,5 +350,106 @@ func TestExecuteBufReusesCtx(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("warmed ExecuteBuf allocates %v allocs/op, want 0", n)
+	}
+}
+
+// TestTraceOpSize pins the scalar trace record at 24 bytes: every
+// traced instruction of every request passes through one, so the
+// interpreter, the lock-step merge and the uop builders all stream it.
+func TestTraceOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(TraceOp{}); n != 24 {
+		t.Fatalf("TraceOp is %d bytes, want 24", n)
+	}
+}
+
+// TestNarrowFieldsRejectOverflow: TraceOp holds PCs and stack depths in
+// 32 bits, so Link refuses code that would end past MaxPC and the
+// interpreter refuses a call that takes the depth past it, instead of
+// recording a wrapped value.
+func TestNarrowFieldsRejectOverflow(t *testing.T) {
+	small := func() *Program {
+		b := NewProgram("t")
+		b.Ops(IAlu, 4)
+		return b.Build()
+	}
+	p := small()
+	if _, err := Link(MaxPC-p.Size()+1, p); err == nil {
+		t.Error("Link accepted code ending past MaxPC")
+	}
+	if _, err := Link(1<<40, small()); err == nil {
+		t.Error("Link accepted a base past MaxPC")
+	}
+	p = small()
+	next, err := Link(MaxPC-p.Size(), p)
+	if err != nil || next != MaxPC {
+		t.Fatalf("Link of code ending at MaxPC: next %#x, err %v", next, err)
+	}
+	ops, err := Execute(p, newCtx(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := ops[len(ops)-1].PC; uint64(last) != MaxPC-InstrBytes {
+		t.Errorf("last PC %#x, want %#x", last, MaxPC-InstrBytes)
+	}
+
+	deep := func(frame uint64) *Program {
+		f := NewFunc("deep")
+		f.Ops(IAlu, 1)
+		callee := f.Build()
+		callee.FrameBytes = frame
+		b := NewProgram("top")
+		b.Call(callee)
+		top := b.Build()
+		if _, err := Link(0x1000, top); err != nil {
+			t.Fatal(err)
+		}
+		return top
+	}
+	ctx := newCtx()
+	ctx.StackBase = 1 << 40
+	if _, err := Execute(deep(MaxPC), ctx, 0); err == nil {
+		t.Error("interpreter accepted a stack depth of MaxPC")
+	}
+	ops, err = Execute(deep(MaxPC-1), ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxDepth uint32
+	for _, op := range ops {
+		maxDepth = max(maxDepth, op.SP)
+	}
+	if maxDepth != MaxPC-1 {
+		t.Errorf("max depth %#x, want %#x", maxDepth, uint64(MaxPC-1))
+	}
+}
+
+// TestExecuteBufAllocs: a warmed buffer and context interpret a request
+// without allocating — the trace, the scratch slots and the call stack
+// all reuse what the first run grew.
+func TestExecuteBufAllocs(t *testing.T) {
+	callee := NewFunc("f")
+	callee.OpsChain(IAlu, 4, 1)
+	pf := callee.Build()
+	b := NewProgram("top")
+	b.LoopN(50, func(b *Builder) {
+		b.Ops(IAlu, 2)
+		b.StackStore(8)
+		b.Call(pf)
+	})
+	p := b.Build()
+	if _, err := Link(0x100, p); err != nil {
+		t.Fatal(err)
+	}
+	ctx := newCtx()
+	buf, err := ExecuteBuf(p, ctx, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if buf, err = ExecuteBuf(p, ctx, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warmed ExecuteBuf allocates %v times per request, want 0", n)
 	}
 }

@@ -186,7 +186,7 @@ func TestCallPushesAndPopsStack(t *testing.T) {
 		t.Fatalf("SP not restored: %#x vs %#x", ctx.SP, ctx.StackBase)
 	}
 	var sawCall, sawRet, sawPush, sawPop bool
-	var callSP uint64
+	var callSP uint32
 	for _, op := range ops {
 		switch op.Class {
 		case CallOp:
@@ -234,8 +234,8 @@ func TestDependencyIndicesValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, op := range ops {
-		if op.Dep1 >= int32(i) || op.Dep2 >= int32(i) {
-			t.Fatalf("op %d has forward dep %d/%d", i, op.Dep1, op.Dep2)
+		if int(op.Dep1) > i || int(op.Dep2) > i {
+			t.Fatalf("op %d has a dependency distance %d/%d reaching before the trace", i, op.Dep1, op.Dep2)
 		}
 	}
 }

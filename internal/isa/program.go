@@ -147,7 +147,8 @@ func (p *Program) Linked() bool { return p.linked }
 // Link assigns disjoint global PC ranges to each program and,
 // transitively, its callees. Programs already linked in the same pass
 // are skipped; re-linking an already linked program is an error because
-// closures in other structures may have captured its PCs.
+// closures in other structures may have captured its PCs, and so is
+// code that would end past MaxPC.
 func Link(base uint64, progs ...*Program) (next uint64, err error) {
 	seen := map[*Program]bool{}
 	var link func(p *Program) error
@@ -157,6 +158,9 @@ func Link(base uint64, progs ...*Program) (next uint64, err error) {
 		}
 		if p.linked {
 			return fmt.Errorf("isa: program %q linked twice", p.Name)
+		}
+		if base > MaxPC || p.size > MaxPC-base {
+			return fmt.Errorf("isa: program %q at base %#x ends past the 32-bit PC space", p.Name, base)
 		}
 		seen[p] = true
 		p.Base = base

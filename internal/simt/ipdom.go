@@ -2,17 +2,17 @@ package simt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"simr/internal/isa"
 )
 
 // ipdomEntry is one reconvergence stack entry: the threads of mask run
-// until each reaches the reconvergence key (rpc at rsp) or finishes.
+// until each reaches the reconvergence key r or finishes.
 type ipdomEntry struct {
-	mask     uint64
-	rpc, rsp uint64
-	hasR     bool
+	mask uint64
+	r    key
+	hasR bool
 }
 
 // RunIPDOM merges per-thread traces with an ideal stack-based immediate
@@ -55,7 +55,7 @@ func RunIPDOMWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, reconv map
 				continue
 			}
 			if e.hasR {
-				if k := st.curKey(t); k.pc == e.rpc && k.sp == e.rsp {
+				if st.curKey(t) == e.r {
 					continue // waiting at the reconvergence point
 				}
 			}
@@ -89,14 +89,14 @@ func RunIPDOMWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, reconv map
 			for k := range keys {
 				ordered = append(ordered, k)
 			}
-			sort.Slice(ordered, func(i, j int) bool { return keyLess(ordered[i], ordered[j]) })
+			slices.Sort(ordered)
 			// Push in reverse so the lowest key executes first.
 			for i := len(ordered) - 1; i >= 0; i-- {
 				var m uint64
 				for _, t := range keys[ordered[i]] {
 					m |= 1 << uint(t)
 				}
-				stack = append(stack, ipdomEntry{mask: m, rpc: e.rpc, rsp: e.rsp, hasR: e.hasR})
+				stack = append(stack, ipdomEntry{mask: m, r: e.r, hasR: e.hasR})
 			}
 			// The parent keeps its mask; its threads are now covered by
 			// children, and it resumes once they pop.
@@ -115,12 +115,12 @@ func RunIPDOMWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, reconv map
 			if !ok {
 				return nil, fmt.Errorf("simt: no reconvergence point recorded for branch at pc=%#x", op.PC)
 			}
-			rsp := st.traces[threads[0]][st.cursor[threads[0]]-1].SP
+			r := packKey(st.traces[threads[0]][st.cursor[threads[0]]-1].SP, uint32(rpc))
 			taken := op.TakenMask
 			fall := op.Mask &^ op.TakenMask
 			stack = append(stack,
-				ipdomEntry{mask: fall, rpc: rpc, rsp: rsp, hasR: true},
-				ipdomEntry{mask: taken, rpc: rpc, rsp: rsp, hasR: true},
+				ipdomEntry{mask: fall, r: r, hasR: true},
+				ipdomEntry{mask: taken, r: r, hasR: true},
 			)
 		}
 	}

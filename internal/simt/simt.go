@@ -121,18 +121,13 @@ type SpinConfig struct {
 // DefaultSpin is the configuration used by the RPU driver.
 var DefaultSpin = SpinConfig{Window: 64, MinAtomics: 8, Grant: 32}
 
-type key struct {
-	sp, pc uint64
-}
+// key is a thread's reconvergence priority, (stack depth, PC) packed
+// into one word so that the lowest key wins: MinSP first — the deepest
+// function call, and TraceOp.SP records depth, so the complemented
+// depth sits in the high half — then the lowest PC.
+type key uint64
 
-func keyLess(a, b key) bool {
-	// MinSP first: the deepest function call wins. TraceOp.SP records
-	// stack depth, so deeper means larger.
-	if a.sp != b.sp {
-		return a.sp > b.sp
-	}
-	return a.pc < b.pc
-}
+func packKey(sp, pc uint32) key { return key(uint64(^sp)<<32 | uint64(pc)) }
 
 // Scratch holds the lock-step executors' working storage so repeated
 // runs (one per batch, thousands per study cell) reuse buffers instead
@@ -246,7 +241,7 @@ func (st *executorState) cur(t int) *isa.TraceOp { return &st.traces[t][st.curso
 
 func (st *executorState) curKey(t int) key {
 	op := st.cur(t)
-	return key{sp: op.SP, pc: op.PC}
+	return packKey(op.SP, op.PC)
 }
 
 // step executes one lock-step op for the given thread set and returns
@@ -254,7 +249,7 @@ func (st *executorState) curKey(t int) key {
 func (st *executorState) step(threads []int) (int, error) {
 	first := st.cur(threads[0])
 	op := BatchOp{
-		PC:    first.PC,
+		PC:    uint64(first.PC),
 		Class: first.Class,
 		Size:  first.Size,
 		Dep1:  -1,
@@ -277,18 +272,19 @@ func (st *executorState) step(threads []int) (int, error) {
 		if op.Addrs != nil {
 			op.Addrs[t] = cur.Addr
 		}
-		if cur.Dep1 >= 0 {
-			if d := st.b2i[t][cur.Dep1]; d > op.Dep1 {
+		c := st.cursor[t]
+		if cur.Dep1 != 0 {
+			if d := st.b2i[t][c-int(cur.Dep1)]; d > op.Dep1 {
 				op.Dep1 = d
 			}
 		}
-		if cur.Dep2 >= 0 {
-			if d := st.b2i[t][cur.Dep2]; d > op.Dep2 {
+		if cur.Dep2 != 0 {
+			if d := st.b2i[t][c-int(cur.Dep2)]; d > op.Dep2 {
 				op.Dep2 = d
 			}
 		}
-		st.b2i[t][st.cursor[t]] = int32(idx)
-		st.cursor[t]++
+		st.b2i[t][c] = int32(idx)
+		st.cursor[t] = c + 1
 	}
 	st.ops = append(st.ops, op)
 	return idx, nil
@@ -338,7 +334,7 @@ func RunMinSPPCWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, spin *Sp
 			if st.done(t) {
 				continue
 			}
-			if k := st.curKey(t); !haveBest || keyLess(k, best) {
+			if k := st.curKey(t); !haveBest || k < best {
 				haveBest = true
 				best = k
 			}
@@ -398,7 +394,7 @@ func RunMinSPPCWith(sc *Scratch, traces [][]isa.TraceOp, batchSize int, spin *Sp
 				continue
 			}
 			k := st.curKey(t)
-			if !haveNew || keyLess(k, newStuck) {
+			if !haveNew || k < newStuck {
 				haveNew = true
 				newStuck = k
 			}

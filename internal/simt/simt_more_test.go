@@ -10,7 +10,7 @@ import (
 func TestBatchTooWideRejected(t *testing.T) {
 	traces := make([][]isa.TraceOp, MaxBatch+1)
 	for i := range traces {
-		traces[i] = []isa.TraceOp{{PC: 4, Class: isa.IAlu, Dep1: -1, Dep2: -1}}
+		traces[i] = []isa.TraceOp{{PC: 4, Class: isa.IAlu}}
 	}
 	if _, err := RunMinSPPC(traces, 0, nil); err == nil {
 		t.Fatal("expected error for oversized batch")
@@ -25,8 +25,8 @@ func TestBatchTooWideRejected(t *testing.T) {
 
 func TestClassMismatchDetected(t *testing.T) {
 	traces := [][]isa.TraceOp{
-		{{PC: 4, SP: 0, Class: isa.IAlu, Dep1: -1, Dep2: -1}},
-		{{PC: 4, SP: 0, Class: isa.FAlu, Dep1: -1, Dep2: -1}},
+		{{PC: 4, SP: 0, Class: isa.IAlu}},
+		{{PC: 4, SP: 0, Class: isa.FAlu}},
 	}
 	if _, err := RunMinSPPC(traces, 0, nil); err == nil {
 		t.Fatal("expected class-mismatch error")
@@ -37,12 +37,12 @@ func TestIPDOMMissingReconvFails(t *testing.T) {
 	// A divergent branch with no reconvergence entry must error.
 	traces := [][]isa.TraceOp{
 		{
-			{PC: 4, Class: isa.Branch, Taken: true, Dep1: -1, Dep2: -1},
-			{PC: 8, Class: isa.IAlu, Dep1: -1, Dep2: -1},
+			{PC: 4, Class: isa.Branch, Taken: true},
+			{PC: 8, Class: isa.IAlu},
 		},
 		{
-			{PC: 4, Class: isa.Branch, Taken: false, Dep1: -1, Dep2: -1},
-			{PC: 12, Class: isa.IAlu, Dep1: -1, Dep2: -1},
+			{PC: 4, Class: isa.Branch, Taken: false},
+			{PC: 12, Class: isa.IAlu},
 		},
 	}
 	if _, err := RunIPDOM(traces, 0, map[uint64]uint64{}); err == nil {
@@ -185,7 +185,7 @@ func TestIPDOMDefaultBatchSizeAndMultiKeySplit(t *testing.T) {
 }
 
 func TestIPDOMCallDepthTieBreak(t *testing.T) {
-	// keyLess must prefer the deeper call when PCs compare against
+	// The key order must prefer the deeper call when PCs compare against
 	// different frames: a callee's ops (deeper) win over the caller's.
 	f := isa.NewFunc("leaf")
 	f.Ops(isa.IAlu, 4)
@@ -209,14 +209,36 @@ func TestIPDOMCallDepthTieBreak(t *testing.T) {
 	if res.Ops[len(res.Ops)-1].Mask != 0x3 {
 		t.Fatal("call/no-call paths did not reconverge")
 	}
-	// keyLess direct checks: deeper (larger depth) wins; PC breaks ties.
-	if !keyLess(key{sp: 128, pc: 100}, key{sp: 0, pc: 4}) {
+	// Packed-key direct checks: deeper (larger depth) wins; PC breaks ties.
+	if !(packKey(128, 100) < packKey(0, 4)) {
 		t.Fatal("deeper call must be selected first")
 	}
-	if !keyLess(key{sp: 0, pc: 4}, key{sp: 0, pc: 8}) {
+	if !(packKey(0, 4) < packKey(0, 8)) {
 		t.Fatal("lower PC must win at equal depth")
 	}
-	if keyLess(key{sp: 0, pc: 8}, key{sp: 0, pc: 8}) {
-		t.Fatal("equal keys are not less")
+	if !(packKey(1<<32-1, 1<<32-1) < packKey(1<<32-2, 0)) {
+		t.Fatal("depth must outrank PC across the whole 32-bit range")
+	}
+}
+
+// TestRunMinSPPCWithAllocs: a warmed scratch lock-steps a batch of
+// divergent traces without allocating — cursors, the scalar-to-batch
+// index map, the op and address arenas all reuse their first growth.
+func TestRunMinSPPCWithAllocs(t *testing.T) {
+	p, _ := buildDivergent(t)
+	args := make([][]uint64, 32)
+	for i := range args {
+		args[i] = []uint64{uint64(i), uint64(i % 5)}
+	}
+	traces := traceN(t, p, args)
+	var sc Scratch
+	run := func() {
+		if _, err := RunMinSPPCWith(&sc, traces, 32, &DefaultSpin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Errorf("warmed RunMinSPPCWith allocates %v times per batch, want 0", n)
 	}
 }

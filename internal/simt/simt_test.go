@@ -81,7 +81,7 @@ func conservation(t *testing.T, traces [][]isa.TraceOp, res *Result) {
 			if res.Ops[i].Mask&(1<<uint(tid)) == 0 {
 				continue
 			}
-			if res.Ops[i].PC != tr[j].PC {
+			if res.Ops[i].PC != uint64(tr[j].PC) {
 				t.Fatalf("thread %d op %d: pc %#x, want %#x", tid, j, res.Ops[i].PC, tr[j].PC)
 			}
 			j++

@@ -21,7 +21,9 @@ const GridWidth = 32
 func NewGPGPUSuite() *Suite {
 	g := alloc.NewGlobals()
 	suite := &Suite{byName: map[string]*Service{}}
-	base := uint64(1 << 40)
+	// 1 MiB-aligned, in the upper half of the 32-bit PC space, clear
+	// of the microservice suite's code.
+	base := uint64(1 << 31)
 	for _, build := range []func(*alloc.Globals) *Service{newSaxpy, newDotProd, newStencil} {
 		svc := build(g)
 		svc.TunedBatch = 32
