@@ -166,7 +166,10 @@ func BenchmarkFig22EndToEnd(b *testing.B) {
 				cfg.QPS = q
 				cfg.Seconds = 2
 				cfg.RPU, cfg.Split = rpu, split
-				m := queuesim.Run(cfg)
+				m, err := queuesim.RunTail(queuesim.TailConfig{Config: cfg, Scale: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if m.UserUtil > 0.99 {
 					break
 				}

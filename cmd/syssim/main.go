@@ -217,7 +217,7 @@ func (o *options) tailTable() (*table, error) {
 	title := fmt.Sprintf("Figure 22 analog at %.0fx scale (tail-at-scale engine, %s arrivals)", base.Scale, process)
 	modes := fig22Modes
 	if o.graph != "" {
-		if base.Graph, err = loadGraphArg(o.graph, base.Config); err != nil {
+		if base.Graph, err = loadGraphArg(o.graph); err != nil {
 			return nil, err
 		}
 		title = fmt.Sprintf("Service graph %q at %.0fx scale (tail-at-scale engine, %s arrivals)",
@@ -249,13 +249,12 @@ func (o *options) tailTable() (*table, error) {
 }
 
 // loadGraphArg resolves the -graph argument: a .json file is loaded
-// and validated as a GraphSpec, anything else is a bundled name (the
-// social graph takes its demands from c).
-func loadGraphArg(arg string, c queuesim.Config) (*queuesim.GraphSpec, error) {
+// and validated as a GraphSpec, anything else is a bundled name.
+func loadGraphArg(arg string) (*queuesim.GraphSpec, error) {
 	if strings.HasSuffix(arg, ".json") {
 		return queuesim.LoadGraph(arg)
 	}
-	return queuesim.GraphByName(arg, c)
+	return queuesim.GraphByName(arg)
 }
 
 // sweep runs every (mode, load) cell of t on the sweep worker pool —

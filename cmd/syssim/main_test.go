@@ -99,14 +99,16 @@ func TestTailCeiling(t *testing.T) {
 }
 
 // TestRejectedLoadPointFails: a load point the engine rejects (too
-// many arrivals, or a run too long for the millisecond clock) fails
-// the sweep in every table, and nothing is printed.
+// many arrivals, a run too long for the millisecond clock, or a
+// negative drain) fails the sweep in every table, and nothing is
+// printed.
 func TestRejectedLoadPointFails(t *testing.T) {
 	for _, args := range [][]string{
 		{"-points", "1", "-max", "1e12"},
 		{"-points", "1", "-seconds", "1e300"},
 		{"-composepost", "-points", "1", "-max", "1e12"},
 		{"-tail", "-points", "1", "-max", "1e12"},
+		{"-tail", "-points", "1", "-seconds", "0.2", "-drain", "-1"},
 	} {
 		tab, qps, err := plan(t, args...)
 		if err != nil {

@@ -170,7 +170,7 @@ func TestStudyArtifactsWellFormed(t *testing.T) {
 		cfg.Seed = 7
 		cfg.Monitor = &queuesim.Monitor{Reg: obs.Default(), Sink: obs.Trace(),
 			Label: queuesim.CellLabel("cpu", cfg.QPS), PID: 100 + i, MinDT: 1}
-		return queuesim.Run(cfg), nil
+		return queuesim.RunTail(queuesim.TailConfig{Config: cfg, Scale: 1})
 	})
 	stop()
 	if chipErr != nil || sweepErr != nil {

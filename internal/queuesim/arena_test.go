@@ -159,7 +159,7 @@ func sideArenaCells(t *testing.T) []sideArenaCell {
 			c.Seed = 1
 			c.RPU = mode.rpu
 			c.Split = mode.split
-			g, err := GraphByName(v.graph, c)
+			g, err := GraphByName(v.graph)
 			if err != nil {
 				t.Fatalf("%s: %v", v.graph, err)
 			}

@@ -7,7 +7,7 @@ func BenchmarkSystemRunCPU(b *testing.B) {
 		cfg := DefaultConfig()
 		cfg.QPS = 8000
 		cfg.Seconds = 1.5
-		Run(cfg)
+		runSocial(b, cfg)
 	}
 }
 
@@ -17,6 +17,6 @@ func BenchmarkSystemRunRPUSplit(b *testing.B) {
 		cfg.QPS = 30000
 		cfg.Seconds = 1.5
 		cfg.RPU, cfg.Split = true, true
-		Run(cfg)
+		runSocial(b, cfg)
 	}
 }

@@ -87,10 +87,15 @@ func TestCensoringDrain(t *testing.T) {
 	cfg.QPS = 1000
 	cfg.Seconds = 0.01 // 10 ms of arrivals...
 	cfg.Warmup = 0
-	cfg.HitRate = 0         // every request takes the storage path
-	cfg.StorageLatency = 50 // ...each needing >= 50 ms to finish
 	cfg.Drain = 1
-	m := Run(cfg)
+	g := SocialGraph()
+	g.Coins[0].Prob = 0 // every request takes the storage path
+	for i := range g.Stages {
+		if g.Stages[i].Name == "storage" {
+			g.Stages[i].DemandMs = 50 // ...each needing >= 50 ms to finish
+		}
+	}
+	m := mustTail(t, TailConfig{Config: cfg, Scale: 1, Graph: g})
 	if m.Completed == 0 {
 		t.Fatal("all completions censored at the arrival horizon")
 	}
@@ -104,31 +109,29 @@ func TestCensoringDrain(t *testing.T) {
 	}
 }
 
-// TestRunZeroQPS: a non-positive rate means no arrivals, not a
-// divide-by-zero arrival storm pinned to t=0.
+// TestRunZeroQPS: a non-positive rate is a config error, not a
+// divide-by-zero arrival storm pinned to t=0 or a silent empty run, at
+// 1x and at 100x scale.
 func TestRunZeroQPS(t *testing.T) {
 	for _, qps := range []float64{0, -5} {
-		done := make(chan *TailMetrics, 1)
-		go func() {
-			cfg := DefaultConfig()
-			cfg.QPS = qps
-			cfg.Seconds = 1
-			done <- Run(cfg)
-		}()
-		select {
-		case m := <-done:
-			if m.Completed != 0 {
-				t.Fatalf("QPS=%v completed %d requests", qps, m.Completed)
+		for _, scale := range []float64{1, 100} {
+			done := make(chan error, 1)
+			go func() {
+				cfg := DefaultConfig()
+				cfg.QPS = qps
+				cfg.Seconds = 1
+				_, err := RunTail(TailConfig{Config: cfg, Scale: scale})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("QPS=%v scale %v: want a config error, not a silent empty run", qps, scale)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("QPS=%v scale %v: RunTail hung (zero-delay arrival loop)", qps, scale)
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("QPS=%v: Run hung (zero-delay arrival loop)", qps)
 		}
-	}
-	cfg := DefaultTailConfig()
-	cfg.QPS = 0
-	cfg.Seconds = 1
-	if _, err := RunTail(cfg); err == nil {
-		t.Fatal("tail engine with QPS=0 must report a config error, not a silent empty run")
 	}
 }
 
@@ -284,14 +287,13 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		}},
 		{"scale-overflows-servers", func(c *TailConfig) { c.Scale = 1e12 }},
 		{"horizon-overflows-clock", func(c *TailConfig) { c.QPS = 1e-300; c.Seconds = 1e306; c.Warmup = 0 }},
-		// A NaN wire delay completed every request at a NaN latency; an
-		// infinite one completed nothing; a negative one ran as 0,
-		// although GraphSpec.NetHopMs -1 is rejected. A NaN batch
-		// timeout gave a NaN mean latency; an infinite one never
-		// launched the last partial batch.
-		{"nan-net-hop", func(c *TailConfig) { c.NetHop = math.NaN() }},
-		{"inf-net-hop", func(c *TailConfig) { c.NetHop = math.Inf(1) }},
-		{"negative-net-hop", func(c *TailConfig) { c.NetHop = -1 }},
+		// A negative drain ran with the minimal 0.2 s drain; a negative
+		// warmup stretched the measured window past the run, so light
+		// load read as saturated. A NaN batch timeout gave a NaN mean
+		// latency; an infinite one never launched the last partial
+		// batch.
+		{"negative-drain", func(c *TailConfig) { c.Drain = -1 }},
+		{"negative-warmup", func(c *TailConfig) { c.Warmup = -1 }},
 		{"rpu-nan-batch-timeout", func(c *TailConfig) { c.RPU = true; c.BatchTimeout = math.NaN() }},
 		{"rpu-inf-batch-timeout", func(c *TailConfig) { c.RPU = true; c.BatchTimeout = math.Inf(1) }},
 		{"rpu-negative-batch-timeout", func(c *TailConfig) { c.RPU = true; c.BatchTimeout = -1 }},
@@ -403,7 +405,7 @@ func TestUtilExcludesDrain(t *testing.T) {
 	cfg.Seconds = 2
 	cfg.Warmup = 0.5
 	cfg.Drain = 5
-	m := Run(cfg)
+	m := runSocial(t, cfg)
 	if m.UserUtil < 0.99 {
 		t.Fatalf("overloaded user tier reports %.3f utilisation; drain leaked into the window", m.UserUtil)
 	}

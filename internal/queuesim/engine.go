@@ -124,11 +124,12 @@ func (st *estation) account(now float64) {
 }
 
 // TailConfig parameterises one tail-at-scale load point. The embedded
-// Config supplies the demands, cores, batch formation, hit rate, seed
-// and horizon; Scale multiplies every station's capacity so a
-// Scale=100 run is the 100x-machines analog. Batching is always at
-// the graph's batch-formation point (the paper's §VI-H logic-tier
-// placement for the bundled graphs).
+// Config supplies the load, horizon, cores, batch formation and seed;
+// the graph supplies the demands, hit rates and wire hop. Scale
+// multiplies every station's capacity so a Scale=100 run is the
+// 100x-machines analog. Batching is always at the graph's
+// batch-formation point (the paper's §VI-H logic-tier placement for
+// the bundled graphs).
 type TailConfig struct {
 	Config
 	// Scale multiplies station capacities (number of machines); < 1 is
@@ -136,20 +137,9 @@ type TailConfig struct {
 	Scale    float64
 	Arrivals ArrivalConfig
 	Policy   PolicyConfig
-	// Graph selects the scenario; nil runs SocialGraph(cfg.Config),
-	// the Figure 22 social-network analog.
+	// Graph selects the scenario; nil runs SocialGraph(), the Figure 22
+	// social-network analog.
 	Graph *GraphSpec
-}
-
-// DefaultTailConfig returns the 100x Figure 22 analog: one hundred
-// times the paper's machines offered one hundred times the paper's
-// CPU-knee load (15 kQPS → 1.5 MQPS) under open Poisson arrivals.
-func DefaultTailConfig() TailConfig {
-	c := DefaultConfig()
-	c.QPS = 1.5e6
-	c.Seconds = 2
-	c.Warmup = 0.5
-	return TailConfig{Config: c, Scale: 100}
 }
 
 // TailMetrics is the outcome of one tail-at-scale load point.
@@ -263,18 +253,18 @@ type engine struct {
 	inflightTS float64
 }
 
-// RunTail simulates one load point. It returns an error for a
-// degenerate configuration (a NaN or infinite QPS, Seconds, Warmup,
-// Drain or Scale, a NaN, infinite or negative NetHop or BatchTimeout,
-// zero horizon, a warmup that leaves no measured window, open loop
-// without a positive QPS or expecting more than maxArrivals arrivals,
-// closed loop without users or with more than maxArrivals, a malformed
-// arrival shape (see ArrivalConfig.validate), a NaN or negative policy
-// duration, RPU without a positive BatchSize or over a batchless graph,
-// a station with no servers or more than an int32 holds, a horizon
-// past the millisecond clock's range) or an invalid graph spec,
-// instead of silently reporting an empty run as measured, hanging or
-// panicking.
+// RunTail simulates one load point; it is the only way into the
+// engine. It returns an error for a degenerate configuration (a NaN or
+// infinite QPS, Seconds or Scale, a NaN, infinite or negative Warmup,
+// Drain or BatchTimeout, zero horizon, a warmup that leaves no
+// measured window, open loop without a positive QPS or expecting more
+// than maxArrivals arrivals, closed loop without users or with more
+// than maxArrivals, a malformed arrival shape (see
+// ArrivalConfig.validate), a NaN or negative policy duration, RPU
+// without a positive BatchSize or over a batchless graph, a station
+// with no servers or more than an int32 holds, a horizon past the
+// millisecond clock's range) or an invalid graph spec, instead of
+// silently reporting an empty run as measured, hanging or panicking.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	e, err := newTailEngine(cfg)
 	if err != nil {
@@ -301,7 +291,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"QPS", cfg.QPS}, {"Seconds", cfg.Seconds}, {"Warmup", cfg.Warmup}, {"Drain", cfg.Drain}, {"Scale", cfg.Scale}} {
+	}{{"QPS", cfg.QPS}, {"Seconds", cfg.Seconds}, {"Scale", cfg.Scale}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("queuesim: %s must be finite (got %v)", f.name, f.v)
 		}
@@ -309,7 +299,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"NetHop", cfg.NetHop}, {"BatchTimeout", cfg.BatchTimeout}} {
+	}{{"Warmup", cfg.Warmup}, {"Drain", cfg.Drain}, {"BatchTimeout", cfg.BatchTimeout}} {
 		if !(f.v >= 0) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("queuesim: %s must be finite and non-negative (got %v)", f.name, f.v)
 		}
@@ -346,7 +336,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	}
 	spec := cfg.Graph
 	if spec == nil {
-		spec = SocialGraph(cfg.Config)
+		spec = SocialGraph()
 	}
 	g, err := compileGraph(spec)
 	if err != nil {
@@ -364,9 +354,6 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	e.arr = cfg.Arrivals.withDefaults(e.endMs)
 	e.hasExt = needsExt(&e.pol, e.arr.Process, g)
 	e.netHop = g.netHop
-	if e.netHop <= 0 {
-		e.netHop = cfg.NetHop
-	}
 
 	e.latMul = 1
 	capMul := 1.0

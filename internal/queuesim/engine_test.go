@@ -30,6 +30,13 @@ func mustTail(t testing.TB, cfg TailConfig) *TailMetrics {
 	return m
 }
 
+// runSocial runs one load point of the bundled social graph at 1x
+// scale, failing the test on a config error.
+func runSocial(t testing.TB, cfg Config) *TailMetrics {
+	t.Helper()
+	return mustTail(t, TailConfig{Config: cfg, Scale: 1})
+}
+
 func checkConservation(t *testing.T, m *TailMetrics, label string) {
 	t.Helper()
 	if m.Arrived == 0 {
@@ -276,7 +283,8 @@ func TestTailScaleMillionInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tail-at-scale stress skipped in -short")
 	}
-	cfg := DefaultTailConfig()
+	// The 100x Figure 22 analog: one hundred times the paper's machines.
+	cfg := TailConfig{Config: DefaultConfig(), Scale: 100}
 	cfg.QPS = 4e6 // ~2.3x the scaled CPU knee: backlog grows ~2.2M/s
 	cfg.Seconds = 1
 	cfg.Warmup = 0.1
@@ -305,7 +313,7 @@ func TestTailScaleMillionInFlight(t *testing.T) {
 }
 
 // BenchmarkTailEngine reports steady-state event throughput of the
-// arena engine (the figure the BENCH_queuesim study tracks).
+// arena engine.
 func BenchmarkTailEngine(b *testing.B) {
 	for _, mode := range []struct {
 		label      string
@@ -386,6 +394,7 @@ func FuzzTailConfig(f *testing.F) {
 		func(k *knobs) { k.process, k.period = int(ArrDiurnal), nan },
 		func(k *knobs) { k.process, k.users, k.think = int(ArrClosed), 50, inf },
 		func(k *knobs) { k.process = 99 },
+		func(k *knobs) { k.warm, k.drain = -0.001, -1 },
 		func(k *knobs) { k.netHop = nan },
 		func(k *knobs) { k.netHop = inf },
 		func(k *knobs) { k.netHop = -1 },
@@ -427,8 +436,10 @@ func FuzzTailConfig(f *testing.F) {
 		c := DefaultConfig()
 		c.QPS, c.Seconds, c.Warmup, c.Drain = qps, sec, warm, drain
 		c.RPU, c.Split = rpu, rpu
-		c.NetHop, c.BatchTimeout, c.BatchSize = netHop, batchTimeout, batchSize
-		cfg := TailConfig{Config: c, Scale: scale, Policy: PolicyConfig{TimeoutMs: timeout,
+		c.BatchTimeout, c.BatchSize = batchTimeout, batchSize
+		g := SocialGraph()
+		g.NetHopMs = netHop
+		cfg := TailConfig{Config: c, Scale: scale, Graph: g, Policy: PolicyConfig{TimeoutMs: timeout,
 			MaxRetries: min(retries, 8), BackoffMs: backoff, HedgeMs: hedge,
 			MaxBackoffMs: maxBackoff, QueueCap: qcap},
 			Arrivals: ArrivalConfig{Process: ArrivalProcess(process), BurstMul: burstMul,

@@ -143,7 +143,7 @@ func schedGoldenCells(t *testing.T) []goldenCell {
 						c.Seed = seed
 						c.RPU = mode.rpu
 						c.Split = mode.split
-						g, err := GraphByName(gname, c)
+						g, err := GraphByName(gname)
 						if err != nil {
 							t.Fatalf("%s: %v", gname, err)
 						}

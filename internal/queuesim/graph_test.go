@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -164,7 +165,7 @@ func TestGraphValidatorErrors(t *testing.T) {
 // end-to-end in CPU and RPU modes with request conservation.
 func TestBuiltinGraphsValidate(t *testing.T) {
 	for _, name := range GraphNames() {
-		spec, err := GraphByName(name, DefaultConfig())
+		spec, err := GraphByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -188,7 +189,7 @@ func TestBuiltinGraphsValidate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := GraphByName("nope", DefaultConfig()); err == nil {
+	if _, err := GraphByName("nope"); err == nil {
 		t.Fatal("unknown graph name resolved")
 	}
 }
@@ -204,6 +205,15 @@ func fixedDemands(g *GraphSpec) *GraphSpec {
 		g.Batch.Stages[i].Fixed = true
 	}
 	return g
+}
+
+// stageDemands maps each request stage of g to its DemandMs.
+func stageDemands(g *GraphSpec) map[string]float64 {
+	d := map[string]float64{}
+	for _, st := range g.Stages {
+		d[st.Name] = st.DemandMs
+	}
+	return d
 }
 
 // closedFormModes are the Figure 22 systems with batches of one, so an
@@ -232,20 +242,24 @@ func checkClosedForm(t *testing.T, m *TailMetrics, want float64, label string) {
 // jittered demands the CPU mean lands on the hit-rate-weighted path
 // time (3.035 ms at the defaults).
 func TestSocialClosedForm(t *testing.T) {
+	spec := SocialGraph()
+	demand := stageDemands(spec)
+	hit := demand["web"] + demand["user1"] + demand["mcrouter"] + demand["memcached"] +
+		demand["user2"] + 4*spec.NetHopMs
 	for _, mode := range closedFormModes {
 		for _, hitRate := range []float64{1, 0} {
 			c := DefaultConfig()
 			c.QPS = 500
 			c.Seconds = 2
 			c.Warmup = 0.5
-			c.HitRate = hitRate
 			c.RPU, c.Split = mode.rpu, mode.split
 			c.BatchSize = 1
-			m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: fixedDemands(SocialGraph(c))})
-			want := c.WebDemand + c.UserPhase1 + c.McRouterDemand + c.MemcachedDemand +
-				c.UserPhase2 + 4*c.NetHop
+			g := fixedDemands(SocialGraph())
+			g.Coins[0].Prob = hitRate
+			m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: g})
+			want := hit
 			if hitRate == 0 {
-				want += c.StorageLatency
+				want += demand["storage"]
 			}
 			checkClosedForm(t, m, want, fmt.Sprintf("%s/hit=%v", mode.label, hitRate))
 		}
@@ -253,9 +267,8 @@ func TestSocialClosedForm(t *testing.T) {
 
 	c := DefaultConfig()
 	c.QPS = 500
-	hit := c.WebDemand + c.UserPhase1 + c.McRouterDemand + c.MemcachedDemand + c.UserPhase2 + 4*c.NetHop
-	want := hit + (1-c.HitRate)*c.StorageLatency
-	if mean := Run(c).Latency.Mean(); math.Abs(mean-want) > 0.01*want {
+	want := hit + (1-spec.Coins[0].Prob)*demand["storage"]
+	if mean := runSocial(t, c).Latency.Mean(); math.Abs(mean-want) > 0.01*want {
 		t.Fatalf("jittered CPU mean %.4f ms, want %.4f ms ±1%%", mean, want)
 	}
 }
@@ -267,10 +280,7 @@ func TestSocialClosedForm(t *testing.T) {
 // the last leg and nothing else.
 func TestComposePostClosedForm(t *testing.T) {
 	spec := ComposePostGraph()
-	demand := map[string]float64{}
-	for _, st := range spec.Stages {
-		demand[st.Name] = st.DemandMs
-	}
+	demand := stageDemands(spec)
 	hop := spec.NetHopMs
 	slowest := math.Max(math.Max(demand["uniq"], demand["urls"]), math.Max(demand["text"], demand["tags"]))
 	for _, mode := range closedFormModes {
@@ -373,7 +383,7 @@ func TestPollaczekKhinchineClosedForm(t *testing.T) {
 // saturation at the calibrated loads.
 func TestGraphScenarios(t *testing.T) {
 	for _, name := range []string{"hotel", "media", "iot"} {
-		spec, err := GraphByName(name, DefaultConfig())
+		spec, err := GraphByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -414,40 +424,66 @@ func TestGraphScenarios(t *testing.T) {
 	}
 }
 
-// TestGraphJSONRoundTrip: a spec survives JSON marshal → LoadGraph and
-// runs identically to the in-memory original.
+// TestGraphJSONRoundTrip: every bundled spec survives JSON marshal →
+// LoadGraph (the path syssim -graph file.json takes) and runs a CPU and
+// an RPU point to the same metrics as the in-memory original, and so
+// does a copy without net_hop_ms, which takes the default wire hop.
 func TestGraphJSONRoundTrip(t *testing.T) {
-	spec := HotelGraph()
-	raw, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, name := range GraphNames() {
+		spec, err := GraphByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["net_hop_ms"]; !ok {
+			t.Fatalf("%s: the bundled spec sets no net_hop_ms", name)
+		}
+		delete(fields, "net_hop_ms")
+		noHop, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loaded []*GraphSpec
+		for i, form := range [][]byte{raw, noHop} {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.json", name, i))
+			if err := os.WriteFile(path, form, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g, err := LoadGraph(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded = append(loaded, g)
+		}
+		for _, rpu := range []bool{false, true} {
+			c := DefaultConfig()
+			c.QPS = 3000
+			c.Seconds = 0.3
+			c.Warmup = 0.05
+			c.Drain = 3
+			c.Seed = 11
+			c.RPU, c.Split = rpu, rpu
+			want := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: spec})
+			for i, g := range loaded {
+				if got := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: g}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s file %d rpu=%v: JSON round trip changed the run:\nmem:  %s\nfile: %s",
+						name, i, rpu, goldenLine(want), goldenLine(got))
+				}
+			}
+		}
 	}
-	path := filepath.Join(t.TempDir(), "hotel.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadGraph(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(g *GraphSpec) string {
-		c := DefaultConfig()
-		c.QPS = 6000
-		c.Seconds = 1
-		c.Warmup = 0.25
-		c.Drain = 5
-		c.Seed = 11
-		c.RPU = true
-		c.Split = true
-		return goldenLine(mustTail(t, TailConfig{Config: c, Scale: 1, Graph: g}))
-	}
-	if a, b := run(spec), run(loaded); a != b {
-		t.Fatalf("JSON round trip changed the run:\nmem:  %s\nfile: %s", a, b)
-	}
-	if _, err := LoadGraph(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := LoadGraph(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("LoadGraph of a missing file succeeded")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
+	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"name":"x","entry":"a"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +506,7 @@ func TestGraphDeterminism(t *testing.T) {
 		c.Seed = int64(i + 3)
 		c.RPU = i%2 == 1
 		c.Split = c.RPU
-		spec, err := GraphByName(names[i%len(names)], DefaultConfig())
+		spec, err := GraphByName(names[i%len(names)])
 		if err != nil {
 			t.Fatalf("%s: %v", names[i%len(names)], err)
 		}
@@ -533,7 +569,7 @@ func TestGraphKnees(t *testing.T) {
 		for mode, rpu := range []bool{false, true} {
 			var base, knee float64
 			for j, qps := range loads {
-				spec, err := GraphByName(name, DefaultConfig())
+				spec, err := GraphByName(name)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -593,9 +629,8 @@ func TestFanoutRejectionConservation(t *testing.T) {
 // with the bundled graphs and a social graph whose user1 demand
 // (1e19 ms) lies past the scheduler's int64 day range.
 func FuzzGraphSpec(f *testing.F) {
-	cfg := DefaultConfig()
 	for _, name := range GraphNames() {
-		g, err := GraphByName(name, cfg)
+		g, err := GraphByName(name)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -605,7 +640,7 @@ func FuzzGraphSpec(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	far := SocialGraph(cfg)
+	far := SocialGraph()
 	for i := range far.Stages {
 		if far.Stages[i].Name == "user1" {
 			far.Stages[i].DemandMs = 1e19

@@ -30,7 +30,7 @@ func TestSeededDeterminism(t *testing.T) {
 			cfg.Seconds = 1.5
 			cfg.Seed = 7
 			cfg.RPU, cfg.Split = mode.rpu, mode.split
-			out += fingerprint(Run(cfg)) + "\n"
+			out += fingerprint(runSocial(t, cfg)) + "\n"
 		}
 		return out
 	}
@@ -60,7 +60,7 @@ func TestMonitorDoesNotPerturb(t *testing.T) {
 		cfg.Seconds = 1.5
 		cfg.RPU, cfg.Split = true, true
 		cfg.Monitor = mon
-		return fingerprint(Run(cfg))
+		return fingerprint(runSocial(t, cfg))
 	}
 	plain := run(nil)
 	mon := &Monitor{Reg: obs.NewRegistry(), Sink: obs.NewTraceSink(), Label: "t", MinDT: 1, Spans: true}
@@ -103,7 +103,7 @@ func TestMonitorTraceShape(t *testing.T) {
 	cfg.Seconds = 1
 	cfg.Warmup = 0.25
 	cfg.Monitor = mon
-	Run(cfg)
+	runSocial(t, cfg)
 
 	var buf bytes.Buffer
 	if err := mon.Sink.WriteJSON(&buf); err != nil {

@@ -1,6 +1,7 @@
 package queuesim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -202,7 +203,7 @@ func TestSystemConservationLowLoad(t *testing.T) {
 		cfg.QPS = 2000
 		cfg.Seconds = 2
 		cfg.RPU, cfg.Split = mode.rpu, mode.split
-		m := Run(cfg)
+		m := runSocial(t, cfg)
 		measured := cfg.Seconds - cfg.Warmup
 		expected := cfg.QPS * measured
 		got := float64(m.Completed)
@@ -218,7 +219,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 	low.Seconds = 2
 	high := low
 	high.QPS = 15500
-	ml, mh := Run(low), Run(high)
+	ml, mh := runSocial(t, low), runSocial(t, high)
 	if mh.Latency.Percentile(99) <= ml.Latency.Percentile(99) {
 		t.Fatalf("p99 did not grow with load: %v vs %v",
 			ml.Latency.Percentile(99), mh.Latency.Percentile(99))
@@ -231,7 +232,7 @@ func TestCPUSaturatesNearPaperKnee(t *testing.T) {
 	under.Seconds = 2
 	over := under
 	over.QPS = 22000
-	mu, mo := Run(under), Run(over)
+	mu, mo := runSocial(t, under), runSocial(t, over)
 	if mu.UserUtil > 0.99 {
 		t.Fatalf("CPU saturated below 13 kQPS (util %.2f)", mu.UserUtil)
 	}
@@ -245,7 +246,7 @@ func TestRPUSplitSustainsHigherLoad(t *testing.T) {
 	cfg.QPS = 45000
 	cfg.Seconds = 2
 	cfg.RPU, cfg.Split = true, true
-	m := Run(cfg)
+	m := runSocial(t, cfg)
 	if m.UserUtil > 0.99 {
 		t.Fatalf("RPU w/ split saturated at 45 kQPS (util %.2f)", m.UserUtil)
 	}
@@ -262,10 +263,10 @@ func TestNoSplitInflatesAverageNotTail(t *testing.T) {
 
 	split := base
 	split.Split = true
-	ms, mn := Run(split), Run(base)
+	ms, mn := runSocial(t, split), runSocial(t, base)
 	// Without splitting, hit requests wait for the storage round trip:
 	// average latency inflates by most of the storage latency.
-	if mn.Latency.Mean() < ms.Latency.Mean()+0.5*base.StorageLatency {
+	if mn.Latency.Mean() < ms.Latency.Mean()+0.5*stageDemands(SocialGraph())["storage"] {
 		t.Fatalf("no-split average %.2f not inflated vs split %.2f",
 			mn.Latency.Mean(), ms.Latency.Mean())
 	}
@@ -281,12 +282,12 @@ func TestBatchFormationFillsUnderLoad(t *testing.T) {
 	cfg.QPS = 40000
 	cfg.Seconds = 2
 	cfg.RPU, cfg.Split = true, true
-	m := Run(cfg)
+	m := runSocial(t, cfg)
 	if m.AvgBatchFill < 16 {
 		t.Fatalf("average batch fill %.1f at high load", m.AvgBatchFill)
 	}
 	cfg.QPS = 2000
-	m2 := Run(cfg)
+	m2 := runSocial(t, cfg)
 	if m2.AvgBatchFill >= m.AvgBatchFill {
 		t.Fatal("batch fill should shrink at low load (timeout flushes)")
 	}
@@ -296,8 +297,8 @@ func TestBatchFormationFillsUnderLoad(t *testing.T) {
 // social graph with batches formed at a zero-demand ingress, before the
 // web tier, so each batch crosses web as one unit instead of every
 // request being acknowledged individually first.
-func webTierBatching(cfg Config) *GraphSpec {
-	g := SocialGraph(cfg)
+func webTierBatching() *GraphSpec {
+	g := SocialGraph()
 	g.Name = "social-webtier"
 	g.Entry = "ingress"
 	g.Stations = append(g.Stations, StationSpec{Name: "ingress", Infinite: true})
@@ -306,7 +307,7 @@ func webTierBatching(cfg Config) *GraphSpec {
 	g.Batch.FormAfter = "ingress"
 	g.Batch.Entry = "bweb"
 	g.Batch.EntryHop = false
-	g.Batch.Stages = append([]BatchStageSpec{{Name: "bweb", Station: "web", DemandMs: cfg.WebDemand,
+	g.Batch.Stages = append([]BatchStageSpec{{Name: "bweb", Station: "web", DemandMs: stageDemands(g)["web"],
 		Next: []EdgeSpec{{To: "buser1", Hop: true}}}}, g.Batch.Stages...)
 	return g
 }
@@ -318,11 +319,11 @@ func TestBatchTierPlacement(t *testing.T) {
 	base.QPS = 20000
 	base.Seconds = 2
 	base.RPU, base.Split = true, true
-	spec := webTierBatching(base)
+	spec := webTierBatching()
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("web-tier spec: %v", err)
 	}
-	ml := Run(base)
+	ml := runSocial(t, base)
 	mw := mustTail(t, TailConfig{Config: base, Scale: 1, Graph: spec})
 	if ml.Completed == 0 || mw.Completed == 0 {
 		t.Fatal("no completions")
@@ -336,7 +337,52 @@ func TestBatchTierPlacement(t *testing.T) {
 	cpu := base
 	cpu.QPS = 5000
 	cpu.RPU, cpu.Split = false, false
-	checkConservation(t, mustTail(t, TailConfig{Config: cpu, Scale: 1, Graph: webTierBatching(cpu)}), "webtier-cpu")
+	checkConservation(t, mustTail(t, TailConfig{Config: cpu, Scale: 1, Graph: webTierBatching()}), "webtier-cpu")
+}
+
+// poissonFill returns the mean and variance of a batch's fill
+// F = min(b, 1+N) with N ~ Poisson(m): the batch opens at its first
+// member, takes the N arrivals of its timeout window and launches
+// early when full.
+func poissonFill(b int, m float64) (mean, variance float64) {
+	var ef, ef2, tail float64
+	p := math.Exp(-m) // P(N = k), starting at k = 0
+	for k := 0; k <= b-2; k++ {
+		f := float64(1 + k)
+		ef += f * p
+		ef2 += f * f * p
+		tail += p
+		p *= m / float64(k+1)
+	}
+	full := float64(b)
+	ef += full * (1 - tail)
+	ef2 += full * full * (1 - tail)
+	return ef, ef2 - ef*ef
+}
+
+// TestBatchFillClosedForm: batches formed behind a zero-time ingress
+// see Poisson arrivals, so each batch's fill is min(B, 1+N) with
+// N ~ Poisson(λT), and fills are independent because each batch opens
+// at the next arrival. The measured mean fill must match the closed
+// form within four standard errors (plus the one batch the end of
+// arrivals cuts short) at loads whose λT spans B.
+func TestBatchFillClosedForm(t *testing.T) {
+	for _, qps := range []float64{8000, 24000, 32000, 48000} {
+		cfg := DefaultConfig()
+		cfg.QPS = qps
+		cfg.Seconds = 2
+		cfg.Warmup = 0.5
+		cfg.RPU = true
+		m := mustTail(t, TailConfig{Config: cfg, Scale: 1, Graph: webTierBatching()})
+		lambdaT := qps / 1000 * cfg.BatchTimeout
+		want, variance := poissonFill(cfg.BatchSize, lambdaT)
+		n := float64(m.Batches)
+		bound := 4*math.Sqrt(variance/n) + float64(cfg.BatchSize-1)/n
+		if got := m.AvgBatchFill; math.Abs(got-want) > bound {
+			t.Fatalf("λT=%v: mean fill %.3f over %d batches, closed form %.3f ± %.3f",
+				lambdaT, got, m.Batches, want, bound)
+		}
+	}
 }
 
 // composePost is a 1x compose-post load point on the engine: the

@@ -218,7 +218,7 @@ func TestLaneFastPathEngaged(t *testing.T) {
 			cfg.Warmup = 0.05
 			cfg.Drain = 0.2
 			cfg.RPU, cfg.Split = rpu, rpu
-			spec, err := GraphByName(name, cfg.Config)
+			spec, err := GraphByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -579,7 +579,7 @@ func TestFarDemandEngine(t *testing.T) {
 		cfg := tailBase()
 		cfg.Seconds = 0.1
 		cfg.Warmup = 0
-		spec := SocialGraph(cfg.Config)
+		spec := SocialGraph()
 		for i := range spec.Stages {
 			if spec.Stages[i].Name == "user1" {
 				spec.Stages[i].DemandMs = demand

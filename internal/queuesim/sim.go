@@ -9,7 +9,8 @@
 // the compose-post path (ComposePostGraph) and the tail-at-scale
 // studies at data-center populations (10⁶+ in-flight requests) with
 // burst/diurnal/closed-loop arrivals and timeout/retry/hedge policies.
-// Run wraps RunTail for a 1x Figure 22 load point.
+// Each graph holds its own demands, hit rates and wire hop; Config
+// holds only the run's parameters.
 package queuesim
 
 import (

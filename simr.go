@@ -27,6 +27,7 @@ package simr
 import (
 	"simr/internal/core"
 	"simr/internal/queuesim"
+	"simr/internal/stats"
 	"simr/internal/uservices"
 )
 
@@ -51,7 +52,10 @@ type (
 	Result = core.Result
 	// BatchSweepRow is one RPU batch-size point of a batch-tuning sweep.
 	BatchSweepRow = core.BatchSweepRow
-	// SystemConfig parameterises the end-to-end queueing scenario.
+	// SystemConfig parameterises the end-to-end queueing scenario. It
+	// carries run parameters only (load, windows, RPU batching, cores,
+	// seed); the tier demands, hit rate and wire hop are fixed by the
+	// Figure 22 social graph.
 	SystemConfig = queuesim.Config
 	// SystemMetrics is one load point's outcome.
 	SystemMetrics = queuesim.TailMetrics
@@ -89,5 +93,15 @@ func BatchSweep(svc *Service, reqs []Request, sizes []int, workers int) (*Result
 // DefaultSystemConfig returns the Figure 22 end-to-end scenario.
 func DefaultSystemConfig() SystemConfig { return queuesim.DefaultConfig() }
 
-// RunSystem simulates one end-to-end load point.
-func RunSystem(cfg SystemConfig) *SystemMetrics { return queuesim.Run(cfg) }
+// RunSystem simulates one end-to-end load point: the Figure 22 social
+// graph at 1x scale. A configuration the engine rejects (no load, no
+// measured window, a negative drain) yields the empty measurement,
+// Completed 0 and an empty Latency; returning the error instead waits
+// for the benchmark, which calls RunSystem, to move with it.
+func RunSystem(cfg SystemConfig) *SystemMetrics {
+	m, err := queuesim.RunTail(queuesim.TailConfig{Config: cfg, Scale: 1})
+	if err != nil {
+		return &SystemMetrics{Offered: cfg.QPS, Latency: stats.NewSample(0)}
+	}
+	return m
+}
