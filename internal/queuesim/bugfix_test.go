@@ -54,7 +54,7 @@ func TestBatcherRearmsPerBatch(t *testing.T) {
 		Stages: []StageSpec{{Name: "in", Station: "in", Fixed: true,
 			Next: []EdgeSpec{{To: edgeDone}}}},
 		Batch: &BatchSpec{FormAfter: "in", Entry: "bb",
-			Stages: []BatchStageSpec{{Name: "bb", Station: "b", Fixed: true,
+			Stages: []StageSpec{{Name: "bb", Station: "b", Fixed: true,
 				Next: []EdgeSpec{{To: edgeDone}}}}}}
 	e, err := newTailEngine(TailConfig{Config: c, Scale: 1, Graph: spec})
 	if err != nil {

@@ -342,7 +342,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RPU && !g.hasBatch {
+	if cfg.RPU && g.bentry < 0 {
 		return nil, fmt.Errorf("queuesim: graph %q has no batch path; RPU mode needs one", g.name)
 	}
 

@@ -44,14 +44,20 @@ func (e *engine) enter(idx, stage int32) {
 	e.submitReq(&e.sts[e.g.stages[stage].station], idx)
 }
 
-// serveReq draws the service demand from the compiled stage.
-func (e *engine) serveReq(st *estation, idx int32) {
-	s := &e.g.stages[e.reqs.at(idx).stage]
-	d := s.demand
-	if !s.fixed {
-		d = e.sim.Jitter(d) * e.latMul
+// demand draws a stage's service time: the demand verbatim when fixed,
+// else jittered and scaled by the RPU latency multiplier, on top of any
+// on-core hold (the reconvergence wait of an unsplit batch; zero on
+// request stages).
+func (e *engine) demand(s *cstage) float64 {
+	if s.fixed {
+		return s.hold + s.demand
 	}
-	e.sim.AtEvent(d, ekSvcDone, idx, st.idx)
+	return s.hold + e.sim.Jitter(s.demand)*e.latMul
+}
+
+// serveReq starts a request's service at its compiled stage.
+func (e *engine) serveReq(st *estation, idx int32) {
+	e.sim.AtEvent(e.demand(&e.g.stages[e.reqs.at(idx).stage]), ekSvcDone, idx, st.idx)
 }
 
 // followEdge moves a request along one compiled edge, crossing the
@@ -203,17 +209,9 @@ func (e *engine) followBEdge(bi int32, ed *cedge) {
 	e.enterBatch(bi, ed.to)
 }
 
-// serveBatch draws the batch service demand: fixed or jittered
-// demand, plus any on-core hold (the reconvergence wait of an unsplit
-// batch).
+// serveBatch starts a batch's service at its compiled batch stage.
 func (e *engine) serveBatch(st *estation, bi int32) {
-	bs := &e.g.bstages[e.batches.at(bi).stage]
-	d := bs.demand
-	if !bs.fixed {
-		d = e.sim.Jitter(d) * e.latMul
-	}
-	d = bs.hold + d
-	e.sim.AtEvent(d, ekBatchDone, bi, st.idx)
+	e.sim.AtEvent(e.demand(&e.g.bstages[e.batches.at(bi).stage]), ekBatchDone, bi, st.idx)
 }
 
 // routeBatch routes a batch past its just-completed stage: into a
@@ -236,7 +234,7 @@ func (e *engine) routeBatch(bi int32) {
 // occupy their stations batch-wide and join back before the parent
 // batch continues. Unlike request legs there is no rejection hazard:
 // submitBatch has no queue cap, so the join count cannot race.
-func (e *engine) spawnBatchLegs(bi int32, bs *cbstage) {
+func (e *engine) spawnBatchLegs(bi int32, bs *cstage) {
 	sync := int32(0)
 	for i := range bs.fanout {
 		if !bs.fanout[i].async {
@@ -303,8 +301,8 @@ func (e *engine) diverge(bi int32, dv *cbdiv) {
 		return
 	}
 	if !e.cfg.Split {
-		if dv.hasHold {
-			e.followBEdge(bi, &dv.hold)
+		if dv.hold != nil {
+			e.followBEdge(bi, dv.hold)
 		} else {
 			e.followBEdge(bi, &dv.miss)
 		}

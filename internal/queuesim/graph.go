@@ -1,13 +1,16 @@
 // Declarative service graphs for the tail-at-scale engine. A GraphSpec
-// describes a microservice scenario as data — stations with service
-// demands and capacity multipliers, request stages wired by sync/async
-// fan-out edges, an optional RPU batch path with a formation point and
-// hit/miss divergence — and the generic executor in exec.go walks the
-// compiled form instead of a hand-coded dispatch switch. The social
-// and compose-post graphs that used to be Go code are now specs (the
-// social grid's outputs are frozen in testdata/golden_social.txt), and new
+// describes a microservice scenario as data: stations with capacity
+// multipliers, request stages with service demands wired by
+// coin-conditioned edges and sync/async fan-out, and an optional RPU
+// batch path with a formation point and hit/miss divergence. Both paths
+// are lists of the same StageSpec; one pass (compileStages) resolves
+// and checks either, and the generic executor in exec.go walks the
+// compiled form instead of a hand-coded dispatch switch. The social and
+// compose-post graphs that used to be Go code are now specs (the social
+// grid's outputs are frozen in testdata/golden_social.txt), and new
 // DeathStarBench-style scenarios (hotel-reservation, media-service,
-// IoT/edge) are just more specs, loadable from JSON.
+// IoT/edge) are just more specs, loadable from JSON; testdata/hotel.json
+// pins the file format.
 package queuesim
 
 import (
@@ -80,20 +83,28 @@ type CoinSpec struct {
 	Prob float64 `json:"prob"`
 }
 
-// StageSpec is one request-pipeline stage: service at Station for
-// ~DemandMs (jittered ±20% and scaled by the RPU latency multiplier
-// unless Fixed), then Next edges. A stage with Fanout edges spawns one
-// leg per edge after service; sync legs must reach "join", and the
-// stage's Next edges fire when the last sync leg joins.
+// StageSpec is one pipeline stage, on the request path or the batch
+// path: service at Station for ~DemandMs (jittered ±20% and scaled by
+// the RPU latency multiplier unless Fixed), then Next edges. A stage
+// with Fanout edges spawns one leg per edge after service; sync legs
+// must reach "join", and the stage's Next edges fire when the last sync
+// leg joins. HoldMs and Diverge apply only on the batch path; a request
+// stage that sets either is rejected.
 type StageSpec struct {
 	Name     string  `json:"name"`
 	Station  string  `json:"station"`
 	DemandMs float64 `json:"demand_ms"`
 	// Fixed uses DemandMs verbatim: no jitter, no RPU latency
 	// multiplier (the storage-latency model).
-	Fixed  bool       `json:"fixed,omitempty"`
-	Next   []EdgeSpec `json:"next,omitempty"`
-	Fanout []EdgeSpec `json:"fanout,omitempty"`
+	Fixed bool `json:"fixed,omitempty"`
+	// HoldMs adds a fixed on-core occupancy on top of the service
+	// demand (the reconvergence wait of an unsplit batch).
+	HoldMs float64 `json:"hold_ms,omitempty"`
+	// Diverge replaces Next and Fanout: after service the batch splits
+	// on a per-member coin.
+	Diverge *DivergeSpec `json:"diverge,omitempty"`
+	Next    []EdgeSpec   `json:"next,omitempty"`
+	Fanout  []EdgeSpec   `json:"fanout,omitempty"`
 }
 
 // EdgeSpec is one transition. Hop inserts a network-hop delay; a
@@ -111,34 +122,22 @@ type EdgeSpec struct {
 // BatchSpec is the RPU batch path: requests completing FormAfter join
 // the forming batch (width Config.BatchSize, per-batch timeout
 // Config.BatchTimeout), and launched batches enter Entry (crossing a
-// network hop first when EntryHop).
+// network hop first when EntryHop). Its stages are a namespace of their
+// own; next edges carry no coins (a batch diverges instead) and
+// fan-out edges no conditions.
 type BatchSpec struct {
-	FormAfter string           `json:"form_after"`
-	Entry     string           `json:"entry"`
-	EntryHop  bool             `json:"entry_hop,omitempty"`
-	Stages    []BatchStageSpec `json:"stages"`
+	FormAfter string      `json:"form_after"`
+	Entry     string      `json:"entry"`
+	EntryHop  bool        `json:"entry_hop,omitempty"`
+	Stages    []StageSpec `json:"stages"`
 }
 
-// BatchStageSpec is one batch-pipeline stage. HoldMs adds a fixed
-// on-core occupancy on top of the service demand (the reconvergence
-// wait of an unsplit batch). Diverge replaces Next: after service the
-// batch splits on a per-member coin.
-type BatchStageSpec struct {
-	Name     string       `json:"name"`
-	Station  string       `json:"station"`
-	DemandMs float64      `json:"demand_ms"`
-	Fixed    bool         `json:"fixed,omitempty"`
-	HoldMs   float64      `json:"hold_ms,omitempty"`
-	Diverge  *DivergeSpec `json:"diverge,omitempty"`
-	Next     []EdgeSpec   `json:"next,omitempty"`
-	Fanout   []EdgeSpec   `json:"fanout,omitempty"`
-}
-
-// DivergeSpec routes a batch after a per-member hit/miss divergence:
-// an all-hit batch follows Hit; with Split enabled, miss members
-// follow Miss as a sub-batch (all-miss batches follow it whole) while
-// hits follow Hit; with Split disabled the whole batch follows Hold
-// when any member missed (or Miss, when Hold is nil).
+// DivergeSpec routes a batch-path stage's batch after a per-member
+// hit/miss divergence on Coin: an all-hit batch follows Hit; with Split
+// enabled, miss members follow Miss as a sub-batch (all-miss batches
+// follow it whole) while hits follow Hit; with Split disabled the whole
+// batch follows Hold when any member missed (or Miss, when Hold is
+// nil). Its edges carry no coin and are never async.
 type DivergeSpec struct {
 	Coin string    `json:"coin"`
 	Hit  EdgeSpec  `json:"hit"`
@@ -248,30 +247,36 @@ type cstation struct {
 	batched   bool // referenced by a batch stage: serves batches in RPU mode
 }
 
+// cstage is a compiled stage of either path; hold and div are zero on
+// request stages.
 type cstage struct {
 	station int32
-	demand  float64
 	fixed   bool
-	next    []cedge
-	fanout  []cedge
-}
-
-type cbstage struct {
-	station int32
 	demand  float64
-	fixed   bool
 	hold    float64
 	div     *cbdiv
 	next    []cedge
 	fanout  []cedge
 }
 
+// succ returns the edges a stage continues along after service, its
+// fan-out aside: its next edges, or the edges its divergence can take.
+func (s *cstage) succ() []cedge {
+	if s.div == nil {
+		return s.next
+	}
+	out := []cedge{s.div.hit, s.div.miss}
+	if s.div.hold != nil {
+		out = append(out, *s.div.hold)
+	}
+	return out
+}
+
 type cbdiv struct {
-	coin    uint8
-	hit     cedge
-	miss    cedge
-	hold    cedge
-	hasHold bool
+	coin uint8
+	hit  cedge
+	miss cedge
+	hold *cedge // nil: an unsplit batch with a miss follows miss
 }
 
 type cgraph struct {
@@ -280,20 +285,28 @@ type cgraph struct {
 	stations    []cstation
 	coins       []float64
 	stages      []cstage
-	bstages     []cbstage
+	bstages     []cstage // the batch path, empty when the graph has none
 	entry       int32
 	utilStation int32
-	hasBatch    bool
-	formAfter   int32
-	bentry      int32
+	formAfter   int32 // -1 when the graph has no batch path
+	bentry      int32 // -1 when the graph has no batch path
 	bentryHop   bool
+}
+
+// nonNegFinite reports whether v is a usable duration or multiplier:
+// neither negative, NaN nor infinite.
+func nonNegFinite(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 // compileGraph validates a spec and resolves it to index-addressed
 // tables the executor walks.
 func compileGraph(g *GraphSpec) (*cgraph, error) {
+	errf := func(format string, a ...any) error {
+		return fmt.Errorf("graph %q: %s", g.Name, fmt.Sprintf(format, a...))
+	}
 	fail := func(format string, a ...any) (*cgraph, error) {
-		return nil, fmt.Errorf("graph %q: %s", g.Name, fmt.Sprintf(format, a...))
+		return nil, errf(format, a...)
 	}
 	if len(g.Stages) == 0 {
 		return fail("empty graph: no stages")
@@ -301,17 +314,14 @@ func compileGraph(g *GraphSpec) (*cgraph, error) {
 	if len(g.Stations) == 0 {
 		return fail("empty graph: no stations")
 	}
-	if len(g.Stages) > 100 || (g.Batch != nil && len(g.Batch.Stages) > 100) {
-		return fail("too many stages (max 100)")
-	}
 	if len(g.Coins) > 16 {
 		return fail("too many coins (max 16)")
 	}
 
-	if !(g.NetHopMs >= 0) || math.IsInf(g.NetHopMs, 0) {
+	if !nonNegFinite(g.NetHopMs) {
 		return fail("net_hop_ms %v", g.NetHopMs)
 	}
-	c := &cgraph{name: g.Name, netHop: g.NetHopMs, utilStation: -1}
+	c := &cgraph{name: g.Name, netHop: g.NetHopMs, utilStation: -1, formAfter: -1, bentry: -1}
 	if c.netHop == 0 {
 		c.netHop = defaultNetHopMs
 	}
@@ -328,7 +338,7 @@ func compileGraph(g *GraphSpec) (*cgraph, error) {
 		if mul == 0 {
 			mul = 1
 		}
-		if mul < 0 || math.IsNaN(mul) || math.IsInf(mul, 0) {
+		if !nonNegFinite(mul) {
 			return fail("station %q: cores_mul %v", s.Name, s.CoresMul)
 		}
 		stations[s.Name] = int32(i)
@@ -369,18 +379,18 @@ func compileGraph(g *GraphSpec) (*cgraph, error) {
 		ce := cedge{coin: -1, hop: e.Hop, async: e.Async}
 		switch e.To {
 		case "":
-			return ce, fmt.Errorf("graph %q: %s: edge with no target", g.Name, where)
+			return ce, errf("%s: edge with no target", where)
 		case edgeDone:
 			ce.to = cgDone
 		case edgeJoin:
 			if !allowJoin {
-				return ce, fmt.Errorf("graph %q: %s: %q outside a fan-out leg", g.Name, where, edgeJoin)
+				return ce, errf("%s: %q outside a fan-out leg", where, edgeJoin)
 			}
 			ce.to = cgJoin
 		default:
 			to, ok := idx[e.To]
 			if !ok {
-				return ce, fmt.Errorf("graph %q: %s: edge to unknown stage %q", g.Name, where, e.To)
+				return ce, errf("%s: edge to unknown stage %q", where, e.To)
 			}
 			ce.to = to
 		}
@@ -391,176 +401,150 @@ func compileGraph(g *GraphSpec) (*cgraph, error) {
 			}
 			ci, ok := coins[name]
 			if !ok {
-				return ce, fmt.Errorf("graph %q: %s: unknown coin %q", g.Name, where, e.Coin)
+				return ce, errf("%s: unknown coin %q", where, e.Coin)
 			}
 			ce.coin, ce.want = ci, want
 		}
 		return ce, nil
 	}
 
-	// Request stages.
-	stageIdx := map[string]int32{}
-	for i, s := range g.Stages {
-		if s.Name == "" || s.Name == edgeDone || s.Name == edgeJoin {
-			return fail("stage %d: invalid name %q", i, s.Name)
+	// compileStages resolves one pipeline — the request path, or the
+	// batch path when batch — in its own stage namespace, and checks
+	// its topology from the stage named entry. The batch path's edges
+	// carry no coins: a batch diverges per member instead.
+	compileStages := func(kind string, specs []StageSpec, entry string, batch bool) ([]cstage, map[string]int32, error) {
+		if len(specs) > 100 {
+			return nil, nil, errf("too many %ss (max 100)", kind)
 		}
-		if _, dup := stageIdx[s.Name]; dup {
-			return fail("duplicate stage %q", s.Name)
-		}
-		stageIdx[s.Name] = int32(i)
-	}
-	for _, s := range g.Stages {
-		si, ok := stations[s.Station]
-		if !ok {
-			return fail("stage %q: unknown station %q", s.Name, s.Station)
-		}
-		if s.DemandMs < 0 || math.IsNaN(s.DemandMs) || math.IsInf(s.DemandMs, 0) {
-			return fail("stage %q: demand %v", s.Name, s.DemandMs)
-		}
-		cs := cstage{station: si, demand: s.DemandMs, fixed: s.Fixed}
-		if len(s.Next) == 0 {
-			return fail("stage %q has no next edges", s.Name)
-		}
-		for j, e := range s.Next {
-			ce, err := compileEdge(fmt.Sprintf("stage %q", s.Name), e, stageIdx, true)
-			if err != nil {
-				return nil, err
-			}
-			if j == len(s.Next)-1 && ce.coin >= 0 {
-				return fail("stage %q: final next edge must be unconditional", s.Name)
-			}
-			if ce.async {
-				return fail("stage %q: async is only valid on fan-out edges", s.Name)
-			}
-			cs.next = append(cs.next, ce)
-		}
-		for _, e := range s.Fanout {
-			ce, err := compileEdge(fmt.Sprintf("stage %q fan-out", s.Name), e, stageIdx, false)
-			if err != nil {
-				return nil, err
-			}
-			if ce.to < 0 {
-				return fail("stage %q: fan-out edge must target a stage", s.Name)
-			}
-			cs.fanout = append(cs.fanout, ce)
-		}
-		c.stages = append(c.stages, cs)
-	}
-	entry, ok := stageIdx[g.Entry]
-	if !ok {
-		return fail("entry %q is not a stage", g.Entry)
-	}
-	c.entry = entry
-
-	if err := checkTopology(g.Name, "stage", stageNames(g), c.stages2topo(), entry); err != nil {
-		return nil, err
-	}
-
-	// Batch path.
-	if g.Batch != nil {
-		b := g.Batch
-		c.hasBatch = true
-		c.bentryHop = b.EntryHop
-		fa, ok := stageIdx[b.FormAfter]
-		if !ok {
-			return fail("batch form_after %q is not a request stage", b.FormAfter)
-		}
-		if len(g.Stages[fa].Fanout) > 0 {
-			return fail("batch form_after %q cannot be a fan-out stage", b.FormAfter)
-		}
-		c.formAfter = fa
-		if len(b.Stages) == 0 {
-			return fail("batch path has no stages")
-		}
-		bIdx := map[string]int32{}
-		for i, s := range b.Stages {
+		idx := map[string]int32{}
+		for i, s := range specs {
 			if s.Name == "" || s.Name == edgeDone || s.Name == edgeJoin {
-				return fail("batch stage %d: invalid name %q", i, s.Name)
+				return nil, nil, errf("%s %d: invalid name %q", kind, i, s.Name)
 			}
-			if _, dup := bIdx[s.Name]; dup {
-				return fail("duplicate batch stage %q", s.Name)
+			if _, dup := idx[s.Name]; dup {
+				return nil, nil, errf("duplicate %s %q", kind, s.Name)
 			}
-			bIdx[s.Name] = int32(i)
+			idx[s.Name] = int32(i)
 		}
-		for _, s := range b.Stages {
+		out := make([]cstage, len(specs))
+		for i := range specs {
+			s, cs := &specs[i], &out[i]
+			where := fmt.Sprintf("%s %q", kind, s.Name)
 			si, ok := stations[s.Station]
 			if !ok {
-				return fail("batch stage %q: unknown station %q", s.Name, s.Station)
+				return nil, nil, errf("%s: unknown station %q", where, s.Station)
 			}
-			if s.DemandMs < 0 || s.HoldMs < 0 || math.IsNaN(s.DemandMs+s.HoldMs) {
-				return fail("batch stage %q: demand %v hold %v", s.Name, s.DemandMs, s.HoldMs)
+			if !batch && (s.HoldMs != 0 || s.Diverge != nil) {
+				return nil, nil, errf("%s: hold_ms and diverge apply only on the batch path", where)
 			}
-			c.stations[si].batched = true
-			bs := cbstage{station: si, demand: s.DemandMs, fixed: s.Fixed, hold: s.HoldMs}
-			where := fmt.Sprintf("batch stage %q", s.Name)
-			if s.Diverge != nil {
+			if !nonNegFinite(s.DemandMs) {
+				return nil, nil, errf("%s: demand %v", where, s.DemandMs)
+			}
+			if !nonNegFinite(s.HoldMs) {
+				return nil, nil, errf("%s: hold %v", where, s.HoldMs)
+			}
+			if batch {
+				c.stations[si].batched = true
+			}
+			*cs = cstage{station: si, demand: s.DemandMs, fixed: s.Fixed, hold: s.HoldMs}
+			if dv := s.Diverge; dv != nil {
 				if len(s.Next) > 0 || len(s.Fanout) > 0 {
-					return fail("batch stage %q: diverge excludes next/fanout edges", s.Name)
+					return nil, nil, errf("%s: diverge excludes next/fanout edges", where)
 				}
-				ci, ok := coins[s.Diverge.Coin]
+				ci, ok := coins[dv.Coin]
 				if !ok {
-					return fail("batch stage %q: diverge on unknown coin %q", s.Name, s.Diverge.Coin)
+					return nil, nil, errf("%s: diverge on unknown coin %q", where, dv.Coin)
 				}
-				dv := &cbdiv{coin: uint8(ci)}
+				cs.div = &cbdiv{coin: uint8(ci)}
+				hold := new(cedge)
 				for _, leg := range []struct {
 					label string
 					e     *EdgeSpec
 					dst   *cedge
-				}{{"hit", &s.Diverge.Hit, &dv.hit}, {"miss", &s.Diverge.Miss, &dv.miss}, {"hold", s.Diverge.Hold, &dv.hold}} {
+				}{{"hit", &dv.Hit, &cs.div.hit}, {"miss", &dv.Miss, &cs.div.miss}, {"hold", dv.Hold, hold}} {
 					if leg.e == nil {
 						continue
 					}
-					ce, err := compileEdge(where+" diverge "+leg.label, *leg.e, bIdx, false)
+					ce, err := compileEdge(where+" diverge "+leg.label, *leg.e, idx, false)
 					if err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 					if ce.coin >= 0 || ce.async {
-						return fail("batch stage %q: diverge %s edge must be plain", s.Name, leg.label)
+						return nil, nil, errf("%s: diverge %s edge must be plain", where, leg.label)
 					}
 					*leg.dst = ce
-					if leg.label == "hold" {
-						dv.hasHold = true
-					}
 				}
-				bs.div = dv
-			} else {
-				if len(s.Next) == 0 {
-					return fail("batch stage %q has no next edges", s.Name)
+				if dv.Hold != nil {
+					cs.div.hold = hold
 				}
-				for _, e := range s.Next {
-					ce, err := compileEdge(where, e, bIdx, true)
-					if err != nil {
-						return nil, err
-					}
-					if ce.coin >= 0 {
-						return fail("batch stage %q: next edges cannot carry coins (use diverge)", s.Name)
-					}
-					if ce.async {
-						return fail("batch stage %q: async is only valid on fan-out edges", s.Name)
-					}
-					bs.next = append(bs.next, ce)
-				}
-				for _, e := range s.Fanout {
-					ce, err := compileEdge(where+" fan-out", e, bIdx, false)
-					if err != nil {
-						return nil, err
-					}
-					if ce.to < 0 || ce.coin >= 0 {
-						return fail("batch stage %q: fan-out edge must target a stage unconditionally", s.Name)
-					}
-					bs.fanout = append(bs.fanout, ce)
-				}
+				continue
 			}
-			c.bstages = append(c.bstages, bs)
+			if len(s.Next) == 0 {
+				return nil, nil, errf("%s has no next edges", where)
+			}
+			for j, e := range s.Next {
+				ce, err := compileEdge(where, e, idx, true)
+				if err != nil {
+					return nil, nil, err
+				}
+				switch {
+				case batch && ce.coin >= 0:
+					return nil, nil, errf("%s: next edges cannot carry coins (use diverge)", where)
+				case j == len(s.Next)-1 && ce.coin >= 0:
+					return nil, nil, errf("%s: final next edge must be unconditional", where)
+				case j < len(s.Next)-1 && ce.coin < 0:
+					return nil, nil, errf("%s: next edge to %q is unconditional, so the edges after it are never taken", where, e.To)
+				case ce.async:
+					return nil, nil, errf("%s: async is only valid on fan-out edges", where)
+				}
+				cs.next = append(cs.next, ce)
+			}
+			for _, e := range s.Fanout {
+				ce, err := compileEdge(where+" fan-out", e, idx, false)
+				if err != nil {
+					return nil, nil, err
+				}
+				switch {
+				case ce.to < 0:
+					return nil, nil, errf("%s: fan-out edge must target a stage", where)
+				case batch && ce.coin >= 0:
+					return nil, nil, errf("%s: fan-out edge must target a stage unconditionally", where)
+				}
+				cs.fanout = append(cs.fanout, ce)
+			}
 		}
-		be, ok := bIdx[b.Entry]
+		ei, ok := idx[entry]
 		if !ok {
-			return fail("batch entry %q is not a batch stage", b.Entry)
+			return nil, nil, errf("entry %q is not a %s", entry, kind)
 		}
-		c.bentry = be
-		if err := checkTopology(g.Name, "batch stage", bstageNames(b), c.bstages2topo(), be); err != nil {
+		if err := checkTopology(g.Name, kind, specs, out, ei); err != nil {
+			return nil, nil, err
+		}
+		return out, idx, nil
+	}
+
+	stages, stageIdx, err := compileStages("stage", g.Stages, g.Entry, false)
+	if err != nil {
+		return nil, err
+	}
+	c.stages, c.entry = stages, stageIdx[g.Entry]
+
+	if b := g.Batch; b != nil {
+		fa, ok := stageIdx[b.FormAfter]
+		if !ok {
+			return fail("batch form_after %q is not a request stage", b.FormAfter)
+		}
+		if len(c.stages[fa].fanout) > 0 {
+			return fail("batch form_after %q cannot be a fan-out stage", b.FormAfter)
+		}
+		if len(b.Stages) == 0 {
+			return fail("batch path has no stages")
+		}
+		bstages, bIdx, err := compileStages("batch stage", b.Stages, b.Entry, true)
+		if err != nil {
 			return nil, err
 		}
+		c.bstages, c.bentry, c.bentryHop, c.formAfter = bstages, bIdx[b.Entry], b.EntryHop, fa
 		// Stations requests reach before the formation point serve
 		// requests even in RPU mode and must not also serve batches.
 		for _, si := range c.preFormStations() {
@@ -569,65 +553,16 @@ func compileGraph(g *GraphSpec) (*cgraph, error) {
 					c.stations[si].name)
 			}
 		}
-	} else {
-		c.formAfter = -1
-		c.bentry = -1
 	}
 	return c, nil
-}
-
-func stageNames(g *GraphSpec) []string {
-	names := make([]string, len(g.Stages))
-	for i, s := range g.Stages {
-		names[i] = s.Name
-	}
-	return names
-}
-
-func bstageNames(b *BatchSpec) []string {
-	names := make([]string, len(b.Stages))
-	for i, s := range b.Stages {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// topoNode is the edge view checkTopology walks: next edges, fan-out
-// edges, and (for batch stages) the divergence edges.
-type topoNode struct {
-	next   []cedge
-	fanout []cedge
-}
-
-func (c *cgraph) stages2topo() []topoNode {
-	out := make([]topoNode, len(c.stages))
-	for i, s := range c.stages {
-		out[i] = topoNode{next: s.next, fanout: s.fanout}
-	}
-	return out
-}
-
-func (c *cgraph) bstages2topo() []topoNode {
-	out := make([]topoNode, len(c.bstages))
-	for i, s := range c.bstages {
-		n := topoNode{next: s.next, fanout: s.fanout}
-		if s.div != nil {
-			n.next = append([]cedge{s.div.hit, s.div.miss}, n.next...)
-			if s.div.hasHold {
-				n.next = append(n.next, s.div.hold)
-			}
-		}
-		out[i] = n
-	}
-	return out
 }
 
 // checkTopology enforces the structural invariants shared by the
 // request and batch pipelines: the stage graph is acyclic, every stage
 // is reachable from the entry, the main chain never targets "join",
-// fan-out legs never target "done" or fan out again, and no stage is
-// shared between the main chain and a leg.
-func checkTopology(graph, kind string, names []string, nodes []topoNode, entry int32) error {
+// fan-out legs never target "done", fan out again or diverge, and no
+// stage is shared between the main chain and a leg.
+func checkTopology(graph, kind string, specs []StageSpec, stages []cstage, entry int32) error {
 	fail := func(format string, a ...any) error {
 		return fmt.Errorf("graph %q: %s", graph, fmt.Sprintf(format, a...))
 	}
@@ -637,18 +572,18 @@ func checkTopology(graph, kind string, names []string, nodes []topoNode, entry i
 		grey
 		black
 	)
-	colour := make([]int, len(nodes))
+	colour := make([]int, len(stages))
 	var visit func(int32) error
 	visit = func(i int32) error {
 		colour[i] = grey
-		for _, edges := range [][]cedge{nodes[i].next, nodes[i].fanout} {
+		for _, edges := range [][]cedge{stages[i].succ(), stages[i].fanout} {
 			for _, e := range edges {
 				if e.to < 0 {
 					continue
 				}
 				switch colour[e.to] {
 				case grey:
-					return fail("cycle through %s %q", kind, names[e.to])
+					return fail("cycle through %s %q", kind, specs[e.to].Name)
 				case white:
 					if err := visit(e.to); err != nil {
 						return err
@@ -659,7 +594,7 @@ func checkTopology(graph, kind string, names []string, nodes []topoNode, entry i
 		colour[i] = black
 		return nil
 	}
-	for i := range nodes {
+	for i := range stages {
 		if colour[i] == white {
 			if err := visit(int32(i)); err != nil {
 				return err
@@ -668,15 +603,15 @@ func checkTopology(graph, kind string, names []string, nodes []topoNode, entry i
 	}
 
 	// Main chain: BFS from entry over next edges only.
-	main := make([]bool, len(nodes))
+	main := make([]bool, len(stages))
 	queue := []int32{entry}
 	main[entry] = true
 	for len(queue) > 0 {
 		i := queue[0]
 		queue = queue[1:]
-		for _, e := range nodes[i].next {
+		for _, e := range stages[i].succ() {
 			if e.to == cgJoin {
-				return fail("%s %q: %q outside a fan-out leg", kind, names[i], edgeJoin)
+				return fail("%s %q: %q outside a fan-out leg", kind, specs[i].Name, edgeJoin)
 			}
 			if e.to >= 0 && !main[e.to] {
 				main[e.to] = true
@@ -686,12 +621,12 @@ func checkTopology(graph, kind string, names []string, nodes []topoNode, entry i
 	}
 
 	// Legs: BFS from every fan-out target of a main-chain stage.
-	leg := make([]bool, len(nodes))
-	for i := range nodes {
+	leg := make([]bool, len(stages))
+	for i := range stages {
 		if !main[i] {
 			continue
 		}
-		for _, e := range nodes[i].fanout {
+		for _, e := range stages[i].fanout {
 			if e.to >= 0 && !leg[e.to] {
 				leg[e.to] = true
 				queue = append(queue, e.to)
@@ -702,14 +637,17 @@ func checkTopology(graph, kind string, names []string, nodes []topoNode, entry i
 		i := queue[0]
 		queue = queue[1:]
 		if main[i] {
-			return fail("%s %q shared between the main path and a fan-out leg", kind, names[i])
+			return fail("%s %q shared between the main path and a fan-out leg", kind, specs[i].Name)
 		}
-		if len(nodes[i].fanout) > 0 {
-			return fail("%s %q: nested fan-out", kind, names[i])
+		if len(stages[i].fanout) > 0 {
+			return fail("%s %q: nested fan-out", kind, specs[i].Name)
 		}
-		for _, e := range nodes[i].next {
+		if stages[i].div != nil {
+			return fail("%s %q: diverge inside a fan-out leg, whose batch has no members", kind, specs[i].Name)
+		}
+		for _, e := range stages[i].succ() {
 			if e.to == cgDone {
-				return fail("%s %q: fan-out leg cannot target %q (use %q)", kind, names[i], edgeDone, edgeJoin)
+				return fail("%s %q: fan-out leg cannot target %q (use %q)", kind, specs[i].Name, edgeDone, edgeJoin)
 			}
 			if e.to >= 0 && !leg[e.to] {
 				leg[e.to] = true
@@ -718,9 +656,9 @@ func checkTopology(graph, kind string, names []string, nodes []topoNode, entry i
 		}
 	}
 
-	for i := range nodes {
+	for i := range stages {
 		if !main[i] && !leg[i] {
-			return fail("%s %q unreachable from the entry", kind, names[i])
+			return fail("%s %q unreachable from the entry", kind, specs[i].Name)
 		}
 	}
 	return nil
@@ -797,7 +735,7 @@ func SocialGraph() *GraphSpec {
 		},
 		Batch: &BatchSpec{
 			FormAfter: "web", Entry: "buser1", EntryHop: true,
-			Stages: []BatchStageSpec{
+			Stages: []StageSpec{
 				{Name: "buser1", Station: "user", DemandMs: 1.5,
 					Next: []EdgeSpec{{To: "bmcrouter", Hop: true}}},
 				{Name: "bmcrouter", Station: "mcrouter", DemandMs: 0.02,
@@ -868,7 +806,7 @@ func ComposePostGraph() *GraphSpec {
 			// individually and the batch enters the orchestrator directly
 			// (no entry hop).
 			FormAfter: "web", Entry: "borch",
-			Stages: []BatchStageSpec{
+			Stages: []StageSpec{
 				{Name: "borch", Station: "post-orch", DemandMs: 1.2,
 					Fanout: []EdgeSpec{{To: "buniq", Hop: true}, {To: "burls", Hop: true},
 						{To: "btext", Hop: true}, {To: "btags", Hop: true}},
@@ -929,7 +867,7 @@ func HotelGraph() *GraphSpec {
 		},
 		Batch: &BatchSpec{
 			FormAfter: "frontend", Entry: "bsearch", EntryHop: true,
-			Stages: []BatchStageSpec{
+			Stages: []StageSpec{
 				{Name: "bsearch", Station: "search", DemandMs: 1.1,
 					Fanout: []EdgeSpec{{To: "bgeo", Hop: true}, {To: "brate", Hop: true}},
 					Next:   []EdgeSpec{{To: "bprofile", Hop: true}}},
@@ -997,7 +935,7 @@ func MediaGraph() *GraphSpec {
 		},
 		Batch: &BatchSpec{
 			FormAfter: "frontend", Entry: "bapi", EntryHop: true,
-			Stages: []BatchStageSpec{
+			Stages: []StageSpec{
 				{Name: "bapi", Station: "api", DemandMs: 1.0,
 					Next: []EdgeSpec{{To: "breview", Hop: true}}},
 				{Name: "breview", Station: "review", DemandMs: 0.7,
@@ -1055,7 +993,7 @@ func IoTGraph() *GraphSpec {
 		},
 		Batch: &BatchSpec{
 			FormAfter: "gateway", Entry: "bdecode", EntryHop: true,
-			Stages: []BatchStageSpec{
+			Stages: []StageSpec{
 				{Name: "bdecode", Station: "decode", DemandMs: 0.6,
 					Next: []EdgeSpec{{To: "banalytics", Hop: true}}},
 				{Name: "banalytics", Station: "analytics", DemandMs: 1.3,

@@ -28,6 +28,24 @@ func TestGraphValidatorErrors(t *testing.T) {
 	stage := func(name string, next ...EdgeSpec) StageSpec {
 		return StageSpec{Name: name, Station: "s", DemandMs: 1, Next: next}
 	}
+	bstage := func(name string, next ...EdgeSpec) StageSpec {
+		return StageSpec{Name: name, Station: "b", DemandMs: 1, Next: next}
+	}
+	// batch wraps batch stages in a one-stage request path that forms
+	// batches after "a" and enters them at "ba"; edit is applied to the
+	// result before it is validated.
+	batch := func(edit func(*GraphSpec), stages ...StageSpec) GraphSpec {
+		g := GraphSpec{Name: "g", Entry: "a", Stations: st("s", "b"),
+			Coins:  []CoinSpec{{Name: "c", Prob: 0.5}},
+			Stages: []StageSpec{stage("a", EdgeSpec{To: "done"})},
+			Batch:  &BatchSpec{FormAfter: "a", Entry: "ba", Stages: stages}}
+		if edit != nil {
+			edit(&g)
+		}
+		return g
+	}
+	done, join := EdgeSpec{To: "done"}, EdgeSpec{To: "join"}
+	diverge := &DivergeSpec{Coin: "c", Hit: done, Miss: done}
 	for _, tc := range []struct {
 		label string
 		spec  GraphSpec
@@ -57,6 +75,8 @@ func TestGraphValidatorErrors(t *testing.T) {
 		{"conditional final edge", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
 			Coins:  []CoinSpec{{Name: "c", Prob: 0.5}},
 			Stages: []StageSpec{stage("a", EdgeSpec{To: "done", Coin: "c"})}}, "unconditional"},
+		{"unconditional next edge before the last", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
+			Stages: []StageSpec{stage("a", done, done)}}, "never taken"},
 		{"unreachable stage", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
 			Stages: []StageSpec{
 				stage("a", EdgeSpec{To: "done"}),
@@ -101,12 +121,12 @@ func TestGraphValidatorErrors(t *testing.T) {
 		{"batch form_after unknown", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
 			Stages: []StageSpec{stage("a", EdgeSpec{To: "done"})},
 			Batch: &BatchSpec{FormAfter: "ghost", Entry: "ba",
-				Stages: []BatchStageSpec{{Name: "ba", Station: "s", DemandMs: 1,
+				Stages: []StageSpec{{Name: "ba", Station: "s", DemandMs: 1,
 					Next: []EdgeSpec{{To: "done"}}}}}}, "form_after"},
 		{"batch diverge unknown coin", GraphSpec{Name: "g", Entry: "a", Stations: st("s", "b"),
 			Stages: []StageSpec{stage("a", EdgeSpec{To: "done"})},
 			Batch: &BatchSpec{FormAfter: "a", Entry: "ba",
-				Stages: []BatchStageSpec{{Name: "ba", Station: "b", DemandMs: 1,
+				Stages: []StageSpec{{Name: "ba", Station: "b", DemandMs: 1,
 					Diverge: &DivergeSpec{Coin: "ghost",
 						Hit:  EdgeSpec{To: "done"},
 						Miss: EdgeSpec{To: "done"}}}}}}, "unknown coin"},
@@ -114,8 +134,68 @@ func TestGraphValidatorErrors(t *testing.T) {
 			Stations: st("s"),
 			Stages:   []StageSpec{stage("a", EdgeSpec{To: "done"})},
 			Batch: &BatchSpec{FormAfter: "a", Entry: "ba",
-				Stages: []BatchStageSpec{{Name: "ba", Station: "s", DemandMs: 1,
+				Stages: []StageSpec{{Name: "ba", Station: "s", DemandMs: 1,
 					Next: []EdgeSpec{{To: "done"}}}}}}, "serves batches"},
+		{"empty batch path", batch(nil), "batch path has no stages"},
+		{"duplicate batch stage", batch(nil, bstage("ba", done), bstage("ba", done)),
+			`duplicate batch stage "ba"`},
+		{"unknown batch entry", batch(func(g *GraphSpec) { g.Batch.Entry = "ghost" },
+			bstage("ba", done)), `"ghost" is not a batch stage`},
+		{"batch stage without next edges", batch(nil, bstage("ba")),
+			`batch stage "ba" has no next edges`},
+		{"coin on a batch next edge", batch(nil,
+			bstage("ba", EdgeSpec{To: "done", Coin: "c"}, done)), "next edges cannot carry coins"},
+		{"batch diverge with next edges", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1, Diverge: diverge,
+				Next: []EdgeSpec{done}}), "diverge excludes next/fanout edges"},
+		{"batch diverge with fan-out edges", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1, Diverge: diverge,
+				Fanout: []EdgeSpec{{To: "bl"}}},
+			bstage("bl", join)), "diverge excludes next/fanout edges"},
+		{"coin on a diverge edge", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1, Diverge: &DivergeSpec{Coin: "c",
+				Hit: EdgeSpec{To: "done", Coin: "c"}, Miss: done}}), "diverge hit edge must be plain"},
+		{"async diverge edge", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1, Diverge: &DivergeSpec{Coin: "c",
+				Hit: done, Miss: EdgeSpec{To: "done", Async: true}}}), "diverge miss edge must be plain"},
+		{"conditional batch fan-out edge", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1,
+				Fanout: []EdgeSpec{{To: "bl", Coin: "c"}}, Next: []EdgeSpec{done}},
+			bstage("bl", join)), "fan-out edge must target a stage unconditionally"},
+		{"second batch next edge", batch(nil, bstage("ba", done, EdgeSpec{To: "bx"}), bstage("bx", done)),
+			`next edge to "done" is unconditional, so the edges after it are never taken`},
+		{"diverge on a batch fan-out leg", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1,
+				Fanout: []EdgeSpec{{To: "bl"}}, Next: []EdgeSpec{done}},
+			StageSpec{Name: "bl", Station: "b", DemandMs: 1, Diverge: &DivergeSpec{Coin: "c",
+				Hit: EdgeSpec{To: "bj"}, Miss: EdgeSpec{To: "bj"}}},
+			bstage("bj", join)), `batch stage "bl": diverge inside a fan-out leg`},
+		{"batch cycle", batch(nil, bstage("ba", EdgeSpec{To: "bb"}), bstage("bb", EdgeSpec{To: "ba"})),
+			"cycle through batch stage"},
+		{"unreachable batch stage", batch(nil, bstage("ba", done), bstage("bx", done)),
+			`batch stage "bx" unreachable`},
+		{"batch form_after on a fan-out stage", batch(func(g *GraphSpec) {
+			g.Stages = []StageSpec{
+				{Name: "a", Station: "s", DemandMs: 1,
+					Fanout: []EdgeSpec{{To: "leg"}}, Next: []EdgeSpec{done}},
+				stage("leg", join),
+			}
+		}, bstage("ba", done)), "cannot be a fan-out stage"},
+		{"negative batch hold", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1, HoldMs: -1, Next: []EdgeSpec{done}}),
+			"hold -1"},
+		{"infinite batch demand", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: math.Inf(1), Next: []EdgeSpec{done}}),
+			`batch stage "ba": demand +Inf`},
+		{"infinite batch hold", batch(nil,
+			StageSpec{Name: "ba", Station: "b", DemandMs: 1, HoldMs: math.Inf(1), Next: []EdgeSpec{done}}),
+			`batch stage "ba": hold +Inf`},
+		{"hold_ms on a request stage", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
+			Stages: []StageSpec{{Name: "a", Station: "s", DemandMs: 1, HoldMs: 1,
+				Next: []EdgeSpec{done}}}}, "hold_ms"},
+		{"diverge on a request stage", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
+			Coins:  []CoinSpec{{Name: "c", Prob: 0.5}},
+			Stages: []StageSpec{{Name: "a", Station: "s", DemandMs: 1, Diverge: diverge}}}, "diverge"},
 		{"too many coins", GraphSpec{Name: "g", Entry: "a", Stations: st("s"),
 			Coins: func() []CoinSpec {
 				out := make([]CoinSpec, 17)
@@ -146,6 +226,10 @@ func TestGraphValidatorErrors(t *testing.T) {
 	for _, tc := range []struct{ label, raw, want string }{
 		{"misspelt field", strings.Replace(valid, "demand_ms", "demandMs", 1), "unknown field"},
 		{"trailing data", valid + ` {}`, "trailing data"},
+		{"hold_ms on a request stage", strings.Replace(valid, `"demand_ms":1`, `"demand_ms":1,"hold_ms":1`, 1),
+			"hold_ms"},
+		{"diverge on a request stage", strings.Replace(valid, `"next":[{"to":"done"}]`,
+			`"diverge":{"coin":"c","hit":{"to":"done"},"miss":{"to":"done"}}`, 1), "diverge"},
 	} {
 		path := filepath.Join(t.TempDir(), "g.json")
 		if err := os.WriteFile(path, []byte(tc.raw), 0o644); err != nil {
@@ -489,6 +573,33 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadGraph(bad); err == nil {
 		t.Fatal("LoadGraph of an invalid spec succeeded")
+	}
+}
+
+// TestGraphJSONSchema pins the graph file format: testdata/hotel.json,
+// a marshalled HotelGraph (fan-out, a coin, a diverge with hit, miss
+// and hold edges, hold_ms, entry_hop and a batch-only stage), loads to
+// the bundled spec, and marshalling the spec reproduces the file byte
+// for byte.
+func TestGraphJSONSchema(t *testing.T) {
+	const path = "testdata/hotel.json"
+	g, err := LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, HotelGraph()) {
+		t.Fatalf("%s loads to a spec other than HotelGraph()", path)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(HotelGraph(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("HotelGraph() marshals to bytes other than %s:\n%s", path, got)
 	}
 }
 

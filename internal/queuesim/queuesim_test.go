@@ -307,7 +307,7 @@ func webTierBatching() *GraphSpec {
 	g.Batch.FormAfter = "ingress"
 	g.Batch.Entry = "bweb"
 	g.Batch.EntryHop = false
-	g.Batch.Stages = append([]BatchStageSpec{{Name: "bweb", Station: "web", DemandMs: stageDemands(g)["web"],
+	g.Batch.Stages = append([]StageSpec{{Name: "bweb", Station: "web", DemandMs: stageDemands(g)["web"],
 		Next: []EdgeSpec{{To: "buser1", Hop: true}}}}, g.Batch.Stages...)
 	return g
 }
